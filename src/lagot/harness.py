@@ -24,14 +24,11 @@ from .ensembles import (BoundedCouplingTriple, EnsembleMember,
                         eval_bounded, eval_tilde, eval_tv, induced_triple,
                         oracle_min_path, solve_bounded)
 from .errors import AssumptionRefused, ConfigInvalid, UnknownKind
-from .measures import Coupling, DiscreteMeasure, validate_measure
+from .measures import Coupling, DiscreteMeasure, random_measure
 from .mk_solver import solve_mk, t_p
 from .paths import (SteppedPath, compress, cost_li, cost_plain, detour_path,
                     fast_path, linear_path, n1, n2, random_interval_set,
                     stretch, sup_norm)
-
-THEOREMS = ("thm2_1", "thm2_2", "prop2_3", "cor2_4", "thm2_6", "cor2_7",
-            "cor2_8", "eq1_6", "eq1_9_0416", "eq1_11_0508")
 
 ORACLE_GRID = (0.0, 0.5, 1.0, 2.0, 4.0)
 FORMAT_VERSION = 1
@@ -90,12 +87,9 @@ def _digest(obj) -> str:
         json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _rand_measure(rng, n_atoms: int, dim: int,
-                  box: float = 2.0) -> DiscreteMeasure:
-    n = int(rng.integers(1, n_atoms + 1))
-    points = rng.uniform(-box, box, size=(n, dim))
-    weights = rng.dirichlet(np.ones(n))
-    return validate_measure(zip(points, weights), dim)
+def _rand_measure(rng, n_atoms: int, dim: int) -> DiscreteMeasure:
+    """Random measure of 1..n_atoms atoms in the box [-2, 2]^dim."""
+    return random_measure(rng, int(rng.integers(1, n_atoms + 1)), dim, 2.0)
 
 
 def _rand_path(rng, dim: int, max_pieces: int = 4,
@@ -177,42 +171,43 @@ def _gate(theorem: str, cost: CostFunction) -> None:
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: each yields (digest input, values, margins, passed, curve rows) per
+# trial; ``verify`` numbers the trials and builds the report
 # ---------------------------------------------------------------------------
 
+def _oracle_margin(pairs, cost: CostFunction) -> float:
+    """Worst gap of the grid path oracle over cost(|y - x|) across the
+    (x, y) pairs that move; 0 when none does."""
+    margin = np.inf
+    for x, y in pairs:
+        disp = float(np.linalg.norm(y - x))
+        if disp == 0.0:
+            continue
+        o = oracle_min_path(x, y, cost, "L1", 4, ORACLE_GRID)
+        margin = min(margin, o - float(cost.eval(disp)))
+    return float(margin) if np.isfinite(margin) else 0.0
+
+
 def _suite_thm2_1(cfg, cost, rngs):
-    trials = []
-    for t, rng in enumerate(rngs):
+    for rng in rngs:
         m0 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
         m1 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
         sol = solve_mk(m0, m1, cost)
         ens = build_opt_tilde(sol, lambda i, j: random_interval_set(rng))
         v1 = eval_tilde(ens, cost, 1)
         eq_margin = v1 - sol.value
-        oracle_margin = np.inf
-        for i, j, _mass in sol.plan.cells(threshold=0.0):
-            x, y = m0.points[i], m1.points[j]
-            disp = float(np.linalg.norm(y - x))
-            if disp == 0.0:
-                continue
-            o = oracle_min_path(x, y, cost, "L1", 4, ORACLE_GRID)
-            oracle_margin = min(oracle_margin, o - float(cost.eval(disp)))
-        if not np.isfinite(oracle_margin):
-            oracle_margin = 0.0
-        ok = abs(eq_margin) <= cfg.tolerance and oracle_margin >= -cfg.tolerance
-        trials.append({
-            "index": t,
-            "digest": _digest([m0.to_json(), m1.to_json()]),
-            "values": {"transport": sol.value, "modified_1": v1},
-            "margins": {"equality": eq_margin, "oracle": float(oracle_margin)},
-            "passed": ok,
-        })
-    return trials, {}
+        oracle_margin = _oracle_margin(
+            ((m0.points[i], m1.points[j]) for i, j, _ in sol.plan.cells()),
+            cost)
+        yield ([m0.to_json(), m1.to_json()],
+               {"transport": sol.value, "modified_1": v1},
+               {"equality": eq_margin, "oracle": oracle_margin},
+               abs(eq_margin) <= cfg.tolerance
+               and oracle_margin >= -cfg.tolerance, ())
 
 
 def _suite_thm2_2(cfg, cost, rngs):
-    trials = []
-    for t, rng in enumerate(rngs):
+    for rng in rngs:
         m0 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
         m1 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
         sol = solve_mk(m0, m1, cost)
@@ -225,17 +220,12 @@ def _suite_thm2_2(cfg, cost, rngs):
             p = _rand_path(rng, cfg.dim)
             rand_margin = min(rand_margin,
                               cost_li(p, cost, 1) - cost_li(p, cost, 2))
-        ok = (abs(v1 - v2) <= cfg.tolerance and n_gap <= 1e-12
-              and rand_margin >= -1e-12)
-        trials.append({
-            "index": t,
-            "digest": _digest([m0.to_json(), m1.to_json()]),
-            "values": {"modified_1": v1, "modified_2": v2},
-            "margins": {"equality": v1 - v2, "n_gap": n_gap,
-                        "ordering": float(rand_margin)},
-            "passed": ok,
-        })
-    return trials, {}
+        yield ([m0.to_json(), m1.to_json()],
+               {"modified_1": v1, "modified_2": v2},
+               {"equality": v1 - v2, "n_gap": n_gap,
+                "ordering": float(rand_margin)},
+               abs(v1 - v2) <= cfg.tolerance and n_gap <= 1e-12
+               and rand_margin >= -1e-12, ())
 
 
 def _suite_prop2_3(cfg, cost, rngs):
@@ -247,48 +237,29 @@ def _suite_prop2_3(cfg, cost, rngs):
     direct = float(cost.eval(span))                      # transport value
     detour = cost_li(detour_path(x0, x1), cost, 2)       # beats it
     gap = direct - detour
-    trial = {
-        "index": 0,
-        "digest": _digest([list(x0), list(x1), cost.name]),
-        "values": {"transport": direct, "detour_modified_2": detour},
-        "margins": {"gap": gap},
-        "passed": gap >= cfg.strict_margin,
-    }
-    return [trial], {}
+    yield ([list(x0), list(x1), cost.name],
+           {"transport": direct, "detour_modified_2": detour}, {"gap": gap},
+           gap >= cfg.strict_margin, ())
 
 
 def _suite_cor2_4(cfg, cost, rngs):
-    trials = []
-    for t, rng in enumerate(rngs):
+    for rng in rngs:
         m0 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
         grid_pts = rng.uniform(-2.0, 2.0, size=(5, cfg.dim))
         f = GridFunction(points=grid_pts,
                          values=rng.uniform(0.0, 2.0, size=5))
         rep = verify_control_identity(m0, f, cost, 1)
-        oracle_margin = np.inf
-        for k, j in rep.selected:
-            x, y = m0.points[k], f.points[j]
-            disp = float(np.linalg.norm(y - x))
-            if disp == 0.0:
-                continue
-            o = oracle_min_path(x, y, cost, "L1", 4, ORACLE_GRID)
-            oracle_margin = min(oracle_margin, o - float(cost.eval(disp)))
-        if not np.isfinite(oracle_margin):
-            oracle_margin = 0.0
-        ok = abs(rep.margin) <= cfg.tolerance and oracle_margin >= -cfg.tolerance
-        trials.append({
-            "index": t,
-            "digest": _digest([m0.to_json(), f.to_json()]),
-            "values": {"lhs": rep.lhs, "rhs": rep.rhs},
-            "margins": {"equality": rep.margin, "oracle": float(oracle_margin)},
-            "passed": ok,
-        })
-    return trials, {}
+        oracle_margin = _oracle_margin(
+            ((m0.points[k], f.points[j]) for k, j in rep.selected), cost)
+        yield ([m0.to_json(), f.to_json()],
+               {"lhs": rep.lhs, "rhs": rep.rhs},
+               {"equality": rep.margin, "oracle": oracle_margin},
+               abs(rep.margin) <= cfg.tolerance
+               and oracle_margin >= -cfg.tolerance, ())
 
 
 def _suite_thm2_6(cfg, cost, rngs):
-    trials = []
-    for t, rng in enumerate(rngs):
+    for rng in rngs:
         triple = _rand_bounded_triple(rng, cfg.n_atoms, cfg.dim)
         built = build_opt_bounded(triple)
         lhs = eval_bounded(built, cost)
@@ -299,22 +270,16 @@ def _suite_thm2_6(cfg, cost, rngs):
             rand_margin = min(rand_margin,
                               eval_bounded(ens, cost)
                               - eval_tv(induced_triple(ens), cost))
-        ok = abs(lhs - rhs) <= cfg.tolerance and rand_margin >= -cfg.tolerance
-        trials.append({
-            "index": t,
-            "digest": _digest(triple.coupling.source.to_json()),
-            "values": {"dynamic": lhs, "static": rhs},
-            "margins": {"equality": lhs - rhs, "ordering": float(rand_margin)},
-            "passed": ok,
-        })
-    return trials, {}
+        yield (triple.coupling.source.to_json(),
+               {"dynamic": lhs, "static": rhs},
+               {"equality": lhs - rhs, "ordering": float(rand_margin)},
+               abs(lhs - rhs) <= cfg.tolerance
+               and rand_margin >= -cfg.tolerance, ())
 
 
 def _suite_cor2_7(cfg, cost, rngs):
     c_ell = costmod.c_ell(cost, tail_points=np.logspace(4, 8, 5))
-    trials = []
-    caps_all, vals_all = [], []
-    for t, rng in enumerate(rngs):
+    for rng in rngs:
         m0 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
         m1 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
         t1 = t_p(m0, m1, 1.0)
@@ -327,27 +292,17 @@ def _suite_cor2_7(cfg, cost, rngs):
                     - (float(cost.eval(caps[k])) / caps[k] - c_ell) * t1
                     for k in range(len(values)))
         final_gap = values[-1] - c_ell * t1
-        ok = (mono >= -cfg.tolerance and lower >= -cfg.tolerance
-              and upper <= cfg.tolerance and final_gap <= 1e-3)
-        caps_all.extend(caps)
-        vals_all.extend(values)
-        trials.append({
-            "index": t,
-            "digest": _digest([m0.to_json(), m1.to_json()]),
-            "values": {"limit": c_ell * t1, "final": values[-1]},
-            "margins": {"monotone": mono, "lower": lower, "upper": upper,
-                        "final_gap": final_gap},
-            "passed": ok,
-        })
-    return trials, {"kind": "cor2_7", "columns": ["R", "value"],
-                    "rows": [[float(c), float(v)]
-                             for c, v in zip(caps_all, vals_all)]}
+        yield ([m0.to_json(), m1.to_json()],
+               {"limit": c_ell * t1, "final": values[-1]},
+               {"monotone": mono, "lower": lower, "upper": upper,
+                "final_gap": final_gap},
+               mono >= -cfg.tolerance and lower >= -cfg.tolerance
+               and upper <= cfg.tolerance and final_gap <= 1e-3,
+               [[float(c), float(v)] for c, v in zip(caps, values)])
 
 
 def _suite_cor2_8(cfg, cost, rngs):
-    trials = []
-    rows = []
-    for t, rng in enumerate(rngs):
+    for rng in rngs:
         m0 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
         m1 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
         t1 = t_p(m0, m1, 1.0)
@@ -357,16 +312,10 @@ def _suite_cor2_8(cfg, cost, rngs):
         formula = [float(cost.eval(r)) / r * t1 for r in r_grid]
         eq = max(abs(v - f) for v, f in zip(values, formula))
         mono = min(values[k] - values[k + 1] for k in range(len(values) - 1))
-        ok = eq <= cfg.tolerance and mono >= -cfg.tolerance
-        rows.extend([[float(r), float(v)] for r, v in zip(r_grid, values)])
-        trials.append({
-            "index": t,
-            "digest": _digest([m0.to_json(), m1.to_json()]),
-            "values": {"t1": t1, "diameter": diam},
-            "margins": {"formula": eq, "monotone": mono},
-            "passed": ok,
-        })
-    return trials, {"kind": "cor2_8", "columns": ["r", "value"], "rows": rows}
+        yield ([m0.to_json(), m1.to_json()], {"t1": t1, "diameter": diam},
+               {"formula": eq, "monotone": mono},
+               eq <= cfg.tolerance and mono >= -cfg.tolerance,
+               [[float(r), float(v)] for r, v in zip(r_grid, values)])
 
 
 def _suite_eq1_6(cfg, cost, rngs):
@@ -376,39 +325,26 @@ def _suite_eq1_6(cfg, cost, rngs):
     formula = [float(cost.eval(float(n))) / n for n in ns]
     eq = max(abs(v - f) for v, f in zip(values, formula))
     mono = min(values[k] - values[k + 1] for k in range(len(values) - 1))
-    ok = eq <= cfg.tolerance and mono >= -cfg.tolerance and values[-1] < values[0]
-    trial = {
-        "index": 0,
-        "digest": _digest([cost.name, ns]),
-        "values": {"first": values[0], "last": values[-1]},
-        "margins": {"formula": eq, "monotone": mono},
-        "passed": ok,
-    }
-    rows = [[float(n), float(v)] for n, v in zip(ns, values)]
-    return [trial], {"kind": "eq1_6", "columns": ["n", "value"], "rows": rows}
+    yield ([cost.name, ns], {"first": values[0], "last": values[-1]},
+           {"formula": eq, "monotone": mono},
+           eq <= cfg.tolerance and mono >= -cfg.tolerance
+           and values[-1] < values[0],
+           [[float(n), float(v)] for n, v in zip(ns, values)])
 
 
 def _suite_eq1_9(cfg, cost, rngs):
-    spans = (0.5, 1.0, 2.0)
-    trials = []
-    for t, span in enumerate(spans):
+    for span in (0.5, 1.0, 2.0):
         o = oracle_min_path(np.zeros(1), np.array([span]), cost, "conv", 4,
                             ORACLE_GRID)
         target = float(cost.eval(span))
         linear = cost_li(linear_path(np.zeros(1), np.array([span])), cost, 1)
-        ok = abs(o - target) <= cfg.tolerance and abs(linear - target) <= 1e-12
-        trials.append({
-            "index": t,
-            "digest": _digest([cost.name, span]),
-            "values": {"oracle": o, "direct": target},
-            "margins": {"equality": o - target},
-            "passed": ok,
-        })
-    return trials, {}
+        yield ([cost.name, span], {"oracle": o, "direct": target},
+               {"equality": o - target},
+               abs(o - target) <= cfg.tolerance
+               and abs(linear - target) <= 1e-12, ())
 
 
 def _suite_eq1_11(cfg, cost, rngs):
-    trials = []
     for t, rng in enumerate(rngs):
         worst_eq = 0.0
         worst_rt = 0.0
@@ -423,38 +359,42 @@ def _suite_eq1_11(cfg, cost, rngs):
                 worst_rt,
                 float(np.max(np.abs(q.durations - p.durations))),
                 float(np.max(np.abs(q.velocities - p.velocities))))
-        ok = worst_eq <= 1e-12 and worst_rt <= 1e-12
-        trials.append({
-            "index": t,
-            "digest": _digest([cfg.seed, t]),
-            "values": {},
-            "margins": {"time_change": worst_eq, "roundtrip": worst_rt},
-            "passed": ok,
-        })
-    return trials, {}
+        yield ([cfg.seed, t], {},
+               {"time_change": worst_eq, "roundtrip": worst_rt},
+               worst_eq <= 1e-12 and worst_rt <= 1e-12, ())
 
 
+# theorem -> (suite, curve columns or None)
 _SUITES = {
-    "thm2_1": _suite_thm2_1,
-    "thm2_2": _suite_thm2_2,
-    "prop2_3": _suite_prop2_3,
-    "cor2_4": _suite_cor2_4,
-    "thm2_6": _suite_thm2_6,
-    "cor2_7": _suite_cor2_7,
-    "cor2_8": _suite_cor2_8,
-    "eq1_6": _suite_eq1_6,
-    "eq1_9_0416": _suite_eq1_9,
-    "eq1_11_0508": _suite_eq1_11,
+    "thm2_1": (_suite_thm2_1, None),
+    "thm2_2": (_suite_thm2_2, None),
+    "prop2_3": (_suite_prop2_3, None),
+    "cor2_4": (_suite_cor2_4, None),
+    "thm2_6": (_suite_thm2_6, None),
+    "cor2_7": (_suite_cor2_7, ("R", "value")),
+    "cor2_8": (_suite_cor2_8, ("r", "value")),
+    "eq1_6": (_suite_eq1_6, ("n", "value")),
+    "eq1_9_0416": (_suite_eq1_9, None),
+    "eq1_11_0508": (_suite_eq1_11, None),
 }
+THEOREMS = tuple(_SUITES)
 
 
 def verify(cfg: VerifyConfig) -> Report:
     """Run one theorem suite; deterministic given the config."""
     cost = costmod.from_spec(cfg.cost_spec)
     _gate(cfg.theorem, cost)
+    suite, columns = _SUITES[cfg.theorem]
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
     rngs = [np.random.default_rng(s) for s in seeds]
-    trials, curves = _SUITES[cfg.theorem](cfg, cost, rngs)
+    trials, rows = [], []
+    for t, (key, values, margins, ok, curve) in enumerate(
+            suite(cfg, cost, rngs)):
+        trials.append({"index": t, "digest": _digest(key), "values": values,
+                       "margins": margins, "passed": bool(ok)})
+        rows.extend(curve)
+    curves = ({} if columns is None else
+              {"kind": cfg.theorem, "columns": list(columns), "rows": rows})
     margins = [m for tr in trials for m in tr["margins"].values()]
     summary = {
         "n_trials": len(trials),
@@ -470,7 +410,7 @@ def verify(cfg: VerifyConfig) -> Report:
 def emit_plot_data(report: Report, kind: str) -> str:
     """CSV rows for the curve a suite recorded (fast-path decay, cap
     sweeps)."""
-    if kind not in ("eq1_6", "cor2_7", "cor2_8"):
+    if _SUITES.get(kind, (None, None))[1] is None:
         raise UnknownKind(kind)
     if not report.trials:
         raise ConfigInvalid("empty report")
