@@ -13,15 +13,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ensembles, harness
+from . import harness
 from .costs import parse_cost
 from .duality import GridFunction, inf_conv, verify_control_identity
 from .ensembles import (BoundedCouplingTriple, TransportEnsemble,
-                        build_opt_tilde, eval_bounded, eval_tilde, eval_tv,
-                        oracle_min_path, solve_bounded)
+                        arcs_longer_than, build_opt_tilde, eval_bounded,
+                        eval_tilde, eval_tv, oracle_min_path, solve_bounded)
 from .errors import AssumptionRefused, ConfigInvalid, LagotError, UnknownKind
 from .harness import Report, VerifyConfig, emit_plot_data, verify
-from .measures import DiscreteMeasure
+from .measures import Coupling, DiscreteMeasure
 from .mk_solver import solve_mk
 from .paths import random_interval_set
 
@@ -32,6 +32,14 @@ def _load_json(path: str) -> dict:
     return json.loads(Path(path).read_text())
 
 
+def _load(path: str, parse):
+    """``parse`` of the JSON in ``path``; malformed content names the file."""
+    try:
+        return parse(_load_json(path))
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise ConfigInvalid(f"{path}: malformed input ({exc!r})") from exc
+
+
 def _emit(payload: str, out: str | None) -> None:
     if out:
         Path(out).write_text(payload)
@@ -40,35 +48,33 @@ def _emit(payload: str, out: str | None) -> None:
 
 
 def _cmd_solve_mk(args) -> int:
-    m0 = DiscreteMeasure.from_json(_load_json(args.p0))
-    m1 = DiscreteMeasure.from_json(_load_json(args.p1))
+    m0 = _load(args.p0, DiscreteMeasure.from_json)
+    m1 = _load(args.p1, DiscreteMeasure.from_json)
     cost = parse_cost(args.cost)
-    forbidden = None
-    if args.max_arc_length is not None:
-        r = args.max_arc_length
-
-        def forbidden(i, j):
-            return bool(np.linalg.norm(m1.points[j] - m0.points[i]) > r)
-
+    forbidden = (None if args.max_arc_length is None
+                 else arcs_longer_than(m0, m1, args.max_arc_length))
     sol = solve_mk(m0, m1, cost, forbidden_arcs=forbidden)
     _emit(json.dumps({"value": sol.value, "plan": sol.plan.plan.tolist(),
                       "method": sol.method}, sort_keys=True) + "\n", args.out)
     return EXIT_PASS
 
 
+def _triple_from_json(obj: dict) -> BoundedCouplingTriple:
+    coupling = Coupling(source=DiscreteMeasure.from_json(obj["source"]),
+                        target=DiscreteMeasure.from_json(obj["target"]),
+                        plan=np.asarray(obj["plan"], dtype=float))
+    bounds = {(int(i), int(j)): float(m) for i, j, m in obj["bounds"]}
+    return BoundedCouplingTriple(coupling, bounds)
+
+
 def _cmd_eval(args) -> int:
     cost = parse_cost(args.cost)
+    if (args.triple if args.objective == "TV" else args.ensemble) is None:
+        raise ConfigInvalid(f"no input file for --objective {args.objective}")
     if args.objective == "TV":
-        obj = _load_json(args.triple)
-        src = DiscreteMeasure.from_json(obj["source"])
-        tgt = DiscreteMeasure.from_json(obj["target"])
-        from .measures import Coupling
-        coupling = Coupling(source=src, target=tgt,
-                            plan=np.asarray(obj["plan"], dtype=float))
-        bounds = {(int(i), int(j)): float(m) for i, j, m in obj["bounds"]}
-        value = eval_tv(BoundedCouplingTriple(coupling, bounds), cost)
+        value = eval_tv(_load(args.triple, _triple_from_json), cost)
     else:
-        ens = TransportEnsemble.from_json(_load_json(args.ensemble))
+        ens = _load(args.ensemble, TransportEnsemble.from_json)
         if args.objective == "plain":
             value = eval_bounded(ens, cost)
         else:
@@ -78,8 +84,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_build_optimal(args) -> int:
-    m0 = DiscreteMeasure.from_json(_load_json(args.p0))
-    m1 = DiscreteMeasure.from_json(_load_json(args.p1))
+    m0 = _load(args.p0, DiscreteMeasure.from_json)
+    m1 = _load(args.p1, DiscreteMeasure.from_json)
     cost = parse_cost(args.cost)
     if args.theorem == "2.1":
         rng = np.random.default_rng(args.seed)
@@ -108,10 +114,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    m0 = DiscreteMeasure.from_json(_load_json(args.p0))
-    f = GridFunction.from_json(_load_json(args.f))
+    m0 = _load(args.p0, DiscreteMeasure.from_json)
+    f = _load(args.f, GridFunction.from_json)
     cost = parse_cost(args.cost)
-    queries = (np.asarray(_load_json(args.grid), dtype=float)
+    queries = (_load(args.grid, lambda raw: np.asarray(raw, dtype=float))
                if args.grid else m0.points)
     rep = verify_control_identity(m0, f, cost, args.i)
     payload = {"fl_values": inf_conv(f, cost, queries), "lhs": rep.lhs,
@@ -121,32 +127,28 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.config:
-        raw = _load_json(args.config)
-        cfg = VerifyConfig(
-            theorem=raw["theorem"], seed=raw.get("seed", args.seed),
+    def config(raw: dict) -> VerifyConfig:
+        theorem = raw.get("theorem", args.theorem)
+        if theorem is None:
+            raise ConfigInvalid("no theorem: give --theorem or --config")
+        return VerifyConfig(
+            theorem=theorem, seed=raw.get("seed", args.seed),
             trials=raw.get("trials", args.trials),
             n_atoms=raw.get("n_atoms", args.n_atoms),
             dim=raw.get("dim", args.dim),
             cost_spec=raw.get("cost", parse_cost(args.cost).to_spec()),
             tolerance=raw.get("tolerance", args.tol))
-    else:
-        if not args.theorem:
-            raise ConfigInvalid("either --config or --theorem is required")
-        cfg = VerifyConfig(theorem=args.theorem, seed=args.seed,
-                           trials=args.trials, n_atoms=args.n_atoms,
-                           dim=args.dim,
-                           cost_spec=parse_cost(args.cost).to_spec(),
-                           tolerance=args.tol)
+
+    cfg = _load(args.config, config) if args.config else config({})
     report = verify(cfg)
     _emit(report.dumps() + "\n", args.out)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def _cmd_plot(args) -> int:
-    raw = _load_json(args.report)
-    report = Report(config=raw["config"], trials=raw["trials"],
-                    summary=raw["summary"], curves=raw.get("curves", {}))
+    report = _load(args.report, lambda raw: Report(
+        config=raw["config"], trials=raw["trials"], summary=raw["summary"],
+        curves=raw.get("curves", {})))
     _emit(emit_plot_data(report, args.kind), args.out)
     return EXIT_PASS
 

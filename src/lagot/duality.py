@@ -63,13 +63,6 @@ def inf_conv(f: GridFunction, cost: CostFunction, query_points) -> list[float]:
     return out
 
 
-def argmin_inf_conv(f: GridFunction, cost: CostFunction, x) -> int:
-    """Index of the grid point attaining f^c(x) (smallest index on ties)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    dists = np.linalg.norm(f.points - x[None, :], axis=1)
-    return int(np.argmin(np.atleast_1d(cost.eval(dists)) + f.values))
-
-
 @dataclass(frozen=True)
 class ControlIdentityReport:
     lhs: float

@@ -16,16 +16,22 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .costs import CostFunction
+from .costs import CostFunction, power_cost
 from .errors import (BadHorizon, BoundViolated, Infeasible, InfeasibleBound,
                      MissingBound, NoFeasiblePath)
-from .measures import Coupling, DiscreteMeasure, validate_measure
+from .measures import (Coupling, DiscreteMeasure, pairwise_distances,
+                       validate_measure)
 from .mk_solver import MKSolution, solve_mk
 from .paths import (IntervalSet, SteppedPath, cost_li, cost_plain,
                     stop_and_go, sup_norm)
 
 _BOUND_TOL = 1e-12
 _FEAS_TOL = 1e-9
+
+
+def _exceeds(value: float, bound: float) -> bool:
+    """value > bound beyond rounding, relative once the bound passes 1."""
+    return value > bound + _BOUND_TOL * max(1.0, bound)
 
 
 @dataclass(frozen=True)
@@ -50,7 +56,7 @@ class TransportEnsemble:
         for m in members:
             if m.weight <= 0:
                 raise ValueError("member weights must be positive")
-            if m.bound is not None and sup_norm(m.path) > m.bound + _BOUND_TOL:
+            if m.bound is not None and _exceeds(sup_norm(m.path), m.bound):
                 raise BoundViolated(
                     f"sup speed {sup_norm(m.path)} exceeds bound {m.bound}")
         object.__setattr__(self, "members", members)
@@ -83,7 +89,7 @@ class BoundedCouplingTriple:
             if (i, j) not in self.bound_assignment:
                 raise MissingBound(f"cell ({i}, {j}) carries mass but no bound")
             m_ij = self.bound_assignment[(i, j)]
-            if self.coupling.displacement(i, j) > m_ij + _BOUND_TOL:
+            if _exceeds(self.coupling.displacement(i, j), m_ij):
                 raise InfeasibleBound(
                     f"cell ({i}, {j}): displacement exceeds bound {m_ij}")
 
@@ -106,12 +112,10 @@ def eval_tilde(e: TransportEnsemble, cost: CostFunction, i: int) -> float:
 
 
 def eval_bounded(e: TransportEnsemble, cost: CostFunction) -> float:
-    """Expected plain running cost for a speed-bounded ensemble."""
+    """Expected plain running cost; e checked each speed when it was built."""
     for m in e.members:
         if m.bound is None:
             raise MissingBound("every member needs a speed bound")
-        if sup_norm(m.path) > m.bound + _BOUND_TOL:
-            raise BoundViolated("member speed exceeds its bound")
     return float(sum(m.weight * cost_plain(m.path, cost) for m in e.members))
 
 
@@ -178,7 +182,7 @@ def build_opt_bounded(t: BoundedCouplingTriple) -> TransportEnsemble:
         y = c.target.points[j]
         disp = c.displacement(i, j)
         m_ij = float(t.bound_assignment[(i, j)])
-        if disp > m_ij + _BOUND_TOL:
+        if _exceeds(disp, m_ij):
             raise InfeasibleBound(f"cell ({i}, {j}) cannot be traversed")
         if disp == 0.0 or m_ij == 0.0:
             path = stop_and_go(x, x, IntervalSet(((0.0, 1.0),)))
@@ -247,6 +251,14 @@ def oracle_min_path(x, y, cost: CostFunction, objective: str, K: int,
     return float(values.min())
 
 
+def arcs_longer_than(m0: DiscreteMeasure, m1: DiscreteMeasure,
+                     r: float) -> Callable[[int, int], bool]:
+    """``forbidden_arcs`` callback for solve_mk: arc (i, j) is forbidden
+    when |x_i - y_j| > r, with the distances of the shared kernel."""
+    too_long = pairwise_distances(m0.points, m1.points) > r
+    return lambda i, j: bool(too_long[i, j])
+
+
 def solve_bounded(m0: DiscreteMeasure, m1: DiscreteMeasure,
                   cost: CostFunction, r: float,
                   ) -> tuple[float, TransportEnsemble]:
@@ -259,11 +271,8 @@ def solve_bounded(m0: DiscreteMeasure, m1: DiscreteMeasure,
     """
     if r <= 0:
         raise Infeasible("the speed cap must be positive")
-    from .costs import power_cost
-    sol = solve_mk(
-        m0, m1, power_cost(1.0),
-        forbidden_arcs=lambda i, j: bool(
-            np.linalg.norm(m1.points[j] - m0.points[i]) > r))
+    sol = solve_mk(m0, m1, power_cost(1.0),
+                   forbidden_arcs=arcs_longer_than(m0, m1, r))
     bounds = {(i, j): float(r) for i, j, _ in sol.plan.cells(threshold=0.0)}
     triple = BoundedCouplingTriple(coupling=sol.plan, bound_assignment=bounds)
     value = float(cost.eval(r) / r * sol.value)

@@ -51,6 +51,8 @@ class VerifyConfig:
             raise ConfigInvalid(f"unknown theorem {self.theorem!r}")
         if self.trials < 1:
             raise ConfigInvalid("trials must be >= 1")
+        if self.n_atoms < 1 or self.dim < 1:
+            raise ConfigInvalid("n_atoms and dim must be >= 1")
         if self.tolerance <= 0:
             raise ConfigInvalid("tolerance must be positive")
 
@@ -181,10 +183,9 @@ def _oracle_margin(pairs, cost: CostFunction) -> float:
     margin = np.inf
     for x, y in pairs:
         disp = float(np.linalg.norm(y - x))
-        if disp == 0.0:
-            continue
-        o = oracle_min_path(x, y, cost, "L1", 4, ORACLE_GRID)
-        margin = min(margin, o - float(cost.eval(disp)))
+        if disp > 0.0:
+            o = oracle_min_path(x, y, cost, "L1", 4, ORACLE_GRID)
+            margin = min(margin, o - float(cost.eval(disp)))
     return float(margin) if np.isfinite(margin) else 0.0
 
 

@@ -17,6 +17,12 @@ WEIGHT_SUM_TOL = 1e-12
 PLAN_MARGIN_TOL = 1e-10
 
 
+def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) matrix of |a_i - b_j|; every distance between supports is
+    read from here, so a cap equal to the diameter admits the longest arc."""
+    return np.linalg.norm(a[:, None] - b[None], axis=2)
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Finitely supported probability measure on R^d.
@@ -42,8 +48,7 @@ class DiscreteMeasure:
 
     def diameter_to(self, other: "DiscreteMeasure") -> float:
         """Largest |x - y| over support pairs (x from self, y from other)."""
-        diff = self.points[:, None, :] - other.points[None, :, :]
-        return float(np.linalg.norm(diff, axis=2).max())
+        return float(pairwise_distances(self.points, other.points).max())
 
     def to_json(self) -> dict:
         return {
@@ -64,7 +69,8 @@ def validate_measure(raw, dim: int) -> DiscreteMeasure:
     """Merge duplicate points, check weights, and build a DiscreteMeasure.
 
     Duplicate points (exact coordinate equality) are merged by summing
-    weights.  Raises EmptyMeasure, DimensionMismatch, or WeightSumMismatch.
+    weights.  Raises EmptyMeasure, DimensionMismatch, or WeightSumMismatch;
+    a non-finite coordinate or weight raises ValueError.
     """
     raw = list(raw)
     if not raw:
@@ -75,6 +81,8 @@ def validate_measure(raw, dim: int) -> DiscreteMeasure:
         p = np.atleast_1d(np.asarray(point, dtype=float))
         if p.shape != (dim,):
             raise DimensionMismatch(f"point {point!r} does not have length {dim}")
+        if not (np.all(np.isfinite(p)) and np.isfinite(weight)):
+            raise ValueError(f"non-finite atom {point!r}, weight {weight!r}")
         if weight < 0:
             raise WeightSumMismatch(f"negative weight {weight!r}")
         key = tuple(p.tolist())
@@ -145,10 +153,10 @@ def marginals(c: Coupling) -> tuple[DiscreteMeasure, DiscreteMeasure]:
     return src, tgt
 
 
-def random_measure(seed: int, n_atoms: int, dim: int,
+def random_measure(seed, n_atoms: int, dim: int,
                    box_radius: float) -> DiscreteMeasure:
     """Seeded random measure: points uniform in the centered box, weights
-    uniform on the simplex.  Deterministic given the seed."""
+    uniform on the simplex.  A Generator as ``seed`` is drawn from as is."""
     if n_atoms < 1:
         raise EmptyMeasure("n_atoms must be >= 1")
     if box_radius <= 0:

@@ -19,7 +19,8 @@ import numpy as np
 
 from .costs import CostFunction, power_cost
 from .errors import DimensionMismatch, Infeasible, TooLarge, UnequalWeights
-from .measures import Coupling, DiscreteMeasure, make_coupling
+from .measures import (Coupling, DiscreteMeasure, make_coupling,
+                       pairwise_distances)
 
 _RC_TOL = 1e-11
 _FORBIDDEN_FLOW_TOL = 1e-9
@@ -34,8 +35,8 @@ class MKSolution:
 
 def _cost_matrix(m0: DiscreteMeasure, m1: DiscreteMeasure,
                  cost: CostFunction) -> np.ndarray:
-    diff = m0.points[:, None, :] - m1.points[None, :, :]
-    return np.asarray(cost.eval(np.linalg.norm(diff, axis=2)), dtype=float)
+    return np.asarray(cost.eval(pairwise_distances(m0.points, m1.points)),
+                      dtype=float)
 
 
 def _northwest_corner(supply, demand):
@@ -117,16 +118,16 @@ def _tree_path(basis, i0, j0, n):
     return cells
 
 
-def _transportation_simplex(supply, demand, cost):
+def _transportation_simplex(supply, demand, cost, scale):
     """Minimize sum(flow * cost) over the transportation polytope.
 
     Returns (flow, basis).  Deterministic: Bland smallest-index entering
-    and leaving rules.
+    and leaving rules.  Reduced costs above -_RC_TOL * scale count as
+    nonnegative; ``scale`` comes from the real arc costs, never big-M.
     """
     n, m = cost.shape
     flow, basis = _northwest_corner(np.asarray(supply, float),
                                     np.asarray(demand, float))
-    scale = 1.0 + float(np.max(np.abs(cost)))
     max_iters = 20000 * (n + m)
     for _ in range(max_iters):
         u, v = _duals(basis, cost, n, m)
@@ -176,7 +177,8 @@ def solve_mk(m0: DiscreteMeasure, m1: DiscreteMeasure, cost: CostFunction,
                          for i in range(m0.n_atoms)])
         big_m = (m0.n_atoms + m1.n_atoms + 1) * (1.0 + float(np.max(c))) * 1e3
         work = np.where(mask, big_m, c)
-    flow, _ = _transportation_simplex(m0.weights, m1.weights, work)
+    flow, _ = _transportation_simplex(m0.weights, m1.weights, work,
+                                      1.0 + float(np.max(np.abs(c))))
     flow = np.where(flow < 0, 0.0, flow)
     if mask is not None and float(flow[mask].sum()) > _FORBIDDEN_FLOW_TOL:
         raise Infeasible("no feasible plan avoids the forbidden arcs")

@@ -288,11 +288,6 @@ def compress(q: SteppedPath) -> SteppedPath:
                        velocities=q.velocities * T)
 
 
-def n_functional_at_horizon(p: SteppedPath, i: int) -> float:
-    """n1/n2 evaluated over the path's own horizon (any T > 0)."""
-    return n1(p) if i == 1 else n2(p)
-
-
 def random_interval_set(rng: np.random.Generator, max_pieces: int = 3,
                         min_measure: float = 0.05) -> IntervalSet:
     """Seeded random disjoint interval union with total length bounded away

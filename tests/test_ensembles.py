@@ -63,6 +63,16 @@ def test_bound_violation_rejected():
         single(linear_path([0.0], [2.0]), bound=1.0)
 
 
+def test_bound_slack_is_relative_above_one():
+    # a speed one rounding step above a large bound is not a violation
+    fast = single(linear_path([0.0], [1e4 * (1 + 4e-16)]), bound=1e4)
+    assert eval_bounded(fast, SQRT) == pytest.approx(100.0)
+    with pytest.raises(BoundViolated):
+        single(linear_path([0.0], [1e4 * (1 + 1e-11)]), bound=1e4)
+    with pytest.raises(BoundViolated):
+        single(linear_path([0.0], [0.5 + 2e-12]), bound=0.5)
+
+
 def _triple(points0, points1, plan, bounds, dim=1):
     m0 = validate_measure(points0, dim)
     m1 = validate_measure(points1, dim)

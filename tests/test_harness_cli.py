@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from lagot.cli import main
+from lagot.costs import parse_cost
 from lagot.errors import AssumptionRefused, ConfigInvalid, UnknownKind
-from lagot.harness import Report, VerifyConfig, emit_plot_data, verify
+from lagot.harness import (THEOREMS, Report, VerifyConfig, emit_plot_data,
+                           verify)
 
 POWER = {"name": "power", "params": [0.5]}
 
@@ -42,6 +44,9 @@ def test_config_validation():
         VerifyConfig(theorem="thm9_9")
     with pytest.raises(ConfigInvalid):
         VerifyConfig(theorem="thm2_1", trials=0)
+    for field in ("n_atoms", "dim"):
+        with pytest.raises(ConfigInvalid):
+            VerifyConfig(theorem="thm2_1", **{field: 0})
 
 
 def test_emit_plot_data():
@@ -151,3 +156,106 @@ def test_cli_verify_config_file_and_plot(tmp_path):
                  "--out", str(csv_file)]) == 0
     assert csv_file.read_text().splitlines()[0] == "r,value"
     assert main(["plot", "--report", str(rep), "--kind", "bogus"]) == 2
+
+
+# what the assumption gate refuses among the five sweep costs, at any seed
+SWEEP_COSTS = ("power:0.5", "remark_iii", "affine_exp:0.25", "linear",
+               "quadratic")
+REFUSED = {
+    ("thm2_1", "quadratic"), ("thm2_2", "remark_iii"), ("thm2_2", "quadratic"),
+    ("prop2_3", "power:0.5"), ("prop2_3", "affine_exp:0.25"),
+    ("prop2_3", "linear"), ("prop2_3", "quadratic"), ("cor2_4", "quadratic"),
+    ("thm2_6", "quadratic"), ("cor2_7", "quadratic"), ("cor2_8", "quadratic"),
+    ("eq1_6", "affine_exp:0.25"), ("eq1_6", "linear"), ("eq1_6", "quadratic"),
+    ("eq1_9_0416", "power:0.5"), ("eq1_9_0416", "remark_iii"),
+    ("eq1_9_0416", "affine_exp:0.25"),
+}
+
+
+@pytest.mark.parametrize("cost", SWEEP_COSTS)
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_default_run_of_every_pair_serialises(theorem, cost):
+    cfg = VerifyConfig(theorem=theorem, cost_spec=parse_cost(cost).to_spec())
+    if (theorem, cost) in REFUSED:
+        with pytest.raises(AssumptionRefused):
+            verify(cfg)
+        return
+    report = verify(cfg)
+    doc = json.loads(report.dumps())
+    assert doc["summary"] == report.summary
+    assert all(type(t["passed"]) is bool for t in report.trials)
+    assert doc["summary"]["pass_count"] == sum(t["passed"]
+                                               for t in report.trials)
+
+
+def test_cor2_7_top_cap_speed_rounding():
+    # the rung r = 1e4 rebuilds a path whose speed rounds to 1e4 + 4e-12
+    assert main(["verify", "--theorem", "cor2_7", "--seed", "3",
+                 "--cost", "linear"]) == 0
+
+
+@pytest.mark.parametrize("cost", ["power:0.5", "remark_iii", "affine_exp:0.25",
+                                  "linear"])
+def test_cli_cor2_8_passes_at_defaults(cost, tmp_path):
+    rep = tmp_path / "rep.json"
+    assert main(["verify", "--theorem", "cor2_8", "--cost", cost,
+                 "--out", str(rep)]) == 0
+    assert json.loads(rep.read_text())["summary"]["pass_count"] == 20
+
+
+NAN = float("nan")
+GOOD = {"dim": 1, "atoms": [{"x": [0.0], "w": 0.5}, {"x": [3.0], "w": 0.5}]}
+SOLVE = ["solve-mk", "--p0", "p0.json", "--p1", "good.json",
+         "--cost", "power:0.5"]
+VERIFY_CFG = ["verify", "--config", "cfg.json"]
+
+# (files written, argv, a fragment the one-line message must contain)
+BAD_INPUTS = {
+    "measure without atoms": ({"p0.json": {"dim": 1}}, SOLVE, "p0.json"),
+    "measure that is a list": ({"p0.json": [1, 2]}, SOLVE, "p0.json"),
+    "nan weight": ({"p0.json": {"dim": 1, "atoms": [
+        {"x": [0.0], "w": 0.5}, {"x": [1.0], "w": NAN}]}}, SOLVE, "finite"),
+    "nan point": ({"p0.json": {"dim": 1, "atoms": [
+        {"x": [NAN], "w": 1.0}]}}, SOLVE, "finite"),
+    "missing file": ({}, SOLVE, "p0.json"),
+    "config without theorem": ({"cfg.json": {"seed": 1}}, VERIFY_CFG,
+                               "theorem"),
+    "config with a string trial count": (
+        {"cfg.json": {"theorem": "thm2_1", "trials": "3"}}, VERIFY_CFG,
+        "cfg.json"),
+    "zero atoms": ({}, ["verify", "--theorem", "thm2_1", "--n-atoms", "0"],
+                   "n_atoms"),
+    "zero dimensions": ({}, ["verify", "--theorem", "thm2_1", "--dim", "0"],
+                        "dim"),
+    "eval of build-optimal output": (
+        {"built.json": {"value": 1.0, "ensemble": {"members": []}}},
+        ["eval", "--objective", "plain", "--ensemble", "built.json",
+         "--cost", "power:0.5"], "built.json"),
+    "triple without bounds": (
+        {"t.json": {"source": GOOD, "target": GOOD,
+                    "plan": [[0.5, 0.0], [0.0, 0.5]]}},
+        ["eval", "--objective", "TV", "--triple", "t.json",
+         "--cost", "power:0.5"], "t.json"),
+    "grid function without values": (
+        {"f.json": {"points": [[0.0]]}},
+        ["dual", "--f", "f.json", "--p0", "good.json", "--cost", "power:0.5"],
+        "f.json"),
+    "config that is a list": ({"cfg.json": [1, 2]}, VERIFY_CFG, "cfg.json"),
+    "eval without its input file": (
+        {}, ["eval", "--objective", "TV", "--ensemble", "good.json",
+             "--cost", "power:0.5"], "--objective TV"),
+    "report without trials": (
+        {"rep.json": {"config": {}, "summary": {}}},
+        ["plot", "--report", "rep.json", "--kind", "cor2_8"], "rep.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_cli_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
+    files, argv, fragment = BAD_INPUTS[case]
+    for name, doc in {"good.json": GOOD, **files}.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == 2  # an exception escaping main fails the test
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and fragment in lines[0], lines

@@ -3,7 +3,8 @@ import pytest
 
 from lagot.errors import DimensionMismatch, EmptyMeasure, WeightSumMismatch
 from lagot.measures import (DiscreteMeasure, make_coupling, marginals,
-                            random_measure, validate_measure)
+                            pairwise_distances, random_measure,
+                            validate_measure)
 
 
 def test_single_atom():
@@ -28,6 +29,27 @@ def test_empty_and_dim_mismatch():
         validate_measure([], 1)
     with pytest.raises(DimensionMismatch):
         validate_measure([((0.0, 1.0), 1.0)], 1)
+
+
+@pytest.mark.parametrize("atoms", [
+    [((0.0,), 0.5), ((1.0,), float("nan"))],
+    [((float("nan"),), 1.0)],
+    [((0.0,), float("inf"))],
+])
+def test_non_finite_atoms_rejected(atoms):
+    with pytest.raises(ValueError):
+        validate_measure(atoms, 1)
+
+
+def test_pairwise_distances_give_the_diameter():
+    rng = np.random.default_rng(0)
+    a, b = rng.uniform(-2, 2, size=(4, 2)), rng.uniform(-2, 2, size=(3, 2))
+    d = pairwise_distances(a, b)
+    assert d.shape == (4, 3)
+    assert d[1, 2] == pytest.approx(np.hypot(*(a[1] - b[2])), rel=1e-15)
+    m0 = validate_measure(zip(a, np.full(4, 0.25)), 2)
+    m1 = validate_measure(zip(b, np.full(3, 1.0 / 3.0)), 2)
+    assert m0.diameter_to(m1) == d.max()
 
 
 def test_validate_idempotent():
