@@ -1,9 +1,10 @@
 """Exact discrete optimal transport for radial costs.
 
-The transportation linear program is solved in-repo by the classical
-transportation (network) simplex with Bland's smallest-index rule on both
-the entering and the leaving variable, which rules out cycling.  Forbidden
-arcs are priced with a big-M penalty and a positive flow on any of them at
+The transportation LP is solved in-repo by the classical transportation
+(network) simplex with Bland's smallest-index rule on both the entering and
+the leaving variable, which rules out cycling.  Each pivot walks the basis
+tree once, for the dual potentials and the entering cycle.  Forbidden arcs
+are priced with a big-M penalty and a positive flow on any of them at
 optimality means the constrained instance is infeasible.  A permutation
 brute-force oracle covers small equal-weight instances independently.
 """
@@ -11,7 +12,6 @@ brute-force oracle covers small equal-weight instances independently.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -65,57 +65,43 @@ def _northwest_corner(supply, demand):
     return flow, basis
 
 
-def _duals(basis, cost, n, m):
-    u = np.full(n, np.nan)
-    v = np.full(m, np.nan)
-    rows = [[] for _ in range(n)]
-    cols = [[] for _ in range(m)]
-    for (i, j) in basis:
-        rows[i].append(j)
-        cols[j].append(i)
-    u[0] = 0.0
-    queue = deque([("r", 0)])
-    while queue:
-        kind, k = queue.popleft()
-        if kind == "r":
-            for j in rows[k]:
-                if np.isnan(v[j]):
-                    v[j] = cost[k, j] - u[k]
-                    queue.append(("c", j))
+def _basis_tree(basis, cost, n, m):
+    """One breadth-first walk of the basis tree from row 0; rows are nodes
+    ``0..n-1``, columns ``n..n+m-1``, neighbours come in basis order.
+    Returns potentials u, v (u[0] = 0, u_i + v_j = cost[i, j] on the basis)
+    and each node's parent, as a (node, cell) pair, and depth."""
+    adj = [[] for _ in range(n + m)]
+    for i, j in basis:
+        adj[i].append(n + j)
+        adj[n + j].append(i)
+    pot = [np.nan] * (n + m)
+    parent = [None] * (n + m)
+    depth = [-1] * (n + m)
+    pot[0], depth[0] = 0.0, 0
+    order = [0]
+    for k in order:
+        for w in adj[k]:
+            if depth[w] < 0:
+                cell = (k, w - n) if k < n else (w, k - n)
+                pot[w] = cost[cell] - pot[k]
+                parent[w], depth[w] = (k, cell), depth[k] + 1
+                order.append(w)
+    return np.array(pot[:n]), np.array(pot[n:]), parent, depth
+
+
+def _tree_path(parent, depth, i0, j0, n):
+    """Cells along the unique basis-tree path from row i0 to column j0,
+    found by climbing both ends to their common ancestor."""
+    a, b = i0, n + j0
+    up_a, up_b = [], []
+    while a != b:
+        if depth[a] >= depth[b]:
+            a, cell = parent[a]
+            up_a.append(cell)
         else:
-            for i in cols[k]:
-                if np.isnan(u[i]):
-                    u[i] = cost[i, k] - v[k]
-                    queue.append(("r", i))
-    return u, v
-
-
-def _tree_path(basis, i0, j0, n):
-    """Unique alternating row/col path from row i0 to col j0 through the
-    basis tree, returned as the sequence of cells along it."""
-    adj: dict[tuple, list] = {}
-    for (i, j) in basis:
-        adj.setdefault(("r", i), []).append((("c", j), (i, j)))
-        adj.setdefault(("c", j), []).append((("r", i), (i, j)))
-    startnode = ("r", i0)
-    target = ("c", j0)
-    prev = {startnode: (None, None)}
-    queue = deque([startnode])
-    while queue:
-        node = queue.popleft()
-        if node == target:
-            break
-        for nxt, cell in adj.get(node, []):
-            if nxt not in prev:
-                prev[nxt] = (node, cell)
-                queue.append(nxt)
-    cells = []
-    node = target
-    while node != startnode:
-        node, cell = prev[node]
-        cells.append(cell)
-    cells.reverse()
-    return cells
+            b, cell = parent[b]
+            up_b.append(cell)
+    return up_a + up_b[::-1]
 
 
 def _transportation_simplex(supply, demand, cost, scale):
@@ -130,7 +116,7 @@ def _transportation_simplex(supply, demand, cost, scale):
                                     np.asarray(demand, float))
     max_iters = 20000 * (n + m)
     for _ in range(max_iters):
-        u, v = _duals(basis, cost, n, m)
+        u, v, parent, depth = _basis_tree(basis, cost, n, m)
         reduced = cost - u[:, None] - v[None, :]
         basis_set = set(basis)
         entering = None
@@ -142,7 +128,7 @@ def _transportation_simplex(supply, demand, cost, scale):
                 break
         if entering is None:
             return flow, basis
-        path = _tree_path(basis, entering[0], entering[1], n)
+        path = _tree_path(parent, depth, entering[0], entering[1], n)
         # cycle: entering (+), then alternating - / + along the tree path
         minus = path[0::2]
         plus = path[1::2]
