@@ -159,8 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Discrete transport identities for non-convex radial "
                     "costs: solvers, path constructions, and verification.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol", type=float, default=1e-9)
     common.add_argument("--out", default=None, help="write output to a file")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=lambda **kw: argparse.ArgumentParser(
@@ -187,6 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", required=True)
     p.add_argument("--cost", required=True)
     p.add_argument("--bound", type=float, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_build_optimal)
 
     p = sub.add_parser("oracle", help="brute-force single-pair path oracle")
@@ -215,6 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-atoms", type=int, default=4)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--cost", default="power:0.5")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("plot", help="emit CSV plot data from a report")

@@ -51,16 +51,18 @@ class GridFunction:
         return {"points": self.points.tolist(), "values": self.values.tolist()}
 
 
+def _candidates(f: GridFunction, cost: CostFunction, x) -> np.ndarray:
+    """cost(|y - x|) + f(y) at every grid point y."""
+    dists = np.linalg.norm(f.points - x[None, :], axis=1)
+    return np.atleast_1d(cost.eval(dists)) + f.values
+
+
 def inf_conv(f: GridFunction, cost: CostFunction, query_points) -> list[float]:
     """f^c at each query point: min over the grid of cost(|y-x|) + f(y)."""
     queries = np.asarray(query_points, dtype=float)
     if queries.ndim == 1:
         queries = queries[:, None]
-    out = []
-    for x in queries:
-        dists = np.linalg.norm(f.points - x[None, :], axis=1)
-        out.append(float(np.min(np.atleast_1d(cost.eval(dists)) + f.values)))
-    return out
+    return [float(np.min(_candidates(f, cost, x))) for x in queries]
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,8 @@ def verify_control_identity(m0: DiscreteMeasure, f: GridFunction,
 
     LHS: per start atom, the cheapest terminal grid point when moving there
     costs exactly cost(|y - x|) (the per-pair value of the modified path
-    problem).  RHS: the weighted infimal convolution.  Both are computed
-    by independent code paths; their margin is reported.
+    problem).  RHS: the weighted infimal convolution.  Both read the same
+    grid candidates; independence comes from the cor2_4 suite's path oracle.
     """
     needed = {1: {A1I}, 2: {A1I, A1III, A2I}}.get(i)
     if needed is None:
@@ -92,8 +94,7 @@ def verify_control_identity(m0: DiscreteMeasure, f: GridFunction,
     per_atom = []
     selected = []
     for k, x in enumerate(m0.points):
-        dists = np.linalg.norm(f.points - x[None, :], axis=1)
-        candidates = np.atleast_1d(cost.eval(dists)) + f.values
+        candidates = _candidates(f, cost, x)
         j = int(np.argmin(candidates))
         per_atom.append(float(candidates[j]))
         selected.append((k, j))

@@ -17,8 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .costs import CostFunction, power_cost
-from .errors import (BadHorizon, BoundViolated, Infeasible, InfeasibleBound,
-                     MissingBound, NoFeasiblePath)
+from .errors import (BoundViolated, Infeasible, InfeasibleBound, MissingBound,
+                     NoFeasiblePath)
 from .measures import (Coupling, DiscreteMeasure, pairwise_distances,
                        validate_measure)
 from .mk_solver import MKSolution, solve_mk
@@ -104,10 +104,8 @@ def endpoint_marginals(e: TransportEnsemble) -> tuple[DiscreteMeasure,
 
 
 def eval_tilde(e: TransportEnsemble, cost: CostFunction, i: int) -> float:
-    """Expected modified running cost (the i = 1 or 2 functional)."""
-    for m in e.members:
-        if abs(m.path.horizon - 1.0) > _BOUND_TOL:
-            raise BadHorizon("modified costs need unit-horizon paths")
+    """Expected modified running cost (the i = 1 or 2 functional); cost_li
+    rejects members whose horizon is not 1."""
     return float(sum(m.weight * cost_li(m.path, cost, i) for m in e.members))
 
 
@@ -174,7 +172,8 @@ def build_opt_tilde(sol: MKSolution,
 
 def build_opt_bounded(t: BoundedCouplingTriple) -> TransportEnsemble:
     """Per cell, move at exactly the bound speed M on [0, |x-y|/M] and rest;
-    the plain cost then matches the static bounded value cell by cell."""
+    the plain cost then matches the static bounded value cell by cell.
+    t checked M >= |x - y| on every cell when it was built."""
     members = []
     c = t.coupling
     for i, j, mass in c.cells(threshold=0.0):
@@ -182,8 +181,6 @@ def build_opt_bounded(t: BoundedCouplingTriple) -> TransportEnsemble:
         y = c.target.points[j]
         disp = c.displacement(i, j)
         m_ij = float(t.bound_assignment[(i, j)])
-        if _exceeds(disp, m_ij):
-            raise InfeasibleBound(f"cell ({i}, {j}) cannot be traversed")
         if disp == 0.0 or m_ij == 0.0:
             path = stop_and_go(x, x, IntervalSet(((0.0, 1.0),)))
         else:

@@ -285,7 +285,7 @@ def _suite_cor2_7(cfg, cost, rngs):
         m1 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
         t1 = t_p(m0, m1, 1.0)
         diam = m0.diameter_to(m1)
-        caps = [max(diam, c) for c in (1.0, 10.0, 100.0, 1e3, 1e4)]
+        caps = [max(diam, c) for c in (1.0, 10.0, 100.0, 1e4, 1e8)]
         values = [solve_bounded(m0, m1, cost, r)[0] for r in caps]
         mono = min(values[k] - values[k + 1] for k in range(len(values) - 1))
         lower = min(v - c_ell * t1 for v in values)

@@ -9,12 +9,13 @@ from lagot.ensembles import (BoundedCouplingTriple, EnsembleMember,
                              build_opt_tilde, endpoint_marginals,
                              eval_bounded, eval_tilde, eval_tv,
                              induced_triple, oracle_min_path, solve_bounded)
-from lagot.errors import (BoundViolated, Infeasible, MissingBound,
-                          NoFeasiblePath)
+from lagot.errors import (BadHorizon, BoundViolated, Infeasible,
+                          InfeasibleBound, MissingBound, NoFeasiblePath)
 from lagot.measures import Coupling, validate_measure
 from lagot.mk_solver import solve_mk
 from lagot.paths import (IntervalSet, fast_path, linear_path, l1_norm,
-                         n1, random_interval_set, stop_and_go, sup_norm)
+                         n1, random_interval_set, stop_and_go, stretch,
+                         sup_norm)
 
 SQRT = builtin("power", [0.5])
 REMARK = builtin("remark_iii")
@@ -78,6 +79,22 @@ def _triple(points0, points1, plan, bounds, dim=1):
     m1 = validate_measure(points1, dim)
     return BoundedCouplingTriple(
         Coupling(source=m0, target=m1, plan=np.asarray(plan, float)), bounds)
+
+
+def test_eval_tilde_rejects_a_non_unit_horizon():
+    e = single(stretch(linear_path([0.0], [1.0]), 2.0))
+    for i in (1, 2):
+        with pytest.raises(BadHorizon):
+            eval_tilde(e, SQRT, i)
+
+
+def test_triple_rejects_a_bound_below_the_displacement():
+    m0, m1 = [((0.0,), 1.0)], [((3.0,), 1.0)]
+    with pytest.raises(InfeasibleBound):
+        _triple(m0, m1, [[1.0]], {(0, 0): 3.0 * (1 - 1e-9)})
+    # a bound equal to |x - y| up to rounding is kept
+    assert eval_tv(_triple(m0, m1, [[1.0]], {(0, 0): 3.0}), SQRT) == \
+        pytest.approx(math.sqrt(3.0))
 
 
 def test_eval_tv_examples():

@@ -188,6 +188,28 @@ def test_default_run_of_every_pair_serialises(theorem, cost):
                                                for t in report.trials)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_cli_cor2_7_passes_at_default_cost(seed, tmp_path):
+    # the top cap 1e8 brings power:0.5's slope R^-1/2 under the 1e-3 gate
+    rep = tmp_path / "rep.json"
+    assert main(["verify", "--theorem", "cor2_7", "--seed", str(seed),
+                 "--out", str(rep)]) == 0
+    assert json.loads(rep.read_text())["summary"]["pass_count"] == 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-mk", "--p0", "a", "--p1", "b", "--cost", "linear", "--seed", "1"],
+    ["eval", "--objective", "TV", "--cost", "linear", "--tol", "0.1"],
+    ["build-optimal", "--theorem", "2.1", "--p0", "a", "--p1", "b",
+     "--cost", "linear", "--tol", "0.1"],
+    ["plot", "--report", "r", "--kind", "cor2_8", "--seed", "1"],
+])
+def test_cli_rejects_seed_and_tol_where_unread(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_cor2_7_top_cap_speed_rounding():
     # the rung r = 1e4 rebuilds a path whose speed rounds to 1e4 + 4e-12
     assert main(["verify", "--theorem", "cor2_7", "--seed", "3",
@@ -236,6 +258,12 @@ BAD_INPUTS = {
                     "plan": [[0.5, 0.0], [0.0, 0.5]]}},
         ["eval", "--objective", "TV", "--triple", "t.json",
          "--cost", "power:0.5"], "t.json"),
+    "triple with a bound below the displacement": (
+        {"t.json": {"source": GOOD, "target": GOOD,
+                    "plan": [[0.0, 0.5], [0.5, 0.0]],
+                    "bounds": [[0, 1, 2.0], [1, 0, 3.0]]}},
+        ["eval", "--objective", "TV", "--triple", "t.json",
+         "--cost", "power:0.5"], "displacement exceeds bound 2.0"),
     "grid function without values": (
         {"f.json": {"points": [[0.0]]}},
         ["dual", "--f", "f.json", "--p0", "good.json", "--cost", "power:0.5"],

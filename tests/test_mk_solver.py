@@ -5,7 +5,8 @@ from lagot.costs import CostFunction, builtin, power_cost
 from lagot.errors import (DimensionMismatch, Infeasible, TooLarge,
                           UnequalWeights)
 from lagot.measures import random_measure, validate_measure
-from lagot.mk_solver import brute_force_mk, solve_mk, t_p
+from lagot.mk_solver import (_basis_tree, _tree_path, brute_force_mk,
+                             solve_mk, t_p)
 
 
 def _uniform(points, dim=1):
@@ -130,3 +131,50 @@ def test_deterministic():
     b = solve_mk(m0, m1, SQRT)
     assert np.array_equal(a.plan.plan, b.plan.plan)
     assert a.value == b.value
+
+
+def _random_basis(rng, n, m):
+    """Random spanning tree of K_{n,m} as a shuffled list of (row, col)
+    cells: each new node hangs off a random placed node of the other side."""
+    rows, cols = list(rng.permutation(n)), list(rng.permutation(m))
+    placed = {"r": [rows.pop()], "c": [cols.pop()]}
+    basis = [(placed["r"][0], placed["c"][0])]
+    while rows or cols:
+        side = "r" if cols == [] or (rows and rng.random() < 0.5) else "c"
+        new = (rows if side == "r" else cols).pop()
+        other = placed["c" if side == "r" else "r"]
+        old = other[rng.integers(len(other))]
+        basis.append((new, old) if side == "r" else (old, new))
+        placed[side].append(new)
+    return [(int(i), int(j)) for i, j in rng.permutation(basis)]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_basis_tree_potentials_fit_the_basis(seed):
+    rng = np.random.default_rng(seed)
+    n, m = (int(k) for k in rng.integers(1, 9, size=2))
+    basis = _random_basis(rng, n, m)
+    cost = rng.uniform(0.0, 3.0, size=(n, m))
+    u, v, parent, depth = _basis_tree(basis, cost, n, m)
+    assert u[0] == 0.0 and depth[0] == 0 and parent[0] is None
+    for i, j in basis:
+        assert u[i] + v[j] == pytest.approx(cost[i, j], abs=1e-12)
+    for node in range(1, n + m):
+        up, cell = parent[node]
+        assert depth[node] == depth[up] + 1 and cell in basis
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_tree_path_is_the_tree_geodesic(seed):
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(100 + seed)
+    n, m = (int(k) for k in rng.integers(1, 9, size=2))
+    basis = _random_basis(rng, n, m)
+    _, _, parent, depth = _basis_tree(basis, np.zeros((n, m)), n, m)
+    tree = nx.Graph((i, n + j) for i, j in basis)
+    for i0 in range(n):
+        for j0 in range(m):
+            nodes = nx.shortest_path(tree, i0, n + j0)
+            cells = [(a, b - n) if a < n else (b, a - n)
+                     for a, b in zip(nodes, nodes[1:])]
+            assert _tree_path(parent, depth, i0, j0, n) == cells
