@@ -140,7 +140,7 @@ def _random_basis(rng, n, m):
     placed = {"r": [rows.pop()], "c": [cols.pop()]}
     basis = [(placed["r"][0], placed["c"][0])]
     while rows or cols:
-        side = "r" if cols == [] or (rows and rng.random() < 0.5) else "c"
+        side = "r" if rows and (not cols or rng.random() < 0.5) else "c"
         new = (rows if side == "r" else cols).pop()
         other = placed["c" if side == "r" else "r"]
         old = other[rng.integers(len(other))]
