@@ -17,7 +17,8 @@ from . import harness
 from .costs import parse_cost
 from .duality import GridFunction, inf_conv, verify_control_identity
 from .ensembles import (BoundedCouplingTriple, TransportEnsemble,
-                        arcs_longer_than, build_opt_tilde, eval_bounded,
+                        arcs_longer_than, build_opt_bounded,
+                        build_opt_tilde, eval_bounded,
                         eval_tilde, eval_tv, oracle_min_path, solve_bounded)
 from .errors import AssumptionRefused, ConfigInvalid, LagotError, UnknownKind
 from .harness import Report, VerifyConfig, emit_plot_data, verify
@@ -96,8 +97,9 @@ def _cmd_build_optimal(args) -> int:
     else:
         if args.bound is None:
             raise ConfigInvalid("--bound is required for theorem 2.6")
-        value, ens = solve_bounded(m0, m1, cost, args.bound)
-        payload = {"value": value, "ensemble": ens.to_json()}
+        value, triple = solve_bounded(m0, m1, cost, args.bound)
+        payload = {"value": value,
+                   "ensemble": build_opt_bounded(triple).to_json()}
     _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
     return EXIT_PASS
 

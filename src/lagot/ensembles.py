@@ -258,13 +258,14 @@ def arcs_longer_than(m0: DiscreteMeasure, m1: DiscreteMeasure,
 
 def solve_bounded(m0: DiscreteMeasure, m1: DiscreteMeasure,
                   cost: CostFunction, r: float,
-                  ) -> tuple[float, TransportEnsemble]:
+                  ) -> tuple[float, BoundedCouplingTriple]:
     """Bounded-velocity transport with the constant speed cap r.
 
     Solves the |x-y|-cost LP restricted to arcs of length <= r, weighs the
-    optimal expected displacement by cost(r)/r, and realizes the value with
-    capped stop-and-go paths.  When r dominates the support diameter the
-    value is cost(r)/r times the first-order transport cost.
+    optimal expected displacement by cost(r)/r, and returns that value with
+    the optimal coupling bounded by r on every cell; build_opt_bounded(triple)
+    turns it into capped stop-and-go paths.  When r dominates the support
+    diameter the value is cost(r)/r times the first-order transport cost.
     """
     if r <= 0:
         raise Infeasible("the speed cap must be positive")
@@ -272,5 +273,4 @@ def solve_bounded(m0: DiscreteMeasure, m1: DiscreteMeasure,
                    forbidden_arcs=arcs_longer_than(m0, m1, r))
     bounds = {(i, j): float(r) for i, j, _ in sol.plan.cells(threshold=0.0)}
     triple = BoundedCouplingTriple(coupling=sol.plan, bound_assignment=bounds)
-    value = float(cost.eval(r) / r * sol.value)
-    return value, build_opt_bounded(triple)
+    return float(cost.eval(r) / r * sol.value), triple

