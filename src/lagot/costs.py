@@ -22,6 +22,7 @@ A1I, A1II, A1III = "A1i", "A1ii", "A1iii"
 A2I, A2II, A2III = "A2i", "A2ii", "A2iii"
 
 _EQ_TOL = 1e-12
+_DIVERGENCE_THRESHOLD = 10.0
 
 
 @dataclass(frozen=True)
@@ -209,12 +210,11 @@ def check_a1(cost: CostFunction, r_grid, u_grid) -> AssumptionReport:
     })
 
 
-def check_a2(cost: CostFunction, u_grid,
-             divergence_threshold: float = 10.0) -> AssumptionReport:
+def check_a2(cost: CostFunction, u_grid) -> AssumptionReport:
     """Sampled monotonicity/growth check on a sorted positive grid.
 
     Divergence is a heuristic only: the three largest grid values must be
-    strictly increasing and the last must exceed ``divergence_threshold``.
+    strictly increasing and the last must exceed ``_DIVERGENCE_THRESHOLD``.
     """
     u_grid = np.asarray(u_grid, dtype=float)
     if np.any(u_grid <= 0) or np.any(np.diff(u_grid) <= 0):
@@ -238,7 +238,7 @@ def check_a2(cost: CostFunction, u_grid,
             strict = CheckResult(True)
     if len(vals) >= 3:
         tail = vals[-3:]
-        diverges = bool(np.all(np.diff(tail) > 0) and tail[-1] > divergence_threshold)
+        diverges = bool(np.all(np.diff(tail) > 0) and tail[-1] > _DIVERGENCE_THRESHOLD)
     else:
         diverges = False
     return AssumptionReport(checks={

@@ -35,6 +35,8 @@ class GridFunction:
             raise ValueError("one value per point required")
         if len(points) == 0:
             raise ValueError("grid must be nonempty")
+        if not (np.isfinite(points).all() and np.isfinite(values).all()):
+            raise ValueError("grid points and values must be finite")
         if len({tuple(p) for p in points}) != len(points):
             raise ValueError("grid points must be distinct")
         points.setflags(write=False)

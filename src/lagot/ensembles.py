@@ -51,12 +51,16 @@ class TransportEnsemble:
     def __post_init__(self):
         members = tuple(self.members)
         total = sum(m.weight for m in members)
-        if abs(total - 1.0) > _BOUND_TOL:
+        if not abs(total - 1.0) <= _BOUND_TOL:  # also fails on NaN
             raise ValueError(f"member weights sum to {total!r}, not 1")
         for m in members:
             if m.weight <= 0:
                 raise ValueError("member weights must be positive")
-            if m.bound is not None and _exceeds(sup_norm(m.path), m.bound):
+            if m.bound is None:
+                continue
+            if not np.isfinite(m.bound):
+                raise BoundViolated(f"speed bound {m.bound} is not finite")
+            if _exceeds(sup_norm(m.path), m.bound):
                 raise BoundViolated(
                     f"sup speed {sup_norm(m.path)} exceeds bound {m.bound}")
         object.__setattr__(self, "members", members)
@@ -89,6 +93,9 @@ class BoundedCouplingTriple:
             if (i, j) not in self.bound_assignment:
                 raise MissingBound(f"cell ({i}, {j}) carries mass but no bound")
             m_ij = self.bound_assignment[(i, j)]
+            if not np.isfinite(m_ij):
+                raise InfeasibleBound(
+                    f"cell ({i}, {j}): bound {m_ij} is not finite")
             if _exceeds(self.coupling.displacement(i, j), m_ij):
                 raise InfeasibleBound(
                     f"cell ({i}, {j}): displacement exceeds bound {m_ij}")
@@ -252,6 +259,8 @@ def arcs_longer_than(m0: DiscreteMeasure, m1: DiscreteMeasure,
                      r: float) -> Callable[[int, int], bool]:
     """``forbidden_arcs`` callback for solve_mk: arc (i, j) is forbidden
     when |x_i - y_j| > r, with the distances of the shared kernel."""
+    if np.isnan(r):
+        raise ValueError("the arc length cap must not be NaN")
     too_long = pairwise_distances(m0.points, m1.points) > r
     return lambda i, j: bool(too_long[i, j])
 
@@ -267,6 +276,8 @@ def solve_bounded(m0: DiscreteMeasure, m1: DiscreteMeasure,
     turns it into capped stop-and-go paths.  When r dominates the support
     diameter the value is cost(r)/r times the first-order transport cost.
     """
+    if not np.isfinite(r):
+        raise ValueError(f"the speed cap must be finite, got {r!r}")
     if r <= 0:
         raise Infeasible("the speed cap must be positive")
     sol = solve_mk(m0, m1, power_cost(1.0),

@@ -53,8 +53,8 @@ class VerifyConfig:
             raise ConfigInvalid("trials must be >= 1")
         if self.n_atoms < 1 or self.dim < 1:
             raise ConfigInvalid("n_atoms and dim must be >= 1")
-        if self.tolerance <= 0:
-            raise ConfigInvalid("tolerance must be positive")
+        if not 0 < self.tolerance < np.inf:
+            raise ConfigInvalid("tolerance must be positive and finite")
 
     def to_json(self) -> dict:
         return {"theorem": self.theorem, "seed": self.seed,

@@ -25,8 +25,8 @@ DURATION_TOL = 1e-12
 class SteppedPath:
     """Absolutely continuous path with piecewise-constant velocity.
 
-    ``durations`` (k,) are positive and sum to ``horizon``;
-    ``velocities`` (k, dim) are finite.
+    ``durations`` (k,) are positive and sum to the finite ``horizon``;
+    ``start`` and ``velocities`` (k, dim) are finite.
     """
 
     start: np.ndarray
@@ -44,13 +44,14 @@ class SteppedPath:
             raise ValueError("one velocity per piece required")
         if np.any(durations <= 0):
             raise ValueError("durations must be positive")
-        if not np.all(np.isfinite(velocities)):
-            raise ValueError("velocities must be finite")
-        if abs(durations.sum() - self.horizon) > DURATION_TOL * max(1.0, self.horizon):
+        if not (np.isfinite(velocities).all() and np.isfinite(start).all()):
+            raise ValueError("start and velocities must be finite")
+        # also fails on NaN durations and on a NaN or infinite horizon
+        if not (abs(durations.sum() - self.horizon)
+                <= DURATION_TOL * max(1.0, self.horizon) < np.inf):
             raise BadHorizon(
-                f"durations sum to {durations.sum()!r}, horizon {self.horizon!r}")
-        for arr, name in ((start, "start"), (durations, "durations"),
-                          (velocities, "velocities")):
+                f"durations sum to {durations.sum()}, horizon {self.horizon}")
+        for arr in (start, durations, velocities):
             arr.setflags(write=False)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "durations", durations)
@@ -134,20 +135,31 @@ def l1_norm(p: SteppedPath) -> float:
     return float(p.durations @ np.linalg.norm(p.velocities, axis=1))
 
 
+def _unit_scaled(velocities: np.ndarray) -> np.ndarray:
+    """velocities times the power of two that brings the largest entry into
+    [0.5, 1).  Exact, so a ratio of norms keeps its bits, while squares of
+    speeds below 1e-154 no longer underflow inside the norms."""
+    top = float(np.abs(velocities).max())
+    return velocities if top == 0.0 else np.ldexp(
+        velocities, -np.frexp(top)[1])
+
+
 def n1(p: SteppedPath) -> float:
     """horizon * sup-speed / |displacement|, or 1 for zero displacement."""
-    disp = float(np.linalg.norm(p.displacement))
+    v = _unit_scaled(p.velocities)
+    disp = float(np.linalg.norm(p.durations @ v))
     if disp == 0.0:
         return 1.0
-    return p.horizon * sup_norm(p) / disp
+    return p.horizon * float(np.linalg.norm(v, axis=1).max()) / disp
 
 
 def n2(p: SteppedPath) -> float:
     """horizon * sup-speed / path length, or 1 for a motionless path."""
-    length = l1_norm(p)
+    speeds = np.linalg.norm(_unit_scaled(p.velocities), axis=1)
+    length = float(p.durations @ speeds)
     if length == 0.0:
         return 1.0
-    return p.horizon * sup_norm(p) / length
+    return p.horizon * float(speeds.max()) / length
 
 
 def cost_plain(p: SteppedPath, cost: CostFunction) -> float:

@@ -6,8 +6,10 @@ import pytest
 from lagot.cli import main
 from lagot.costs import parse_cost
 from lagot.errors import AssumptionRefused, ConfigInvalid, UnknownKind
-from lagot.harness import (THEOREMS, Report, VerifyConfig, emit_plot_data,
-                           verify)
+from lagot.ensembles import solve_bounded
+from lagot.harness import (THEOREMS, Report, VerifyConfig, _rand_measure,
+                           emit_plot_data, verify)
+from lagot.mk_solver import t_p
 
 POWER = {"name": "power", "params": [0.5]}
 
@@ -197,6 +199,23 @@ def test_cli_cor2_7_passes_at_default_cost(seed, tmp_path):
     assert json.loads(rep.read_text())["summary"]["pass_count"] == 20
 
 
+@pytest.mark.parametrize("cost", ["power:0.5", "affine_exp:0.25"])
+def test_cor2_7_values_are_the_capped_solve(cost):
+    # cor2_7 skips solve_bounded: a cap >= diameter admits every arc, so
+    # the capped LP is the t1 LP and the value is cost(R)/R * t1 bit for bit
+    c = parse_cost(cost)
+    for seed in range(2):
+        for ss in np.random.SeedSequence(seed).spawn(20):
+            rng = np.random.default_rng(ss)
+            m0 = _rand_measure(rng, 4, 2)
+            m1 = _rand_measure(rng, 4, 2)
+            t1 = t_p(m0, m1, 1.0)
+            diam = m0.diameter_to(m1)
+            for R in (max(diam, c_) for c_ in (1.0, 10.0, 100.0, 1e4, 1e8)):
+                assert (solve_bounded(m0, m1, c, R)[0]
+                        == float(c.eval(R) / R * t1))
+
+
 @pytest.mark.parametrize("argv", [
     ["solve-mk", "--p0", "a", "--p1", "b", "--cost", "linear", "--seed", "1"],
     ["eval", "--objective", "TV", "--cost", "linear", "--tol", "0.1"],
@@ -230,6 +249,26 @@ GOOD = {"dim": 1, "atoms": [{"x": [0.0], "w": 0.5}, {"x": [3.0], "w": 0.5}]}
 SOLVE = ["solve-mk", "--p0", "p0.json", "--p1", "good.json",
          "--cost", "power:0.5"]
 VERIFY_CFG = ["verify", "--config", "cfg.json"]
+BUILD_2_6 = ["build-optimal", "--theorem", "2.6", "--p0", "good.json",
+             "--p1", "good.json", "--cost", "power:0.5", "--bound"]
+
+
+def _ensemble(dt=1.0, start=0.0, horizon=1.0, weight=1.0, bound=None):
+    """One-member ensemble file moving from ``start`` at speed 0.5."""
+    path = {"start": [start], "horizon": horizon,
+            "pieces": [{"dt": dt, "v": [0.5]}]}
+    member = {"weight": weight, "path": path}
+    if bound is not None:
+        member["bound"] = bound
+    return {"e.json": {"members": [member]}}
+
+
+def _eval(objective):
+    return ["eval", "--objective", objective, "--ensemble", "e.json",
+            "--cost", "power:0.5"]
+
+
+DUAL = ["dual", "--f", "f.json", "--p0", "good.json", "--cost", "power:0.5"]
 
 # (files written, argv, a fragment the one-line message must contain)
 BAD_INPUTS = {
@@ -272,6 +311,38 @@ BAD_INPUTS = {
     "eval without its input file": (
         {}, ["eval", "--objective", "TV", "--ensemble", "good.json",
              "--cost", "power:0.5"], "--objective TV"),
+    "ensemble with a nan duration": (_ensemble(dt=NAN), _eval("L1"),
+                                     "durations sum to nan"),
+    "ensemble with a nan start": (_ensemble(start=NAN), _eval("L1"),
+                                  "finite"),
+    "ensemble with a nan horizon": (_ensemble(horizon=NAN), _eval("plain"),
+                                    "horizon nan"),
+    "ensemble with an infinite horizon": (
+        _ensemble(horizon=float("inf")), _eval("plain"), "horizon inf"),
+    "ensemble with a nan weight": (_ensemble(weight=NAN), _eval("plain"),
+                                   "sum to nan"),
+    "ensemble with a nan bound": (_ensemble(bound=NAN), _eval("plain"),
+                                  "bound nan is not finite"),
+    "triple with a nan bound": (
+        {"t.json": {"source": GOOD, "target": GOOD,
+                    "plan": [[0.5, 0.0], [0.0, 0.5]],
+                    "bounds": [[0, 0, 1.0], [1, 1, NAN]]}},
+        ["eval", "--objective", "TV", "--triple", "t.json",
+         "--cost", "power:0.5"], "bound nan is not finite"),
+    "grid function with a nan point": (
+        {"f.json": {"points": [[NAN]], "values": [0.0]}}, DUAL, "finite"),
+    "grid function with a nan value": (
+        {"f.json": {"points": [[0.0]], "values": [NAN]}}, DUAL, "finite"),
+    "nan speed cap": ({}, BUILD_2_6 + ["nan"], "speed cap must be finite"),
+    "infinite speed cap": ({}, BUILD_2_6 + ["inf"],
+                           "speed cap must be finite"),
+    "nan arc length cap": ({"p0.json": GOOD},
+                           SOLVE + ["--max-arc-length", "nan"],
+                           "must not be NaN"),
+    "nan tolerance": ({}, ["verify", "--theorem", "thm2_1", "--tol", "nan"],
+                      "tolerance"),
+    "infinite tolerance": ({}, ["verify", "--theorem", "thm2_1",
+                                "--tol", "inf"], "tolerance"),
     "report without trials": (
         {"rep.json": {"config": {}, "summary": {}}},
         ["plot", "--report", "rep.json", "--kind", "cor2_8"], "rep.json"),

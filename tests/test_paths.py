@@ -136,6 +136,17 @@ def test_interval_set_validation():
         IntervalSet(((0.1, 0.6), (0.5, 0.9)))
 
 
+@pytest.mark.parametrize("kw", [{"start": math.nan},
+                                {"durations": [math.nan]},
+                                {"horizon": math.nan},
+                                {"horizon": math.inf},
+                                {"durations": [math.inf]}])
+def test_non_finite_path_rejected(kw):
+    args = {"durations": [1.0], "velocities": [1.0], **kw}
+    with pytest.raises((ValueError, BadHorizon)):
+        path1d(**args)
+
+
 def test_json_roundtrip():
     p = path1d([0.5, 0.5], [3.0, -1.0], start=0.25)
     q = SteppedPath.from_json(p.to_json())
