@@ -10,6 +10,7 @@ form, so nothing is lost by restricting to it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,8 +141,9 @@ def _unit_scaled(velocities: np.ndarray) -> np.ndarray:
     [0.5, 1).  Exact, so a ratio of norms keeps its bits, while squares of
     speeds below 1e-154 no longer underflow inside the norms."""
     top = float(np.abs(velocities).max())
-    return velocities if top == 0.0 else np.ldexp(
-        velocities, -np.frexp(top)[1])
+    if top == 0.0:
+        return velocities
+    return velocities * math.ldexp(1.0, -math.frexp(top)[1])
 
 
 def n1(p: SteppedPath) -> float:

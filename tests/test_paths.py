@@ -38,6 +38,13 @@ def test_n_functionals():
     assert n1(q) == pytest.approx(3.0) and n2(q) == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e-300, 1e200])
+def test_n_functionals_are_scale_free(scale):
+    # squares of these speeds underflow or overflow in a plain norm
+    q = path1d([0.5, 0.5], [3.0 * scale, -1.0 * scale])
+    assert n1(q) == pytest.approx(3.0) and n2(q) == pytest.approx(1.5)
+
+
 def test_cost_plain():
     zero = path1d([1.0], [0.0])
     assert cost_plain(zero, SQRT) == 0.0
