@@ -17,9 +17,9 @@ from . import harness
 from .costs import parse_cost
 from .duality import GridFunction, inf_conv, verify_control_identity
 from .ensembles import (BoundedCouplingTriple, TransportEnsemble,
-                        arcs_longer_than, build_opt_bounded,
-                        build_opt_tilde, eval_bounded,
-                        eval_tilde, eval_tv, oracle_min_path, solve_bounded)
+                        arcs_longer_than, build_opt_bounded, build_opt_tilde,
+                        eval_bounded, eval_tilde, eval_tv, oracle_min_path,
+                        solve_bounded)
 from .errors import AssumptionRefused, ConfigInvalid, LagotError, UnknownKind
 from .harness import Report, VerifyConfig, emit_plot_data, verify
 from .measures import Coupling, DiscreteMeasure

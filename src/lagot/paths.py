@@ -138,12 +138,13 @@ def l1_norm(p: SteppedPath) -> float:
 
 def _unit_scaled(velocities: np.ndarray) -> np.ndarray:
     """velocities times the power of two that brings the largest entry into
-    [0.5, 1).  Exact, so a ratio of norms keeps its bits, while squares of
-    speeds below 1e-154 no longer underflow inside the norms."""
+    [0.5, 1).  Exact, so a ratio of norms keeps its bits, while the squares
+    inside the norms no longer underflow (speeds below 1e-154) or overflow
+    (above 1e154)."""
     top = float(np.abs(velocities).max())
     if top == 0.0:
         return velocities
-    return velocities * math.ldexp(1.0, -math.frexp(top)[1])
+    return np.ldexp(velocities, -math.frexp(top)[1])
 
 
 def n1(p: SteppedPath) -> float:

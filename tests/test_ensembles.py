@@ -5,8 +5,7 @@ import pytest
 
 from lagot.costs import builtin
 from lagot.ensembles import (BoundedCouplingTriple, EnsembleMember,
-                             TransportEnsemble, arcs_longer_than,
-                             build_opt_bounded,
+                             TransportEnsemble, build_opt_bounded,
                              build_opt_tilde, endpoint_marginals,
                              eval_bounded, eval_tilde, eval_tv,
                              induced_triple, oracle_min_path, solve_bounded)
@@ -196,18 +195,6 @@ def test_solve_bounded_examples():
     assert same == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(Infeasible):
         solve_bounded(m0, m1, SQRT, 0.5)
-
-
-def test_non_finite_caps_rejected():
-    m0 = validate_measure([((0.0,), 1.0)], 1)
-    m1 = validate_measure([((2.0,), 1.0)], 1)
-    for r in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            solve_bounded(m0, m1, SQRT, r)
-    with pytest.raises(ValueError):
-        arcs_longer_than(m0, m1, math.nan)
-    # an infinite arc length cap forbids nothing
-    assert not arcs_longer_than(m0, m1, math.inf)(0, 0)
 
 
 def test_weights_must_sum_to_one():

@@ -199,11 +199,11 @@ def test_cli_cor2_7_passes_at_default_cost(seed, tmp_path):
     assert json.loads(rep.read_text())["summary"]["pass_count"] == 20
 
 
-@pytest.mark.parametrize("cost", ["power:0.5", "affine_exp:0.25"])
-def test_cor2_7_values_are_the_capped_solve(cost):
+@pytest.mark.parametrize("spec", ["power:0.5", "affine_exp:0.25"])
+def test_cor2_7_values_are_the_capped_solve(spec):
     # cor2_7 skips solve_bounded: a cap >= diameter admits every arc, so
     # the capped LP is the t1 LP and the value is cost(R)/R * t1 bit for bit
-    c = parse_cost(cost)
+    cost = parse_cost(spec)
     for seed in range(2):
         for ss in np.random.SeedSequence(seed).spawn(20):
             rng = np.random.default_rng(ss)
@@ -211,9 +211,9 @@ def test_cor2_7_values_are_the_capped_solve(cost):
             m1 = _rand_measure(rng, 4, 2)
             t1 = t_p(m0, m1, 1.0)
             diam = m0.diameter_to(m1)
-            for R in (max(diam, c_) for c_ in (1.0, 10.0, 100.0, 1e4, 1e8)):
-                assert (solve_bounded(m0, m1, c, R)[0]
-                        == float(c.eval(R) / R * t1))
+            for R in (max(diam, c) for c in (1.0, 10.0, 100.0, 1e4, 1e8)):
+                assert (solve_bounded(m0, m1, cost, R)[0]
+                        == float(cost.eval(R) / R * t1))
 
 
 @pytest.mark.parametrize("argv", [
