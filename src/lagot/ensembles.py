@@ -10,6 +10,7 @@ grid scale that no stepped path beats them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -196,15 +197,17 @@ def build_opt_bounded(t: BoundedCouplingTriple) -> TransportEnsemble:
     return TransportEnsemble(tuple(members))
 
 
-def _feasible_multisets(signed_grid: np.ndarray, K: int,
-                        target_mean: float) -> np.ndarray:
-    """All speed multisets of size K whose mean hits the target."""
+@functools.lru_cache
+def _feasible_multisets(grid: tuple, K: int) -> np.ndarray:
+    """Read-only table of the size-K multisets of the signed unit grid
+    whose mean is 1: the speed assignments, in units of the displacement,
+    that end at the target."""
+    signed = np.unique(np.concatenate([grid, np.negative(grid)]))
     combos = np.array(list(
-        itertools.combinations_with_replacement(signed_grid, K)))
-    if combos.size == 0:
-        return combos.reshape(0, K)
-    keep = np.abs(combos.mean(axis=1) - target_mean) <= _FEAS_TOL
-    return combos[keep]
+        itertools.combinations_with_replacement(signed, K))).reshape(-1, K)
+    table = combos[np.abs(combos.mean(axis=1) - 1.0) <= _FEAS_TOL]
+    table.setflags(write=False)
+    return table
 
 
 def oracle_min_path(x, y, cost: CostFunction, objective: str, K: int,
@@ -220,30 +223,27 @@ def oracle_min_path(x, y, cost: CostFunction, objective: str, K: int,
     """
     if K < 1 or K > 8:
         raise ValueError("K must be in 1..8")
-    grid = np.asarray(sorted(set(float(g) for g in speed_grid)))
+    grid = tuple(sorted(set(float(g) for g in speed_grid)))
     if len(grid) > 6:
         raise ValueError("speed grid limited to 6 values")
-    if np.any(grid < 0):
+    if not np.all(np.asarray(grid) >= 0):  # also fails on NaN
         raise ValueError("speed grid values are magnitudes, >= 0")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    delta = float(np.linalg.norm(y - x))
+    delta = float(np.linalg.norm(np.subtract(y, x, dtype=float)))
+    if not np.isfinite(delta):
+        raise ValueError(f"the displacement |y - x| = {delta} is not finite")
     if delta == 0.0:
         return 0.0
-    signed = np.unique(np.concatenate([grid, -grid])) * delta
+    speeds = np.abs(_feasible_multisets(grid, K) * delta)
     if cap is not None:
-        signed = signed[np.abs(signed) <= cap + _BOUND_TOL]
-    combos = _feasible_multisets(signed, K, delta)
-    if len(combos) == 0:
+        speeds = speeds[(speeds <= cap + _BOUND_TOL).all(axis=1)]
+    if len(speeds) == 0:
         raise NoFeasiblePath("no speed assignment meets the endpoint")
-    speeds = np.abs(combos)
     if objective == "plain":
         values = np.asarray(cost.eval(speeds), dtype=float).mean(axis=1)
     elif objective in ("L1", "L2"):
         smax = speeds.max(axis=1)
         denom = delta if objective == "L1" else speeds.mean(axis=1)
-        ni = np.where(denom > 0, smax / denom, 1.0)
-        ni = np.maximum(ni, 1.0)
+        ni = np.maximum(smax / denom, 1.0)
         values = ni * np.asarray(cost.eval(speeds / ni[:, None]),
                                  dtype=float).mean(axis=1)
     elif objective == "conv":
