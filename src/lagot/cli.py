@@ -22,7 +22,7 @@ from .ensembles import (BoundedCouplingTriple, TransportEnsemble,
                         solve_bounded)
 from .errors import AssumptionRefused, ConfigInvalid, LagotError, UnknownKind
 from .harness import Report, VerifyConfig, emit_plot_data, verify
-from .measures import Coupling, DiscreteMeasure
+from .measures import DiscreteMeasure, make_coupling
 from .mk_solver import solve_mk
 from .paths import random_interval_set
 
@@ -61,9 +61,9 @@ def _cmd_solve_mk(args) -> int:
 
 
 def _triple_from_json(obj: dict) -> BoundedCouplingTriple:
-    coupling = Coupling(source=DiscreteMeasure.from_json(obj["source"]),
-                        target=DiscreteMeasure.from_json(obj["target"]),
-                        plan=np.asarray(obj["plan"], dtype=float))
+    coupling = make_coupling(DiscreteMeasure.from_json(obj["source"]),
+                             DiscreteMeasure.from_json(obj["target"]),
+                             obj["plan"])
     bounds = {(int(i), int(j)): float(m) for i, j, m in obj["bounds"]}
     return BoundedCouplingTriple(coupling, bounds)
 
@@ -240,6 +240,9 @@ def main(argv=None) -> int:
         return EXIT_REFUSED
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_REFUSED
 
 

@@ -137,9 +137,12 @@ def make_coupling(source: DiscreteMeasure, target: DiscreteMeasure,
             f"plan shape {plan.shape} vs ({source.n_atoms}, {target.n_atoms})")
     if np.any(plan < -PLAN_MARGIN_TOL):
         raise WeightSumMismatch("plan has negative entries")
-    if np.max(np.abs(plan.sum(axis=1) - source.weights)) > PLAN_MARGIN_TOL:
+    # not (gap <= tol): a NaN cell makes its row and column gaps NaN
+    row_gap = np.max(np.abs(plan.sum(axis=1) - source.weights))
+    if not row_gap <= PLAN_MARGIN_TOL:
         raise WeightSumMismatch("plan row sums do not match source weights")
-    if np.max(np.abs(plan.sum(axis=0) - target.weights)) > PLAN_MARGIN_TOL:
+    col_gap = np.max(np.abs(plan.sum(axis=0) - target.weights))
+    if not col_gap <= PLAN_MARGIN_TOL:
         raise WeightSumMismatch("plan column sums do not match target weights")
     return Coupling(source=source, target=target, plan=plan)
 

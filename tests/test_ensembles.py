@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from lagot.costs import builtin
+from lagot.costs import builtin, power_cost, quadratic_cost
 from lagot.ensembles import (BoundedCouplingTriple, EnsembleMember,
                              TransportEnsemble, build_opt_bounded,
                              build_opt_tilde, endpoint_marginals,
@@ -13,9 +14,9 @@ from lagot.errors import (BadHorizon, BoundViolated, Infeasible,
                           InfeasibleBound, MissingBound, NoFeasiblePath)
 from lagot.measures import Coupling, validate_measure
 from lagot.mk_solver import solve_mk
-from lagot.paths import (IntervalSet, fast_path, linear_path, l1_norm,
-                         n1, random_interval_set, stop_and_go, stretch,
-                         sup_norm)
+from lagot.paths import (IntervalSet, SteppedPath, cost_li, cost_plain,
+                         fast_path, linear_path, l1_norm, n1,
+                         random_interval_set, stop_and_go, stretch, sup_norm)
 
 SQRT = builtin("power", [0.5])
 REMARK = builtin("remark_iii")
@@ -179,6 +180,81 @@ def test_oracle_2d_spot_check():
     a = oracle_min_path([0.0, 0.0], [0.6, 0.8], SQRT, "L1", 4, GRID)
     b = oracle_min_path([0.0], [1.0], SQRT, "L1", 4, GRID)
     assert a == pytest.approx(b)
+
+
+OBJECTIVES = ("plain", "L1", "L2", "conv")
+ORACLE_COSTS = (SQRT, REMARK, builtin("affine_exp", [0.25]),
+                builtin("linear"), quadratic_cost())
+
+
+def _brute_force_minima(x, y, K, grid, cap):
+    """{(cost name, objective): minimum} over every ordered K-tuple of signed
+    grid speeds, each built as an equal-duration SteppedPath along y - x and
+    kept when it ends at y within the cap; {} when none is kept."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    delta = float(np.linalg.norm(y - x))
+    signed = sorted({s for g in grid for s in (float(g), -float(g))})
+    best = {}
+    for tup in itertools.product(signed, repeat=K):
+        path = SteppedPath(start=x, horizon=1.0, durations=np.full(K, 1.0 / K),
+                           velocities=np.outer(tup, (y - x)))
+        if np.linalg.norm(path.end - y) > 1e-9 * delta:
+            continue
+        if cap is not None and sup_norm(path) > cap + 1e-12:
+            continue
+        speeds = np.linalg.norm(path.velocities, axis=1)
+        big_n = n1(path)
+        for cost in ORACLE_COSTS:
+            conv = path.durations @ cost.eval(speeds * big_n) / big_n
+            for objective, value in (("plain", cost_plain(path, cost)),
+                                     ("L1", cost_li(path, cost, 1)),
+                                     ("L2", cost_li(path, cost, 2)),
+                                     ("conv", conv)):
+                key = (cost.name, objective)
+                best[key] = min(best.get(key, math.inf), float(value))
+    return best
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_oracle_matches_brute_force(case):
+    rng = np.random.default_rng(case)
+    dim = int(rng.integers(1, 4))
+    x = rng.uniform(-2.0, 2.0, dim)
+    direction = rng.normal(size=dim)
+    delta = 10.0 ** rng.uniform(-1.0, 1.5)
+    y = x + delta * direction / np.linalg.norm(direction)
+    grid = ((0.0, 0.5, 1.0, 2.0), (0, 1, 2, 4), (0.25, 1.0, 3.0),
+            (0.0, 1.5, 0.5))[case % 4]
+    K = 2 + case % 3
+    cap = (None, 2.0 * float(np.linalg.norm(y - x)),
+           float(rng.uniform(0.5, 5.0)))[case // 4]
+    want = _brute_force_minima(x, y, K, grid, cap)
+    for cost in ORACLE_COSTS:
+        for objective in OBJECTIVES:
+            if not want:
+                with pytest.raises(NoFeasiblePath):
+                    oracle_min_path(x, y, cost, objective, K, grid, cap=cap)
+                continue
+            got = oracle_min_path(x, y, cost, objective, K, grid, cap=cap)
+            expect = want[(cost.name, objective)]
+            assert abs(got - expect) <= 1e-12 * abs(expect), \
+                (cost.name, objective, got, expect)
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5, 1.0, 2.0])
+def test_oracle_power_cost_scale_covariance(p):
+    """oracle(delta) = delta**p * oracle(1) for cost u**p: feasibility is
+    decided in units of the displacement, so no scale admits standing still."""
+    cost = power_cost(p)
+    direction = np.array([0.6, -0.8])
+    for objective in OBJECTIVES:
+        unit = oracle_min_path([0.0], [1.0], cost, objective, 4, GRID)
+        for delta in 10.0 ** np.arange(-12.0, 12.5, 1.5):
+            for x, y in (([0.0], [delta]), ([0.0, 0.0], delta * direction)):
+                got = oracle_min_path(x, y, cost, objective, 4, GRID)
+                assert got == pytest.approx(delta ** p * unit, rel=1e-9,
+                                            abs=0.0), \
+                    (objective, delta)
 
 
 def test_solve_bounded_examples():

@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lagot import cli
 from lagot.cli import main
 from lagot.costs import parse_cost
 from lagot.errors import AssumptionRefused, ConfigInvalid, UnknownKind
-from lagot.ensembles import solve_bounded
+from lagot.ensembles import oracle_min_path, solve_bounded
 from lagot.harness import (THEOREMS, Report, VerifyConfig, _rand_measure,
                            emit_plot_data, verify)
 from lagot.mk_solver import t_p
@@ -303,6 +308,24 @@ BAD_INPUTS = {
                     "bounds": [[0, 1, 2.0], [1, 0, 3.0]]}},
         ["eval", "--objective", "TV", "--triple", "t.json",
          "--cost", "power:0.5"], "displacement exceeds bound 2.0"),
+    "triple whose plan misses its marginals": (
+        {"t.json": {"source": GOOD, "target": GOOD,
+                    "plan": [[0.0, 7.0], [0.0, 0.0]],
+                    "bounds": [[0, 1, 4.0]]}},
+        ["eval", "--objective", "TV", "--triple", "t.json",
+         "--cost", "power:0.5"], "row sums do not match"),
+    "triple with a nan plan cell": (
+        {"t.json": {"source": GOOD, "target": GOOD,
+                    "plan": [[5.0, 0.0], [0.0, NAN]],
+                    "bounds": [[0, 0, 1.0]]}},
+        ["eval", "--objective", "TV", "--triple", "t.json",
+         "--cost", "power:0.5"], "row sums do not match"),
+    "oracle with a nan speed": (
+        {}, ["oracle", "--x", "0", "--y", "1", "--cost", "power:0.5",
+             "--speeds", "0,nan,1"], "magnitudes, >= 0"),
+    "oracle with an infinite endpoint": (
+        {}, ["oracle", "--x", "0", "--y", "inf", "--cost", "power:0.5"],
+        "is not finite"),
     "grid function without values": (
         {"f.json": {"points": [[0.0]]}},
         ["dual", "--f", "f.json", "--p0", "good.json", "--cost", "power:0.5"],
@@ -358,3 +381,29 @@ def test_cli_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     assert main(argv) == 2  # an exception escaping main fails the test
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and fragment in lines[0], lines
+
+
+def test_cli_out_of_memory_exits_2_with_one_line(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 14.9 GiB for an array")
+
+    monkeypatch.setattr(cli, "_cmd_verify", exhausted)
+    assert main(["verify", "--theorem", "thm2_1"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == ["out of memory: Unable to allocate 14.9 GiB for an array"]
+
+
+def test_cli_oracle_at_a_tiny_displacement():
+    """The oracle decides feasibility in units of |y - x|: at 1e-10 it
+    returns the scaled unit value, not 0.0, and warns of nothing."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run(
+        [sys.executable, "-m", "lagot.cli", "oracle", "--x", "0",
+         "--y", "1e-10", "--cost", "power:0.5", "--objective", "L2"],
+        capture_output=True, text=True, env=env, check=False)
+    assert run.returncode == 0 and run.stderr == ""
+    unit = oracle_min_path([0.0], [1.0], parse_cost("power:0.5"), "L2", 4,
+                           (0.0, 0.5, 1.0, 2.0, 4.0))
+    assert json.loads(run.stdout)["value"] == \
+        pytest.approx(1e-5 * unit, rel=1e-9, abs=0.0)

@@ -84,6 +84,10 @@ def test_bad_plan_rejected():
     m1 = validate_measure([((2.0,), 1.0)], 1)
     with pytest.raises(WeightSumMismatch):
         make_coupling(m0, m1, [[0.4], [0.5]])
+    # a NaN cell makes its row and column sums NaN, which must fail too
+    for plan in ([[0.5], [np.nan]], [[5.0], [np.nan]]):
+        with pytest.raises(WeightSumMismatch):
+            make_coupling(m0, m1, plan)
 
 
 def test_random_measure_deterministic():
