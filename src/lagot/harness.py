@@ -1,10 +1,9 @@
 """Seeded theorem-verification suites and report assembly.
 
-Each suite draws deterministic random instances, evaluates both sides of
-the identity (or both ends of the inequality) it targets, and records the
-signed margins.  A suite refuses to run when the sampled assumption checks
-reject the cost for that identity, because a failure under the wrong
-hypotheses would be meaningless.
+Each suite refuses a cost outside its own hypotheses (a failure under the
+wrong hypotheses would be meaningless), then draws deterministic random
+instances and yields the checks of the identity or inequality it targets.
+``verify`` alone turns the checks into margins and pass flags.
 """
 
 from __future__ import annotations
@@ -32,6 +31,12 @@ from .paths import (SteppedPath, compress, cost_li, cost_plain, detour_path,
 
 ORACLE_GRID = (0.0, 0.5, 1.0, 2.0, 4.0)
 FORMAT_VERSION = 1
+# least gap by which prop2_3's detour must beat the direct transport value
+STRICT_MARGIN = 1e-6
+# check kind -> whether (value, bound) holds; every comparison with NaN is
+# false, so a NaN check holds for no kind
+_HOLDS = {"eq": lambda v, b: abs(v) <= b, "le": lambda v, b: v <= b,
+          "ge": lambda v, b: v >= b, "gt": lambda v, b: v > b}
 
 
 @dataclass(frozen=True)
@@ -44,7 +49,6 @@ class VerifyConfig:
     cost_spec: dict = field(default_factory=lambda: {"name": "power",
                                                      "params": [0.5]})
     tolerance: float = 1e-9
-    strict_margin: float = 1e-6
 
     def __post_init__(self):
         if self.theorem not in THEOREMS:
@@ -61,7 +65,7 @@ class VerifyConfig:
                 "trials": self.trials, "n_atoms": self.n_atoms,
                 "dim": self.dim, "cost": self.cost_spec,
                 "tolerance": self.tolerance,
-                "strict_margin": self.strict_margin}
+                "strict_margin": STRICT_MARGIN}
 
 
 @dataclass(frozen=True)
@@ -136,45 +140,20 @@ def _rand_bounded_ensemble(rng, dim: int) -> TransportEnsemble:
     return TransportEnsemble(tuple(members))
 
 
-def _gate(theorem: str, cost: CostFunction) -> None:
-    """Refuse a suite whose hypotheses the cost fails on sampled grids."""
-    r_grid, u_grid = default_a1_grids()
-    a1 = check_a1(cost, r_grid, u_grid)
-    a2 = check_a2(cost, np.logspace(-1, 1.5, 30))
-    need_a1i = theorem in ("thm2_1", "thm2_2", "cor2_4", "thm2_6", "cor2_7",
-                           "cor2_8", "eq1_6")
-    if need_a1i and not a1.ok(A1I):
+def _sublinear(theorem: str, cost: CostFunction):
+    """The (A1) report of ``cost``; refuses a cost that is not sublinear
+    (A1i) on the sampled grids."""
+    a1 = check_a1(cost, *default_a1_grids())
+    if not a1.ok(A1I):
         raise AssumptionRefused(
             f"{theorem} needs sublinearity; witness {a1.checks[A1I].witness}")
-    if theorem == "thm2_2":
-        if not a2.ok(A2I):
-            raise AssumptionRefused(
-                f"thm2_2 needs a non-decreasing cost; "
-                f"witness {a2.checks[A2I].witness}")
-        if not a1.ok(A1III):
-            raise AssumptionRefused("thm2_2 needs positivity of the cost")
-    if theorem == "prop2_3":
-        if cost.r0 is None:
-            raise AssumptionRefused(
-                "prop2_3 needs a cost strictly decreasing past some r0")
-        tail = np.linspace(cost.r0, 4.0 * cost.r0 + 1.0, 20)
-        vals = np.atleast_1d(cost.eval(tail))
-        if not np.all(np.diff(vals) < 0):
-            raise AssumptionRefused("cost is not decreasing past its r0")
-    if theorem == "eq1_6" and cost.analytic_c_ell != 0.0:
-        raise AssumptionRefused(
-            "the degenerate unmodified problem needs cost(u)/u -> 0")
-    if theorem == "eq1_9_0416":
-        u = np.linspace(0.0, 4.0, 21)
-        vals = np.atleast_1d(cost.eval(u))
-        mid = np.atleast_1d(cost.eval((u[:-2] + u[2:]) / 2.0))
-        if np.any(mid > (vals[:-2] + vals[2:]) / 2.0 + 1e-12):
-            raise AssumptionRefused("the convex-case identity needs a convex cost")
+    return a1
 
 
 # ---------------------------------------------------------------------------
-# suites: each yields (digest input, values, margins, passed, curve rows) per
-# trial; ``verify`` numbers the trials and builds the report
+# suites: each refuses a cost outside its hypotheses, then yields (digest
+# input, values, checks, curve rows) per trial; a check is (name, value,
+# kind, bound) with kind a key of _HOLDS
 # ---------------------------------------------------------------------------
 
 def _oracle_margin(pairs, cost: CostFunction) -> float:
@@ -190,24 +169,31 @@ def _oracle_margin(pairs, cost: CostFunction) -> float:
 
 
 def _suite_thm2_1(cfg, cost, rngs):
+    _sublinear("thm2_1", cost)
     for rng in rngs:
         m0 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
         m1 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
         sol = solve_mk(m0, m1, cost)
         ens = build_opt_tilde(sol, lambda i, j: random_interval_set(rng))
         v1 = eval_tilde(ens, cost, 1)
-        eq_margin = v1 - sol.value
         oracle_margin = _oracle_margin(
             ((m0.points[i], m1.points[j]) for i, j, _ in sol.plan.cells()),
             cost)
         yield ([m0.to_json(), m1.to_json()],
                {"transport": sol.value, "modified_1": v1},
-               {"equality": eq_margin, "oracle": oracle_margin},
-               abs(eq_margin) <= cfg.tolerance
-               and oracle_margin >= -cfg.tolerance, ())
+               [("equality", v1 - sol.value, "eq", cfg.tolerance),
+                ("oracle", oracle_margin, "ge", -cfg.tolerance)], ())
 
 
 def _suite_thm2_2(cfg, cost, rngs):
+    a1 = _sublinear("thm2_2", cost)
+    a2 = check_a2(cost, np.logspace(-1, 1.5, 30))
+    if not a2.ok(A2I):
+        raise AssumptionRefused(
+            f"thm2_2 needs a non-decreasing cost; "
+            f"witness {a2.checks[A2I].witness}")
+    if not a1.ok(A1III):
+        raise AssumptionRefused("thm2_2 needs positivity of the cost")
     for rng in rngs:
         m0 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
         m1 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
@@ -223,13 +209,18 @@ def _suite_thm2_2(cfg, cost, rngs):
                               cost_li(p, cost, 1) - cost_li(p, cost, 2))
         yield ([m0.to_json(), m1.to_json()],
                {"modified_1": v1, "modified_2": v2},
-               {"equality": v1 - v2, "n_gap": n_gap,
-                "ordering": float(rand_margin)},
-               abs(v1 - v2) <= cfg.tolerance and n_gap <= 1e-12
-               and rand_margin >= -1e-12, ())
+               [("equality", v1 - v2, "eq", cfg.tolerance),
+                ("n_gap", n_gap, "le", 1e-12),
+                ("ordering", float(rand_margin), "ge", -1e-12)], ())
 
 
 def _suite_prop2_3(cfg, cost, rngs):
+    if cost.r0 is None:
+        raise AssumptionRefused(
+            "prop2_3 needs a cost strictly decreasing past some r0")
+    tail = np.linspace(cost.r0, 4.0 * cost.r0 + 1.0, 20)
+    if not np.all(np.diff(np.atleast_1d(cost.eval(tail))) < 0):
+        raise AssumptionRefused("cost is not decreasing past its r0")
     dim = max(2, cfg.dim)
     span = 2.0 * (cost.r0 or 1.0)
     x0 = np.zeros(dim)
@@ -237,13 +228,13 @@ def _suite_prop2_3(cfg, cost, rngs):
     x1[0] = span
     direct = float(cost.eval(span))                      # transport value
     detour = cost_li(detour_path(x0, x1), cost, 2)       # beats it
-    gap = direct - detour
     yield ([list(x0), list(x1), cost.name],
-           {"transport": direct, "detour_modified_2": detour}, {"gap": gap},
-           gap >= cfg.strict_margin, ())
+           {"transport": direct, "detour_modified_2": detour},
+           [("gap", direct - detour, "ge", STRICT_MARGIN)], ())
 
 
 def _suite_cor2_4(cfg, cost, rngs):
+    _sublinear("cor2_4", cost)
     for rng in rngs:
         m0 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
         grid_pts = rng.uniform(-2.0, 2.0, size=(5, cfg.dim))
@@ -254,12 +245,12 @@ def _suite_cor2_4(cfg, cost, rngs):
             ((m0.points[k], f.points[j]) for k, j in rep.selected), cost)
         yield ([m0.to_json(), f.to_json()],
                {"lhs": rep.lhs, "rhs": rep.rhs},
-               {"equality": rep.margin, "oracle": oracle_margin},
-               abs(rep.margin) <= cfg.tolerance
-               and oracle_margin >= -cfg.tolerance, ())
+               [("equality", rep.margin, "eq", cfg.tolerance),
+                ("oracle", oracle_margin, "ge", -cfg.tolerance)], ())
 
 
 def _suite_thm2_6(cfg, cost, rngs):
+    _sublinear("thm2_6", cost)
     for rng in rngs:
         triple = _rand_bounded_triple(rng, cfg.n_atoms, cfg.dim)
         built = build_opt_bounded(triple)
@@ -273,12 +264,12 @@ def _suite_thm2_6(cfg, cost, rngs):
                               - eval_tv(induced_triple(ens), cost))
         yield (triple.coupling.source.to_json(),
                {"dynamic": lhs, "static": rhs},
-               {"equality": lhs - rhs, "ordering": float(rand_margin)},
-               abs(lhs - rhs) <= cfg.tolerance
-               and rand_margin >= -cfg.tolerance, ())
+               [("equality", lhs - rhs, "eq", cfg.tolerance),
+                ("ordering", float(rand_margin), "ge", -cfg.tolerance)], ())
 
 
 def _suite_cor2_7(cfg, cost, rngs):
+    _sublinear("cor2_7", cost)
     c_ell = costmod.c_ell(cost, tail_points=np.logspace(4, 8, 5))
     for rng in rngs:
         m0 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
@@ -293,17 +284,17 @@ def _suite_cor2_7(cfg, cost, rngs):
         upper = max(values[k] - c_ell * t1
                     - (float(cost.eval(caps[k])) / caps[k] - c_ell) * t1
                     for k in range(len(values)))
-        final_gap = values[-1] - c_ell * t1
         yield ([m0.to_json(), m1.to_json()],
                {"limit": c_ell * t1, "final": values[-1]},
-               {"monotone": mono, "lower": lower, "upper": upper,
-                "final_gap": final_gap},
-               mono >= -cfg.tolerance and lower >= -cfg.tolerance
-               and upper <= cfg.tolerance and final_gap <= 1e-3,
+               [("monotone", mono, "ge", -cfg.tolerance),
+                ("lower", lower, "ge", -cfg.tolerance),
+                ("upper", upper, "le", cfg.tolerance),
+                ("final_gap", values[-1] - c_ell * t1, "le", 1e-3)],
                [[float(c), float(v)] for c, v in zip(caps, values)])
 
 
 def _suite_cor2_8(cfg, cost, rngs):
+    _sublinear("cor2_8", cost)
     for rng in rngs:
         m0 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
         m1 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
@@ -315,12 +306,16 @@ def _suite_cor2_8(cfg, cost, rngs):
         eq = max(abs(v - f) for v, f in zip(values, formula))
         mono = min(values[k] - values[k + 1] for k in range(len(values) - 1))
         yield ([m0.to_json(), m1.to_json()], {"t1": t1, "diameter": diam},
-               {"formula": eq, "monotone": mono},
-               eq <= cfg.tolerance and mono >= -cfg.tolerance,
+               [("formula", eq, "le", cfg.tolerance),
+                ("monotone", mono, "ge", -cfg.tolerance)],
                [[float(r), float(v)] for r, v in zip(r_grid, values)])
 
 
 def _suite_eq1_6(cfg, cost, rngs):
+    _sublinear("eq1_6", cost)
+    if cost.analytic_c_ell != 0.0:
+        raise AssumptionRefused(
+            "the degenerate unmodified problem needs cost(u)/u -> 0")
     x, y = np.zeros(1), np.ones(1)
     ns = list(range(1, 33))
     values = [cost_plain(fast_path(x, y, n), cost) for n in ns]
@@ -328,22 +323,26 @@ def _suite_eq1_6(cfg, cost, rngs):
     eq = max(abs(v - f) for v, f in zip(values, formula))
     mono = min(values[k] - values[k + 1] for k in range(len(values) - 1))
     yield ([cost.name, ns], {"first": values[0], "last": values[-1]},
-           {"formula": eq, "monotone": mono},
-           eq <= cfg.tolerance and mono >= -cfg.tolerance
-           and values[-1] < values[0],
+           [("formula", eq, "le", cfg.tolerance),
+            ("monotone", mono, "ge", -cfg.tolerance),
+            ("decay", values[0] - values[-1], "gt", 0.0)],
            [[float(n), float(v)] for n, v in zip(ns, values)])
 
 
 def _suite_eq1_9(cfg, cost, rngs):
+    u = np.linspace(0.0, 4.0, 21)
+    vals = np.atleast_1d(cost.eval(u))
+    mid = np.atleast_1d(cost.eval((u[:-2] + u[2:]) / 2.0))
+    if np.any(mid > (vals[:-2] + vals[2:]) / 2.0 + 1e-12):
+        raise AssumptionRefused("the convex-case identity needs a convex cost")
     for span in (0.5, 1.0, 2.0):
         o = oracle_min_path(np.zeros(1), np.array([span]), cost, "conv", 4,
                             ORACLE_GRID)
         target = float(cost.eval(span))
         linear = cost_li(linear_path(np.zeros(1), np.array([span])), cost, 1)
         yield ([cost.name, span], {"oracle": o, "direct": target},
-               {"equality": o - target},
-               abs(o - target) <= cfg.tolerance
-               and abs(linear - target) <= 1e-12, ())
+               [("equality", o - target, "eq", cfg.tolerance),
+                ("linear", linear - target, "eq", 1e-12)], ())
 
 
 def _suite_eq1_11(cfg, cost, rngs):
@@ -362,8 +361,8 @@ def _suite_eq1_11(cfg, cost, rngs):
                 float(np.max(np.abs(q.durations - p.durations))),
                 float(np.max(np.abs(q.velocities - p.velocities))))
         yield ([cfg.seed, t], {},
-               {"time_change": worst_eq, "roundtrip": worst_rt},
-               worst_eq <= 1e-12 and worst_rt <= 1e-12, ())
+               [("time_change", worst_eq, "le", 1e-12),
+                ("roundtrip", worst_rt, "le", 1e-12)], ())
 
 
 # theorem -> (suite, curve columns or None)
@@ -383,17 +382,18 @@ THEOREMS = tuple(_SUITES)
 
 
 def verify(cfg: VerifyConfig) -> Report:
-    """Run one theorem suite; deterministic given the config."""
+    """Run one theorem suite; deterministic given the config.  A trial's
+    margins are its checks' values, and it passes when every check holds."""
     cost = costmod.from_spec(cfg.cost_spec)
-    _gate(cfg.theorem, cost)
     suite, columns = _SUITES[cfg.theorem]
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
-    rngs = [np.random.default_rng(s) for s in seeds]
+    rngs = (np.random.default_rng(s) for s in seeds)
     trials, rows = [], []
-    for t, (key, values, margins, ok, curve) in enumerate(
-            suite(cfg, cost, rngs)):
-        trials.append({"index": t, "digest": _digest(key), "values": values,
-                       "margins": margins, "passed": bool(ok)})
+    for t, (key, values, checks, curve) in enumerate(suite(cfg, cost, rngs)):
+        trials.append({
+            "index": t, "digest": _digest(key), "values": values,
+            "margins": {name: v for name, v, _, _ in checks},
+            "passed": all(_HOLDS[kind](v, b) for _, v, kind, b in checks)})
         rows.extend(curve)
     curves = ({} if columns is None else
               {"kind": cfg.theorem, "columns": list(columns), "rows": rows})
