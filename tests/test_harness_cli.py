@@ -7,13 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lagot import cli
+from lagot import cli, harness
 from lagot.cli import main
 from lagot.costs import parse_cost
 from lagot.errors import AssumptionRefused, ConfigInvalid, UnknownKind
 from lagot.ensembles import oracle_min_path, solve_bounded
-from lagot.harness import (THEOREMS, Report, VerifyConfig, _rand_measure,
-                           emit_plot_data, verify)
+from lagot.harness import (_SUITES, THEOREMS, Report, VerifyConfig,
+                           _rand_measure, emit_plot_data, verify)
 from lagot.mk_solver import t_p
 
 POWER = {"name": "power", "params": [0.5]}
@@ -193,6 +193,99 @@ def test_default_run_of_every_pair_serialises(theorem, cost):
     assert all(type(t["passed"]) is bool for t in report.trials)
     assert doc["summary"]["pass_count"] == sum(t["passed"]
                                                for t in report.trials)
+
+
+ADMITTED = [(t, c) for t in THEOREMS for c in SWEEP_COSTS
+            if (t, c) not in REFUSED]
+# check kind -> whether (value, bound) holds
+HOLDS = {"eq": lambda v, b: abs(v) <= b, "le": lambda v, b: v <= b,
+         "ge": lambda v, b: v >= b, "gt": lambda v, b: v > b}
+
+
+@pytest.mark.parametrize("theorem,cost", ADMITTED)
+def test_report_margins_and_passes_are_the_suites_checks(theorem, cost):
+    cfg = VerifyConfig(theorem=theorem, cost_spec=parse_cost(cost).to_spec())
+    rngs = (np.random.default_rng(s)
+            for s in np.random.SeedSequence(cfg.seed).spawn(cfg.trials))
+    yielded = list(_SUITES[theorem][0](cfg, parse_cost(cost), rngs))
+    report = verify(cfg)
+    assert len(report.trials) == len(yielded)
+    for trial, (_, values, checks, _) in zip(report.trials, yielded):
+        assert trial["values"] == values
+        assert trial["margins"] == {name: v for name, v, _, _ in checks}
+        assert trial["passed"] == all(HOLDS[kind](v, b)
+                                      for _, v, kind, b in checks)
+
+
+def test_eq1_9_reports_the_linear_path_check(monkeypatch):
+    cost_li = harness.cost_li
+    monkeypatch.setattr(harness, "cost_li",
+                        lambda p, cost, i: cost_li(p, cost, i) + 1e-6)
+    report = verify(VerifyConfig(theorem="eq1_9_0416",
+                                 cost_spec=parse_cost("linear").to_spec()))
+    assert report.summary["pass_count"] == 0
+    for trial in report.trials:
+        assert trial["margins"]["linear"] == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_eq1_6_reports_the_decay_check(monkeypatch):
+    monkeypatch.setattr(harness, "cost_plain", lambda p, cost: 1.0)
+    report = verify(VerifyConfig(theorem="eq1_6", cost_spec=POWER))
+    assert not report.passed
+    assert report.trials[0]["margins"]["decay"] == 0.0
+
+
+def test_check_kinds_and_nan(monkeypatch):
+    nan = float("nan")
+    cases = [([(k, nan, k, 1.0)], False) for k in ("eq", "le", "ge", "gt")]
+    cases += [([("eq", -0.5, "eq", 1.0), ("le", 1.0, "le", 1.0),
+                ("ge", 1.0, "ge", 1.0), ("gt", 1.5, "gt", 1.0)], True),
+              ([("eq", -1.5, "eq", 1.0)], False),
+              ([("gt", 1.0, "gt", 1.0)], False)]
+
+    def suite(cfg, cost, rngs):
+        for checks, _ in cases:
+            yield [], {}, checks, ()
+
+    monkeypatch.setitem(harness._SUITES, "eq1_11_0508", (suite, None))
+    report = verify(VerifyConfig(theorem="eq1_11_0508"))
+    assert [t["passed"] for t in report.trials] == [ok for _, ok in cases]
+
+
+WITNESS = ("(0.02, 0.0071968567300115215, 2.0717898716924856e-08, "
+           "1.0358949358462427e-06)")
+# one refusal per suite with hypotheses, message as printed by the CLI
+REFUSALS = {
+    ("thm2_1", "quadratic"): f"thm2_1 needs sublinearity; witness {WITNESS}",
+    ("thm2_2", "remark_iii"): (
+        "thm2_2 needs a non-decreasing cost; witness (0.8877197088985865, "
+        "1.0826367338740546, 0.7307588550659756, 0.3666904497881385)"),
+    ("prop2_3", "power:0.5"):
+        "prop2_3 needs a cost strictly decreasing past some r0",
+    ("cor2_4", "quadratic"): f"cor2_4 needs sublinearity; witness {WITNESS}",
+    ("thm2_6", "quadratic"): f"thm2_6 needs sublinearity; witness {WITNESS}",
+    ("cor2_7", "quadratic"): f"cor2_7 needs sublinearity; witness {WITNESS}",
+    ("cor2_8", "quadratic"): f"cor2_8 needs sublinearity; witness {WITNESS}",
+    ("eq1_6", "linear"):
+        "the degenerate unmodified problem needs cost(u)/u -> 0",
+    ("eq1_9_0416", "power:0.5"):
+        "the convex-case identity needs a convex cost",
+}
+
+
+@pytest.mark.parametrize("theorem,cost", sorted(REFUSALS))
+def test_suite_refuses_before_drawing_a_trial(theorem, cost):
+    def untouched():
+        raise AssertionError("a trial was drawn")
+        yield
+
+    cfg = VerifyConfig(theorem=theorem, cost_spec=parse_cost(cost).to_spec())
+    with pytest.raises(AssumptionRefused) as exc:
+        next(_SUITES[theorem][0](cfg, parse_cost(cost), untouched()))
+    assert str(exc.value) == REFUSALS[theorem, cost]
+    with pytest.raises(AssumptionRefused) as exc:
+        verify(cfg)
+    assert str(exc.value) == REFUSALS[theorem, cost]
 
 
 @pytest.mark.parametrize("seed", range(5))
