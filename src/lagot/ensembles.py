@@ -30,9 +30,10 @@ _BOUND_TOL = 1e-12
 _FEAS_TOL = 1e-9
 
 
-def _exceeds(value: float, bound: float) -> bool:
-    """value > bound beyond rounding, relative once the bound passes 1."""
-    return value > bound + _BOUND_TOL * max(1.0, bound)
+def _exceeds(value, bound: float):
+    """value > bound beyond rounding, relative to the bound; elementwise
+    for an array of values."""
+    return value > bound + _BOUND_TOL * bound
 
 
 @dataclass(frozen=True)
@@ -231,11 +232,13 @@ def oracle_min_path(x, y, cost: CostFunction, objective: str, K: int,
     delta = float(np.linalg.norm(np.subtract(y, x, dtype=float)))
     if not np.isfinite(delta):
         raise ValueError(f"the displacement |y - x| = {delta} is not finite")
+    if cap is not None and np.isnan(cap):
+        raise ValueError("the speed cap must not be NaN")
     if delta == 0.0:
         return 0.0
     speeds = np.abs(_feasible_multisets(grid, K) * delta)
     if cap is not None:
-        speeds = speeds[(speeds <= cap + _BOUND_TOL).all(axis=1)]
+        speeds = speeds[~_exceeds(speeds, cap).any(axis=1)]
     if len(speeds) == 0:
         raise NoFeasiblePath("no speed assignment meets the endpoint")
     if objective == "plain":

@@ -73,6 +73,9 @@ def test_bound_slack_is_relative_above_one():
         single(linear_path([0.0], [1e4 * (1 + 1e-11)]), bound=1e4)
     with pytest.raises(BoundViolated):
         single(linear_path([0.0], [0.5 + 2e-12]), bound=0.5)
+    # below one the slack shrinks with the bound: twice a tiny bound is over
+    with pytest.raises(BoundViolated):
+        single(linear_path([0.0], [2e-12]), bound=1e-12)
 
 
 def _triple(points0, points1, plan, bounds, dim=1):
@@ -171,6 +174,9 @@ def test_oracle_examples():
                          (0, 1, 2, 4, 8))
     assert v8 == pytest.approx(math.sqrt(8.0) / 8.0)
     assert oracle_min_path([0.0], [0.0], SQRT, "plain", 4, GRID) == 0.0
+    # cap = displacement admits only the constant speed, at any scale
+    assert oracle_min_path([0.0], [1e-12], SQRT, "plain", 4, GRID,
+                           cap=1e-12) == 1e-6
     with pytest.raises(NoFeasiblePath):
         oracle_min_path([0.0], [1.0], SQRT, "plain", 2, (0.0, 0.25))
 

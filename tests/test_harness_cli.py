@@ -127,6 +127,11 @@ def test_cli_oracle(tmp_path):
     assert code == 0
     assert json.loads(out.read_text())["value"] == \
         pytest.approx(np.sqrt(2.0) / 2.0)
+    # a cap equal to a tiny displacement leaves only the constant speed
+    assert main(["oracle", "--x", "0", "--y", "1e-12", "--cost", "power:0.5",
+                 "--objective", "plain", "--cap", "1e-12",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["value"] == 1e-6
 
 
 def test_cli_dual(measure_files, tmp_path):
@@ -416,6 +421,12 @@ BAD_INPUTS = {
     "oracle with a nan speed": (
         {}, ["oracle", "--x", "0", "--y", "1", "--cost", "power:0.5",
              "--speeds", "0,nan,1"], "magnitudes, >= 0"),
+    "oracle with a cap below a tiny displacement": (
+        {}, ["oracle", "--x", "0", "--y", "1e-12", "--cost", "power:0.5",
+             "--cap", "9e-13"], "no speed assignment meets the endpoint"),
+    "oracle with a nan cap": (
+        {}, ["oracle", "--x", "0", "--y", "1", "--cost", "power:0.5",
+             "--cap", "nan"], "speed cap must not be NaN"),
     "oracle with an infinite endpoint": (
         {}, ["oracle", "--x", "0", "--y", "inf", "--cost", "power:0.5"],
         "is not finite"),
