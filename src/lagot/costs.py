@@ -48,9 +48,6 @@ class CostFunction:
             return float(out)
         return out
 
-    def __call__(self, u):
-        return self.eval(u)
-
     def to_spec(self) -> dict:
         name, _, params = self.name.partition(":")
         return {"name": name, "params": [float(p) for p in params.split(",") if p]}
@@ -248,18 +245,15 @@ def check_a2(cost: CostFunction, u_grid) -> AssumptionReport:
     })
 
 
-def c_ell(cost: CostFunction, tail_points=None, use_analytic: bool = True,
-          with_bracket: bool = False):
+def c_ell(cost: CostFunction, tail_points=None) -> float:
     """Asymptotic slope lim cost(u)/u.
 
     Returns the analytic value when known.  Otherwise returns the point
-    estimate cost(u_max)/u_max; because cost(u)/u is non-increasing under
-    sublinearity, [estimate, cost(u_min)/u_min] brackets the limit, and a
-    slope that increases along the tail raises NonMonotoneSlope.
+    estimate cost(u_max)/u_max over the tail points, an upper bound on the
+    limit because cost(u)/u is non-increasing under sublinearity; a slope
+    that increases along the tail raises NonMonotoneSlope.
     """
-    if use_analytic and cost.analytic_c_ell is not None:
-        if with_bracket:
-            return cost.analytic_c_ell, (cost.analytic_c_ell, cost.analytic_c_ell)
+    if cost.analytic_c_ell is not None:
         return cost.analytic_c_ell
     if tail_points is None:
         raise BadParam("tail_points required when no analytic slope is known")
@@ -271,10 +265,7 @@ def c_ell(cost: CostFunction, tail_points=None, use_analytic: bool = True,
         k = int(np.where(np.diff(slopes) > 0)[0][0])
         raise NonMonotoneSlope(
             f"cost(u)/u increases from u={tail[k]} to u={tail[k + 1]}")
-    estimate = float(slopes[-1])
-    if with_bracket:
-        return estimate, (estimate, float(slopes[0]))
-    return estimate
+    return float(slopes[-1])
 
 
 def default_a1_grids():

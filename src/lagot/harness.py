@@ -98,16 +98,16 @@ def _rand_measure(rng, n_atoms: int, dim: int) -> DiscreteMeasure:
     return random_measure(rng, int(rng.integers(1, n_atoms + 1)), dim, 2.0)
 
 
-def _rand_path(rng, dim: int, max_pieces: int = 4,
-               min_disp: float = 1e-3) -> SteppedPath:
-    """Random unit-horizon stepped path with nonzero displacement."""
+def _rand_path(rng, dim: int) -> SteppedPath:
+    """Random unit-horizon stepped path of 1-4 pieces with displacement at
+    least 1e-3."""
     while True:
-        k = int(rng.integers(1, max_pieces + 1))
+        k = int(rng.integers(1, 5))
         durations = rng.dirichlet(np.ones(k))
         velocities = rng.normal(0.0, 2.0, size=(k, dim))
         p = SteppedPath(start=rng.uniform(-1, 1, size=dim), horizon=1.0,
                         durations=durations, velocities=velocities)
-        if np.linalg.norm(p.displacement) >= min_disp:
+        if np.linalg.norm(p.displacement) >= 1e-3:
             return p
 
 

@@ -303,15 +303,14 @@ def compress(q: SteppedPath) -> SteppedPath:
                        velocities=q.velocities * T)
 
 
-def random_interval_set(rng: np.random.Generator, max_pieces: int = 3,
-                        min_measure: float = 0.05) -> IntervalSet:
-    """Seeded random disjoint interval union with total length bounded away
-    from zero; used to exercise the stop-and-go constructions."""
+def random_interval_set(rng: np.random.Generator) -> IntervalSet:
+    """Seeded random union of 1-3 disjoint intervals with total length at
+    least 0.05; used to exercise the stop-and-go constructions."""
     while True:
-        k = int(rng.integers(1, max_pieces + 1))
+        k = int(rng.integers(1, 4))
         cuts = np.sort(rng.uniform(0.0, 1.0, size=2 * k))
         intervals = [(cuts[2 * i], cuts[2 * i + 1]) for i in range(k)]
         intervals = [(a, b) for a, b in intervals if b - a > 1e-9]
         s = IntervalSet(tuple(intervals)) if intervals else None
-        if s is not None and s.measure >= min_measure:
+        if s is not None and s.measure >= 0.05:
             return s

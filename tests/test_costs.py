@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lagot.costs import (A1I, A1II, A1III, A2I, A2II, builtin, c_ell,
-                         check_a1, check_a2, default_a1_grids, from_spec,
-                         parse_cost, power_cost, quadratic_cost)
+from lagot.costs import (A1I, A1II, A1III, A2I, A2II, CostFunction, builtin,
+                         c_ell, check_a1, check_a2, default_a1_grids,
+                         from_spec, parse_cost, power_cost, quadratic_cost)
 from lagot.errors import BadParam, NonMonotoneSlope, UnknownCost
 
 ALL_BUILTINS = [builtin("power", [0.3]), builtin("power", [0.5]),
@@ -79,17 +79,15 @@ def test_check_a2_examples():
 
 
 def test_c_ell_estimation():
-    c = builtin("power", [0.5])
-    est, bracket = c_ell(c, [1e2, 1e4, 1e6], use_analytic=False,
-                         with_bracket=True)
-    assert est == pytest.approx(1e-3)
-    assert bracket == (pytest.approx(1e-3), pytest.approx(1e-1))
+    # no analytic slope: the estimate is cost(u)/u at the last tail point
+    c = CostFunction(name="sqrt", fn=np.sqrt)
+    assert c_ell(c, [1e2, 1e4, 1e6]) == pytest.approx(1e-3)
     assert c_ell(builtin("linear")) == 1.0
 
 
 def test_c_ell_non_monotone_slope():
     with pytest.raises(NonMonotoneSlope):
-        c_ell(quadratic_cost(), [10.0, 100.0, 1000.0], use_analytic=False)
+        c_ell(quadratic_cost(), [10.0, 100.0, 1000.0])
 
 
 @pytest.mark.parametrize("cost", ALL_BUILTINS, ids=lambda c: c.name)
