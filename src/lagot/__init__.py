@@ -2,8 +2,8 @@
 non-convex radial costs: exact solvers, explicit path constructions, and
 seeded verification of the identities relating them."""
 
-from .costs import (AssumptionReport, CostFunction, builtin, c_ell, check_a1,
-                    check_a2, parse_cost, power_cost, quadratic_cost)
+from .costs import (CostFunction, builtin, c_ell, check_a1, check_a2,
+                    parse_cost, power_cost, quadratic_cost)
 from .duality import GridFunction, inf_conv, verify_control_identity
 from .ensembles import (BoundedCouplingTriple, EnsembleMember,
                         TransportEnsemble, build_opt_bounded, build_opt_tilde,

@@ -27,11 +27,6 @@ class BadParam(LagotError):
     pass
 
 
-class NonMonotoneSlope(LagotError):
-    """The tail slope eval(u)/u increased where it should not; the
-    sublinearity assumption is violated on the sampled tail."""
-
-
 # solver
 class Infeasible(LagotError):
     pass

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from lagot.costs import (A1I, A1II, A1III, A2I, A2II, CostFunction, builtin,
-                         c_ell, check_a1, check_a2, default_a1_grids,
-                         from_spec, parse_cost, power_cost, quadratic_cost)
-from lagot.errors import BadParam, NonMonotoneSlope, UnknownCost
+from lagot.costs import (A1I, A1III, A2I, CostFunction, builtin, c_ell,
+                         check_a1, check_a2, default_a1_grids, from_spec,
+                         parse_cost, power_cost, quadratic_cost)
+from lagot.errors import BadParam, UnknownCost
 
 ALL_BUILTINS = [builtin("power", [0.3]), builtin("power", [0.5]),
                 builtin("power", [0.9]), builtin("power", [1.0]),
@@ -52,42 +52,52 @@ def test_bad_params():
 
 
 def test_check_a1_sublinear_pass():
-    rep = check_a1(builtin("power", [0.5]), [0.25], [1.0])
-    assert rep.ok(A1I) and rep.ok(A1II) and rep.ok(A1III)
+    assert check_a1(builtin("power", [0.5]), [0.25], [1.0]) == {
+        A1I: None, A1III: None}
 
 
 def test_check_a1_convex_fails():
-    rep = check_a1(quadratic_cost(), [0.5], [1.0])
-    assert not rep.ok(A1I)
-    r, u, lru, rlu = rep.checks[A1I].witness
+    # the witness is taken at the first r that fails
+    r, u, lru, rlu = check_a1(quadratic_cost(), [0.5, 0.25], [1.0])[A1I]
+    assert r == 0.5 and u == 1.0
     assert lru == pytest.approx(0.25) and rlu == pytest.approx(0.5)
 
 
 def test_check_a1_linear_equality_hit():
-    rep = check_a1(builtin("linear"), [0.5], [1.0])
-    assert rep.ok(A1I)
-    assert not rep.ok(A1II)
+    # cost(r*u) = r*cost(u) exactly: an equality is not a failure of A1i
+    assert check_a1(builtin("linear"), [0.5], [1.0])[A1I] is None
+
+
+def test_check_a1_witnesses_cost_at_zero_and_positivity():
+    shifted = CostFunction(name="shifted", fn=lambda u: np.sqrt(u) + 1.0)
+    assert check_a1(shifted, [0.5], [1.0, 4.0])[A1I] == (0.0, 1.0)
+    flat = CostFunction(name="flat", fn=lambda u: np.where(u < 1.0, u, 0.0))
+    assert check_a1(flat, [0.5], [0.5, 2.0])[A1III] == (2.0, 0.0)
 
 
 def test_check_a2_examples():
-    rep = check_a2(builtin("power", [0.5]), np.linspace(0.1, 10, 20))
-    assert rep.ok(A2I) and rep.ok(A2II)
-    rep = check_a2(builtin("remark_iii"), [0.5, 1.0, 2.0, 4.0])
-    assert not rep.ok(A2I)
-    rep = check_a2(builtin("linear"), np.linspace(0.1, 20, 20))
-    assert rep.ok(A2I) and rep.ok(A2II)
+    assert check_a2(builtin("power", [0.5]),
+                    np.linspace(0.1, 10, 20)) == {A2I: None}
+    u, u2, cu, cu2 = check_a2(builtin("remark_iii"),
+                              [0.5, 1.0, 2.0, 4.0])[A2I]
+    assert (u, u2) == (0.5, 1.0) and cu2 < cu
+    assert check_a2(builtin("linear"),
+                    np.linspace(0.1, 20, 20)) == {A2I: None}
 
 
-def test_c_ell_estimation():
-    # no analytic slope: the estimate is cost(u)/u at the last tail point
-    c = CostFunction(name="sqrt", fn=np.sqrt)
-    assert c_ell(c, [1e2, 1e4, 1e6]) == pytest.approx(1e-3)
+def test_c_ell_is_the_analytic_slope():
+    # every sublinear builtin knows its slope, so cor2_7 never estimates one
     assert c_ell(builtin("linear")) == 1.0
+    for cost in ALL_BUILTINS:
+        assert cost.analytic_c_ell is not None
+        assert c_ell(cost) == cost.analytic_c_ell
 
 
-def test_c_ell_non_monotone_slope():
-    with pytest.raises(NonMonotoneSlope):
-        c_ell(quadratic_cost(), [10.0, 100.0, 1000.0])
+def test_c_ell_without_an_analytic_slope_is_refused():
+    with pytest.raises(BadParam):
+        c_ell(CostFunction(name="sqrt", fn=np.sqrt))
+    with pytest.raises(BadParam):
+        c_ell(quadratic_cost())
 
 
 @pytest.mark.parametrize("cost", ALL_BUILTINS, ids=lambda c: c.name)
@@ -96,9 +106,9 @@ def test_declared_a1_flags_hold_on_grid(cost):
     # avoid the exp underflow tail for the decaying costs
     u_grid = u_grid[u_grid <= 100.0]
     rep = check_a1(cost, r_grid, u_grid)
-    for flag in (A1I, A1II, A1III):
+    for flag in (A1I, A1III):
         if flag in cost.declared_flags:
-            assert rep.ok(flag), (cost.name, flag, rep.checks[flag].witness)
+            assert rep[flag] is None, (cost.name, flag, rep[flag])
 
 
 @pytest.mark.parametrize("cost", ALL_BUILTINS, ids=lambda c: c.name)
