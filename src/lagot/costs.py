@@ -55,7 +55,8 @@ def builtin(name: str, params: Optional[list] = None) -> CostFunction:
     """Construct one of the named example costs.
 
     power(p), p in (0,1]; remark_iii (the discontinuous concave-then-
-    decreasing example); affine_exp(a) = a*u + 1 - exp(-u); linear.
+    decreasing example); affine_exp(a) = a*u + 1 - exp(-u); linear;
+    quadratic.
     """
     params = list(params or [])
     if name == "power":
@@ -90,6 +91,10 @@ def builtin(name: str, params: Optional[list] = None) -> CostFunction:
         return CostFunction(
             name="linear", fn=lambda u: u + 0.0, analytic_c_ell=1.0,
             declared_flags=_ALL_FLAGS)
+    if name == "quadratic":
+        if params:
+            raise BadParam("quadratic takes no parameters")
+        return quadratic_cost()
     raise UnknownCost(name)
 
 
@@ -117,11 +122,7 @@ def quadratic_cost() -> CostFunction:
 
 def from_spec(spec: dict) -> CostFunction:
     """Build a cost from a config dict {"name": ..., "params": [...]}."""
-    name = spec["name"]
-    params = spec.get("params", [])
-    if name == "quadratic":
-        return quadratic_cost()
-    return builtin(name, params)
+    return builtin(spec["name"], spec.get("params", []))
 
 
 def parse_cost(text: str) -> CostFunction:
@@ -194,7 +195,5 @@ def c_ell(cost: CostFunction) -> float:
 
 
 def default_a1_grids():
-    """50x50 log grids used by the declared-flag self-checks."""
-    r = np.linspace(0.02, 0.98, 50)
-    u = np.logspace(-3, 3, 50)
-    return r, u
+    """50x50 grids (r linear, u logarithmic) on which the suites check (A1)."""
+    return np.linspace(0.02, 0.98, 50), np.logspace(-3, 3, 50)

@@ -20,8 +20,8 @@ import numpy as np
 from .costs import CostFunction, power_cost
 from .errors import (BoundViolated, Infeasible, InfeasibleBound, MissingBound,
                      NoFeasiblePath)
-from .measures import (Coupling, DiscreteMeasure, pairwise_distances,
-                       validate_measure)
+from .measures import (WEIGHT_SUM_TOL, Coupling, DiscreteMeasure,
+                       pairwise_distances, validate_measure)
 from .mk_solver import MKSolution, solve_mk
 from .paths import (IntervalSet, SteppedPath, cost_li, cost_plain,
                     stop_and_go, sup_norm)
@@ -53,7 +53,7 @@ class TransportEnsemble:
     def __post_init__(self):
         members = tuple(self.members)
         total = sum(m.weight for m in members)
-        if not abs(total - 1.0) <= _BOUND_TOL:  # also fails on NaN
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # also fails on NaN
             raise ValueError(f"member weights sum to {total!r}, not 1")
         for m in members:
             if m.weight <= 0:
@@ -91,7 +91,7 @@ class BoundedCouplingTriple:
     bound_assignment: dict  # (i, j) -> M
 
     def __post_init__(self):
-        for i, j, mass in self.coupling.cells(threshold=0.0):
+        for i, j, mass in self.coupling.cells():
             if (i, j) not in self.bound_assignment:
                 raise MissingBound(f"cell ({i}, {j}) carries mass but no bound")
             m_ij = self.bound_assignment[(i, j)]
@@ -130,7 +130,7 @@ def eval_tv(t: BoundedCouplingTriple, cost: CostFunction) -> float:
     """Static bounded-transport value: mass * cost(M)/M * |x - y| over the
     cells with positive bound; M = 0 cells contribute nothing."""
     total = 0.0
-    for i, j, mass in t.coupling.cells(threshold=0.0):
+    for i, j, mass in t.coupling.cells():
         m_ij = t.bound_assignment[(i, j)]
         if m_ij > 0:
             total += mass * (cost.eval(m_ij) / m_ij) * t.coupling.displacement(i, j)
@@ -171,7 +171,7 @@ def build_opt_tilde(sol: MKSolution,
     """
     members = []
     plan = sol.plan
-    for i, j, mass in plan.cells(threshold=0.0):
+    for i, j, mass in plan.cells():
         x = plan.source.points[i]
         y = plan.target.points[j]
         members.append(EnsembleMember(
@@ -185,7 +185,7 @@ def build_opt_bounded(t: BoundedCouplingTriple) -> TransportEnsemble:
     t checked M >= |x - y| on every cell when it was built."""
     members = []
     c = t.coupling
-    for i, j, mass in c.cells(threshold=0.0):
+    for i, j, mass in c.cells():
         x = c.source.points[i]
         y = c.target.points[j]
         disp = c.displacement(i, j)
@@ -285,6 +285,6 @@ def solve_bounded(m0: DiscreteMeasure, m1: DiscreteMeasure,
         raise Infeasible("the speed cap must be positive")
     sol = solve_mk(m0, m1, power_cost(1.0),
                    forbidden_arcs=arcs_longer_than(m0, m1, r))
-    bounds = {(i, j): float(r) for i, j, _ in sol.plan.cells(threshold=0.0)}
+    bounds = {(i, j): float(r) for i, j, _ in sol.plan.cells()}
     triple = BoundedCouplingTriple(coupling=sol.plan, bound_assignment=bounds)
     return float(cost.eval(r) / r * sol.value), triple

@@ -120,7 +120,7 @@ def _rand_bounded_triple(rng, n_atoms: int, dim: int) -> BoundedCouplingTriple:
     coupling = Coupling(source=m0, target=m1, plan=plan)
     levels = np.sort(rng.uniform(0.5, 2.0, size=3))
     bounds = {}
-    for i, j, _ in coupling.cells(threshold=0.0):
+    for i, j, _ in coupling.cells():
         disp = coupling.displacement(i, j)
         level = float(levels[int(rng.integers(0, 3))])
         bounds[(i, j)] = max(disp, level * (1.0 + disp))

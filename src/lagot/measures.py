@@ -120,12 +120,12 @@ class Coupling:
     def displacement(self, i: int, j: int) -> float:
         return float(np.linalg.norm(self.target.points[j] - self.source.points[i]))
 
-    def cells(self, threshold: float = 0.0):
-        """Yield (i, j, mass) for every cell with mass > threshold."""
+    def cells(self):
+        """Yield (i, j, mass) for every cell with positive mass."""
         for i in range(self.plan.shape[0]):
             for j in range(self.plan.shape[1]):
                 mass = float(self.plan[i, j])
-                if mass > threshold:
+                if mass > 0.0:
                     yield i, j, mass
 
 

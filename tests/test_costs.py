@@ -47,6 +47,8 @@ def test_bad_params():
         builtin("power", [0.0])
     with pytest.raises(BadParam):
         builtin("affine_exp", [-1.0])
+    with pytest.raises(BadParam):
+        builtin("quadratic", [3.0])
     # unrestricted power admits any positive exponent
     assert power_cost(1.5).eval(4.0) == pytest.approx(8.0)
 

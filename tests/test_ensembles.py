@@ -206,7 +206,7 @@ def _brute_force_minima(x, y, K, grid, cap):
                            velocities=np.outer(tup, (y - x)))
         if np.linalg.norm(path.end - y) > 1e-9 * delta:
             continue
-        if cap is not None and sup_norm(path) > cap + 1e-12:
+        if cap is not None and sup_norm(path) > cap + 1e-12 * cap:
             continue
         speeds = np.linalg.norm(path.velocities, axis=1)
         big_n = n1(path)
@@ -234,6 +234,17 @@ def test_oracle_matches_brute_force(case):
     K = 2 + case % 3
     cap = (None, 2.0 * float(np.linalg.norm(y - x)),
            float(rng.uniform(0.5, 5.0)))[case // 4]
+    _assert_oracle_matches_brute_force(x, y, K, grid, cap)
+
+
+def test_oracle_matches_brute_force_at_a_tiny_cap():
+    """Speed 2|y - x| = 2e-12 exceeds the cap 1e-12 by far more than its
+    relative slack: both the oracle and the reference drop it."""
+    _assert_oracle_matches_brute_force(np.zeros(1), np.full(1, 1e-12), 2,
+                                       (0.0, 1.0, 2.0), 1e-12)
+
+
+def _assert_oracle_matches_brute_force(x, y, K, grid, cap):
     want = _brute_force_minima(x, y, K, grid, cap)
     for cost in ORACLE_COSTS:
         for objective in OBJECTIVES:

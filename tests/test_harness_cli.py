@@ -427,6 +427,9 @@ BAD_INPUTS = {
     "oracle with a nan cap": (
         {}, ["oracle", "--x", "0", "--y", "1", "--cost", "power:0.5",
              "--cap", "nan"], "speed cap must not be NaN"),
+    "quadratic with a parameter": (
+        {}, ["oracle", "--x", "0", "--y", "1", "--cost", "quadratic:3"],
+        "quadratic takes no parameters"),
     "oracle with an infinite endpoint": (
         {}, ["oracle", "--x", "0", "--y", "inf", "--cost", "power:0.5"],
         "is not finite"),
