@@ -7,6 +7,7 @@ Exit codes: 0 pass, 1 fail, 2 refused or invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -155,7 +156,10 @@ def _cmd_plot(args) -> int:
     return EXIT_PASS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; ``main`` dispatches on the
+    subcommand's name, so it holds no handlers and no mutable defaults."""
     parser = argparse.ArgumentParser(
         prog="lagot",
         description="Discrete transport identities for non-convex radial "
@@ -171,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", required=True)
     p.add_argument("--cost", required=True)
     p.add_argument("--max-arc-length", type=float, default=None)
-    p.set_defaults(func=_cmd_solve_mk)
 
     p = sub.add_parser("eval", help="evaluate an ensemble or bounded triple")
     p.add_argument("--objective", required=True,
@@ -179,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble")
     p.add_argument("--triple")
     p.add_argument("--cost", required=True)
-    p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("build-optimal", help="construct an optimal ensemble")
     p.add_argument("--theorem", required=True, choices=["2.1", "2.6"])
@@ -188,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost", required=True)
     p.add_argument("--bound", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_build_optimal)
 
     p = sub.add_parser("oracle", help="brute-force single-pair path oracle")
     p.add_argument("--x", required=True)
@@ -199,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--speeds", default="0,0.5,1,2,4")
     p.add_argument("--cap", type=float, default=None)
-    p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("dual", help="infimal convolution / control identity")
     p.add_argument("--f", required=True)
@@ -207,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost", required=True)
     p.add_argument("--grid", default=None)
     p.add_argument("--i", type=int, default=1, choices=[1, 2])
-    p.set_defaults(func=_cmd_dual)
 
     p = sub.add_parser("verify", help="run a theorem-verification suite")
     p.add_argument("--config", default=None)
@@ -218,12 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost", default="power:0.5")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("plot", help="emit CSV plot data from a report")
     p.add_argument("--report", required=True)
     p.add_argument("--kind", required=True)
-    p.set_defaults(func=_cmd_plot)
     return parser
 
 
@@ -231,7 +228,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (AssumptionRefused, ConfigInvalid, UnknownKind) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
