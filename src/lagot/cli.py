@@ -156,18 +156,25 @@ def _cmd_plot(args) -> int:
     return EXIT_PASS
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints a usage error as one line on stderr and exits 2."""
+
+    def error(self, message):
+        self.exit(EXIT_REFUSED, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; ``main`` dispatches on the
     subcommand's name, so it holds no handlers and no mutable defaults."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lagot",
         description="Discrete transport identities for non-convex radial "
                     "costs: solvers, path constructions, and verification.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="write output to a file")
     sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=lambda **kw: argparse.ArgumentParser(
+                                parser_class=lambda **kw: _Parser(
                                     parents=[common], **kw))
 
     p = sub.add_parser("solve-mk", help="solve the discrete transport LP")

@@ -77,8 +77,8 @@ def builtin(name: str, params: Optional[list] = None) -> CostFunction:
         if len(params) != 1:
             raise BadParam("affine_exp needs exactly one parameter a")
         a = float(params[0])
-        if a < 0:
-            raise BadParam(f"affine_exp needs a >= 0, got {a}")
+        if not 0 <= a < np.inf:
+            raise BadParam(f"affine_exp needs a finite a >= 0, got {a}")
 
         def fn(u, a=a):
             return a * u + 1.0 - np.exp(-u)
@@ -102,8 +102,8 @@ def power_cost(p: float, restrict: bool = False) -> CostFunction:
     """u -> u**p.  With ``restrict`` only p in (0,1] is accepted (the range
     where sublinearity holds); otherwise any p > 0 is allowed."""
     p = float(p)
-    if p <= 0:
-        raise BadParam(f"power needs p > 0, got {p}")
+    if not 0 < p < np.inf:
+        raise BadParam(f"power needs a finite p > 0, got {p}")
     if restrict and p > 1:
         raise BadParam(f"power builtin needs p in (0,1], got {p}")
     if p > 1:

@@ -49,6 +49,13 @@ def test_bad_params():
         builtin("affine_exp", [-1.0])
     with pytest.raises(BadParam):
         builtin("quadratic", [3.0])
+    for name, param in [("power", math.nan), ("affine_exp", math.nan),
+                        ("affine_exp", math.inf)]:
+        with pytest.raises(BadParam, match="finite"):
+            builtin(name, [param])
+    for p in (math.nan, math.inf):
+        with pytest.raises(BadParam, match="finite"):
+            power_cost(p)
     # unrestricted power admits any positive exponent
     assert power_cost(1.5).eval(4.0) == pytest.approx(8.0)
 

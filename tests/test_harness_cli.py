@@ -332,6 +332,66 @@ def test_cli_rejects_seed_and_tol_where_unread(argv):
     assert exc.value.code == 2
 
 
+def _pop(path: Path):
+    """The text of ``path``, which is then removed; None when absent."""
+    if not path.exists():
+        return None
+    text = path.read_text()
+    path.unlink()
+    return text
+
+
+def test_cli_reused_parser_matches_a_fresh_process(measure_files, tmp_path,
+                                                   capsys):
+    """Each call of one in-process sequence gives the exit code, stdout,
+    stderr and out-file of the same call in a fresh interpreter, so the
+    parser that main reuses carries nothing from one call to the next."""
+    p0, p1 = measure_files
+    out = tmp_path / "out.json"
+    pair = ["--p0", p0, "--p1", p1, "--cost", "power:0.5"]
+    build = ["build-optimal", "--theorem", "2.1", *pair]
+    sequence = [["solve-mk", *pair, "--max-arc-length", "1.5"],
+                ["solve-mk", *pair],
+                ["solve-mk", *pair, "--out", str(out)],
+                ["solve-mk", *pair],
+                [*build, "--seed", "7"],
+                ["eval", "--objective", "foo", "--cost", "linear"],
+                build]
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        std = capsys.readouterr()
+        got = code, std.out, std.err, _pop(out)
+        fresh = subprocess.run([sys.executable, "-m", "lagot.cli", *argv],
+                               capture_output=True, text=True, env=env,
+                               check=False)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr,
+                       _pop(out)), argv
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["solve-mk", "--p0", "a", "--cost", "linear"],
+     "lagot solve-mk: error: the following arguments are required: --p1"),
+    (["solve", "--p0", "a"],
+     "lagot: error: argument command: invalid choice: 'solve'"),
+    (["build-optimal", "--theorem", "2.6", "--p0", "a", "--p1", "b",
+      "--cost", "linear", "--bound", "x"],
+     "lagot build-optimal: error: argument --bound: invalid float value: 'x'"),
+    (["eval", "--objective", "foo", "--cost", "linear"],
+     "lagot eval: error: argument --objective: invalid choice: 'foo'"),
+])
+def test_cli_usage_error_is_one_line(argv, fragment, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith(fragment)
+
+
 def test_cor2_7_top_cap_speed_rounding():
     # the rung r = 1e4 rebuilds a path whose speed rounds to 1e4 + 4e-12
     assert main(["verify", "--theorem", "cor2_7", "--seed", "3",
@@ -430,6 +490,15 @@ BAD_INPUTS = {
     "quadratic with a parameter": (
         {}, ["oracle", "--x", "0", "--y", "1", "--cost", "quadratic:3"],
         "quadratic takes no parameters"),
+    "power with a nan parameter": (
+        {}, ["oracle", "--x", "0", "--y", "1", "--cost", "power:nan"],
+        "power needs a finite p > 0, got nan"),
+    "affine_exp with a nan parameter": (
+        {}, ["oracle", "--x", "0", "--y", "1", "--cost", "affine_exp:nan"],
+        "affine_exp needs a finite a >= 0, got nan"),
+    "affine_exp with an infinite parameter": (
+        {}, ["oracle", "--x", "0", "--y", "1", "--cost", "affine_exp:inf"],
+        "affine_exp needs a finite a >= 0, got inf"),
     "oracle with an infinite endpoint": (
         {}, ["oracle", "--x", "0", "--y", "inf", "--cost", "power:0.5"],
         "is not finite"),
@@ -494,6 +563,9 @@ def test_cli_out_of_memory_exits_2_with_one_line(monkeypatch, capsys):
     def exhausted(args):
         raise MemoryError("Unable to allocate 14.9 GiB for an array")
 
+    # the parser exists before the patch, as it does after any earlier call
+    main(["oracle", "--x", "0", "--y", "1", "--cost", "linear"])
+    capsys.readouterr()
     monkeypatch.setattr(cli, "_cmd_verify", exhausted)
     assert main(["verify", "--theorem", "thm2_1"]) == 2
     lines = capsys.readouterr().err.strip().splitlines()
