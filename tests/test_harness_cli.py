@@ -341,11 +341,12 @@ def _pop(path: Path):
     return text
 
 
-def test_cli_reused_parser_matches_a_fresh_process(measure_files, tmp_path,
-                                                   capsys):
+def test_cli_reused_parser_matches_a_fresh_one(measure_files, tmp_path,
+                                              capsys, monkeypatch):
     """Each call of one in-process sequence gives the exit code, stdout,
-    stderr and out-file of the same call in a fresh interpreter, so the
-    parser that main reuses carries nothing from one call to the next."""
+    stderr and out-file that the same call gives with a parser of its own,
+    so the parser that main reuses carries nothing from one call to the
+    next; the last call also matches a fresh interpreter."""
     p0, p1 = measure_files
     out = tmp_path / "out.json"
     pair = ["--p0", p0, "--p1", p1, "--cost", "power:0.5"]
@@ -357,20 +358,24 @@ def test_cli_reused_parser_matches_a_fresh_process(measure_files, tmp_path,
                 [*build, "--seed", "7"],
                 ["eval", "--objective", "foo", "--cost", "linear"],
                 build]
-    env = {**os.environ,
-           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    for argv in sequence:
+
+    def call(argv):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
         std = capsys.readouterr()
-        got = code, std.out, std.err, _pop(out)
-        fresh = subprocess.run([sys.executable, "-m", "lagot.cli", *argv],
-                               capture_output=True, text=True, env=env,
-                               check=False)
-        assert got == (fresh.returncode, fresh.stdout, fresh.stderr,
-                       _pop(out)), argv
+        return code, std.out, std.err, _pop(out)
+
+    reused = [call(argv) for argv in sequence]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert reused == [call(argv) for argv in sequence]
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    fresh = subprocess.run([sys.executable, "-m", "lagot.cli", *build],
+                           capture_output=True, text=True, env=env,
+                           check=False)
+    assert reused[-1] == (fresh.returncode, fresh.stdout, fresh.stderr, None)
 
 
 @pytest.mark.parametrize("argv, fragment", [

@@ -11,8 +11,12 @@ the ``ensemble`` of its output, solve-mk --max-arc-length) at 0.6, 1.0 and
 1.5 x the diameter and at one infeasible cap, invalid input and usage
 errors.  Each line is ``name digest``, where the digest is taken over the
 exit code, stdout, stderr and the ``--out`` file (null when none was
-written), with the directory's path replaced by ``<dir>``.  Run it in two
-checkouts and ``diff`` the outputs: identical files mean identical calls.
+written), with the directory's path replaced by ``<dir>``.  For a usage
+error (a call named ``usage-*``) stderr is cut after the message's first
+phrase, ``lagot eval: error: argument --objective``: argparse words the
+rest, choice lists included, differently from one Python release to the
+next.  Run it in two checkouts and ``diff`` the outputs: identical files
+mean identical calls.
 """
 
 import contextlib
@@ -159,7 +163,11 @@ def digests():
         d = Path(tmp)
         rows = []
         for name, argv in calls(d):
-            text = json.dumps(run(argv)).replace(tmp, "<dir>")
+            rc, out, err, written = run(argv)
+            if name.startswith("usage-"):
+                head, sep, rest = err.partition("error: ")
+                err = head + sep + rest.partition(":")[0]
+            text = json.dumps([rc, out, err, written]).replace(tmp, "<dir>")
             rows.append((name, hashlib.sha256(text.encode()).hexdigest()))
         return rows
 
