@@ -10,7 +10,7 @@ from .ensembles import (BoundedCouplingTriple, EnsembleMember,
                         endpoint_marginals, eval_bounded, eval_tilde, eval_tv,
                         induced_triple, oracle_min_path, solve_bounded)
 from .harness import Report, VerifyConfig, emit_plot_data, verify
-from .measures import (Coupling, DiscreteMeasure, make_coupling, marginals,
+from .measures import (Coupling, DiscreteMeasure, make_coupling,
                        random_measure, validate_measure)
 from .mk_solver import MKSolution, brute_force_mk, solve_mk, t_p
 from .paths import (IntervalSet, SteppedPath, compress, cost_li, cost_plain,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .costs import A1I, A1III, A2I, CostFunction
 from .errors import HypothesisNotDeclared
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, pairwise_distances
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,9 @@ class GridFunction:
         return {"points": self.points.tolist(), "values": self.values.tolist()}
 
 
-def _candidates(f: GridFunction, cost: CostFunction, x) -> np.ndarray:
-    """cost(|y - x|) + f(y) at every grid point y."""
-    dists = np.linalg.norm(f.points - x[None, :], axis=1)
-    return np.atleast_1d(cost.eval(dists)) + f.values
+def _candidates(f: GridFunction, cost: CostFunction, points) -> np.ndarray:
+    """cost(|y - x|) + f(y), a row per point x and a column per grid point y."""
+    return cost.eval(pairwise_distances(points, f.points)) + f.values
 
 
 def inf_conv(f: GridFunction, cost: CostFunction, query_points) -> list[float]:
@@ -64,7 +63,7 @@ def inf_conv(f: GridFunction, cost: CostFunction, query_points) -> list[float]:
     queries = np.asarray(query_points, dtype=float)
     if queries.ndim == 1:
         queries = queries[:, None]
-    return [float(np.min(_candidates(f, cost, x))) for x in queries]
+    return _candidates(f, cost, queries).min(axis=1).tolist()
 
 
 @dataclass(frozen=True)
@@ -93,13 +92,10 @@ def verify_control_identity(m0: DiscreteMeasure, f: GridFunction,
     if missing:
         raise HypothesisNotDeclared(
             f"cost {cost.name} lacks declared flags {sorted(missing)}")
-    per_atom = []
-    selected = []
-    for k, x in enumerate(m0.points):
-        candidates = _candidates(f, cost, x)
-        j = int(np.argmin(candidates))
-        per_atom.append(float(candidates[j]))
-        selected.append((k, j))
+    candidates = _candidates(f, cost, m0.points)
+    best = candidates.argmin(axis=1)
+    per_atom = candidates[np.arange(len(best)), best]
+    selected = [(k, int(j)) for k, j in enumerate(best)]
     # both sides reduce through the same dot product so that the atomwise
     # selection and the infimal convolution agree bit for bit
     lhs = float(np.dot(m0.weights, per_atom))

@@ -21,7 +21,7 @@ from .costs import CostFunction, power_cost
 from .errors import (BoundViolated, Infeasible, InfeasibleBound, MissingBound,
                      NoFeasiblePath)
 from .measures import (WEIGHT_SUM_TOL, Coupling, DiscreteMeasure,
-                       pairwise_distances, validate_measure)
+                       make_coupling, pairwise_distances, validate_measure)
 from .mk_solver import MKSolution, solve_mk
 from .paths import (IntervalSet, SteppedPath, cost_li, cost_plain,
                     stop_and_go, sup_norm)
@@ -157,8 +157,8 @@ def induced_triple(e: TransportEnsemble) -> BoundedCouplingTriple:
         if (i, j) in bounds and bounds[(i, j)] != m.bound:
             raise MissingBound("conflicting bounds on one endpoint cell")
         bounds[(i, j)] = float(m.bound)
-    coupling = Coupling(source=src, target=tgt, plan=plan)
-    return BoundedCouplingTriple(coupling=coupling, bound_assignment=bounds)
+    return BoundedCouplingTriple(coupling=make_coupling(src, tgt, plan),
+                                 bound_assignment=bounds)
 
 
 def build_opt_tilde(sol: MKSolution,
@@ -186,14 +186,12 @@ def build_opt_bounded(t: BoundedCouplingTriple) -> TransportEnsemble:
     members = []
     c = t.coupling
     for i, j, mass in c.cells():
-        x = c.source.points[i]
-        y = c.target.points[j]
         disp = c.displacement(i, j)
         m_ij = float(t.bound_assignment[(i, j)])
-        if disp == 0.0 or m_ij == 0.0:
-            path = stop_and_go(x, x, IntervalSet(((0.0, 1.0),)))
-        else:
-            path = stop_and_go(x, y, IntervalSet(((0.0, min(1.0, disp / m_ij)),)))
+        # stop_and_go rests when x = y whatever the set; M = 0 admits no other
+        moving = min(1.0, disp / m_ij) if disp > 0.0 else 1.0
+        path = stop_and_go(c.source.points[i], c.target.points[j],
+                           IntervalSet(((0.0, moving),)))
         members.append(EnsembleMember(weight=mass, path=path, bound=m_ij))
     return TransportEnsemble(tuple(members))
 

@@ -23,7 +23,7 @@ from .ensembles import (BoundedCouplingTriple, EnsembleMember,
                         eval_bounded, eval_tilde, eval_tv, induced_triple,
                         oracle_min_path, solve_bounded)
 from .errors import AssumptionRefused, ConfigInvalid, UnknownKind
-from .measures import Coupling, DiscreteMeasure, random_measure
+from .measures import DiscreteMeasure, make_coupling, random_measure
 from .mk_solver import solve_mk, t_p
 from .paths import (SteppedPath, compress, cost_li, cost_plain, detour_path,
                     fast_path, linear_path, n1, n2, random_interval_set,
@@ -116,8 +116,7 @@ def _rand_bounded_triple(rng, n_atoms: int, dim: int) -> BoundedCouplingTriple:
     cell."""
     m0 = _rand_measure(rng, n_atoms, dim)
     m1 = _rand_measure(rng, n_atoms, dim)
-    plan = np.outer(m0.weights, m1.weights)
-    coupling = Coupling(source=m0, target=m1, plan=plan)
+    coupling = make_coupling(m0, m1, np.outer(m0.weights, m1.weights))
     levels = np.sort(rng.uniform(0.5, 2.0, size=3))
     bounds = {}
     for i, j, _ in coupling.cells():

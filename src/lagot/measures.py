@@ -147,15 +147,6 @@ def make_coupling(source: DiscreteMeasure, target: DiscreteMeasure,
     return Coupling(source=source, target=target, plan=plan)
 
 
-def marginals(c: Coupling) -> tuple[DiscreteMeasure, DiscreteMeasure]:
-    """Reconstruct the two marginal measures from the plan itself."""
-    row = c.plan.sum(axis=1)
-    col = c.plan.sum(axis=0)
-    src = validate_measure(zip(c.source.points, row), c.source.dim)
-    tgt = validate_measure(zip(c.target.points, col), c.target.dim)
-    return src, tgt
-
-
 def random_measure(seed, n_atoms: int, dim: int,
                    box_radius: float) -> DiscreteMeasure:
     """Seeded random measure: points uniform in the centered box, weights

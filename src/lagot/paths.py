@@ -224,10 +224,7 @@ def stop_and_go(x, y, A: IntervalSet) -> SteppedPath:
 
 def linear_path(x, y) -> SteppedPath:
     """Constant-velocity path from x to y on [0,1]."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    return SteppedPath(start=x, horizon=1.0, durations=np.array([1.0]),
-                       velocities=(y - x)[None, :])
+    return stop_and_go(x, y, IntervalSet(((0.0, 1.0),)))
 
 
 def fast_path(x, y, n: int) -> SteppedPath:
@@ -238,15 +235,7 @@ def fast_path(x, y, n: int) -> SteppedPath:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if n == 1:
-        return linear_path(x, y)
-    v = n * (y - x)
-    zero = np.zeros_like(v)
-    return SteppedPath(start=x, horizon=1.0,
-                       durations=np.array([1.0 / n, 1.0 - 1.0 / n]),
-                       velocities=np.stack([v, zero]))
+    return stop_and_go(x, y, IntervalSet(((0.0, 1.0 / n),)))
 
 
 def detour_path(x0, x1) -> SteppedPath:

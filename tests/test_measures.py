@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lagot.errors import DimensionMismatch, EmptyMeasure, WeightSumMismatch
-from lagot.measures import (DiscreteMeasure, make_coupling, marginals,
+from lagot.measures import (DiscreteMeasure, make_coupling,
                             pairwise_distances, random_measure,
                             validate_measure)
 
@@ -57,26 +57,6 @@ def test_validate_idempotent():
     again = validate_measure(zip(m.points, m.weights), 2)
     assert np.array_equal(m.points, again.points)
     assert np.array_equal(m.weights, again.weights)
-
-
-def test_marginals_identity_plan():
-    m = validate_measure([((0.0,), 0.5), ((1.0,), 0.5)], 1)
-    c = make_coupling(m, m, np.diag([0.5, 0.5]))
-    src, tgt = marginals(c)
-    assert np.allclose(src.weights, [0.5, 0.5])
-    assert np.allclose(tgt.points, m.points)
-
-
-def test_marginals_split_and_product():
-    m0 = validate_measure([((0.0,), 0.5), ((1.0,), 0.5)], 1)
-    m1 = validate_measure([((2.0,), 1.0)], 1)
-    src, tgt = marginals(make_coupling(m0, m1, [[0.5], [0.5]]))
-    assert np.allclose(src.weights, m0.weights)
-    assert tgt.n_atoms == 1 and tgt.weights[0] == pytest.approx(1.0)
-    product = np.outer(m0.weights, m0.weights)
-    src, tgt = marginals(make_coupling(m0, m0, product))
-    assert np.allclose(src.weights, m0.weights, atol=1e-10)
-    assert np.allclose(tgt.weights, m0.weights, atol=1e-10)
 
 
 def test_bad_plan_rejected():
