@@ -109,7 +109,8 @@ def _transportation_simplex(supply, demand, cost, scale):
 
     Returns (flow, basis).  Deterministic: Bland smallest-index entering
     and leaving rules.  Reduced costs above -_RC_TOL * scale count as
-    nonnegative; ``scale`` comes from the real arc costs, never big-M.
+    nonnegative; ``scale`` is the largest |cost| of an allowed arc, never
+    big-M.
     """
     n, m = cost.shape
     flow, basis = _northwest_corner(np.asarray(supply, float),
@@ -155,18 +156,16 @@ def solve_mk(m0: DiscreteMeasure, m1: DiscreteMeasure, cost: CostFunction,
     if m0.dim != m1.dim:
         raise DimensionMismatch(f"dim {m0.dim} vs {m1.dim}")
     c = _cost_matrix(m0, m1, cost)
-    if forbidden_arcs is None:
-        work = c
-        mask = None
-    else:
-        mask = np.array([[bool(forbidden_arcs(i, j)) for j in range(m1.n_atoms)]
-                         for i in range(m0.n_atoms)])
-        big_m = (m0.n_atoms + m1.n_atoms + 1) * (1.0 + float(np.max(c))) * 1e3
-        work = np.where(mask, big_m, c)
-    flow, _ = _transportation_simplex(m0.weights, m1.weights, work,
-                                      1.0 + float(np.max(np.abs(c))))
+    mask = np.zeros(c.shape, bool) if forbidden_arcs is None else np.array(
+        [[bool(forbidden_arcs(i, j)) for j in range(m1.n_atoms)]
+         for i in range(m0.n_atoms)])
+    # tolerance and big-M both scale with the allowed arcs, so scaling every
+    # point scales the optimum and leaves the pivots alone
+    scale = float(np.max(np.abs(c[~mask]), initial=0.0)) or 1.0
+    work = np.where(mask, (m0.n_atoms + m1.n_atoms + 1) * scale * 1e3, c)
+    flow, _ = _transportation_simplex(m0.weights, m1.weights, work, scale)
     flow = np.where(flow < 0, 0.0, flow)
-    if mask is not None and float(flow[mask].sum()) > _FORBIDDEN_FLOW_TOL:
+    if float(flow[mask].sum()) > _FORBIDDEN_FLOW_TOL:
         raise Infeasible("no feasible plan avoids the forbidden arcs")
     value = float((flow * c).sum())
     return MKSolution(value=value, plan=make_coupling(m0, m1, flow),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lagot.costs import CostFunction, builtin, power_cost
+from lagot.ensembles import solve_bounded
 from lagot.errors import (DimensionMismatch, Infeasible, TooLarge,
                           UnequalWeights)
 from lagot.measures import random_measure, validate_measure
@@ -122,6 +123,34 @@ def test_scaling_invariance():
     c = np.sqrt(np.linalg.norm(diff, axis=2))
     assert float((scaled.plan.plan * c).sum()) == pytest.approx(base.value,
                                                                 abs=1e-10)
+
+
+def _capped(m0, m1, cost):
+    """solve_bounded's value at 0.8 x the diameter, or None if infeasible."""
+    try:
+        return solve_bounded(m0, m1, cost, 0.8 * m0.diameter_to(m1))[0]
+    except Infeasible:
+        return None
+
+
+@pytest.mark.parametrize("lam", [1e-12, 1e-11, 1e-9, 1e6, 1e12])
+@pytest.mark.parametrize("p", [1.0, 0.5])
+def test_values_scale_with_the_points(p, lam):
+    """Scaling every point by lam scales the power:p values by lam**p,
+    uncapped and capped, and a cap is infeasible at both scales or at
+    neither: no tolerance of the simplex is absolute."""
+    cost = power_cost(p)
+    for seed in range(10):
+        m0 = random_measure(2 * seed, 6, 2, 2.0)
+        m1 = random_measure(2 * seed + 1, 6, 2, 2.0)
+        a, b = (validate_measure(zip(m.points * lam, m.weights), 2)
+                for m in (m0, m1))
+        assert solve_mk(a, b, cost).value == pytest.approx(
+            lam ** p * solve_mk(m0, m1, cost).value, rel=1e-12, abs=0.0)
+        got, want = _capped(a, b, cost), _capped(m0, m1, cost)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got == pytest.approx(lam ** p * want, rel=1e-12, abs=0.0)
 
 
 def test_deterministic():
