@@ -18,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .costs import CostFunction, power_cost
-from .errors import (BoundViolated, Infeasible, InfeasibleBound, MissingBound,
-                     NoFeasiblePath)
+from .errors import (BoundViolated, DimensionMismatch, Infeasible,
+                     InfeasibleBound, MissingBound, NoFeasiblePath)
 from .measures import (WEIGHT_SUM_TOL, Coupling, DiscreteMeasure,
                        make_coupling, pairwise_distances, validate_measure)
 from .mk_solver import MKSolution, solve_mk
@@ -58,6 +58,9 @@ class TransportEnsemble:
         for m in members:
             if m.weight <= 0:
                 raise ValueError("member weights must be positive")
+            if m.path.dim != members[0].path.dim:
+                raise DimensionMismatch(
+                    f"member paths of dim {members[0].path.dim} vs {m.path.dim}")
             if m.bound is None:
                 continue
             if not np.isfinite(m.bound):
@@ -227,6 +230,8 @@ def oracle_min_path(x, y, cost: CostFunction, objective: str, K: int,
         raise ValueError("speed grid limited to 6 values")
     if not np.all(np.asarray(grid) >= 0):  # also fails on NaN
         raise ValueError("speed grid values are magnitudes, >= 0")
+    if np.shape(x) != np.shape(y):
+        raise DimensionMismatch(f"dim {np.size(x)} vs {np.size(y)}")
     delta = float(np.linalg.norm(np.subtract(y, x, dtype=float)))
     if not np.isfinite(delta):
         raise ValueError(f"the displacement |y - x| = {delta} is not finite")

@@ -19,7 +19,10 @@ PLAN_MARGIN_TOL = 1e-10
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(n, m) matrix of |a_i - b_j|; every distance between supports is
-    read from here, so a cap equal to the diameter admits the longest arc."""
+    read from here, so a cap equal to the diameter admits the longest arc.
+    Points of two dimensions raise DimensionMismatch."""
+    if a.shape[1] != b.shape[1]:
+        raise DimensionMismatch(f"dim {a.shape[1]} vs {b.shape[1]}")
     return np.linalg.norm(a[:, None] - b[None], axis=2)
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .costs import CostFunction, power_cost
-from .errors import DimensionMismatch, Infeasible, TooLarge, UnequalWeights
+from .errors import Infeasible, TooLarge, UnequalWeights
 from .measures import (Coupling, DiscreteMeasure, make_coupling,
                        pairwise_distances)
 
@@ -153,8 +153,6 @@ def solve_mk(m0: DiscreteMeasure, m1: DiscreteMeasure, cost: CostFunction,
     ``forbidden_arcs(i, j)`` excludes arcs; Infeasible is raised when no
     plan avoids them.
     """
-    if m0.dim != m1.dim:
-        raise DimensionMismatch(f"dim {m0.dim} vs {m1.dim}")
     c = _cost_matrix(m0, m1, cost)
     mask = np.zeros(c.shape, bool) if forbidden_arcs is None else np.array(
         [[bool(forbidden_arcs(i, j)) for j in range(m1.n_atoms)]

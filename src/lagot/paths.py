@@ -17,7 +17,7 @@ import numpy as np
 
 from .costs import CostFunction
 from .errors import (BadHorizon, CoincidentPoints, DegenerateSet,
-                     DimensionTooSmall)
+                     DimensionMismatch, DimensionTooSmall)
 
 DURATION_TOL = 1e-12
 
@@ -52,6 +52,9 @@ class SteppedPath:
                 <= DURATION_TOL * max(1.0, self.horizon) < np.inf):
             raise BadHorizon(
                 f"durations sum to {durations.sum()}, horizon {self.horizon}")
+        if velocities.shape[1] != len(start):
+            raise DimensionMismatch(f"velocities of dim {velocities.shape[1]} "
+                                    f"vs a start of dim {len(start)}")
         for arr in (start, durations, velocities):
             arr.setflags(write=False)
         object.__setattr__(self, "start", start)

@@ -414,6 +414,7 @@ def test_cli_cor2_8_passes_at_defaults(cost, tmp_path):
 
 NAN = float("nan")
 GOOD = {"dim": 1, "atoms": [{"x": [0.0], "w": 0.5}, {"x": [3.0], "w": 0.5}]}
+GOOD_2D = {"dim": 2, "atoms": [{"x": [0.0, 0.0], "w": 1.0}]}
 SOLVE = ["solve-mk", "--p0", "p0.json", "--p1", "good.json",
          "--cost", "power:0.5"]
 VERIFY_CFG = ["verify", "--config", "cfg.json"]
@@ -550,6 +551,34 @@ BAD_INPUTS = {
     "report without trials": (
         {"rep.json": {"config": {}, "summary": {}}},
         ["plot", "--report", "rep.json", "--kind", "cor2_8"], "rep.json"),
+    "oracle with endpoints of two dimensions": (
+        {}, ["oracle", "--x", "0", "--y", "1,2", "--cost", "power:0.5"],
+        "dim 1 vs 2"),
+    "grid function of another dimension than the measure": (
+        {"p0.json": GOOD_2D, "f.json": {"points": [[0.0], [1.0]],
+                                        "values": [0.0, 1.0]}},
+        ["dual", "--f", "f.json", "--p0", "p0.json", "--cost", "power:0.5"],
+        "dim 2 vs 1"),
+    "query grid of another dimension than the grid function": (
+        {"f.json": {"points": [[0.0], [1.0]], "values": [0.0, 1.0]},
+         "g.json": [[0.0, 1.0]]}, DUAL + ["--grid", "g.json"], "dim 2 vs 1"),
+    "ensemble whose members differ in dimension": (
+        {"e.json": {"members": [
+            {"weight": 0.5, "path": {"start": [0.0],
+                                     "pieces": [{"dt": 1.0, "v": [0.5]}]}},
+            {"weight": 0.5, "path": {"start": [0.0, 0.0], "pieces": [
+                {"dt": 1.0, "v": [0.5, 0.5]}]}}]}},
+        _eval("L1"), "member paths of dim 1 vs 2"),
+    "path whose velocity is longer than its start": (
+        {"e.json": {"members": [{"weight": 1.0, "path": {
+            "start": [0.0], "pieces": [{"dt": 1.0, "v": [0.5, 0.5]}]}}]}},
+        _eval("L1"), "velocities of dim 2 vs a start of dim 1"),
+    "bounded build between measures of two dimensions": (
+        {"p0.json": GOOD_2D, "p1.json": {"dim": 3, "atoms": [
+            {"x": [0.0, 0.0, 1.0], "w": 1.0}]}},
+        ["build-optimal", "--theorem", "2.6", "--p0", "p0.json",
+         "--p1", "p1.json", "--cost", "power:0.5", "--bound", "2"],
+        "dim 2 vs 3"),
 }
 
 
