@@ -40,6 +40,8 @@ def _load(path: str, parse):
         return parse(_load_json(path))
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise ConfigInvalid(f"{path}: malformed input ({exc!r})") from exc
+    except ConfigInvalid as exc:
+        raise ConfigInvalid(f"{path}: {exc}") from exc
 
 
 def _emit(payload: str, out: str | None) -> None:

@@ -95,7 +95,8 @@ def builtin(name: str, params: Optional[list] = None) -> CostFunction:
         if params:
             raise BadParam("quadratic takes no parameters")
         return quadratic_cost()
-    raise UnknownCost(name)
+    raise UnknownCost(f"unknown cost {name!r}; the builtins are power, "
+                      "remark_iii, affine_exp, linear and quadratic")
 
 
 def power_cost(p: float, restrict: bool = False) -> CostFunction:

@@ -22,7 +22,7 @@ from .ensembles import (BoundedCouplingTriple, EnsembleMember,
                         TransportEnsemble, build_opt_bounded, build_opt_tilde,
                         eval_bounded, eval_tilde, eval_tv, induced_triple,
                         oracle_min_path, solve_bounded)
-from .errors import AssumptionRefused, ConfigInvalid, UnknownKind
+from .errors import AssumptionRefused, ConfigInvalid, LagotError, UnknownKind
 from .measures import DiscreteMeasure, make_coupling, random_measure
 from .mk_solver import solve_mk, t_p
 from .paths import (SteppedPath, compress, cost_li, cost_plain, detour_path,
@@ -53,6 +53,18 @@ class VerifyConfig:
     def __post_init__(self):
         if self.theorem not in THEOREMS:
             raise ConfigInvalid(f"unknown theorem {self.theorem!r}")
+        for name in ("seed", "trials", "n_atoms", "dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
+        spec = self.cost_spec
+        if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)):
+            raise ConfigInvalid(
+                f'cost must be {{"name": ..., "params": [...]}}, got {spec!r}')
+        try:
+            costmod.from_spec(spec)
+        except (LagotError, TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"cost {spec!r}: {exc}") from exc
         if self.trials < 1:
             raise ConfigInvalid("trials must be >= 1")
         if self.n_atoms < 1 or self.dim < 1:

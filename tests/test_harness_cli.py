@@ -54,6 +54,16 @@ def test_config_validation():
     for field in ("n_atoms", "dim"):
         with pytest.raises(ConfigInvalid):
             VerifyConfig(theorem="thm2_1", **{field: 0})
+    # integer fields refuse floats, bools and strings; the cost must be a
+    # spec that from_spec accepts
+    for bad in ({"seed": True}, {"trials": 2.0}, {"n_atoms": "3"},
+                {"dim": False}, {"cost_spec": "power:0.5"},
+                {"cost_spec": {"params": [0.5]}}, {"cost_spec": {"name": 1}},
+                {"cost_spec": {"name": "sqrt"}},
+                {"cost_spec": {"name": "power", "params": [None]}},
+                {"cost_spec": {"name": "power", "params": 5}}):
+        with pytest.raises(ConfigInvalid):
+            VerifyConfig(theorem="thm2_1", **bad)
 
 
 def test_emit_plot_data():
@@ -551,6 +561,25 @@ BAD_INPUTS = {
     "report without trials": (
         {"rep.json": {"config": {}, "summary": {}}},
         ["plot", "--report", "rep.json", "--kind", "cor2_8"], "rep.json"),
+    "config with a string cost": (
+        {"cfg.json": {"theorem": "thm2_1", "cost": "power:0.5"}}, VERIFY_CFG,
+        'cfg.json: cost must be {"name": ..., "params": [...]}'),
+    "config with a nameless cost": (
+        {"cfg.json": {"theorem": "thm2_1", "cost": {"params": [0.5]}}},
+        VERIFY_CFG, "cfg.json: cost must be"),
+    "config with a fractional atom count": (
+        {"cfg.json": {"theorem": "thm2_1", "n_atoms": 2.5}}, VERIFY_CFG,
+        "cfg.json: n_atoms must be an integer, got 2.5"),
+    "config with a boolean trial count": (
+        {"cfg.json": {"theorem": "thm2_1", "trials": True}}, VERIFY_CFG,
+        "cfg.json: trials must be an integer, got True"),
+    "unknown cost": (
+        {}, ["oracle", "--x", "0", "--y", "1", "--cost", "sqrt"],
+        "unknown cost 'sqrt'; the builtins are power, remark_iii, "
+        "affine_exp, linear and quadratic"),
+    "cost without a name": (
+        {}, ["oracle", "--x", "0", "--y", "1", "--cost", ":"],
+        "unknown cost ''"),
     "oracle with endpoints of two dimensions": (
         {}, ["oracle", "--x", "0", "--y", "1,2", "--cost", "power:0.5"],
         "dim 1 vs 2"),
