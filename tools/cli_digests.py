@@ -9,7 +9,8 @@ leaves state behind for the next.  It covers all seven subcommands: the
 capped pipeline (build-optimal --theorem 2.6, eval --objective plain on
 the ``ensemble`` of its output, solve-mk --max-arc-length) at 0.6, 1.0 and
 1.5 x the diameter and at one infeasible cap, invalid input and usage
-errors.  Each line is ``name digest``, where the digest is taken over the
+errors, and, last, refusals of mismatched dimensions, of a config whose
+cost is a string and of an unknown cost.  Each line is ``name digest``, where the digest is taken over the
 exit code, stdout, stderr and the ``--out`` file (null when none was
 written), with the directory's path replaced by ``<dir>``.  For a usage
 error (a call named ``usage-*``) stderr is cut after the message's first
@@ -155,6 +156,14 @@ def calls(d: Path):
                                ens21, "--cost", COST]
     yield "usage-unread-seed", ["solve-mk", *pair, "--seed", "1"]
     yield "solve-mk-after-errors", ["solve-mk", *pair]
+
+    yield "oracle-dim-mismatch", ["oracle", "--x", "0", "--y", "1,2",
+                                  "--cost", COST]
+    f1 = _write(d, "f1.json", {"points": [[0.0], [1.0]], "values": [0.0, 0.5]})
+    yield "dual-dim-mismatch", ["dual", "--f", f1, "--p0", p0, "--cost", COST]
+    cfg = _write(d, "cfg.json", {"theorem": "thm2_1", "cost": COST})
+    yield "verify-string-cost-config", ["verify", "--config", cfg]
+    yield "unknown-cost", ["oracle", *point, "--cost", "sqrt"]
 
 
 def digests():
