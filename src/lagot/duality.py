@@ -54,7 +54,7 @@ class GridFunction:
 
 
 def _candidates(f: GridFunction, cost: CostFunction, points) -> np.ndarray:
-    """cost(|y - x|) + f(y), a row per point x and a column per grid point y."""
+    """cost(|y - x|) + f(y): a row per point x, a column per grid point y."""
     return cost.eval(pairwise_distances(points, f.points)) + f.values
 
 

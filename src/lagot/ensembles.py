@@ -60,7 +60,8 @@ class TransportEnsemble:
                 raise ValueError("member weights must be positive")
             if m.path.dim != members[0].path.dim:
                 raise DimensionMismatch(
-                    f"member paths of dim {members[0].path.dim} vs {m.path.dim}")
+                    f"member paths of dim {members[0].path.dim} vs "
+                    f"{m.path.dim}")
             if m.bound is None:
                 continue
             if not np.isfinite(m.bound):

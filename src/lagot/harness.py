@@ -56,7 +56,8 @@ class VerifyConfig:
         for name in ("seed", "trials", "n_atoms", "dim"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
+                raise ConfigInvalid(
+                    f"{name} must be an integer, got {value!r}")
         spec = self.cost_spec
         if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)):
             raise ConfigInvalid(
@@ -69,8 +70,11 @@ class VerifyConfig:
             raise ConfigInvalid("trials must be >= 1")
         if self.n_atoms < 1 or self.dim < 1:
             raise ConfigInvalid("n_atoms and dim must be >= 1")
-        if not 0 < self.tolerance < np.inf:
-            raise ConfigInvalid("tolerance must be positive and finite")
+        tol = self.tolerance
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or \
+                not 0 < tol < np.inf:
+            raise ConfigInvalid(
+                f"tolerance must be positive and finite, got {tol!r}")
 
     def to_json(self) -> dict:
         return {"theorem": self.theorem, "seed": self.seed,

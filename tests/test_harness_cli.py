@@ -57,7 +57,8 @@ def test_config_validation():
     # integer fields refuse floats, bools and strings; the cost must be a
     # spec that from_spec accepts
     for bad in ({"seed": True}, {"trials": 2.0}, {"n_atoms": "3"},
-                {"dim": False}, {"cost_spec": "power:0.5"},
+                {"dim": False}, {"tolerance": True}, {"tolerance": "1e-9"},
+                {"cost_spec": "power:0.5"},
                 {"cost_spec": {"params": [0.5]}}, {"cost_spec": {"name": 1}},
                 {"cost_spec": {"name": "sqrt"}},
                 {"cost_spec": {"name": "power", "params": [None]}},
@@ -570,6 +571,9 @@ BAD_INPUTS = {
     "config with a fractional atom count": (
         {"cfg.json": {"theorem": "thm2_1", "n_atoms": 2.5}}, VERIFY_CFG,
         "cfg.json: n_atoms must be an integer, got 2.5"),
+    "config with a boolean tolerance": (
+        {"cfg.json": {"theorem": "thm2_1", "tolerance": True}}, VERIFY_CFG,
+        "cfg.json: tolerance must be positive and finite, got True"),
     "config with a boolean trial count": (
         {"cfg.json": {"theorem": "thm2_1", "trials": True}}, VERIFY_CFG,
         "cfg.json: trials must be an integer, got True"),

@@ -10,14 +10,14 @@ capped pipeline (build-optimal --theorem 2.6, eval --objective plain on
 the ``ensemble`` of its output, solve-mk --max-arc-length) at 0.6, 1.0 and
 1.5 x the diameter and at one infeasible cap, invalid input and usage
 errors, and, last, refusals of mismatched dimensions, of a config whose
-cost is a string and of an unknown cost.  Each line is ``name digest``, where the digest is taken over the
-exit code, stdout, stderr and the ``--out`` file (null when none was
-written), with the directory's path replaced by ``<dir>``.  For a usage
-error (a call named ``usage-*``) stderr is cut after the message's first
-phrase, ``lagot eval: error: argument --objective``: argparse words the
-rest, choice lists included, differently from one Python release to the
-next.  Run it in two checkouts and ``diff`` the outputs: identical files
-mean identical calls.
+cost is a string and of an unknown cost.  Each line is ``name digest``,
+where the digest is taken over the exit code, stdout, stderr and the
+``--out`` file (null when none was written), with the directory's path
+replaced by ``<dir>``.  For a usage error (a call named ``usage-*``)
+stderr is cut after the message's first phrase, ``lagot eval: error:
+argument --objective``: argparse words the rest, choice lists included,
+differently from one Python release to the next.  Run it in two
+checkouts and ``diff`` the outputs: identical files mean identical calls.
 """
 
 import contextlib
