@@ -61,8 +61,8 @@ def _candidates(f: GridFunction, cost: CostFunction, points) -> np.ndarray:
 def inf_conv(f: GridFunction, cost: CostFunction, query_points) -> list[float]:
     """f^c at each query point: min over the grid of cost(|y-x|) + f(y)."""
     queries = np.asarray(query_points, dtype=float)
-    if queries.ndim == 1:
-        queries = queries[:, None]
+    if queries.ndim == 1:  # 1-D points; an empty list fits any grid
+        queries = queries.reshape(-1, 1 if queries.size else f.points.shape[1])
     return _candidates(f, cost, queries).min(axis=1).tolist()
 
 

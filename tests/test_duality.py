@@ -5,7 +5,7 @@ import pytest
 
 from lagot.costs import builtin, quadratic_cost
 from lagot.duality import GridFunction, inf_conv, verify_control_identity
-from lagot.errors import HypothesisNotDeclared
+from lagot.errors import DimensionMismatch, HypothesisNotDeclared
 from lagot.measures import validate_measure
 
 SQRT = builtin("power", [0.5])
@@ -79,3 +79,13 @@ def test_hypothesis_gate():
         verify_control_identity(m0, f, quadratic_cost(), 1)
     with pytest.raises(HypothesisNotDeclared):
         verify_control_identity(m0, f, builtin("remark_iii"), 2)
+
+
+def test_query_points_of_the_grid_dimension_only():
+    f = GridFunction(points=[[0.0, 0.0], [1.0, 1.0]], values=[0.0, 1.0])
+    assert inf_conv(f, SQRT, []) == []
+    with pytest.raises(DimensionMismatch):
+        inf_conv(f, SQRT, [0.5, 1.0])  # two 1-D points
+    with pytest.raises(DimensionMismatch):
+        verify_control_identity(validate_measure([((0.5,), 1.0)], 1), f,
+                                SQRT, 1)
