@@ -151,12 +151,18 @@ def _unit_scaled(velocities: np.ndarray) -> np.ndarray:
 
 
 def n1(p: SteppedPath) -> float:
-    """horizon * sup-speed / |displacement|, or 1 for zero displacement."""
+    """horizon * sup-speed / |displacement|, or 1 for a closed path.
+
+    The path counts as closed when its displacement is within k * 2**-53
+    times its length, the rounding bound of the k-piece sum: below that the
+    computed displacement is rounding noise, and dividing by it would turn
+    an exact zero into a quotient near 1e16."""
     v = _unit_scaled(p.velocities)
+    speeds = np.linalg.norm(v, axis=1)
     disp = float(np.linalg.norm(p.durations @ v))
-    if disp == 0.0:
+    if disp <= len(speeds) * 2.0 ** -53 * float(p.durations @ speeds):
         return 1.0
-    return p.horizon * float(np.linalg.norm(v, axis=1).max()) / disp
+    return p.horizon * float(speeds.max()) / disp
 
 
 def n2(p: SteppedPath) -> float:

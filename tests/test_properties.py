@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lagot.costs import builtin, power_cost
@@ -79,8 +79,29 @@ def test_compress_stretch_roundtrip(p, T):
     assert np.allclose(q.velocities, p.velocities, rtol=1e-15, atol=1e-18)
 
 
+# a closed path whose displacement after the stretch rounds to -1.4e-17
+CLOSED = SteppedPath(start=np.zeros(1), horizon=1.0,
+                     durations=np.array([0.75, 0.25]),
+                     velocities=np.array([[-1.0 / 3.0], [1.0]]))
+
+
 @given(stepped_paths(), st.floats(1.5, 8.0))
+@example(CLOSED, 1.5)
 def test_stretch_preserves_n_functionals(p, T):
     s = stretch(p, T)
     assert n1(s) == pytest.approx(n1(p), rel=1e-12)
     assert n2(s) == pytest.approx(n2(p), rel=1e-12)
+
+
+def test_n1_of_a_closed_path_is_one():
+    assert float(stretch(CLOSED, 1.5).displacement[0]) != 0.0
+    assert n1(CLOSED) == n1(stretch(CLOSED, 1.5)) == 1.0
+
+
+def test_n1_keeps_a_displacement_of_1e_6_of_the_length():
+    # displacement 2**-20 exactly, length just under 1, sup-speed 1
+    p = SteppedPath(start=np.zeros(1), horizon=1.0,
+                    durations=np.array([0.5, 0.5]),
+                    velocities=np.array([[1.0], [-(1.0 - 2.0 ** -19)]]))
+    assert float(p.displacement[0]) == 2.0 ** -20
+    assert n1(p) == 2.0 ** 20
