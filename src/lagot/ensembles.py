@@ -95,6 +95,7 @@ class BoundedCouplingTriple:
     bound_assignment: dict  # (i, j) -> M
 
     def __post_init__(self):
+        dist = self.coupling.distances
         for i, j, mass in self.coupling.cells():
             if (i, j) not in self.bound_assignment:
                 raise MissingBound(f"cell ({i}, {j}) carries mass but no bound")
@@ -102,7 +103,7 @@ class BoundedCouplingTriple:
             if not np.isfinite(m_ij):
                 raise InfeasibleBound(
                     f"cell ({i}, {j}): bound {m_ij} is not finite")
-            if _exceeds(self.coupling.displacement(i, j), m_ij):
+            if _exceeds(dist[i, j], m_ij):
                 raise InfeasibleBound(
                     f"cell ({i}, {j}): displacement exceeds bound {m_ij}")
 
@@ -134,10 +135,11 @@ def eval_tv(t: BoundedCouplingTriple, cost: CostFunction) -> float:
     """Static bounded-transport value: mass * cost(M)/M * |x - y| over the
     cells with positive bound; M = 0 cells contribute nothing."""
     total = 0.0
+    dist = t.coupling.distances
     for i, j, mass in t.coupling.cells():
         m_ij = t.bound_assignment[(i, j)]
         if m_ij > 0:
-            total += mass * (cost.eval(m_ij) / m_ij) * t.coupling.displacement(i, j)
+            total += mass * (cost.eval(m_ij) / m_ij) * float(dist[i, j])
     return float(total)
 
 
@@ -190,7 +192,7 @@ def build_opt_bounded(t: BoundedCouplingTriple) -> TransportEnsemble:
     members = []
     c = t.coupling
     for i, j, mass in c.cells():
-        disp = c.displacement(i, j)
+        disp = float(c.distances[i, j])
         m_ij = float(t.bound_assignment[(i, j)])
         # stop_and_go rests when x = y whatever the set; M = 0 admits no other
         moving = min(1.0, disp / m_ij) if disp > 0.0 else 1.0
@@ -231,9 +233,8 @@ def oracle_min_path(x, y, cost: CostFunction, objective: str, K: int,
         raise ValueError("speed grid limited to 6 values")
     if not np.all(np.asarray(grid) >= 0):  # also fails on NaN
         raise ValueError("speed grid values are magnitudes, >= 0")
-    if np.shape(x) != np.shape(y):
-        raise DimensionMismatch(f"dim {np.size(x)} vs {np.size(y)}")
-    delta = float(np.linalg.norm(np.subtract(y, x, dtype=float)))
+    delta = float(pairwise_distances(np.atleast_2d(np.asarray(x, float)),
+                                     np.atleast_2d(np.asarray(y, float)))[0, 0])
     if not np.isfinite(delta):
         raise ValueError(f"the displacement |y - x| = {delta} is not finite")
     if cap is not None and np.isnan(cap):

@@ -23,7 +23,8 @@ from .ensembles import (BoundedCouplingTriple, EnsembleMember,
                         eval_bounded, eval_tilde, eval_tv, induced_triple,
                         oracle_min_path, solve_bounded)
 from .errors import AssumptionRefused, ConfigInvalid, LagotError, UnknownKind
-from .measures import DiscreteMeasure, make_coupling, random_measure
+from .measures import (DiscreteMeasure, make_coupling, pairwise_distances,
+                       random_measure)
 from .mk_solver import solve_mk, t_p
 from .paths import (SteppedPath, compress, cost_li, cost_plain, detour_path,
                     fast_path, linear_path, n1, n2, random_interval_set,
@@ -136,7 +137,7 @@ def _rand_bounded_triple(rng, n_atoms: int, dim: int) -> BoundedCouplingTriple:
     levels = np.sort(rng.uniform(0.5, 2.0, size=3))
     bounds = {}
     for i, j, _ in coupling.cells():
-        disp = coupling.displacement(i, j)
+        disp = float(coupling.distances[i, j])
         level = float(levels[int(rng.integers(0, 3))])
         bounds[(i, j)] = max(disp, level * (1.0 + disp))
     return BoundedCouplingTriple(coupling=coupling, bound_assignment=bounds)
@@ -171,15 +172,15 @@ def _sublinear(theorem: str, cost: CostFunction):
 # kind, bound) with kind a key of _HOLDS
 # ---------------------------------------------------------------------------
 
-def _oracle_margin(pairs, cost: CostFunction) -> float:
+def _oracle_margin(xs, ys, dist, cells, cost: CostFunction) -> float:
     """Worst gap of the grid path oracle over cost(|y - x|) across the
-    (x, y) pairs that move; 0 when none does."""
+    cells (i, j) whose xs[i] moves to a different ys[j]; 0 when none does.
+    ``dist`` is the kernel's matrix of |xs[i] - ys[j]|."""
     margin = np.inf
-    for x, y in pairs:
-        disp = float(np.linalg.norm(y - x))
-        if disp > 0.0:
-            o = oracle_min_path(x, y, cost, "L1", 4, ORACLE_GRID)
-            margin = min(margin, o - float(cost.eval(disp)))
+    for i, j in cells:
+        if dist[i, j] > 0.0:
+            o = oracle_min_path(xs[i], ys[j], cost, "L1", 4, ORACLE_GRID)
+            margin = min(margin, o - float(cost.eval(dist[i, j])))
     return float(margin) if np.isfinite(margin) else 0.0
 
 
@@ -192,8 +193,8 @@ def _suite_thm2_1(cfg, cost, rngs):
         ens = build_opt_tilde(sol, lambda i, j: random_interval_set(rng))
         v1 = eval_tilde(ens, cost, 1)
         oracle_margin = _oracle_margin(
-            ((m0.points[i], m1.points[j]) for i, j, _ in sol.plan.cells()),
-            cost)
+            m0.points, m1.points, sol.plan.distances,
+            ((i, j) for i, j, _ in sol.plan.cells()), cost)
         yield ([m0.to_json(), m1.to_json()],
                {"transport": sol.value, "modified_1": v1},
                [("equality", v1 - sol.value, "eq", cfg.tolerance),
@@ -256,7 +257,8 @@ def _suite_cor2_4(cfg, cost, rngs):
                          values=rng.uniform(0.0, 2.0, size=5))
         rep = verify_control_identity(m0, f, cost, 1)
         oracle_margin = _oracle_margin(
-            ((m0.points[k], f.points[j]) for k, j in rep.selected), cost)
+            m0.points, f.points, pairwise_distances(m0.points, f.points),
+            rep.selected, cost)
         yield ([m0.to_json(), f.to_json()],
                {"lhs": rep.lhs, "rhs": rep.rhs},
                [("equality", rep.margin, "eq", cfg.tolerance),

@@ -7,6 +7,7 @@ Everything here is immutable after construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,8 +121,11 @@ class Coupling:
         object.__setattr__(self, "plan", np.asarray(self.plan, dtype=float))
         self.plan.setflags(write=False)
 
-    def displacement(self, i: int, j: int) -> float:
-        return float(np.linalg.norm(self.target.points[j] - self.source.points[i]))
+    @functools.cached_property
+    def distances(self) -> np.ndarray:
+        """(n, m) matrix of |x_i - y_j| from the shared kernel, built on
+        first read."""
+        return pairwise_distances(self.source.points, self.target.points)
 
     def cells(self):
         """Yield (i, j, mass) for every cell with positive mass."""

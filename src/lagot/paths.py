@@ -18,6 +18,7 @@ import numpy as np
 from .costs import CostFunction
 from .errors import (BadHorizon, CoincidentPoints, DegenerateSet,
                      DimensionMismatch, DimensionTooSmall)
+from .measures import pairwise_distances
 
 DURATION_TOL = 1e-12
 
@@ -260,7 +261,7 @@ def detour_path(x0, x1) -> SteppedPath:
     if len(x0) < 2:
         raise DimensionTooSmall("the apex needs at least two dimensions")
     delta = x1 - x0
-    dist = float(np.linalg.norm(delta))
+    dist = float(pairwise_distances(x0[None], x1[None])[0, 0])
     if dist == 0.0:
         raise CoincidentPoints("detour needs distinct endpoints")
     big_c = 1.0 + dist / 2.0
