@@ -12,7 +12,7 @@ from .ensembles import (BoundedCouplingTriple, EnsembleMember,
 from .harness import Report, VerifyConfig, emit_plot_data, verify
 from .measures import (Coupling, DiscreteMeasure, make_coupling,
                        random_measure, validate_measure)
-from .mk_solver import MKSolution, brute_force_mk, solve_mk, t_p
+from .mk_solver import MKSolution, solve_mk, t_p
 from .paths import (IntervalSet, SteppedPath, compress, cost_li, cost_plain,
                     detour_path, fast_path, l1_norm, linear_path, n1, n2,
                     stop_and_go, stretch, sup_norm)

@@ -32,14 +32,6 @@ class Infeasible(LagotError):
     pass
 
 
-class TooLarge(LagotError):
-    pass
-
-
-class UnequalWeights(LagotError):
-    pass
-
-
 # paths
 class BadHorizon(LagotError):
     pass

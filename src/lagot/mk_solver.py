@@ -5,20 +5,18 @@ The transportation LP is solved in-repo by the classical transportation
 the leaving variable, which rules out cycling.  Each pivot walks the basis
 tree once, for the dual potentials and the entering cycle.  Forbidden arcs
 are priced with a big-M penalty and a positive flow on any of them at
-optimality means the constrained instance is infeasible.  A permutation
-brute-force oracle covers small equal-weight instances independently.
+optimality means the constrained instance is infeasible.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .costs import CostFunction, power_cost
-from .errors import Infeasible, TooLarge, UnequalWeights
+from .errors import Infeasible
 from .measures import (Coupling, DiscreteMeasure, make_coupling,
                        pairwise_distances)
 
@@ -30,7 +28,6 @@ _FORBIDDEN_FLOW_TOL = 1e-9
 class MKSolution:
     value: float
     plan: Coupling
-    method: str  # "lp" | "brute_force"
 
 
 def _cost_matrix(m0: DiscreteMeasure, m1: DiscreteMeasure,
@@ -166,40 +163,7 @@ def solve_mk(m0: DiscreteMeasure, m1: DiscreteMeasure, cost: CostFunction,
     if float(flow[mask].sum()) > _FORBIDDEN_FLOW_TOL:
         raise Infeasible("no feasible plan avoids the forbidden arcs")
     value = float((flow * c).sum())
-    return MKSolution(value=value, plan=make_coupling(m0, m1, flow),
-                      method="lp")
-
-
-def brute_force_mk(m0: DiscreteMeasure, m1: DiscreteMeasure,
-                   cost: CostFunction) -> MKSolution:
-    """Independent oracle: exact minimum over all permutation plans.
-
-    Only equal-weight instances with matching atom counts n <= 8 are
-    accepted; every permutation corresponds to a vertex of the Birkhoff
-    polytope, which is where the optimum of the LP lies.
-    """
-    n = m0.n_atoms
-    if n != m1.n_atoms:
-        raise UnequalWeights("both measures need the same number of atoms")
-    if n > 8:
-        raise TooLarge(f"brute force is limited to n <= 8, got {n}")
-    for w in (m0.weights, m1.weights):
-        if np.max(np.abs(w - 1.0 / n)) > 1e-12:
-            raise UnequalWeights("atoms must all carry weight 1/n")
-    c = _cost_matrix(m0, m1, cost)
-    best_value = np.inf
-    best_perm = None
-    for perm in itertools.permutations(range(n)):
-        value = sum(c[i, perm[i]] for i in range(n))
-        if value < best_value - 1e-15:
-            best_value = value
-            best_perm = perm
-    plan = np.zeros((n, n))
-    for i, j in enumerate(best_perm):
-        plan[i, j] = 1.0 / n
-    return MKSolution(value=float(best_value / n),
-                      plan=make_coupling(m0, m1, plan),
-                      method="brute_force")
+    return MKSolution(value=value, plan=make_coupling(m0, m1, flow))
 
 
 def t_p(m0: DiscreteMeasure, m1: DiscreteMeasure, p: float) -> float:

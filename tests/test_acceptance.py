@@ -16,9 +16,10 @@ from lagot.ensembles import (build_opt_bounded, build_opt_tilde, eval_bounded,
 from lagot.harness import (ORACLE_GRID, _rand_bounded_ensemble,
                            _rand_bounded_triple, _rand_measure, _rand_path)
 from lagot.measures import validate_measure
-from lagot.mk_solver import brute_force_mk, solve_mk, t_p
+from lagot.mk_solver import solve_mk, t_p
 from lagot.paths import (compress, cost_li, cost_plain, detour_path, n1, n2,
                          random_interval_set, stretch)
+from oracles import brute_force_mk
 
 SQRT = builtin("power", [0.5])
 POWERS = [builtin("power", [p]) for p in (0.3, 0.5, 0.9)]

@@ -3,11 +3,10 @@ import pytest
 
 from lagot.costs import CostFunction, builtin, power_cost
 from lagot.ensembles import solve_bounded
-from lagot.errors import (DimensionMismatch, Infeasible, TooLarge,
-                          UnequalWeights)
+from lagot.errors import DimensionMismatch, Infeasible
 from lagot.measures import random_measure, validate_measure
-from lagot.mk_solver import (_basis_tree, _tree_path, brute_force_mk,
-                             solve_mk, t_p)
+from lagot.mk_solver import _basis_tree, _tree_path, solve_mk, t_p
+from oracles import brute_force_mk
 
 
 def _uniform(points, dim=1):
@@ -64,17 +63,6 @@ def test_brute_force_examples():
     m0 = validate_measure([((0.0,), 0.5), ((3.0,), 0.5)], 1)
     m1 = validate_measure([((1.0,), 0.5), ((2.0,), 0.5)], 1)
     assert brute_force_mk(m0, m1, SQRT).value == pytest.approx(1.0)
-
-
-def test_brute_force_guards():
-    m9 = _uniform([(float(i),) for i in range(9)])
-    with pytest.raises(TooLarge):
-        brute_force_mk(m9, m9, SQRT)
-    with pytest.raises(UnequalWeights):
-        brute_force_mk(HALF, validate_measure([((0.0,), 1.0)], 1), SQRT)
-    uneven = validate_measure([((0.0,), 0.3), ((1.0,), 0.7)], 1)
-    with pytest.raises(UnequalWeights):
-        brute_force_mk(uneven, uneven, SQRT)
 
 
 def test_lp_matches_brute_force_random():
