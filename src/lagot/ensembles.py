@@ -235,8 +235,6 @@ def oracle_min_path(x, y, cost: CostFunction, objective: str, K: int,
         raise ValueError("speed grid values are magnitudes, >= 0")
     delta = float(pairwise_distances(np.atleast_2d(np.asarray(x, float)),
                                      np.atleast_2d(np.asarray(y, float)))[0, 0])
-    if not np.isfinite(delta):
-        raise ValueError(f"the displacement |y - x| = {delta} is not finite")
     if cap is not None and np.isnan(cap):
         raise ValueError("the speed cap must not be NaN")
     if delta == 0.0:

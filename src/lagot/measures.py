@@ -19,12 +19,17 @@ PLAN_MARGIN_TOL = 1e-10
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(n, m) matrix of |a_i - b_j|; every distance between supports is
+    """(n, m) matrix of |a_i - b_j|; every distance between two points is
     read from here, so a cap equal to the diameter admits the longest arc.
-    Points of two dimensions raise DimensionMismatch."""
+    Points of two dimensions raise DimensionMismatch; a distance that
+    overflows, or a non-finite point, raises ValueError."""
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatch(f"dim {a.shape[1]} vs {b.shape[1]}")
-    return np.linalg.norm(a[:, None] - b[None], axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = np.linalg.norm(a[:, None] - b[None], axis=2)
+    if not np.isfinite(dist).all():
+        raise ValueError("a distance between two points is not finite")
+    return dist
 
 
 @dataclass(frozen=True)

@@ -426,6 +426,8 @@ def test_cli_cor2_8_passes_at_defaults(cost, tmp_path):
 NAN = float("nan")
 GOOD = {"dim": 1, "atoms": [{"x": [0.0], "w": 0.5}, {"x": [3.0], "w": 0.5}]}
 GOOD_2D = {"dim": 2, "atoms": [{"x": [0.0, 0.0], "w": 1.0}]}
+HUGE = {"dim": 1, "atoms": [{"x": [1e308], "w": 0.5},
+                            {"x": [-1e308], "w": 0.5}]}
 SOLVE = ["solve-mk", "--p0", "p0.json", "--p1", "good.json",
          "--cost", "power:0.5"]
 VERIFY_CFG = ["verify", "--config", "cfg.json"]
@@ -612,6 +614,17 @@ BAD_INPUTS = {
         ["build-optimal", "--theorem", "2.6", "--p0", "p0.json",
          "--p1", "p1.json", "--cost", "power:0.5", "--bound", "2"],
         "dim 2 vs 3"),
+    "support at plus and minus 1e308": (
+        {"p0.json": HUGE}, SOLVE, "distance between two points is not finite"),
+    "oracle with an endpoint at 1e308": (
+        {}, ["oracle", "--x", "0", "--y", "1e308", "--cost", "power:0.5"],
+        "distance between two points is not finite"),
+    "triple whose source lies at plus and minus 1e308": (
+        {"t.json": {"source": HUGE, "target": GOOD,
+                    "plan": [[0.5, 0.0], [0.0, 0.5]],
+                    "bounds": [[0, 0, 1.0], [1, 1, 1.0]]}},
+        ["eval", "--objective", "TV", "--triple", "t.json",
+         "--cost", "power:0.5"], "distance between two points is not finite"),
 }
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from lagot.costs import builtin
+from lagot.ensembles import arcs_longer_than, oracle_min_path
 from lagot.errors import DimensionMismatch, EmptyMeasure, WeightSumMismatch
 from lagot.measures import (DiscreteMeasure, make_coupling,
                             pairwise_distances, random_measure,
@@ -50,6 +52,32 @@ def test_pairwise_distances_give_the_diameter():
     m0 = validate_measure(zip(a, np.full(4, 0.25)), 2)
     m1 = validate_measure(zip(b, np.full(3, 1.0 / 3.0)), 2)
     assert m0.diameter_to(m1) == d.max()
+
+
+@pytest.mark.parametrize("a, b", [
+    ([[1e308]], [[-1e308]]),          # the difference overflows
+    ([[1e200, 0.0]], [[0.0, 0.0]]),   # its square overflows
+    ([[np.inf]], [[np.inf]]),         # inf - inf is NaN
+])
+def test_pairwise_distances_refuse_a_non_finite_distance(a, b):
+    # a RuntimeWarning would fail the test: the kernel silences numpy's
+    with pytest.raises(ValueError, match="not finite"):
+        pairwise_distances(np.array(a), np.array(b))
+
+
+def test_every_library_distance_is_the_kernel_s():
+    """Couplings, the path oracle's |y - x| and the arc cap read the same
+    bits as pairwise_distances, so a cap equal to a distance admits it."""
+    linear = builtin("linear")
+    rng = np.random.default_rng(2024)
+    for x, y in rng.uniform(-2.0, 2.0, size=(2000, 2, 2)):
+        d = pairwise_distances(x[None], y[None])[0, 0]
+        m0 = validate_measure([(x, 1.0)], 2)
+        m1 = validate_measure([(y, 1.0)], 2)
+        assert make_coupling(m0, m1, [[1.0]]).distances[0, 0] == d
+        assert oracle_min_path(x, y, linear, "plain", 1, (1.0,)) == d
+        assert not arcs_longer_than(m0, m1, d)(0, 0)
+        assert arcs_longer_than(m0, m1, np.nextafter(d, 0.0))(0, 0)
 
 
 def test_validate_idempotent():
