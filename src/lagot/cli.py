@@ -150,10 +150,27 @@ def _cmd_verify(args) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
+def _report_from_json(raw: dict) -> Report:
+    """A saved report; its curve, when it has one, must be a table of named
+    columns whose rows are as long as the columns."""
+    curves = raw.get("curves", {})
+    if not isinstance(curves, dict):
+        raise ConfigInvalid(f"curves must be an object, got {curves!r}")
+    if curves:
+        columns, rows = curves.get("columns"), curves.get("rows")
+        if not (isinstance(columns, list)
+                and all(isinstance(c, str) for c in columns)):
+            raise ConfigInvalid("curves need a list of column names")
+        if not (isinstance(rows, list) and all(
+                isinstance(r, list) and len(r) == len(columns) for r in rows)):
+            raise ConfigInvalid(
+                f"curves need a list of rows of {len(columns)} values")
+    return Report(config=raw["config"], trials=raw["trials"],
+                  summary=raw["summary"], curves=curves)
+
+
 def _cmd_plot(args) -> int:
-    report = _load(args.report, lambda raw: Report(
-        config=raw["config"], trials=raw["trials"], summary=raw["summary"],
-        curves=raw.get("curves", {})))
+    report = _load(args.report, _report_from_json)
     _emit(emit_plot_data(report, args.kind), args.out)
     return EXIT_PASS
 

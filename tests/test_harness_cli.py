@@ -451,6 +451,13 @@ def _eval(objective):
 
 
 DUAL = ["dual", "--f", "f.json", "--p0", "good.json", "--cost", "power:0.5"]
+PLOT = ["plot", "--report", "rep.json", "--kind", "cor2_8"]
+
+
+def _report(curves):
+    """A one-trial cor2_8 report file holding ``curves``."""
+    return {"rep.json": {"config": {}, "trials": [{"index": 0}],
+                         "summary": {}, "curves": curves}}
 
 # (files written, argv, a fragment the one-line message must contain)
 BAD_INPUTS = {
@@ -625,6 +632,21 @@ BAD_INPUTS = {
                     "bounds": [[0, 0, 1.0], [1, 1, 1.0]]}},
         ["eval", "--objective", "TV", "--triple", "t.json",
          "--cost", "power:0.5"], "distance between two points is not finite"),
+    "report curves without columns": (
+        _report({"kind": "cor2_8", "rows": [[1.0, 2.0]]}), PLOT,
+        "rep.json: curves need a list of column names"),
+    "report curves without rows": (
+        _report({"kind": "cor2_8", "columns": ["r", "value"]}), PLOT,
+        "rep.json: curves need a list of rows of 2 values"),
+    "report curves that are a list": (
+        _report([]), PLOT, "rep.json: curves must be an object, got []"),
+    "report curve rows that are a number": (
+        _report({"kind": "cor2_8", "columns": ["r", "value"], "rows": 5}),
+        PLOT, "rep.json: curves need a list of rows of 2 values"),
+    "report curve row longer than the columns": (
+        _report({"kind": "cor2_8", "columns": ["r", "value"],
+                 "rows": [[1.0, 2.0, 3.0]]}), PLOT,
+        "rep.json: curves need a list of rows of 2 values"),
 }
 
 
