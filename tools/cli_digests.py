@@ -9,15 +9,17 @@ leaves state behind for the next.  It covers all seven subcommands: the
 capped pipeline (build-optimal --theorem 2.6, eval --objective plain on
 the ``ensemble`` of its output, solve-mk --max-arc-length) at 0.6, 1.0 and
 1.5 x the diameter and at one infeasible cap, invalid input and usage
-errors, and, last, refusals of mismatched dimensions, of a config whose
-cost is a string and of an unknown cost.  Each line is ``name digest``,
-where the digest is taken over the exit code, stdout, stderr and the
-``--out`` file (null when none was written), with the directory's path
-replaced by ``<dir>``.  For a usage error (a call named ``usage-*``)
-stderr is cut after the message's first phrase, ``lagot eval: error:
-argument --objective``: argparse words the rest, choice lists included,
-differently from one Python release to the next.  Run it in two
-checkouts and ``diff`` the outputs: identical files mean identical calls.
+errors, refusals of mismatched dimensions, of a config whose cost is a
+string and of an unknown cost, and, last, refusals of a report curve
+without columns and of distances that overflow.  Each line is ``name
+digest``, where the digest is taken over the exit code, stdout, stderr
+and the ``--out`` file (null when none was written), with the
+directory's path replaced by ``<dir>``.  For a usage error (a call
+named ``usage-*``) stderr is cut after the message's first phrase,
+``lagot eval: error: argument --objective``: argparse words the rest,
+choice lists included, differently from one Python release to the next.
+Run it in two checkouts and ``diff`` the outputs: identical files mean
+identical calls.
 """
 
 import contextlib
@@ -164,6 +166,18 @@ def calls(d: Path):
     cfg = _write(d, "cfg.json", {"theorem": "thm2_1", "cost": COST})
     yield "verify-string-cost-config", ["verify", "--config", cfg]
     yield "unknown-cost", ["oracle", *point, "--cost", "sqrt"]
+
+    no_columns = _write(d, "no-columns.json", {
+        **json.loads(Path(report).read_text()),
+        "curves": {"kind": "eq1_6", "rows": [[1.0, 1.0]]}})
+    yield "plot-curves-without-columns", ["plot", "--report", no_columns,
+                                          "--kind", "eq1_6"]
+    huge = _write(d, "huge.json", {"dim": 1, "atoms": [
+        {"x": [1e308], "w": 0.5}, {"x": [-1e308], "w": 0.5}]})
+    yield "solve-mk-overflow", ["solve-mk", "--p0", huge, "--p1", huge,
+                                "--cost", COST]
+    yield "oracle-overflow", ["oracle", "--x", "0", "--y", "1e308",
+                              "--cost", COST]
 
 
 def digests():
