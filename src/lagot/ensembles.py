@@ -222,9 +222,9 @@ def oracle_min_path(x, y, cost: CostFunction, objective: str, K: int,
 
     Motion is restricted to the line through x and y: off-axis velocity
     only raises the speed without helping the endpoint constraint, and the
-    cost depends on the speed alone.  Objectives: ``plain``, ``L1``,
-    ``L2``, and ``conv`` (the convex-case modified integrand
-    (1/N1) * cost(N1 * speed)).
+    cost depends on the speed alone.  |y - x| is the shared kernel's.
+    Objectives: ``plain``, ``L1``, ``L2``, and ``conv`` (the convex-case
+    modified integrand (1/N1) * cost(N1 * speed)).
     """
     if K < 1 or K > 8:
         raise ValueError("K must be in 1..8")
@@ -233,8 +233,8 @@ def oracle_min_path(x, y, cost: CostFunction, objective: str, K: int,
         raise ValueError("speed grid limited to 6 values")
     if not np.all(np.asarray(grid) >= 0):  # also fails on NaN
         raise ValueError("speed grid values are magnitudes, >= 0")
-    delta = float(pairwise_distances(np.atleast_2d(np.asarray(x, float)),
-                                     np.atleast_2d(np.asarray(y, float)))[0, 0])
+    x, y = (np.atleast_2d(np.asarray(p, dtype=float)) for p in (x, y))
+    delta = float(pairwise_distances(x, y)[0, 0])
     if cap is not None and np.isnan(cap):
         raise ValueError("the speed cap must not be NaN")
     if delta == 0.0:
