@@ -128,9 +128,11 @@ class Coupling:
 
     @functools.cached_property
     def distances(self) -> np.ndarray:
-        """(n, m) matrix of |x_i - y_j| from the shared kernel, built on
-        first read."""
-        return pairwise_distances(self.source.points, self.target.points)
+        """(n, m) read-only matrix of |x_i - y_j| from the shared kernel,
+        built on first read."""
+        dist = pairwise_distances(self.source.points, self.target.points)
+        dist.setflags(write=False)
+        return dist
 
     def cells(self):
         """Yield (i, j, mass) for every cell with positive mass."""

@@ -93,13 +93,11 @@ def test_stretch_preserves_n_functionals(p, T):
     assert n2(s) == pytest.approx(n2(p), rel=1e-12)
 
 
-def test_n1_of_a_closed_path_is_one():
+def test_n1_is_one_only_within_rounding_of_a_closed_path():
+    # the stretched closed path's displacement is rounding, not motion
     assert float(stretch(CLOSED, 1.5).displacement[0]) != 0.0
-    assert n1(CLOSED) == n1(stretch(CLOSED, 1.5)) == 1.0
-
-
-def test_n1_keeps_a_displacement_of_1e_6_of_the_length():
-    # displacement 2**-20 exactly, length just under 1, sup-speed 1
+    assert n1(stretch(CLOSED, 1.5)) == 1.0
+    # displacement 2**-20 exactly, about 1e-6 of the length; sup-speed 1
     p = SteppedPath(start=np.zeros(1), horizon=1.0,
                     durations=np.array([0.5, 0.5]),
                     velocities=np.array([[1.0], [-(1.0 - 2.0 ** -19)]]))
