@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: solve-mk, eval, build-optimal, oracle, dual, verify, plot.
-Exit codes: 0 pass, 1 fail, 2 refused or invalid input.
+Exit codes: 0 pass, 1 fail, 2 refused, invalid input or a non-finite result.
 """
 
 from __future__ import annotations
@@ -44,6 +44,13 @@ def _load(path: str, parse):
         raise ConfigInvalid(f"{path}: {exc}") from exc
 
 
+def _result(payload: dict) -> str:
+    try:  # JSON has no NaN or infinity
+        return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise LagotError("the result is not finite") from None
+
+
 def _emit(payload: str, out: str | None) -> None:
     if out:
         Path(out).write_text(payload)
@@ -58,8 +65,8 @@ def _cmd_solve_mk(args) -> int:
     forbidden = (None if args.max_arc_length is None
                  else arcs_longer_than(m0, m1, args.max_arc_length))
     sol = solve_mk(m0, m1, cost, forbidden_arcs=forbidden)
-    _emit(json.dumps({"value": sol.value, "plan": sol.plan.plan.tolist(),
-                      "method": "lp"}, sort_keys=True) + "\n", args.out)
+    _emit(_result({"value": sol.value, "plan": sol.plan.plan.tolist(),
+                   "method": "lp"}), args.out)
     return EXIT_PASS
 
 
@@ -83,7 +90,7 @@ def _cmd_eval(args) -> int:
             value = eval_bounded(ens, cost)
         else:
             value = eval_tilde(ens, cost, 1 if args.objective == "L1" else 2)
-    _emit(json.dumps({"value": value}) + "\n", args.out)
+    _emit(_result({"value": value}), args.out)
     return EXIT_PASS
 
 
@@ -95,15 +102,13 @@ def _cmd_build_optimal(args) -> int:
         rng = np.random.default_rng(args.seed)
         sol = solve_mk(m0, m1, cost)
         ens = build_opt_tilde(sol, lambda i, j: random_interval_set(rng))
-        payload = {"value": eval_tilde(ens, cost, 1),
-                   "ensemble": ens.to_json()}
+        value = eval_tilde(ens, cost, 1)
     else:
         if args.bound is None:
             raise ConfigInvalid("--bound is required for theorem 2.6")
         value, triple = solve_bounded(m0, m1, cost, args.bound)
-        payload = {"value": value,
-                   "ensemble": build_opt_bounded(triple).to_json()}
-    _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
+        ens = build_opt_bounded(triple)
+    _emit(_result({"value": value, "ensemble": ens.to_json()}), args.out)
     return EXIT_PASS
 
 
@@ -114,7 +119,7 @@ def _cmd_oracle(args) -> int:
     grid = [float(v) for v in args.speeds.split(",")]
     value = oracle_min_path(x, y, cost, args.objective, args.k, grid,
                             cap=args.cap)
-    _emit(json.dumps({"value": value}) + "\n", args.out)
+    _emit(_result({"value": value}), args.out)
     return EXIT_PASS
 
 
@@ -127,7 +132,7 @@ def _cmd_dual(args) -> int:
     rep = verify_control_identity(m0, f, cost, args.i)
     payload = {"fl_values": inf_conv(f, cost, queries), "lhs": rep.lhs,
                "rhs": rep.rhs, "margin": rep.margin, "note": rep.note}
-    _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
+    _emit(_result(payload), args.out)
     return EXIT_PASS
 
 
@@ -253,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return globals()["_cmd_" + args.command.replace("-", "_")](args)
+    try:  # a non-finite result is refused where it is printed, unwarned
+        with np.errstate(over="ignore", invalid="ignore"):
+            return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (AssumptionRefused, ConfigInvalid, UnknownKind) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED

@@ -27,8 +27,8 @@ from .measures import (DiscreteMeasure, make_coupling, pairwise_distances,
                        random_measure)
 from .mk_solver import solve_mk, t_p
 from .paths import (SteppedPath, compress, cost_li, cost_plain, detour_path,
-                    fast_path, linear_path, n1, n2, random_interval_set,
-                    stretch, sup_norm)
+                    fast_path, lengths, linear_path, n1, n2,
+                    random_interval_set, stretch, sup_norm)
 
 ORACLE_GRID = (0.0, 0.5, 1.0, 2.0, 4.0)
 FORMAT_VERSION = 1
@@ -124,7 +124,7 @@ def _rand_path(rng, dim: int) -> SteppedPath:
         velocities = rng.normal(0.0, 2.0, size=(k, dim))
         p = SteppedPath(start=rng.uniform(-1, 1, size=dim), horizon=1.0,
                         durations=durations, velocities=velocities)
-        if np.linalg.norm(p.displacement) >= 1e-3:
+        if lengths(p.displacement) >= 1e-3:
             return p
 
 

@@ -10,6 +10,7 @@ form, so nothing is lost by restricting to it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -74,6 +75,13 @@ class SteppedPath:
     def displacement(self) -> np.ndarray:
         return self.durations @ self.velocities
 
+    @functools.cached_property
+    def speeds(self) -> np.ndarray:
+        """(k,) read-only |v| of each piece, measured on first read."""
+        speeds = lengths(self.velocities)
+        speeds.setflags(write=False)
+        return speeds
+
     def position(self, t: float) -> np.ndarray:
         """Position at time t in [0, horizon]."""
         if t < -DURATION_TOL or t > self.horizon + DURATION_TOL:
@@ -130,25 +138,22 @@ class IntervalSet:
         return sum(b - a for a, b in self.intervals)
 
 
+def lengths(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean lengths along the last axis, taken after the exact scaling
+    by the power of two that brings the largest entry into [0.5, 1): the
+    plain norm bit for bit wherever no square underflows or overflows."""
+    exp = math.frexp(np.abs(vectors).max())[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(vectors, -exp), axis=-1), exp)
+
+
 def sup_norm(p: SteppedPath) -> float:
     """Essential supremum of the speed (zero-duration pieces never occur)."""
-    return float(np.linalg.norm(p.velocities, axis=1).max())
+    return float(p.speeds.max())
 
 
 def l1_norm(p: SteppedPath) -> float:
     """Total path length: integral of the speed."""
-    return float(p.durations @ np.linalg.norm(p.velocities, axis=1))
-
-
-def _unit_scaled(velocities: np.ndarray) -> np.ndarray:
-    """velocities times the power of two that brings the largest entry into
-    [0.5, 1).  Exact, so a ratio of norms keeps its bits, while the squares
-    inside the norms no longer underflow (speeds below 1e-154) or overflow
-    (above 1e154)."""
-    top = float(np.abs(velocities).max())
-    if top == 0.0:
-        return velocities
-    return np.ldexp(velocities, -math.frexp(top)[1])
+    return float(p.durations @ p.speeds)
 
 
 def n1(p: SteppedPath) -> float:
@@ -158,27 +163,23 @@ def n1(p: SteppedPath) -> float:
     times its length, the rounding bound of the k-piece sum: below that the
     computed displacement is rounding noise, and dividing by it would turn
     an exact zero into a quotient near 1e16."""
-    v = _unit_scaled(p.velocities)
-    speeds = np.linalg.norm(v, axis=1)
-    disp = float(np.linalg.norm(p.durations @ v))
-    if disp <= len(speeds) * 2.0 ** -53 * float(p.durations @ speeds):
+    disp = float(lengths(p.displacement))
+    if disp <= len(p.speeds) * 2.0 ** -53 * l1_norm(p):
         return 1.0
-    return p.horizon * float(speeds.max()) / disp
+    return p.horizon * sup_norm(p) / disp
 
 
 def n2(p: SteppedPath) -> float:
     """horizon * sup-speed / path length, or 1 for a motionless path."""
-    speeds = np.linalg.norm(_unit_scaled(p.velocities), axis=1)
-    length = float(p.durations @ speeds)
+    length = l1_norm(p)
     if length == 0.0:
         return 1.0
-    return p.horizon * float(speeds.max()) / length
+    return p.horizon * sup_norm(p) / length
 
 
 def cost_plain(p: SteppedPath, cost: CostFunction) -> float:
     """Integral of cost(speed) along the path."""
-    speeds = np.linalg.norm(p.velocities, axis=1)
-    return float(p.durations @ np.atleast_1d(cost.eval(speeds)))
+    return float(p.durations @ np.atleast_1d(cost.eval(p.speeds)))
 
 
 def cost_li(p: SteppedPath, cost: CostFunction, i: int) -> float:
@@ -191,8 +192,7 @@ def cost_li(p: SteppedPath, cost: CostFunction, i: int) -> float:
     if i not in (1, 2):
         raise ValueError("i must be 1 or 2")
     ni = n1(p) if i == 1 else n2(p)
-    speeds = np.linalg.norm(p.velocities, axis=1)
-    return float(ni * (p.durations @ np.atleast_1d(cost.eval(speeds / ni))))
+    return float(ni * (p.durations @ np.atleast_1d(cost.eval(p.speeds / ni))))
 
 
 def stop_and_go(x, y, A: IntervalSet) -> SteppedPath:
@@ -272,7 +272,7 @@ def detour_path(x0, x1) -> SteppedPath:
     e = np.zeros_like(u)
     e[k] = 1.0
     w = e - (e @ u) * u
-    w = w / np.linalg.norm(w)
+    w = w / lengths(w)
     apex = x0 + delta / 2.0 + height * w
     return SteppedPath(start=x0, horizon=1.0,
                        durations=np.array([0.5, 0.5]),

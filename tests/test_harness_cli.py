@@ -251,7 +251,7 @@ def test_eq1_6_reports_the_decay_check(monkeypatch):
     assert report.trials[0]["margins"]["decay"] == 0.0
 
 
-def test_check_kinds_and_nan(monkeypatch):
+def test_check_kinds_and_nan(monkeypatch, tmp_path):
     nan = float("nan")
     cases = [([(k, nan, k, 1.0)], False) for k in ("eq", "le", "ge", "gt")]
     cases += [([("eq", -0.5, "eq", 1.0), ("le", 1.0, "le", 1.0),
@@ -266,6 +266,10 @@ def test_check_kinds_and_nan(monkeypatch):
     monkeypatch.setitem(harness._SUITES, "eq1_11_0508", (suite, None))
     report = verify(VerifyConfig(theorem="eq1_11_0508"))
     assert [t["passed"] for t in report.trials] == [ok for _, ok in cases]
+    # the CLI writes the failing report, NaN and all, and exits 1
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--theorem", "eq1_11_0508", "--out", str(out)]) == 1
+    assert np.isnan(json.loads(out.read_text())["trials"][0]["margins"]["eq"])
 
 
 WITNESS = ("(0.02, 0.0071968567300115215, 2.0717898716924856e-08, "
@@ -435,10 +439,11 @@ BUILD_2_6 = ["build-optimal", "--theorem", "2.6", "--p0", "good.json",
              "--p1", "good.json", "--cost", "power:0.5", "--bound"]
 
 
-def _ensemble(dt=1.0, start=0.0, horizon=1.0, weight=1.0, bound=None):
-    """One-member ensemble file moving from ``start`` at speed 0.5."""
-    path = {"start": [start], "horizon": horizon,
-            "pieces": [{"dt": dt, "v": [0.5]}]}
+def _ensemble(dt=1.0, start=0.0, horizon=1.0, weight=1.0, bound=None,
+              v=(0.5,)):
+    """One-member ensemble file moving from ``start`` at velocity ``v``."""
+    path = {"start": [start] * len(v), "horizon": horizon,
+            "pieces": [{"dt": dt, "v": list(v)}]}
     member = {"weight": weight, "path": path}
     if bound is not None:
         member["bound"] = bound
@@ -647,6 +652,14 @@ BAD_INPUTS = {
         _report({"kind": "cor2_8", "columns": ["r", "value"],
                  "rows": [[1.0, 2.0, 3.0]]}), PLOT,
         "rep.json: curves need a list of rows of 2 values"),
+    "bounded build whose value overflows": (
+        {"p1.json": {"dim": 1, "atoms": [{"x": [-3.0], "w": 1.0}]}},
+        ["build-optimal", "--theorem", "2.6", "--p0", "good.json",
+         "--p1", "p1.json", "--cost", "quadratic", "--bound", "1e308"],
+        "error: the result is not finite"),
+    "plain quadratic cost that overflows": (
+        _ensemble(v=(1e160,), bound=2e160),
+        _eval("plain")[:-1] + ["quadratic"], "error: the result is not finite"),
 }
 
 
@@ -659,6 +672,25 @@ def test_cli_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     assert main(argv) == 2  # an exception escaping main fails the test
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and fragment in lines[0], lines
+
+
+@pytest.mark.parametrize("objective, v, bound, value", [
+    ("plain", (1e170,), 2e170, 1e85),
+    ("L1", (1e170, 1e170), None, 2.0 ** 0.25 * 1e85),
+    ("L2", (1e-170,), None, 1e-85)])
+def test_cli_eval_at_extreme_speeds(objective, v, bound, value, tmp_path,
+                                    capsys):
+    """Speeds whose squares overflow or underflow evaluate to their
+    power:0.5 value, and warn of nothing."""
+    (tmp_path / "e.json").write_text(
+        json.dumps(_ensemble(v=v, bound=bound)["e.json"]))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a
+            for a in _eval(objective)]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["value"] == pytest.approx(value, rel=1e-12,
+                                                     abs=0.0)
 
 
 def test_cli_out_of_memory_exits_2_with_one_line(monkeypatch, capsys):

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from lagot.costs import builtin
 from lagot.errors import (BadHorizon, CoincidentPoints, DegenerateSet,
                           DimensionTooSmall)
+from lagot.measures import pairwise_distances
 from lagot.paths import (IntervalSet, SteppedPath, compress, cost_li,
                          cost_plain, detour_path, fast_path, l1_norm,
                          linear_path, n1, n2, stop_and_go, stretch, sup_norm)
@@ -43,6 +46,46 @@ def test_n_functionals_are_scale_free(scale):
     # squares of these speeds underflow or overflow in a plain norm
     q = path1d([0.5, 0.5], [3.0 * scale, -1.0 * scale])
     assert n1(q) == pytest.approx(3.0) and n2(q) == pytest.approx(1.5)
+    # lengths scale with the path, power:0.5 costs with its square root
+    unit, root = path1d([0.5, 0.5], [3.0, -1.0]), math.sqrt(scale)
+    for got, want in [(sup_norm(q), scale * sup_norm(unit)),
+                      (l1_norm(q), scale * l1_norm(unit)),
+                      (cost_plain(q, SQRT), root * cost_plain(unit, SQRT)),
+                      (cost_li(q, SQRT, 1), root * cost_li(unit, SQRT, 1)),
+                      (cost_li(q, SQRT, 2), root * cost_li(unit, SQRT, 2))]:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_straight_paths_are_exact():
+    """A linear path has n1 exactly 1, and both running costs are the cost
+    of the kernel's |y - x|, bit for bit."""
+    rng = np.random.default_rng(0)
+    bad = []
+    for x, y in rng.uniform(-2.0, 2.0, size=(2000, 2, 2)):
+        p = linear_path(x, y)
+        want = SQRT.eval(pairwise_distances(x[None], y[None])[0, 0])
+        if not (n1(p) == 1.0 and cost_li(p, SQRT, 1) == want
+                and cost_plain(p, SQRT) == want):
+            bad.append((x, y))
+    assert bad == []
+
+
+def test_only_the_two_kernels_take_a_norm():
+    """np.linalg.norm is called by the distance kernel and the length
+    helper only; every other length in the library is read from them."""
+    where = []
+    for path in sorted(Path(__file__).resolve().parents[1].glob(
+            "src/lagot/*.py")):
+        text = path.read_text()
+        defs = [node for node in ast.walk(ast.parse(text))
+                if isinstance(node, ast.FunctionDef)]
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if "linalg.norm" in line:
+                owners = [d.name for d in defs
+                          if d.lineno <= lineno <= d.end_lineno]
+                where.append((path.name, owners[-1] if owners else None))
+    assert sorted(where) == [("measures.py", "pairwise_distances"),
+                             ("paths.py", "lengths")]
 
 
 def test_cost_plain():
