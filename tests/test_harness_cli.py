@@ -181,17 +181,35 @@ def test_cli_verify_config_file_and_plot(tmp_path):
     assert main(["plot", "--report", str(rep), "--kind", "bogus"]) == 2
 
 
-# what the assumption gate refuses among the five sweep costs, at any seed
 SWEEP_COSTS = ("power:0.5", "remark_iii", "affine_exp:0.25", "linear",
                "quadratic")
-REFUSED = {
-    ("thm2_1", "quadratic"), ("thm2_2", "remark_iii"), ("thm2_2", "quadratic"),
-    ("prop2_3", "power:0.5"), ("prop2_3", "affine_exp:0.25"),
-    ("prop2_3", "linear"), ("prop2_3", "quadratic"), ("cor2_4", "quadratic"),
-    ("thm2_6", "quadratic"), ("cor2_7", "quadratic"), ("cor2_8", "quadratic"),
-    ("eq1_6", "affine_exp:0.25"), ("eq1_6", "linear"), ("eq1_6", "quadratic"),
-    ("eq1_9_0416", "power:0.5"), ("eq1_9_0416", "remark_iii"),
-    ("eq1_9_0416", "affine_exp:0.25"),
+WITNESS = ("(0.02, 0.0071968567300115215, 2.0717898716924856e-08, "
+           "1.0358949358462427e-06)")
+NO_R0 = "prop2_3 needs a cost strictly decreasing past some r0"
+NOT_DEGENERATE = "the degenerate unmodified problem needs cost(u)/u -> 0"
+NOT_CONVEX = "the convex-case identity needs a convex cost"
+# every (suite, sweep cost) pair the assumption gates refuse, at any seed,
+# with the message the CLI prints; thm2_2 checks sublinearity first
+REFUSALS = {
+    ("thm2_1", "quadratic"): f"thm2_1 needs sublinearity; witness {WITNESS}",
+    ("thm2_2", "remark_iii"): (
+        "thm2_2 needs a non-decreasing cost; witness (0.8877197088985865, "
+        "1.0826367338740546, 0.7307588550659756, 0.3666904497881385)"),
+    ("thm2_2", "quadratic"): f"thm2_2 needs sublinearity; witness {WITNESS}",
+    ("prop2_3", "power:0.5"): NO_R0,
+    ("prop2_3", "affine_exp:0.25"): NO_R0,
+    ("prop2_3", "linear"): NO_R0,
+    ("prop2_3", "quadratic"): NO_R0,
+    ("cor2_4", "quadratic"): f"cor2_4 needs sublinearity; witness {WITNESS}",
+    ("thm2_6", "quadratic"): f"thm2_6 needs sublinearity; witness {WITNESS}",
+    ("cor2_7", "quadratic"): f"cor2_7 needs sublinearity; witness {WITNESS}",
+    ("cor2_8", "quadratic"): f"cor2_8 needs sublinearity; witness {WITNESS}",
+    ("eq1_6", "affine_exp:0.25"): NOT_DEGENERATE,
+    ("eq1_6", "linear"): NOT_DEGENERATE,
+    ("eq1_6", "quadratic"): f"eq1_6 needs sublinearity; witness {WITNESS}",
+    ("eq1_9_0416", "power:0.5"): NOT_CONVEX,
+    ("eq1_9_0416", "remark_iii"): NOT_CONVEX,
+    ("eq1_9_0416", "affine_exp:0.25"): NOT_CONVEX,
 }
 
 
@@ -199,7 +217,7 @@ REFUSED = {
 @pytest.mark.parametrize("theorem", THEOREMS)
 def test_default_run_of_every_pair_serialises(theorem, cost):
     cfg = VerifyConfig(theorem=theorem, cost_spec=parse_cost(cost).to_spec())
-    if (theorem, cost) in REFUSED:
+    if (theorem, cost) in REFUSALS:
         with pytest.raises(AssumptionRefused):
             verify(cfg)
         return
@@ -212,7 +230,7 @@ def test_default_run_of_every_pair_serialises(theorem, cost):
 
 
 ADMITTED = [(t, c) for t in THEOREMS for c in SWEEP_COSTS
-            if (t, c) not in REFUSED]
+            if (t, c) not in REFUSALS]
 # check kind -> whether (value, bound) holds
 HOLDS = {"eq": lambda v, b: abs(v) <= b, "le": lambda v, b: v <= b,
          "ge": lambda v, b: v >= b, "gt": lambda v, b: v > b}
@@ -270,27 +288,6 @@ def test_check_kinds_and_nan(monkeypatch, tmp_path):
     out = tmp_path / "rep.json"
     assert main(["verify", "--theorem", "eq1_11_0508", "--out", str(out)]) == 1
     assert np.isnan(json.loads(out.read_text())["trials"][0]["margins"]["eq"])
-
-
-WITNESS = ("(0.02, 0.0071968567300115215, 2.0717898716924856e-08, "
-           "1.0358949358462427e-06)")
-# one refusal per suite with hypotheses, message as printed by the CLI
-REFUSALS = {
-    ("thm2_1", "quadratic"): f"thm2_1 needs sublinearity; witness {WITNESS}",
-    ("thm2_2", "remark_iii"): (
-        "thm2_2 needs a non-decreasing cost; witness (0.8877197088985865, "
-        "1.0826367338740546, 0.7307588550659756, 0.3666904497881385)"),
-    ("prop2_3", "power:0.5"):
-        "prop2_3 needs a cost strictly decreasing past some r0",
-    ("cor2_4", "quadratic"): f"cor2_4 needs sublinearity; witness {WITNESS}",
-    ("thm2_6", "quadratic"): f"thm2_6 needs sublinearity; witness {WITNESS}",
-    ("cor2_7", "quadratic"): f"cor2_7 needs sublinearity; witness {WITNESS}",
-    ("cor2_8", "quadratic"): f"cor2_8 needs sublinearity; witness {WITNESS}",
-    ("eq1_6", "linear"):
-        "the degenerate unmodified problem needs cost(u)/u -> 0",
-    ("eq1_9_0416", "power:0.5"):
-        "the convex-case identity needs a convex cost",
-}
 
 
 @pytest.mark.parametrize("theorem,cost", sorted(REFUSALS))
