@@ -9,16 +9,20 @@ evidence and a failure comes with a concrete witness point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BadParam, UnknownCost
+from .errors import AssumptionRefused, BadParam, UnknownCost
 
-# sampled-assumption flags
+# sampled hypotheses, each with what a refusal says its caller needs
 A1I, A1III, A2I = "A1i", "A1iii", "A2i"
-_ALL_FLAGS = frozenset({A1I, A1III, A2I})
+_NEEDS = {A1I: "needs sublinearity; witness {}",
+          A2I: "needs a non-decreasing cost; witness {}",
+          A1III: "needs positivity of the cost"}
 
 _EQ_TOL = 1e-12
 
@@ -37,7 +41,14 @@ class CostFunction:
     fn: Callable = field(repr=False)
     analytic_c_ell: Optional[float] = None
     r0: Optional[float] = None
-    declared_flags: frozenset = frozenset()
+
+    @functools.cached_property
+    def witnesses(self):
+        """Read-only {A1I, A1III, A2I: witness or None}, sampled on first
+        read: ``check_a1`` on ``default_a1_grids()`` and ``check_a2`` on
+        u in [0.1, 10**1.5]."""
+        return MappingProxyType({**check_a1(self, *default_a1_grids()),
+                                 **check_a2(self, np.logspace(-1, 1.5, 30))})
 
     def eval(self, u):
         u = np.asarray(u, dtype=float)
@@ -70,9 +81,8 @@ def builtin(name: str, params: Optional[list] = None) -> CostFunction:
         def fn(u):
             return np.where(u < 1.0, 2.0 * u * np.exp(-u), u * np.exp(-u))
 
-        return CostFunction(
-            name="remark_iii", fn=fn, analytic_c_ell=0.0, r0=1.0,
-            declared_flags=frozenset({A1I, A1III}))
+        return CostFunction(name="remark_iii", fn=fn, analytic_c_ell=0.0,
+                            r0=1.0)
     if name == "affine_exp":
         if len(params) != 1:
             raise BadParam("affine_exp needs exactly one parameter a")
@@ -83,14 +93,12 @@ def builtin(name: str, params: Optional[list] = None) -> CostFunction:
         def fn(u, a=a):
             return a * u + 1.0 - np.exp(-u)
 
-        return CostFunction(name=f"affine_exp:{a}", fn=fn, analytic_c_ell=a,
-                            declared_flags=_ALL_FLAGS)
+        return CostFunction(name=f"affine_exp:{a}", fn=fn, analytic_c_ell=a)
     if name == "linear":
         if params:
             raise BadParam("linear takes no parameters")
-        return CostFunction(
-            name="linear", fn=lambda u: u + 0.0, analytic_c_ell=1.0,
-            declared_flags=_ALL_FLAGS)
+        return CostFunction(name="linear", fn=lambda u: u + 0.0,
+                            analytic_c_ell=1.0)
     if name == "quadratic":
         if params:
             raise BadParam("quadratic takes no parameters")
@@ -107,18 +115,14 @@ def power_cost(p: float, restrict: bool = False) -> CostFunction:
         raise BadParam(f"power needs a finite p > 0, got {p}")
     if restrict and p > 1:
         raise BadParam(f"power builtin needs p in (0,1], got {p}")
-    if p > 1:
-        return CostFunction(name=f"power:{p}", fn=lambda u, p=p: u ** p,
-                            declared_flags=frozenset({A2I}))
+    slope = None if p > 1 else 1.0 if p == 1 else 0.0
     return CostFunction(name=f"power:{p}", fn=lambda u, p=p: u ** p,
-                        analytic_c_ell=1.0 if p == 1 else 0.0,
-                        declared_flags=_ALL_FLAGS)
+                        analytic_c_ell=slope)
 
 
 def quadratic_cost() -> CostFunction:
     """u -> u**2, the convex reference case.  Not sublinear."""
-    return CostFunction(name="quadratic", fn=lambda u: u * u,
-                        declared_flags=frozenset({A2I}))
+    return CostFunction(name="quadratic", fn=lambda u: u * u)
 
 
 def from_spec(spec: dict) -> CostFunction:
@@ -151,14 +155,15 @@ def check_a1(cost: CostFunction, r_grid, u_grid) -> dict:
 
     lu = np.atleast_1d(cost.eval(u_grid))
     scale = 1.0 + float(np.max(np.abs(lu)))
+    # a row per r: cost(r*u) and r*cost(u)
+    lru = cost.eval(np.multiply.outer(r_grid, u_grid))
+    rlu = np.multiply.outer(r_grid, lu)
+    bad = np.argwhere(lru - rlu < -_EQ_TOL * scale)
     a1i = None
-    for r in r_grid:
-        lru = np.atleast_1d(cost.eval(r * u_grid))
-        bad = np.flatnonzero(lru - r * lu < -_EQ_TOL * scale)
-        if bad.size:
-            k = int(bad[0])
-            a1i = (float(r), float(u_grid[k]), float(lru[k]), float(r * lu[k]))
-            break
+    if bad.size:  # row-major order: the first failing r, then its first u
+        i, k = bad[0]
+        a1i = (float(r_grid[i]), float(u_grid[k]), float(lru[i, k]),
+               float(rlu[i, k]))
     # at 0 the cost must vanish exactly
     if cost.eval(0.0) != 0.0:
         a1i = (0.0, cost.eval(0.0))
@@ -186,6 +191,16 @@ def check_a2(cost: CostFunction, u_grid) -> dict:
     k = int(dec[0])
     return {A2I: (float(u_grid[k]), float(u_grid[k + 1]),
                   float(vals[k]), float(vals[k + 1]))}
+
+
+def require(cost: CostFunction, who: str, *hypotheses) -> None:
+    """Refuse ``cost`` on behalf of ``who`` at the first of ``hypotheses``
+    that its sampled witnesses fail, in the order given."""
+    for hypothesis in hypotheses:
+        witness = cost.witnesses[hypothesis]
+        if witness is not None:
+            raise AssumptionRefused(
+                f"{who} " + _NEEDS[hypothesis].format(witness))
 
 
 def c_ell(cost: CostFunction) -> float:

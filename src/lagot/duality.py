@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import A1I, A1III, A2I, CostFunction
-from .errors import HypothesisNotDeclared
+from .costs import A1I, A1III, A2I, CostFunction, require
 from .measures import DiscreteMeasure, pairwise_distances
 
 
@@ -85,13 +84,10 @@ def verify_control_identity(m0: DiscreteMeasure, f: GridFunction,
     problem).  RHS: the weighted infimal convolution.  Both read the same
     grid candidates; independence comes from the cor2_4 suite's path oracle.
     """
-    needed = {1: {A1I}, 2: {A1I, A1III, A2I}}.get(i)
+    needed = {1: (A1I,), 2: (A1I, A2I, A1III)}.get(i)
     if needed is None:
         raise ValueError("i must be 1 or 2")
-    missing = needed - set(cost.declared_flags)
-    if missing:
-        raise HypothesisNotDeclared(
-            f"cost {cost.name} lacks declared flags {sorted(missing)}")
+    require(cost, "the control identity", *needed)
     candidates = _candidates(f, cost, m0.points)
     best = candidates.argmin(axis=1)
     per_atom = candidates[np.arange(len(best)), best]

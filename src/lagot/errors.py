@@ -27,6 +27,10 @@ class BadParam(LagotError):
     pass
 
 
+class AssumptionRefused(LagotError):
+    pass
+
+
 # solver
 class Infeasible(LagotError):
     pass
@@ -66,16 +70,7 @@ class NoFeasiblePath(LagotError):
     pass
 
 
-# duality
-class HypothesisNotDeclared(LagotError):
-    pass
-
-
 # harness
-class AssumptionRefused(LagotError):
-    pass
-
-
 class ConfigInvalid(LagotError):
     pass
 

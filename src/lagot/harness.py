@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import costs as costmod
-from .costs import (A1I, A1III, A2I, CostFunction, check_a1, check_a2,
-                    default_a1_grids)
+from .costs import A1I, A1III, A2I, CostFunction, require
 from .duality import GridFunction, verify_control_identity
 from .ensembles import (BoundedCouplingTriple, EnsembleMember,
                         TransportEnsemble, build_opt_bounded, build_opt_tilde,
@@ -156,16 +155,6 @@ def _rand_bounded_ensemble(rng, dim: int) -> TransportEnsemble:
     return TransportEnsemble(tuple(members))
 
 
-def _sublinear(theorem: str, cost: CostFunction):
-    """The (A1) witnesses of ``cost``; refuses a cost that is not
-    sublinear (A1i) on the sampled grids."""
-    a1 = check_a1(cost, *default_a1_grids())
-    if a1[A1I] is not None:
-        raise AssumptionRefused(
-            f"{theorem} needs sublinearity; witness {a1[A1I]}")
-    return a1
-
-
 # ---------------------------------------------------------------------------
 # suites: each refuses a cost outside its hypotheses, then yields (digest
 # input, values, checks, curve rows) per trial; a check is (name, value,
@@ -185,7 +174,7 @@ def _oracle_margin(xs, ys, dist, cells, cost: CostFunction) -> float:
 
 
 def _suite_thm2_1(cfg, cost, rngs):
-    _sublinear("thm2_1", cost)
+    require(cost, "thm2_1", A1I)
     for rng in rngs:
         m0 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
         m1 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
@@ -202,13 +191,7 @@ def _suite_thm2_1(cfg, cost, rngs):
 
 
 def _suite_thm2_2(cfg, cost, rngs):
-    a1 = _sublinear("thm2_2", cost)
-    a2 = check_a2(cost, np.logspace(-1, 1.5, 30))
-    if a2[A2I] is not None:
-        raise AssumptionRefused(
-            f"thm2_2 needs a non-decreasing cost; witness {a2[A2I]}")
-    if a1[A1III] is not None:
-        raise AssumptionRefused("thm2_2 needs positivity of the cost")
+    require(cost, "thm2_2", A1I, A2I, A1III)
     for rng in rngs:
         m0 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
         m1 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
@@ -249,7 +232,7 @@ def _suite_prop2_3(cfg, cost, rngs):
 
 
 def _suite_cor2_4(cfg, cost, rngs):
-    _sublinear("cor2_4", cost)
+    require(cost, "cor2_4", A1I)
     for rng in rngs:
         m0 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
         grid_pts = rng.uniform(-2.0, 2.0, size=(5, cfg.dim))
@@ -266,7 +249,7 @@ def _suite_cor2_4(cfg, cost, rngs):
 
 
 def _suite_thm2_6(cfg, cost, rngs):
-    _sublinear("thm2_6", cost)
+    require(cost, "thm2_6", A1I)
     for rng in rngs:
         triple = _rand_bounded_triple(rng, cfg.n_atoms, cfg.dim)
         built = build_opt_bounded(triple)
@@ -285,7 +268,7 @@ def _suite_thm2_6(cfg, cost, rngs):
 
 
 def _suite_cor2_7(cfg, cost, rngs):
-    _sublinear("cor2_7", cost)
+    require(cost, "cor2_7", A1I)
     c_ell = costmod.c_ell(cost)
     for rng in rngs:
         m0 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
@@ -310,7 +293,7 @@ def _suite_cor2_7(cfg, cost, rngs):
 
 
 def _suite_cor2_8(cfg, cost, rngs):
-    _sublinear("cor2_8", cost)
+    require(cost, "cor2_8", A1I)
     for rng in rngs:
         m0 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
         m1 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
@@ -328,7 +311,7 @@ def _suite_cor2_8(cfg, cost, rngs):
 
 
 def _suite_eq1_6(cfg, cost, rngs):
-    _sublinear("eq1_6", cost)
+    require(cost, "eq1_6", A1I)
     if cost.analytic_c_ell != 0.0:
         raise AssumptionRefused(
             "the degenerate unmodified problem needs cost(u)/u -> 0")

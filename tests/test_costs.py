@@ -5,8 +5,12 @@ import pytest
 
 from lagot.costs import (A1I, A1III, A2I, CostFunction, builtin, c_ell,
                          check_a1, check_a2, default_a1_grids, from_spec,
-                         parse_cost, power_cost, quadratic_cost)
-from lagot.errors import BadParam, UnknownCost
+                         parse_cost, power_cost, quadratic_cost, require)
+from lagot.duality import GridFunction, verify_control_identity
+from lagot.errors import AssumptionRefused, BadParam, UnknownCost
+from lagot.harness import VerifyConfig, verify
+from lagot.measures import validate_measure
+from oracles import check_a1_per_r
 
 ALL_BUILTINS = [builtin("power", [0.3]), builtin("power", [0.5]),
                 builtin("power", [0.9]), builtin("power", [1.0]),
@@ -109,21 +113,74 @@ def test_c_ell_without_an_analytic_slope_is_refused():
         c_ell(quadratic_cost())
 
 
-@pytest.mark.parametrize("cost", ALL_BUILTINS, ids=lambda c: c.name)
+CLEAN = {A1I: None, A1III: None, A2I: None}
+# the sampled hypotheses that fail, with their witnesses; remark_iii's
+# (A1iii) witness is u*exp(-u) underflowing to 0.0, not a true zero
+FAILING = {
+    "quadratic": {A1I: (0.02, 0.0071968567300115215, 2.0717898716924856e-08,
+                        1.0358949358462427e-06)},
+    "remark_iii": {A2I: (0.8877197088985865, 1.0826367338740546,
+                         0.7307588550659756, 0.3666904497881385),
+                   A1III: (754.3120063354608, 0.0)},
+}
+
+
+@pytest.mark.parametrize("cost", ALL_BUILTINS + [quadratic_cost()],
+                         ids=lambda c: c.name)
 def test_declared_a1_flags_hold_on_grid(cost):
-    r_grid, u_grid = default_a1_grids()
-    # avoid the exp underflow tail for the decaying costs
-    u_grid = u_grid[u_grid <= 100.0]
-    rep = check_a1(cost, r_grid, u_grid)
-    for flag in (A1I, A1III):
-        if flag in cost.declared_flags:
-            assert rep[flag] is None, (cost.name, flag, rep[flag])
+    """The hypothesis table declared above is what each builtin's sampled
+    witnesses find: power (p <= 1), affine_exp (a >= 0) and linear hold
+    every hypothesis."""
+    assert cost.witnesses == {**CLEAN, **FAILING.get(cost.name, {})}
+    with pytest.raises(TypeError):
+        cost.witnesses[A1I] = None  # read-only
+
+
+def test_remark_iii_is_refused_for_its_decrease_not_the_underflow():
+    cost = builtin("remark_iii")
+    with pytest.raises(AssumptionRefused, match="^thm2_2 needs a non-dec"):
+        verify(VerifyConfig(theorem="thm2_2", cost_spec=cost.to_spec()))
+    m0 = validate_measure([((0.0,), 1.0)], 1)
+    f = GridFunction(points=[[0.0]], values=[0.0])
+    with pytest.raises(AssumptionRefused,
+                       match="^the control identity needs a non-dec"):
+        verify_control_identity(m0, f, cost, 2)
+
+
+def test_require_refuses_at_the_first_failing_hypothesis_given():
+    cost = builtin("remark_iii")
+    require(cost, "who", A1I)
+    with pytest.raises(AssumptionRefused) as exc:
+        require(cost, "who", A1I, A1III, A2I)
+    assert str(exc.value) == "who needs positivity of the cost"
+    with pytest.raises(AssumptionRefused, match="^who needs a non-decreasing"):
+        require(cost, "who", A2I, A1III)
+
+
+R_GRIDS = [default_a1_grids()[0], [0.5, 0.25], [0.5], np.linspace(0.9, 0.1, 7)]
+U_GRIDS = [default_a1_grids()[1], [1.0], [0.5, 2.0], np.logspace(-2, 2, 9)]
+A1_COSTS = ALL_BUILTINS + [
+    quadratic_cost(), power_cost(1.5),
+    CostFunction(name="shifted", fn=lambda u: np.sqrt(u) + 1.0),
+    CostFunction(name="flat", fn=lambda u: np.where(u < 1.0, u, 0.0)),
+    # fails (A1i) at a u that grows as r falls, so each r's first failing u
+    # differs from the first u that fails at any r
+    CostFunction(name="kinked",
+                 fn=lambda u: np.where(u < 2.0, np.minimum(u, 1.0), u - 1.0))]
+
+
+@pytest.mark.parametrize("cost", A1_COSTS, ids=lambda c: c.name)
+def test_check_a1_matches_the_per_r_loop(cost):
+    for r_grid in R_GRIDS:
+        for u_grid in U_GRIDS:
+            assert check_a1(cost, r_grid, u_grid) == \
+                check_a1_per_r(cost, r_grid, u_grid), (r_grid, u_grid)
 
 
 @pytest.mark.parametrize("cost", ALL_BUILTINS, ids=lambda c: c.name)
 def test_slope_non_increasing_when_sublinear(cost):
-    if A1I not in cost.declared_flags:
-        pytest.skip("not declared sublinear")
+    if cost.witnesses[A1I] is not None:
+        pytest.skip("not sublinear on the sampled grids")
     u = np.logspace(-3, 2, 200)
     slopes = np.atleast_1d(cost.eval(u)) / u
     assert np.all(np.diff(slopes) <= 1e-12)

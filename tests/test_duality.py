@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lagot.costs import builtin, quadratic_cost
+from lagot.costs import builtin, parse_cost, power_cost, quadratic_cost
 from lagot.duality import GridFunction, inf_conv, verify_control_identity
-from lagot.errors import DimensionMismatch, HypothesisNotDeclared
+from lagot.errors import AssumptionRefused, DimensionMismatch
 from lagot.measures import validate_measure
 
 SQRT = builtin("power", [0.5])
@@ -75,10 +75,40 @@ def test_control_identity_forced_terminal():
 def test_hypothesis_gate():
     m0 = validate_measure([((0.0,), 1.0)], 1)
     f = grid1d([0.0], [0.0])
-    with pytest.raises(HypothesisNotDeclared):
+    with pytest.raises(AssumptionRefused) as exc:
         verify_control_identity(m0, f, quadratic_cost(), 1)
-    with pytest.raises(HypothesisNotDeclared):
+    assert str(exc.value) == (
+        "the control identity needs sublinearity; witness (0.02, "
+        "0.0071968567300115215, 2.0717898716924856e-08, "
+        "1.0358949358462427e-06)")
+    with pytest.raises(AssumptionRefused) as exc:
         verify_control_identity(m0, f, builtin("remark_iii"), 2)
+    assert str(exc.value) == (
+        "the control identity needs a non-decreasing cost; witness "
+        "(0.8877197088985865, 1.0826367338740546, 0.7307588550659756, "
+        "0.3666904497881385)")
+
+
+# cost -> whether the identity admits it for i = 1 and for i = 2
+GATE = {"power:0.5": (True, True), "remark_iii": (True, False),
+        "affine_exp:0.25": (True, True), "affine_exp:0": (True, True),
+        "linear": (True, True), "quadratic": (False, False)}
+POWER_GATE = {0.25: (True, True), 0.3: (True, True), 1.0: (True, True),
+              1.5: (False, False), 2.0: (False, False)}
+
+
+def test_control_identity_admits_the_sampled_hypotheses_only():
+    m0 = validate_measure([((0.0,), 1.0)], 1)
+    f = grid1d([0.0], [0.0])
+    cases = [(parse_cost(spec), ok) for spec, ok in GATE.items()]
+    cases += [(power_cost(p), ok) for p, ok in POWER_GATE.items()]
+    for cost, admitted in cases:
+        for i, ok in zip((1, 2), admitted):
+            if ok:
+                verify_control_identity(m0, f, cost, i)
+            else:
+                with pytest.raises(AssumptionRefused):
+                    verify_control_identity(m0, f, cost, i)
 
 
 def test_query_points_of_the_grid_dimension_only():
