@@ -136,18 +136,26 @@ def _cmd_dual(args) -> int:
     return EXIT_PASS
 
 
+# verify config-file key -> VerifyConfig field, which is also the dest of
+# the field's flag
+_VERIFY_FIELDS = {"theorem": "theorem", "seed": "seed", "trials": "trials",
+                  "n_atoms": "n_atoms", "dim": "dim", "cost": "cost_spec",
+                  "tolerance": "tolerance"}
+
+
 def _cmd_verify(args) -> int:
     def config(raw: dict) -> VerifyConfig:
-        theorem = raw.get("theorem", args.theorem)
-        if theorem is None:
+        """The fields that a flag or the file sets, the file winning; the
+        others keep VerifyConfig's defaults."""
+        fields = {name: getattr(args, name) for name in _VERIFY_FIELDS.values()
+                  if getattr(args, name) is not None}
+        if "cost_spec" in fields:
+            fields["cost_spec"] = parse_cost(fields["cost_spec"]).to_spec()
+        fields.update((_VERIFY_FIELDS[k], v) for k, v in raw.items()
+                      if k in _VERIFY_FIELDS)
+        if fields.get("theorem") is None:
             raise ConfigInvalid("no theorem: give --theorem or --config")
-        return VerifyConfig(
-            theorem=theorem, seed=raw.get("seed", args.seed),
-            trials=raw.get("trials", args.trials),
-            n_atoms=raw.get("n_atoms", args.n_atoms),
-            dim=raw.get("dim", args.dim),
-            cost_spec=raw.get("cost", parse_cost(args.cost).to_spec()),
-            tolerance=raw.get("tolerance", args.tol))
+        return VerifyConfig(**fields)
 
     cfg = _load(args.config, config) if args.config else config({})
     report = verify(cfg)
@@ -242,12 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a theorem-verification suite")
     p.add_argument("--config", default=None)
     p.add_argument("--theorem", default=None, choices=list(harness.THEOREMS))
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--n-atoms", type=int, default=4)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--cost", default="power:0.5")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    # unset flags leave VerifyConfig's defaults in place
+    p.add_argument("--trials", type=int)
+    p.add_argument("--n-atoms", type=int)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--cost", dest="cost_spec", metavar="COST")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tol", type=float, dest="tolerance", metavar="TOL")
 
     p = sub.add_parser("plot", help="emit CSV plot data from a report")
     p.add_argument("--report", required=True)

@@ -145,7 +145,7 @@ def test_cli_oracle(tmp_path):
     assert json.loads(out.read_text())["value"] == 1e-6
 
 
-def test_cli_dual(measure_files, tmp_path):
+def test_cli_dual(measure_files, tmp_path, capsys):
     p0, _ = measure_files
     f_file = tmp_path / "f.json"
     f_file.write_text(json.dumps(
@@ -157,6 +157,12 @@ def test_cli_dual(measure_files, tmp_path):
     payload = json.loads(out.read_text())
     assert payload["margin"] == 0.0
     assert len(payload["fl_values"]) == 2
+    # a cost outside the identity's hypotheses is refused in one line
+    assert main(["dual", "--f", str(f_file), "--p0", p0,
+                 "--cost", "quadratic"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "refused: the control identity needs sublinearity; witness (0.02, ")
 
 
 def test_cli_verify_exit_codes(tmp_path):
@@ -585,6 +591,9 @@ BAD_INPUTS = {
     "config with a boolean tolerance": (
         {"cfg.json": {"theorem": "thm2_1", "tolerance": True}}, VERIFY_CFG,
         "cfg.json: tolerance must be positive and finite, got True"),
+    "config with a null seed": (
+        {"cfg.json": {"theorem": "thm2_1", "seed": None}}, VERIFY_CFG,
+        "cfg.json: seed must be an integer, got None"),
     "config with a boolean trial count": (
         {"cfg.json": {"theorem": "thm2_1", "trials": True}}, VERIFY_CFG,
         "cfg.json: trials must be an integer, got True"),

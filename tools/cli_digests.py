@@ -10,8 +10,10 @@ capped pipeline (build-optimal --theorem 2.6, eval --objective plain on
 the ``ensemble`` of its output, solve-mk --max-arc-length) at 0.6, 1.0 and
 1.5 x the diameter and at one infeasible cap, invalid input and usage
 errors, refusals of mismatched dimensions, of a config whose cost is a
-string and of an unknown cost, and, last, refusals of a report curve
-without columns and of distances that overflow.  Each line is ``name
+string and of an unknown cost, refusals of a report curve without
+columns and of distances that overflow, and, last, the control
+identity's refusals of a cost that is not sublinear and of one that
+decreases.  Each line is ``name
 digest``, where the digest is taken over the exit code, stdout, stderr
 and the ``--out`` file (null when none was written), with the
 directory's path replaced by ``<dir>``.  For a usage error (a call
@@ -178,6 +180,9 @@ def calls(d: Path):
                                 "--cost", COST]
     yield "oracle-overflow", ["oracle", "--x", "0", "--y", "1e308",
                               "--cost", COST]
+    for i, cost in (("1", "quadratic"), ("2", "remark_iii")):
+        yield f"dual-{i}-{cost}", ["dual", "--f", f, "--p0", p0,
+                                   "--cost", cost, "--i", i]
 
 
 def digests():
