@@ -136,8 +136,7 @@ def _cmd_dual(args) -> int:
     return EXIT_PASS
 
 
-# verify config-file key -> VerifyConfig field, which is also the dest of
-# the field's flag
+# verify config-file key -> VerifyConfig field, also the dest of its flag
 _VERIFY_FIELDS = {"theorem": "theorem", "seed": "seed", "trials": "trials",
                   "n_atoms": "n_atoms", "dim": "dim", "cost": "cost_spec",
                   "tolerance": "tolerance"}
@@ -145,8 +144,7 @@ _VERIFY_FIELDS = {"theorem": "theorem", "seed": "seed", "trials": "trials",
 
 def _cmd_verify(args) -> int:
     def config(raw: dict) -> VerifyConfig:
-        """The fields that a flag or the file sets, the file winning; the
-        others keep VerifyConfig's defaults."""
+        """VerifyConfig of the fields a flag or the file sets; file wins."""
         fields = {name: getattr(args, name) for name in _VERIFY_FIELDS.values()
                   if getattr(args, name) is not None}
         if "cost_spec" in fields:
@@ -250,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a theorem-verification suite")
     p.add_argument("--config", default=None)
     p.add_argument("--theorem", default=None, choices=list(harness.THEOREMS))
-    # unset flags leave VerifyConfig's defaults in place
     p.add_argument("--trials", type=int)
     p.add_argument("--n-atoms", type=int)
     p.add_argument("--dim", type=int)

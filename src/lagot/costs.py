@@ -44,9 +44,8 @@ class CostFunction:
 
     @functools.cached_property
     def witnesses(self):
-        """Read-only {A1I, A1III, A2I: witness or None}, sampled on first
-        read: ``check_a1`` on ``default_a1_grids()`` and ``check_a2`` on
-        u in [0.1, 10**1.5]."""
+        """Read-only {hypothesis: witness or None}, sampled on first read:
+        check_a1 on the default grids, check_a2 on logspace(-1, 1.5, 30)."""
         return MappingProxyType({**check_a1(self, *default_a1_grids()),
                                  **check_a2(self, np.logspace(-1, 1.5, 30))})
 
@@ -155,8 +154,7 @@ def check_a1(cost: CostFunction, r_grid, u_grid) -> dict:
 
     lu = np.atleast_1d(cost.eval(u_grid))
     scale = 1.0 + float(np.max(np.abs(lu)))
-    # a row per r: cost(r*u) and r*cost(u)
-    lru = cost.eval(np.multiply.outer(r_grid, u_grid))
+    lru = cost.eval(np.multiply.outer(r_grid, u_grid))  # a row per r
     rlu = np.multiply.outer(r_grid, lu)
     bad = np.argwhere(lru - rlu < -_EQ_TOL * scale)
     a1i = None
@@ -196,11 +194,10 @@ def check_a2(cost: CostFunction, u_grid) -> dict:
 def require(cost: CostFunction, who: str, *hypotheses) -> None:
     """Refuse ``cost`` on behalf of ``who`` at the first of ``hypotheses``
     that its sampled witnesses fail, in the order given."""
-    for hypothesis in hypotheses:
-        witness = cost.witnesses[hypothesis]
-        if witness is not None:
-            raise AssumptionRefused(
-                f"{who} " + _NEEDS[hypothesis].format(witness))
+    for h in hypotheses:
+        w = cost.witnesses[h]
+        if w is not None:
+            raise AssumptionRefused(f"{who} " + _NEEDS[h].format(w))
 
 
 def c_ell(cost: CostFunction) -> float:
