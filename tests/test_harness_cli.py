@@ -187,6 +187,17 @@ def test_cli_verify_config_file_and_plot(tmp_path):
     assert main(["plot", "--report", str(rep), "--kind", "bogus"]) == 2
 
 
+def test_cli_verify_reads_the_file_then_the_flags_then_the_defaults(
+        tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theorem": "cor2_8", "trials": 2}))
+    rep = tmp_path / "rep.json"
+    assert main(["verify", "--config", str(cfg), "--theorem", "thm2_1",
+                 "--trials", "3", "--seed", "4", "--out", str(rep)]) == 0
+    assert json.loads(rep.read_text())["config"] == VerifyConfig(
+        theorem="cor2_8", trials=2, seed=4).to_json()
+
+
 SWEEP_COSTS = ("power:0.5", "remark_iii", "affine_exp:0.25", "linear",
                "quadratic")
 WITNESS = ("(0.02, 0.0071968567300115215, 2.0717898716924856e-08, "
