@@ -6,10 +6,7 @@ import pytest
 from lagot.costs import (A1I, A1III, A2I, CostFunction, builtin, c_ell,
                          check_a1, check_a2, default_a1_grids, from_spec,
                          parse_cost, power_cost, quadratic_cost, require)
-from lagot.duality import GridFunction, verify_control_identity
 from lagot.errors import AssumptionRefused, BadParam, UnknownCost
-from lagot.harness import VerifyConfig, verify
-from lagot.measures import validate_measure
 from oracles import check_a1_per_r
 
 ALL_BUILTINS = [builtin("power", [0.3]), builtin("power", [0.5]),
@@ -115,7 +112,9 @@ def test_c_ell_without_an_analytic_slope_is_refused():
 
 CLEAN = {A1I: None, A1III: None, A2I: None}
 # the sampled hypotheses that fail, with their witnesses; remark_iii's
-# (A1iii) witness is u*exp(-u) underflowing to 0.0, not a true zero
+# (A1iii) witness is u*exp(-u) underflowing to 0.0, not a true zero, so its
+# gates check (A2i) first and refuse it for its decrease (REFUSALS in
+# test_harness_cli.py and test_duality.py::test_hypothesis_gate pin that)
 FAILING = {
     "quadratic": {A1I: (0.02, 0.0071968567300115215, 2.0717898716924856e-08,
                         1.0358949358462427e-06)},
@@ -134,17 +133,6 @@ def test_declared_a1_flags_hold_on_grid(cost):
     assert cost.witnesses == {**CLEAN, **FAILING.get(cost.name, {})}
     with pytest.raises(TypeError):
         cost.witnesses[A1I] = None  # read-only
-
-
-def test_remark_iii_is_refused_for_its_decrease_not_the_underflow():
-    cost = builtin("remark_iii")
-    with pytest.raises(AssumptionRefused, match="^thm2_2 needs a non-dec"):
-        verify(VerifyConfig(theorem="thm2_2", cost_spec=cost.to_spec()))
-    m0 = validate_measure([((0.0,), 1.0)], 1)
-    f = GridFunction(points=[[0.0]], values=[0.0])
-    with pytest.raises(AssumptionRefused,
-                       match="^the control identity needs a non-dec"):
-        verify_control_identity(m0, f, cost, 2)
 
 
 def test_require_refuses_at_the_first_failing_hypothesis_given():
