@@ -145,14 +145,14 @@ _VERIFY_FIELDS = {"theorem": "theorem", "seed": "seed", "trials": "trials",
 def _cmd_verify(args) -> int:
     def config(raw: dict) -> VerifyConfig:
         """VerifyConfig of the fields a flag or the file sets; file wins."""
+        if raw.get("theorem", args.theorem) is None:
+            raise ConfigInvalid("no theorem: give --theorem or --config")
         fields = {name: getattr(args, name) for name in _VERIFY_FIELDS.values()
                   if getattr(args, name) is not None}
         if "cost_spec" in fields:
             fields["cost_spec"] = parse_cost(fields["cost_spec"]).to_spec()
         fields.update((_VERIFY_FIELDS[k], v) for k, v in raw.items()
                       if k in _VERIFY_FIELDS)
-        if fields.get("theorem") is None:
-            raise ConfigInvalid("no theorem: give --theorem or --config")
         return VerifyConfig(**fields)
 
     cfg = _load(args.config, config) if args.config else config({})
