@@ -13,8 +13,8 @@ from .harness import Report, VerifyConfig, emit_plot_data, verify
 from .measures import (Coupling, DiscreteMeasure, make_coupling,
                        random_measure, validate_measure)
 from .mk_solver import MKSolution, solve_mk, t_p
-from .paths import (IntervalSet, SteppedPath, compress, cost_li, cost_plain,
-                    detour_path, fast_path, l1_norm, linear_path, n1, n2,
-                    stop_and_go, stretch, sup_norm)
+from .paths import (IntervalSet, PathBlock, SteppedPath, compress, cost_li,
+                    cost_plain, detour_path, fast_path, l1_norm, linear_path,
+                    n1, n2, stop_and_go, stretch, sup_norm)
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from .ensembles import (BoundedCouplingTriple, TransportEnsemble,
                         solve_bounded)
 from .errors import AssumptionRefused, ConfigInvalid, LagotError, UnknownKind
 from .harness import Report, VerifyConfig, emit_plot_data, verify
-from .measures import DiscreteMeasure, make_coupling
+from .measures import DiscreteMeasure, json_numbers, make_coupling
 from .mk_solver import solve_mk
 from .paths import random_interval_set
 
@@ -73,8 +73,9 @@ def _cmd_solve_mk(args) -> int:
 def _triple_from_json(obj: dict) -> BoundedCouplingTriple:
     coupling = make_coupling(DiscreteMeasure.from_json(obj["source"]),
                              DiscreteMeasure.from_json(obj["target"]),
-                             obj["plan"])
-    bounds = {(int(i), int(j)): float(m) for i, j, m in obj["bounds"]}
+                             json_numbers(obj["plan"], "plan"))
+    bounds = {(int(i), int(j)): m for i, j, m in
+              json_numbers(obj["bounds"], "bounds").tolist()}
     return BoundedCouplingTriple(coupling, bounds)
 
 
@@ -127,7 +128,7 @@ def _cmd_dual(args) -> int:
     m0 = _load(args.p0, DiscreteMeasure.from_json)
     f = _load(args.f, GridFunction.from_json)
     cost = parse_cost(args.cost)
-    queries = (_load(args.grid, lambda raw: np.asarray(raw, dtype=float))
+    queries = (_load(args.grid, lambda raw: json_numbers(raw, "grid"))
                if args.grid else m0.points)
     rep = verify_control_identity(m0, f, cost, args.i)
     payload = {"fl_values": inf_conv(f, cost, queries), "lhs": rep.lhs,

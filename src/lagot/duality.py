@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import A1I, A1III, A2I, CostFunction, require
-from .measures import DiscreteMeasure, pairwise_distances
+from .measures import DiscreteMeasure, json_numbers, pairwise_distances
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,8 @@ class GridFunction:
 
     @staticmethod
     def from_json(obj: dict) -> "GridFunction":
-        return GridFunction(points=np.asarray(obj["points"], dtype=float),
-                            values=np.asarray(obj["values"], dtype=float))
+        return GridFunction(points=json_numbers(obj["points"], "points"),
+                            values=json_numbers(obj["values"], "values"))
 
     def to_json(self) -> dict:
         return {"points": self.points.tolist(), "values": self.values.tolist()}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -21,10 +22,11 @@ from .costs import CostFunction, power_cost
 from .errors import (BoundViolated, DimensionMismatch, Infeasible,
                      InfeasibleBound, MissingBound, NoFeasiblePath)
 from .measures import (WEIGHT_SUM_TOL, Coupling, DiscreteMeasure,
-                       make_coupling, pairwise_distances, validate_measure)
+                       json_numbers, make_coupling, measure_of,
+                       pairwise_distances)
 from .mk_solver import MKSolution, solve_mk
-from .paths import (IntervalSet, SteppedPath, cost_li, cost_plain,
-                    stop_and_go, sup_norm)
+from .paths import (IntervalSet, PathBlock, SteppedPath, block_of, cost_li,
+                    cost_plain, stop_and_go)
 
 _BOUND_TOL = 1e-12
 _FEAS_TOL = 1e-9
@@ -43,33 +45,58 @@ class EnsembleMember:
     bound: Optional[float] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TransportEnsemble:
-    """Finite weighted family of paths; weights sum to 1 within 1e-12 and
-    any declared speed bound dominates the member's sup-speed."""
+    """Finite weighted family of paths: one PathBlock ``paths``, the (k,)
+    ``weights`` summing to 1 within 1e-12, and the (k,) speed ``bounds``,
+    each dominating its row's sup-speed, NaN where none is declared.
+    Built from EnsembleMembers or, by keyword, from the block, weights and
+    bounds (None for none); ``members`` is a view built on first read.
+    """
 
-    members: tuple
+    paths: PathBlock
+    weights: np.ndarray
+    bounds: np.ndarray
 
-    def __post_init__(self):
-        members = tuple(self.members)
-        total = sum(m.weight for m in members)
+    def __init__(self, members=None, *, paths: Optional[PathBlock] = None,
+                 weights=None, bounds=None):
+        if members is not None:
+            members = self.__dict__["members"] = tuple(members)
+            weights = [m.weight for m in members]
+            bounds = [m.bound for m in members]
+            paths = members and block_of(*zip(*(
+                (m.path.start, m.path.horizon, m.path.durations,
+                 m.path.velocities) for m in members)))
+        weights = np.array(weights, dtype=float)
+        total = float(weights.sum())
         if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # also fails on NaN
             raise ValueError(f"member weights sum to {total!r}, not 1")
-        for m in members:
-            if m.weight <= 0:
-                raise ValueError("member weights must be positive")
-            if m.path.dim != members[0].path.dim:
-                raise DimensionMismatch(
-                    f"member paths of dim {members[0].path.dim} vs "
-                    f"{m.path.dim}")
-            if m.bound is None:
-                continue
-            if not np.isfinite(m.bound):
-                raise BoundViolated(f"speed bound {m.bound} is not finite")
-            if _exceeds(sup_norm(m.path), m.bound):
-                raise BoundViolated(
-                    f"sup speed {sup_norm(m.path)} exceeds bound {m.bound}")
-        object.__setattr__(self, "members", members)
+        if np.any(weights <= 0):
+            raise ValueError("member weights must be positive")
+        for b in [] if bounds is None else bounds:
+            if b is not None and not math.isfinite(b):
+                raise BoundViolated(f"speed bound {b} is not finite")
+        bounds = np.array([np.nan] * len(weights) if bounds is None else
+                          [np.nan if b is None else b for b in bounds],
+                          dtype=float)
+        sup = paths.speeds.max(axis=1)
+        over = _exceeds(sup, bounds)  # false where no bound is declared
+        if over.any():
+            r = int(over.argmax())
+            raise BoundViolated(
+                f"sup speed {sup[r]} exceeds bound {bounds[r]}")
+        for name, value in (("paths", paths), ("weights", weights),
+                            ("bounds", bounds)):
+            object.__setattr__(self, name, value)
+        weights.setflags(write=False)
+        bounds.setflags(write=False)
+
+    @functools.cached_property
+    def members(self) -> tuple:
+        return tuple(EnsembleMember(w, self.paths.row(r),
+                                    None if np.isnan(b) else b)
+                     for r, (w, b) in enumerate(zip(self.weights.tolist(),
+                                                    self.bounds.tolist())))
 
     def to_json(self) -> dict:
         return {"members": [
@@ -79,11 +106,14 @@ class TransportEnsemble:
 
     @staticmethod
     def from_json(obj: dict) -> "TransportEnsemble":
-        return TransportEnsemble(tuple(
-            EnsembleMember(weight=float(m["weight"]),
-                           path=SteppedPath.from_json(m["path"]),
-                           bound=m.get("bound"))
-            for m in obj["members"]))
+        members = obj["members"]
+        return TransportEnsemble(
+            paths=block_of(*zip(*(SteppedPath.json_fields(m["path"])
+                                  for m in members))),
+            weights=[float(json_numbers(m["weight"], "weight"))
+                     for m in members],
+            bounds=[float(json_numbers(m["bound"], "bound"))
+                    if "bound" in m else None for m in members])
 
 
 @dataclass(frozen=True)
@@ -95,52 +125,77 @@ class BoundedCouplingTriple:
     bound_assignment: dict  # (i, j) -> M
 
     def __post_init__(self):
-        dist = self.coupling.distances
-        for i, j, mass in self.coupling.cells():
+        ii, jj = self.coupling.support
+        dist = self.coupling.distances[ii, jj].tolist()
+        for i, j, d in zip(ii.tolist(), jj.tolist(), dist):
             if (i, j) not in self.bound_assignment:
-                raise MissingBound(f"cell ({i}, {j}) carries mass but no bound")
+                raise MissingBound(
+                    f"cell ({i}, {j}) carries mass but no bound")
             m_ij = self.bound_assignment[(i, j)]
-            if not np.isfinite(m_ij):
+            if not math.isfinite(m_ij):
                 raise InfeasibleBound(
                     f"cell ({i}, {j}): bound {m_ij} is not finite")
-            if _exceeds(dist[i, j], m_ij):
+            if _exceeds(d, m_ij):
                 raise InfeasibleBound(
                     f"cell ({i}, {j}): displacement exceeds bound {m_ij}")
+
+    @functools.cached_property
+    def cell_bounds(self) -> np.ndarray:
+        """Read-only bounds of the positive-mass cells, in support order."""
+        ii, jj = self.coupling.support
+        bounds = np.array([self.bound_assignment[c] for c in
+                           zip(ii.tolist(), jj.tolist())], dtype=float)
+        bounds.setflags(write=False)
+        return bounds
 
 
 def endpoint_marginals(e: TransportEnsemble) -> tuple[DiscreteMeasure,
                                                       DiscreteMeasure]:
     """Laws of the start and end points of the ensemble."""
-    dim = e.members[0].path.dim
-    starts = [(m.path.start, m.weight) for m in e.members]
-    ends = [(m.path.end, m.weight) for m in e.members]
-    return validate_measure(starts, dim), validate_measure(ends, dim)
+    return (measure_of(e.paths.starts, e.weights, e.paths.dim),
+            measure_of(e.paths.ends, e.weights, e.paths.dim))
+
+
+def _expectation(weights: np.ndarray, values: np.ndarray) -> float:
+    """Sum of weight * value, added in member order."""
+    return float(sum((weights * values).tolist()))
 
 
 def eval_tilde(e: TransportEnsemble, cost: CostFunction, i: int) -> float:
     """Expected modified running cost (the i = 1 or 2 functional); cost_li
-    rejects members whose horizon is not 1."""
-    return float(sum(m.weight * cost_li(m.path, cost, i) for m in e.members))
+    rejects rows whose horizon is not 1."""
+    return _expectation(e.weights, cost_li(e.paths, cost, i))
+
+
+def _require_bounds(e: TransportEnsemble) -> None:
+    if np.isnan(e.bounds).any():
+        raise MissingBound("every member needs a speed bound")
 
 
 def eval_bounded(e: TransportEnsemble, cost: CostFunction) -> float:
     """Expected plain running cost; e checked each speed when it was built."""
-    for m in e.members:
-        if m.bound is None:
-            raise MissingBound("every member needs a speed bound")
-    return float(sum(m.weight * cost_plain(m.path, cost) for m in e.members))
+    _require_bounds(e)
+    return _expectation(e.weights, cost_plain(e.paths, cost))
+
+
+def _cost_at_caps(cost: CostFunction, caps) -> np.ndarray:
+    """cost(r) at each speed cap r; refuses a cap where it is not finite."""
+    values = np.asarray(cost.eval(caps), dtype=float)
+    bad = np.ravel(caps)[~np.isfinite(np.ravel(values))]
+    if len(bad):
+        raise InfeasibleBound(f"{cost.name} cost is not finite at the speed "
+                              f"cap r = {float(bad[0])!r}")
+    return values
 
 
 def eval_tv(t: BoundedCouplingTriple, cost: CostFunction) -> float:
     """Static bounded-transport value: mass * cost(M)/M * |x - y| over the
     cells with positive bound; M = 0 cells contribute nothing."""
-    total = 0.0
-    dist = t.coupling.distances
-    for i, j, mass in t.coupling.cells():
-        m_ij = t.bound_assignment[(i, j)]
-        if m_ij > 0:
-            total += mass * (cost.eval(m_ij) / m_ij) * float(dist[i, j])
-    return float(total)
+    c, pos = t.coupling, t.cell_bounds > 0
+    m_ij = t.cell_bounds[pos]
+    return _expectation(c.plan[c.support][pos]
+                        * (_cost_at_caps(cost, m_ij) / m_ij),
+                        c.distances[c.support][pos])
 
 
 def induced_triple(e: TransportEnsemble) -> BoundedCouplingTriple:
@@ -150,19 +205,17 @@ def induced_triple(e: TransportEnsemble) -> BoundedCouplingTriple:
     cell map to be well defined.
     """
     src, tgt = endpoint_marginals(e)
+    _require_bounds(e)
+    src_index = {p: k for k, p in enumerate(map(tuple, src.points.tolist()))}
+    tgt_index = {p: k for k, p in enumerate(map(tuple, tgt.points.tolist()))}
+    ii = [src_index[p] for p in map(tuple, e.paths.starts.tolist())]
+    jj = [tgt_index[p] for p in map(tuple, e.paths.ends.tolist())]
     plan = np.zeros((src.n_atoms, tgt.n_atoms))
     bounds: dict = {}
-    src_index = {tuple(p): k for k, p in enumerate(src.points)}
-    tgt_index = {tuple(p): k for k, p in enumerate(tgt.points)}
-    for m in e.members:
-        if m.bound is None:
-            raise MissingBound("every member needs a speed bound")
-        i = src_index[tuple(m.path.start)]
-        j = tgt_index[tuple(m.path.end)]
-        plan[i, j] += m.weight
-        if (i, j) in bounds and bounds[(i, j)] != m.bound:
+    for i, j, w, m in zip(ii, jj, e.weights.tolist(), e.bounds.tolist()):
+        plan[i, j] += w
+        if bounds.setdefault((i, j), m) != m:
             raise MissingBound("conflicting bounds on one endpoint cell")
-        bounds[(i, j)] = float(m.bound)
     return BoundedCouplingTriple(coupling=make_coupling(src, tgt, plan),
                                  bound_assignment=bounds)
 
@@ -170,36 +223,34 @@ def induced_triple(e: TransportEnsemble) -> BoundedCouplingTriple:
 def build_opt_tilde(sol: MKSolution,
                     set_gen: Callable[[int, int], IntervalSet],
                     ) -> TransportEnsemble:
-    """One stop-and-go member per positive-mass cell of an optimal plan.
+    """One stop-and-go row per positive-mass cell of an optimal plan.
 
     Any positive-measure moving set per cell yields the same modified
     cost, equal to the plan's transport value.
     """
-    members = []
     plan = sol.plan
-    for i, j, mass in plan.cells():
-        x = plan.source.points[i]
-        y = plan.target.points[j]
-        members.append(EnsembleMember(
-            weight=mass, path=stop_and_go(x, y, set_gen(i, j))))
-    return TransportEnsemble(tuple(members))
+    ii, jj = plan.support
+    sets = [set_gen(i, j) for i, j in zip(ii.tolist(), jj.tolist())]
+    paths = stop_and_go(plan.source.points[ii], plan.target.points[jj], sets)
+    return TransportEnsemble(paths=paths, weights=plan.plan[ii, jj])
 
 
 def build_opt_bounded(t: BoundedCouplingTriple) -> TransportEnsemble:
     """Per cell, move at exactly the bound speed M on [0, |x-y|/M] and rest;
     the plain cost then matches the static bounded value cell by cell.
     t checked M >= |x - y| on every cell when it was built."""
-    members = []
     c = t.coupling
-    for i, j, mass in c.cells():
-        disp = float(c.distances[i, j])
-        m_ij = float(t.bound_assignment[(i, j)])
-        # stop_and_go rests when x = y whatever the set; M = 0 admits no other
-        moving = min(1.0, disp / m_ij) if disp > 0.0 else 1.0
-        path = stop_and_go(c.source.points[i], c.target.points[j],
-                           IntervalSet(((0.0, moving),)))
-        members.append(EnsembleMember(weight=mass, path=path, bound=m_ij))
-    return TransportEnsemble(tuple(members))
+    ii, jj = c.support
+    disp = c.distances[ii, jj]
+    bounds = t.cell_bounds
+    # stop_and_go rests when x = y whatever the set; M = 0 admits no other
+    moving = np.minimum(1.0, np.divide(disp, bounds, out=np.ones_like(disp),
+                                       where=disp > 0.0))
+    paths = stop_and_go(
+        c.source.points[ii], c.target.points[jj],
+        [IntervalSet(((0.0, m),)) for m in moving.tolist()])
+    return TransportEnsemble(paths=paths, weights=c.plan[ii, jj],
+                             bounds=bounds)
 
 
 @functools.lru_cache
@@ -216,7 +267,7 @@ def _feasible_multisets(grid: tuple, K: int) -> np.ndarray:
 
 
 def oracle_min_path(x, y, cost: CostFunction, objective: str, K: int,
-                    speed_grid, cap: Optional[float] = None) -> float:
+                    speed_grid, cap: Optional[float] = None):
     """Exhaustive minimum over K equal-duration pieces with signed speeds
     from the grid scaled by the displacement.
 
@@ -224,7 +275,9 @@ def oracle_min_path(x, y, cost: CostFunction, objective: str, K: int,
     only raises the speed without helping the endpoint constraint, and the
     cost depends on the speed alone.  |y - x| is the shared kernel's.
     Objectives: ``plain``, ``L1``, ``L2``, and ``conv`` (the convex-case
-    modified integrand (1/N1) * cost(N1 * speed)).
+    modified integrand (1/N1) * cost(N1 * speed)).  Given (n, dim) arrays
+    of endpoints, returns the (n,) minima of the n pairs, all scored
+    against one table; one pair of points is the one-row case, a float.
     """
     if K < 1 or K > 8:
         raise ValueError("K must be in 1..8")
@@ -233,32 +286,40 @@ def oracle_min_path(x, y, cost: CostFunction, objective: str, K: int,
         raise ValueError("speed grid limited to 6 values")
     if not np.all(np.asarray(grid) >= 0):  # also fails on NaN
         raise ValueError("speed grid values are magnitudes, >= 0")
-    x, y = (np.atleast_2d(np.asarray(p, dtype=float)) for p in (x, y))
-    delta = float(pairwise_distances(x, y)[0, 0])
+    xs, ys = (np.atleast_2d(np.asarray(p, dtype=float)) for p in (x, y))
+    if len(xs) != len(ys):
+        raise DimensionMismatch(f"{len(xs)} start points vs {len(ys)} ends")
+    delta = np.diagonal(pairwise_distances(xs, ys))
     if cap is not None and np.isnan(cap):
         raise ValueError("the speed cap must not be NaN")
-    if delta == 0.0:
-        return 0.0
-    speeds = np.abs(_feasible_multisets(grid, K) * delta)
-    if cap is not None:
-        speeds = speeds[~_exceeds(speeds, cap).any(axis=1)]
-    if len(speeds) == 0:
+    out, moving = np.zeros(len(delta)), delta > 0.0
+    delta = delta[moving]
+    if not moving.any():
+        return float(out[0]) if np.ndim(x) < 2 else out
+    speeds = np.abs(_feasible_multisets(grid, K) * delta[:, None, None])
+    ok = (np.ones(speeds.shape[:2], dtype=bool) if cap is None
+          else ~_exceeds(speeds, cap).any(axis=2))
+    if not ok.any(axis=1).all():
         raise NoFeasiblePath("no speed assignment meets the endpoint")
+    if not ok.all():  # scored as the pair's first admitted row: same minimum
+        first = speeds[np.arange(len(ok)), ok.argmax(axis=1)]
+        speeds = np.where(ok[..., None], speeds, first[:, None])
     if objective == "plain":
-        values = np.asarray(cost.eval(speeds), dtype=float).mean(axis=1)
+        values = np.asarray(cost.eval(speeds), dtype=float).mean(axis=2)
     elif objective in ("L1", "L2"):
-        smax = speeds.max(axis=1)
-        denom = delta if objective == "L1" else speeds.mean(axis=1)
+        smax = speeds.max(axis=2)
+        denom = delta[:, None] if objective == "L1" else speeds.mean(axis=2)
         ni = np.maximum(smax / denom, 1.0)
-        values = ni * np.asarray(cost.eval(speeds / ni[:, None]),
-                                 dtype=float).mean(axis=1)
+        values = ni * np.asarray(cost.eval(speeds / ni[..., None]),
+                                 dtype=float).mean(axis=2)
     elif objective == "conv":
-        n1 = np.maximum(speeds.max(axis=1) / delta, 1.0)
+        n1 = np.maximum(speeds.max(axis=2) / delta[:, None], 1.0)
         values = (1.0 / n1) * np.asarray(
-            cost.eval(speeds * n1[:, None]), dtype=float).mean(axis=1)
+            cost.eval(speeds * n1[..., None]), dtype=float).mean(axis=2)
     else:
         raise ValueError(f"unknown objective {objective!r}")
-    return float(values.min())
+    out[moving] = values.min(axis=1)
+    return float(out[0]) if np.ndim(x) < 2 else out
 
 
 def arcs_longer_than(m0: DiscreteMeasure, m1: DiscreteMeasure,
@@ -286,8 +347,9 @@ def solve_bounded(m0: DiscreteMeasure, m1: DiscreteMeasure,
         raise ValueError(f"the speed cap must be finite, got {r!r}")
     if r <= 0:
         raise Infeasible("the speed cap must be positive")
+    cost_r = float(_cost_at_caps(cost, r))
     sol = solve_mk(m0, m1, power_cost(1.0),
                    forbidden_arcs=arcs_longer_than(m0, m1, r))
     bounds = {(i, j): float(r) for i, j, _ in sol.plan.cells()}
     triple = BoundedCouplingTriple(coupling=sol.plan, bound_assignment=bounds)
-    return float(cost.eval(r) / r * sol.value), triple
+    return float(cost_r / r * sol.value), triple

@@ -17,17 +17,17 @@ import numpy as np
 from . import costs as costmod
 from .costs import A1I, A1III, A2I, CostFunction, require
 from .duality import GridFunction, verify_control_identity
-from .ensembles import (BoundedCouplingTriple, EnsembleMember,
-                        TransportEnsemble, build_opt_bounded, build_opt_tilde,
-                        eval_bounded, eval_tilde, eval_tv, induced_triple,
-                        oracle_min_path, solve_bounded)
+from .ensembles import (BoundedCouplingTriple, TransportEnsemble,
+                        build_opt_bounded, build_opt_tilde, eval_bounded,
+                        eval_tilde, eval_tv, induced_triple, oracle_min_path,
+                        solve_bounded)
 from .errors import AssumptionRefused, ConfigInvalid, LagotError, UnknownKind
 from .measures import (DiscreteMeasure, make_coupling, pairwise_distances,
                        random_measure)
 from .mk_solver import solve_mk, t_p
-from .paths import (SteppedPath, compress, cost_li, cost_plain, detour_path,
-                    fast_path, lengths, linear_path, n1, n2,
-                    random_interval_set, stretch, sup_norm)
+from .paths import (PathBlock, block_of, compress, cost_li, cost_plain,
+                    detour_path, fast_path, lengths, linear_path, n1, n2,
+                    random_interval_set, stretch)
 
 ORACLE_GRID = (0.0, 0.5, 1.0, 2.0, 4.0)
 FORMAT_VERSION = 1
@@ -114,17 +114,30 @@ def _rand_measure(rng, n_atoms: int, dim: int) -> DiscreteMeasure:
     return random_measure(rng, int(rng.integers(1, n_atoms + 1)), dim, 2.0)
 
 
-def _rand_path(rng, dim: int) -> SteppedPath:
-    """Random unit-horizon stepped path of 1-4 pieces with displacement at
-    least 1e-3."""
-    while True:
+def _rand_rows(rng, dim: int, n: int, extra: bool = False) -> tuple:
+    """n random unit-horizon rows (start, 1.0, durations, velocities) of
+    1-4 pieces, each with displacement at least 1e-3; with ``extra``, also
+    the uniform [0, 1) number drawn after each row."""
+    rows, drawn = [], []
+    while len(rows) < n:
         k = int(rng.integers(1, 5))
         durations = rng.dirichlet(np.ones(k))
         velocities = rng.normal(0.0, 2.0, size=(k, dim))
-        p = SteppedPath(start=rng.uniform(-1, 1, size=dim), horizon=1.0,
-                        durations=durations, velocities=velocities)
-        if lengths(p.displacement) >= 1e-3:
-            return p
+        start = rng.uniform(-1, 1, size=dim)
+        # |v| >= max |v_i| holds for the computed length too, so a long
+        # coordinate decides without measuring
+        disp = durations @ velocities
+        if max(map(abs, disp.tolist())) >= 1e-3 or lengths(disp) >= 1e-3:
+            rows.append((start, 1.0, durations, velocities))
+            drawn.extend([rng.uniform(0.0, 1.0)] if extra else [])
+    return rows, drawn
+
+
+def _rand_paths(rng, dim: int, n: int,
+                extra: bool = False) -> tuple[PathBlock, np.ndarray]:
+    """The rows of _rand_rows as one block, and the numbers drawn."""
+    rows, drawn = _rand_rows(rng, dim, n, extra)
+    return block_of(*zip(*rows)), np.array(drawn)
 
 
 def _rand_bounded_triple(rng, n_atoms: int, dim: int) -> BoundedCouplingTriple:
@@ -142,17 +155,22 @@ def _rand_bounded_triple(rng, n_atoms: int, dim: int) -> BoundedCouplingTriple:
     return BoundedCouplingTriple(coupling=coupling, bound_assignment=bounds)
 
 
-def _rand_bounded_ensemble(rng, dim: int) -> TransportEnsemble:
-    """Random admissible ensemble: each member's bound dominates its
+def _rand_bounded_ensembles(rng, dim: int, n: int) -> list:
+    """n random admissible ensembles, drawn as n in turn would be, with
+    their paths in one block: each member's bound dominates its
     sup-speed."""
-    k = int(rng.integers(1, 4))
-    weights = rng.dirichlet(np.ones(k))
-    members = []
-    for w in weights:
-        p = _rand_path(rng, dim)
-        bound = sup_norm(p) * float(1.0 + rng.uniform(0.0, 1.0))
-        members.append(EnsembleMember(weight=float(w), path=p, bound=bound))
-    return TransportEnsemble(tuple(members))
+    weights, rows, drawn = [], [], []
+    for _ in range(n):
+        weights.append(rng.dirichlet(np.ones(int(rng.integers(1, 4)))))
+        more, after = _rand_rows(rng, dim, len(weights[-1]), extra=True)
+        rows += more
+        drawn += after
+    paths = block_of(*zip(*rows))
+    bounds = paths.speeds.max(axis=1) * (1.0 + np.array(drawn))
+    cuts = np.cumsum([0] + [len(w) for w in weights]).tolist()
+    return [TransportEnsemble(paths=paths.take(lo, hi), weights=w,
+                              bounds=bounds[lo:hi])
+            for w, lo, hi in zip(weights, cuts, cuts[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +179,17 @@ def _rand_bounded_ensemble(rng, dim: int) -> TransportEnsemble:
 # kind, bound) with kind a key of _HOLDS
 # ---------------------------------------------------------------------------
 
-def _oracle_margin(xs, ys, dist, cells, cost: CostFunction) -> float:
+def _oracle_margin(xs, ys, dist, ii, jj, cost: CostFunction) -> float:
     """Worst gap of the grid path oracle over cost(|y - x|) across the
-    cells (i, j) whose xs[i] moves to a different ys[j]; 0 when none does.
-    ``dist`` is the kernel's matrix of |xs[i] - ys[j]|."""
-    margin = np.inf
-    for i, j in cells:
-        if dist[i, j] > 0.0:
-            o = oracle_min_path(xs[i], ys[j], cost, "L1", 4, ORACLE_GRID)
-            margin = min(margin, o - float(cost.eval(dist[i, j])))
-    return float(margin) if np.isfinite(margin) else 0.0
+    cells (i, j) = (ii[r], jj[r]) whose xs[i] moves to a different ys[j],
+    all scored in one oracle call; 0 when none moves.  ``dist`` is the
+    kernel's matrix of |xs[i] - ys[j]|."""
+    moving = dist[ii, jj] > 0.0
+    if not moving.any():
+        return 0.0
+    ii, jj = ii[moving], jj[moving]
+    best = oracle_min_path(xs[ii], ys[jj], cost, "L1", 4, ORACLE_GRID)
+    return float(np.min(best - cost.eval(dist[ii, jj])))
 
 
 def _suite_thm2_1(cfg, cost, rngs):
@@ -181,9 +200,9 @@ def _suite_thm2_1(cfg, cost, rngs):
         sol = solve_mk(m0, m1, cost)
         ens = build_opt_tilde(sol, lambda i, j: random_interval_set(rng))
         v1 = eval_tilde(ens, cost, 1)
-        oracle_margin = _oracle_margin(
-            m0.points, m1.points, sol.plan.distances,
-            ((i, j) for i, j, _ in sol.plan.cells()), cost)
+        oracle_margin = _oracle_margin(m0.points, m1.points,
+                                       sol.plan.distances,
+                                       *sol.plan.support, cost)
         yield ([m0.to_json(), m1.to_json()],
                {"transport": sol.value, "modified_1": v1},
                [("equality", v1 - sol.value, "eq", cfg.tolerance),
@@ -199,16 +218,14 @@ def _suite_thm2_2(cfg, cost, rngs):
         ens = build_opt_tilde(sol, lambda i, j: random_interval_set(rng))
         v1 = eval_tilde(ens, cost, 1)
         v2 = eval_tilde(ens, cost, 2)
-        n_gap = max(abs(n1(m.path) - n2(m.path)) for m in ens.members)
-        rand_margin = np.inf
-        for _ in range(5):
-            p = _rand_path(rng, cfg.dim)
-            rand_margin = min(rand_margin,
-                              cost_li(p, cost, 1) - cost_li(p, cost, 2))
+        n_gap = np.max(np.abs(n1(ens.paths) - n2(ens.paths)))
+        paths = _rand_paths(rng, cfg.dim, 5)[0]
+        rand_margin = np.min(cost_li(paths, cost, 1)
+                             - cost_li(paths, cost, 2))
         yield ([m0.to_json(), m1.to_json()],
                {"modified_1": v1, "modified_2": v2},
                [("equality", v1 - v2, "eq", cfg.tolerance),
-                ("n_gap", n_gap, "le", 1e-12),
+                ("n_gap", float(n_gap), "le", 1e-12),
                 ("ordering", float(rand_margin), "ge", -1e-12)], ())
 
 
@@ -241,7 +258,7 @@ def _suite_cor2_4(cfg, cost, rngs):
         rep = verify_control_identity(m0, f, cost, 1)
         oracle_margin = _oracle_margin(
             m0.points, f.points, pairwise_distances(m0.points, f.points),
-            rep.selected, cost)
+            *np.transpose(rep.selected), cost)
         yield ([m0.to_json(), f.to_json()],
                {"lhs": rep.lhs, "rhs": rep.rhs},
                [("equality", rep.margin, "eq", cfg.tolerance),
@@ -256,8 +273,7 @@ def _suite_thm2_6(cfg, cost, rngs):
         lhs = eval_bounded(built, cost)
         rhs = eval_tv(triple, cost)
         rand_margin = np.inf
-        for _ in range(4):
-            ens = _rand_bounded_ensemble(rng, cfg.dim)
+        for ens in _rand_bounded_ensembles(rng, cfg.dim, 4):
             rand_margin = min(rand_margin,
                               eval_bounded(ens, cost)
                               - eval_tv(induced_triple(ens), cost))
@@ -346,22 +362,16 @@ def _suite_eq1_9(cfg, cost, rngs):
 
 def _suite_eq1_11(cfg, cost, rngs):
     for t, rng in enumerate(rngs):
-        worst_eq = 0.0
-        worst_rt = 0.0
-        for _ in range(5):
-            p = _rand_path(rng, cfg.dim)
-            lhs = cost_plain(stretch(p, n1(p)), cost)
-            rhs = cost_li(p, cost, 1)
-            worst_eq = max(worst_eq, abs(lhs - rhs))
-            big_t = float(1.0 + rng.uniform(0.0, 5.0))
-            q = compress(stretch(p, big_t))
-            worst_rt = max(
-                worst_rt,
-                float(np.max(np.abs(q.durations - p.durations))),
-                float(np.max(np.abs(q.velocities - p.velocities))))
+        paths, drawn = _rand_paths(rng, cfg.dim, 5, extra=True)
+        lhs = cost_plain(stretch(paths, n1(paths)), cost)
+        worst_eq = np.max(np.abs(lhs - cost_li(paths, cost, 1)))
+        # 5.0 * u is what rng.uniform(0.0, 5.0) returns for the same draw u
+        back = compress(stretch(paths, 1.0 + 5.0 * drawn))
+        worst_rt = max(np.max(np.abs(back.durations - paths.durations)),
+                       np.max(np.abs(back.velocities - paths.velocities)))
         yield ([cfg.seed, t], {},
-               [("time_change", worst_eq, "le", 1e-12),
-                ("roundtrip", worst_rt, "le", 1e-12)], ())
+               [("time_change", float(worst_eq), "le", 1e-12),
+                ("roundtrip", float(worst_rt), "le", 1e-12)], ())
 
 
 # theorem -> (suite, curve columns or None)

@@ -8,11 +8,13 @@ Everything here is immutable after construction.
 from __future__ import annotations
 
 import functools
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyMeasure, WeightSumMismatch
+from .errors import (ConfigInvalid, DimensionMismatch, EmptyMeasure,
+                     WeightSumMismatch)
 
 WEIGHT_SUM_TOL = 1e-12
 PLAN_MARGIN_TOL = 1e-10
@@ -62,52 +64,85 @@ class DiscreteMeasure:
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
-            "atoms": [
-                {"x": list(map(float, x)), "w": float(w)}
-                for x, w in zip(self.points, self.weights)
-            ],
+            "atoms": [{"x": x, "w": w} for x, w in
+                      zip(self.points.tolist(), self.weights.tolist())],
         }
 
     @staticmethod
     def from_json(obj: dict) -> "DiscreteMeasure":
-        atoms = [(a["x"], a["w"]) for a in obj["atoms"]]
-        return validate_measure(atoms, int(obj["dim"]))
+        return validate_measure(
+            [(json_numbers(a["x"], "x"), float(json_numbers(a["w"], "w")))
+             for a in obj["atoms"]], int(json_numbers(obj["dim"], "dim")))
 
 
 def validate_measure(raw, dim: int) -> DiscreteMeasure:
-    """Merge duplicate points, check weights, and build a DiscreteMeasure.
+    """Merge duplicate points, check weights, and build a DiscreteMeasure
+    from (point, weight) pairs; see measure_of."""
+    raw = list(raw)
+    points = [np.atleast_1d(np.asarray(p, dtype=float)) for p, _ in raw]
+    for (point, _), p in zip(raw, points):
+        if p.shape != (dim,):
+            raise DimensionMismatch(
+                f"point {point!r} does not have length {dim}")
+    return measure_of(np.reshape(points, (len(raw), dim)),
+                      np.array([w for _, w in raw], dtype=float), dim)
+
+
+def measure_of(points, weights, dim: int) -> DiscreteMeasure:
+    """The measure of (n, dim) points and (n,) weights, checked in one
+    vectorised pass.
 
     Duplicate points (exact coordinate equality) are merged by summing
-    weights.  Raises EmptyMeasure, DimensionMismatch, or WeightSumMismatch;
-    a non-finite coordinate or weight raises ValueError.
+    weights, in order, and zero-weight atoms dropped.  Raises EmptyMeasure,
+    DimensionMismatch, or WeightSumMismatch; a non-finite coordinate or
+    weight raises ValueError.
     """
-    raw = list(raw)
-    if not raw:
+    points = np.array(points, dtype=float)
+    weights = np.array(weights, dtype=float)
+    if len(weights) == 0:
         raise EmptyMeasure("measure needs at least one atom")
-    merged: dict[tuple, float] = {}
-    order: list[tuple] = []
-    for point, weight in raw:
-        p = np.atleast_1d(np.asarray(point, dtype=float))
-        if p.shape != (dim,):
-            raise DimensionMismatch(f"point {point!r} does not have length {dim}")
-        if not (np.all(np.isfinite(p)) and np.isfinite(weight)):
-            raise ValueError(f"non-finite atom {point!r}, weight {weight!r}")
-        if weight < 0:
-            raise WeightSumMismatch(f"negative weight {weight!r}")
-        key = tuple(p.tolist())
-        if key not in merged:
-            merged[key] = 0.0
-            order.append(key)
-        merged[key] += float(weight)
-    total = sum(merged.values())
+    if points.shape != (len(weights), dim):
+        raise DimensionMismatch(
+            f"points of shape {points.shape} for {len(weights)} weights "
+            f"in dim {dim}")
+    if not (np.isfinite(points).all() and np.isfinite(weights).all()):
+        r = int(np.argmin(np.isfinite(points).all(axis=1)
+                          & np.isfinite(weights)))
+        raise ValueError(f"non-finite atom {points[r].tolist()!r}, "
+                         f"weight {weights[r].item()!r}")
+    listed = weights.tolist()
+    if min(listed) < 0:
+        raise WeightSumMismatch(f"negative weight {min(listed)!r}")
+    keys = list(map(tuple, points.tolist()))
+    merged = dict.fromkeys(keys, 0.0)
+    rebuild = len(merged) < len(keys) or 0.0 in listed
+    if rebuild:
+        for key, w in zip(keys, listed):
+            merged[key] += w
+        listed = list(merged.values())
+    total = sum(listed)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise WeightSumMismatch(f"weights sum to {total!r}, not 1")
-    keys = [k for k in order if merged[k] > 0.0]
-    if not keys:
-        raise EmptyMeasure("all atoms have zero weight")
-    points = np.array(keys, dtype=float)
-    weights = np.array([merged[k] for k in keys], dtype=float)
+    if rebuild:
+        keys = [k for k, w in merged.items() if w > 0.0]
+        if not keys:
+            raise EmptyMeasure("all atoms have zero weight")
+        points = np.array(keys, dtype=float)
+        weights = np.array([merged[k] for k in keys])
     return DiscreteMeasure(dim=dim, points=points, weights=weights)
+
+
+def json_numbers(value, field: str) -> np.ndarray:
+    """float array of a JSON number or nested list of numbers; a boolean,
+    string or null in it raises ConfigInvalid naming ``field``."""
+    def numeric(v):  # JSON gives bool, never a subclass of int, for true
+        return all(map(numeric, v)) if type(v) is list else \
+            type(v) in (int, float)
+
+    if not numeric(value):
+        raise ConfigInvalid(
+            f"{field} must hold numbers only, got {reprlib.repr(value)}")
+    return np.asarray(value, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -134,13 +169,16 @@ class Coupling:
         dist.setflags(write=False)
         return dist
 
+    @functools.cached_property
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column indices of the cells with positive mass, row by
+        row; found on first read."""
+        return np.nonzero(self.plan > 0.0)
+
     def cells(self):
-        """Yield (i, j, mass) for every cell with positive mass."""
-        for i in range(self.plan.shape[0]):
-            for j in range(self.plan.shape[1]):
-                mass = float(self.plan[i, j])
-                if mass > 0.0:
-                    yield i, j, mass
+        """(i, j, mass) for every cell with positive mass, row by row."""
+        ii, jj = self.support
+        return zip(ii.tolist(), jj.tolist(), self.plan[ii, jj].tolist())
 
 
 def make_coupling(source: DiscreteMeasure, target: DiscreteMeasure,
@@ -149,13 +187,13 @@ def make_coupling(source: DiscreteMeasure, target: DiscreteMeasure,
     if plan.shape != (source.n_atoms, target.n_atoms):
         raise DimensionMismatch(
             f"plan shape {plan.shape} vs ({source.n_atoms}, {target.n_atoms})")
-    if np.any(plan < -PLAN_MARGIN_TOL):
+    if plan.min() < -PLAN_MARGIN_TOL:
         raise WeightSumMismatch("plan has negative entries")
     # not (gap <= tol): a NaN cell makes its row and column gaps NaN
-    row_gap = np.max(np.abs(plan.sum(axis=1) - source.weights))
+    row_gap = np.abs(plan.sum(axis=1) - source.weights).max()
     if not row_gap <= PLAN_MARGIN_TOL:
         raise WeightSumMismatch("plan row sums do not match source weights")
-    col_gap = np.max(np.abs(plan.sum(axis=0) - target.weights))
+    col_gap = np.abs(plan.sum(axis=0) - target.weights).max()
     if not col_gap <= PLAN_MARGIN_TOL:
         raise WeightSumMismatch("plan column sums do not match target weights")
     return Coupling(source=source, target=target, plan=plan)
@@ -171,5 +209,4 @@ def random_measure(seed, n_atoms: int, dim: int,
         raise ValueError(f"box_radius must be positive, got {box_radius!r}")
     rng = np.random.default_rng(seed)
     points = rng.uniform(-box_radius, box_radius, size=(n_atoms, dim))
-    weights = rng.dirichlet(np.ones(n_atoms))
-    return validate_measure(zip(points, weights), dim)
+    return measure_of(points, rng.dirichlet(np.ones(n_atoms)), dim)

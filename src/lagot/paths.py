@@ -6,12 +6,15 @@ n1 and n2 (horizon * sup-speed over displacement, resp. over path length)
 and the modified running costs built from them are evaluated exactly as
 finite sums; the optimal paths of the transport identities are all of this
 form, so nothing is lost by restricting to it.
+
+Paths are held k at a time as one zero-padded ``PathBlock``; each
+functional evaluates all rows of a block in one array expression, and on
+a ``SteppedPath``, a one-row block, returns a float or a path.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,14 +22,140 @@ import numpy as np
 from .costs import CostFunction
 from .errors import (BadHorizon, CoincidentPoints, DegenerateSet,
                      DimensionMismatch, DimensionTooSmall)
-from .measures import pairwise_distances
+from .measures import json_numbers, pairwise_distances
 
 DURATION_TOL = 1e-12
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _freeze(obj, **fields) -> None:
+    """Set the fields of a frozen dataclass, their arrays read-only."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, _read_only(value))
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot of two (k, P) arrays, bit for bit the 1-D ``@`` of each
+    unpadded row, which ``(a * b).sum(1)`` and ``einsum`` are not."""
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+
+
+@dataclass(frozen=True)
+class PathBlock:
+    """k stepped paths as zero-padded arrays.
+
+    ``starts`` (k, dim), ``horizons`` (k,), ``durations`` (k, P),
+    ``velocities`` (k, P, dim) and ``counts`` (k,).  Row r uses its first
+    counts[r] pieces, whose durations are positive and sum to the finite
+    horizon; every later entry is zero.  Values are finite.
+    """
+
+    starts: np.ndarray
+    horizons: np.ndarray
+    durations: np.ndarray
+    velocities: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self):
+        starts, horizons, durations, velocities = (
+            np.asarray(a, dtype=float) for a in (
+                self.starts, self.horizons, self.durations, self.velocities))
+        counts = np.asarray(self.counts, dtype=int)
+        if durations.shape != velocities.shape[:2]:
+            raise ValueError("one velocity per piece required")
+        # first, so that a NaN or infinite duration or horizon fails here
+        for s, h in zip(durations.sum(axis=1).tolist(), horizons.tolist()):
+            if not abs(s - h) <= DURATION_TOL * max(1.0, h) < np.inf:
+                raise BadHorizon(f"durations sum to {s}, horizon {h}")
+        pad = np.arange(durations.shape[1]) >= counts[:, None]
+        if not (np.sign(durations) == ~pad).all():
+            raise ValueError("durations must be positive, and zero on padding")
+        if velocities[pad].any():
+            raise ValueError("padding velocities must be zero")
+        if not (np.isfinite(velocities).all() and np.isfinite(starts).all()):
+            raise ValueError("start and velocities must be finite")
+        if velocities.shape[2] != starts.shape[1]:
+            raise DimensionMismatch(f"velocities of dim {velocities.shape[2]} "
+                                    f"vs a start of dim {starts.shape[1]}")
+        _freeze(self, starts=starts, horizons=horizons, durations=durations,
+                velocities=velocities, counts=counts)
+
+    @property
+    def dim(self) -> int:
+        return self.starts.shape[1]
+
+    @functools.cached_property
+    def speeds(self) -> np.ndarray:
+        """(k, P) |v| of each piece, measured on first read; padding reads
+        0.  This and the two below are read-only."""
+        return _read_only(lengths(self.velocities))
+
+    @functools.cached_property
+    def displacements(self) -> np.ndarray:
+        """(k, dim) durations @ velocities of each row, the 1-D product of
+        the unpadded row: padding changes the summation, so the last bits."""
+        return _read_only(np.array([
+            d[:c] @ v[:c] for d, v, c in zip(
+                self.durations, self.velocities, self.counts.tolist())
+        ]).reshape(self.starts.shape))
+
+    @functools.cached_property
+    def ends(self) -> np.ndarray:
+        return _read_only(self.starts + self.displacements)
+
+    def take(self, lo: int, hi: int) -> "PathBlock":
+        """Rows lo to hi - 1 as a block viewing these arrays, padded to
+        their longest row, with the speeds, displacements and ends measured
+        so far; unchecked, as this block was checked when it was built."""
+        width = self.counts[lo:hi].max()
+        if (lo, hi, width) == (0, len(self.counts), self.durations.shape[1]):
+            return self
+        view = object.__new__(PathBlock)
+        _freeze(view, starts=self.starts[lo:hi],
+                horizons=self.horizons[lo:hi], counts=self.counts[lo:hi],
+                durations=self.durations[lo:hi, :width],
+                velocities=self.velocities[lo:hi, :width])
+        for name, cut in (("speeds", np.s_[lo:hi, :width]),
+                          ("displacements", np.s_[lo:hi]),
+                          ("ends", np.s_[lo:hi])):
+            if name in self.__dict__:  # measured: the view shares it
+                view.__dict__[name] = self.__dict__[name][cut]
+        return view
+
+    def row(self, r: int) -> "SteppedPath":
+        """Row r as a SteppedPath viewing this block, unchecked."""
+        return object.__new__(SteppedPath)._bind(self.take(r, r + 1))
+
+
+def block_of(starts, horizons, durations, velocities) -> PathBlock:
+    """Block of the rows given as sequences: starts (dim,), durations
+    (k_r,) and velocities (k_r, dim), zero-padded to the longest row."""
+    dims = [len(x) for x in starts]
+    if len(set(dims)) > 1:
+        raise DimensionMismatch(f"member paths of dim {dims[0]} vs "
+                                f"{next(d for d in dims if d != dims[0])}")
+    counts = [len(d) for d in durations]
+    pad_d = np.zeros((len(counts), max(counts)))
+    pad_v = np.zeros(pad_d.shape + (dims[0],))
+    for r, (d, v) in enumerate(zip(durations, velocities)):
+        if len(v) != len(d):
+            raise ValueError("one velocity per piece required")
+        if np.shape(v)[1] != dims[0]:
+            raise DimensionMismatch(f"velocities of dim {np.shape(v)[1]} "
+                                    f"vs a start of dim {dims[0]}")
+        pad_d[r, :len(d)] = d
+        pad_v[r, :len(d)] = v
+    return PathBlock(starts, horizons, pad_d, pad_v, counts)
+
+
 @dataclass(frozen=True)
 class SteppedPath:
-    """Absolutely continuous path with piecewise-constant velocity.
+    """Absolutely continuous path with piecewise-constant velocity: the
+    one-row view of a PathBlock, held as ``block``.
 
     ``durations`` (k,) are positive and sum to the finite ``horizon``;
     ``start`` and ``velocities`` (k, dim) are finite.
@@ -38,30 +167,19 @@ class SteppedPath:
     velocities: np.ndarray
 
     def __post_init__(self):
-        start = np.atleast_1d(np.asarray(self.start, dtype=float))
-        durations = np.asarray(self.durations, dtype=float)
         velocities = np.asarray(self.velocities, dtype=float)
-        if velocities.ndim == 1:
-            velocities = velocities[:, None]
-        if len(durations) != len(velocities):
-            raise ValueError("one velocity per piece required")
-        if np.any(durations <= 0):
-            raise ValueError("durations must be positive")
-        if not (np.isfinite(velocities).all() and np.isfinite(start).all()):
-            raise ValueError("start and velocities must be finite")
-        # also fails on NaN durations and on a NaN or infinite horizon
-        if not (abs(durations.sum() - self.horizon)
-                <= DURATION_TOL * max(1.0, self.horizon) < np.inf):
-            raise BadHorizon(
-                f"durations sum to {durations.sum()}, horizon {self.horizon}")
-        if velocities.shape[1] != len(start):
-            raise DimensionMismatch(f"velocities of dim {velocities.shape[1]} "
-                                    f"vs a start of dim {len(start)}")
-        for arr in (start, durations, velocities):
-            arr.setflags(write=False)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "durations", durations)
-        object.__setattr__(self, "velocities", velocities)
+        self._bind(block_of(
+            [np.atleast_1d(np.asarray(self.start, dtype=float))],
+            [self.horizon], [np.asarray(self.durations, dtype=float)],
+            [velocities[:, None] if velocities.ndim == 1 else velocities]))
+
+    def _bind(self, block: PathBlock) -> "SteppedPath":
+        """Make this path the view of the one-row ``block``."""
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "horizon", float(block.horizons[0]))
+        _freeze(self, start=block.starts[0], durations=block.durations[0],
+                velocities=block.velocities[0])
+        return self
 
     @property
     def dim(self) -> int:
@@ -69,18 +187,16 @@ class SteppedPath:
 
     @property
     def end(self) -> np.ndarray:
-        return self.start + self.durations @ self.velocities
+        return self.block.ends[0]
 
     @property
     def displacement(self) -> np.ndarray:
-        return self.durations @ self.velocities
+        return self.block.displacements[0]
 
-    @functools.cached_property
+    @property
     def speeds(self) -> np.ndarray:
-        """(k,) read-only |v| of each piece, measured on first read."""
-        speeds = lengths(self.velocities)
-        speeds.setflags(write=False)
-        return speeds
+        """(k,) read-only |v| of each piece."""
+        return self.block.speeds[0]
 
     def position(self, t: float) -> np.ndarray:
         """Position at time t in [0, horizon]."""
@@ -98,22 +214,25 @@ class SteppedPath:
 
     def to_json(self) -> dict:
         return {
-            "start": list(map(float, self.start)),
+            "start": self.start.tolist(),
             "horizon": float(self.horizon),
-            "pieces": [
-                {"dt": float(dt), "v": list(map(float, v))}
-                for dt, v in zip(self.durations, self.velocities)
-            ],
+            "pieces": [{"dt": dt, "v": v} for dt, v in
+                       zip(self.durations.tolist(), self.velocities.tolist())],
         }
 
     @staticmethod
+    def json_fields(obj: dict) -> tuple:
+        """(start, horizon, durations, velocities) of a path's JSON."""
+        pieces = obj["pieces"]
+        return (np.atleast_1d(json_numbers(obj["start"], "start")),
+                float(json_numbers(obj.get("horizon", 1.0), "horizon")),
+                json_numbers([p["dt"] for p in pieces], "dt"),
+                json_numbers([p["v"] for p in pieces], "v").reshape(
+                    len(pieces), -1))
+
+    @staticmethod
     def from_json(obj: dict) -> "SteppedPath":
-        return SteppedPath(
-            start=np.asarray(obj["start"], dtype=float),
-            horizon=float(obj.get("horizon", 1.0)),
-            durations=np.asarray([p["dt"] for p in obj["pieces"]], dtype=float),
-            velocities=np.asarray([p["v"] for p in obj["pieces"]], dtype=float),
-        )
+        return SteppedPath(*SteppedPath.json_fields(obj))
 
 
 @dataclass(frozen=True)
@@ -139,97 +258,115 @@ class IntervalSet:
 
 
 def lengths(vectors: np.ndarray) -> np.ndarray:
-    """Euclidean lengths along the last axis, taken after the exact scaling
-    by the power of two that brings the largest entry into [0.5, 1): the
-    plain norm bit for bit wherever no square underflows or overflows."""
-    exp = math.frexp(np.abs(vectors).max())[1]
-    return np.ldexp(np.linalg.norm(np.ldexp(vectors, -exp), axis=-1), exp)
+    """Euclidean lengths along the last axis, each vector taken after the
+    exact scaling by the power of two that brings its largest entry into
+    [0.5, 1): the plain norm bit for bit wherever no square underflows or
+    overflows, and scale-free vector by vector."""
+    exp = np.frexp(np.abs(vectors).max(axis=-1))[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(vectors, -exp[..., None]),
+                                   axis=-1), exp)
 
 
-def sup_norm(p: SteppedPath) -> float:
+def _rows(p):
+    """(block, out) of a PathBlock or SteppedPath argument: ``out`` returns
+    a (k,) result as it is for a block, as the float of row 0 for a path."""
+    if isinstance(p, SteppedPath):
+        return p.block, lambda values: float(values[0])
+    return p, lambda values: values
+
+
+def sup_norm(p):
     """Essential supremum of the speed (zero-duration pieces never occur)."""
-    return float(p.speeds.max())
+    b, out = _rows(p)
+    return out(b.speeds.max(axis=1))
 
 
-def l1_norm(p: SteppedPath) -> float:
+def l1_norm(p):
     """Total path length: integral of the speed."""
-    return float(p.durations @ p.speeds)
+    b, out = _rows(p)
+    return out(_row_dot(b.durations, b.speeds))
 
 
-def n1(p: SteppedPath) -> float:
+def n1(p):
     """horizon * sup-speed / |displacement|, or 1 for a closed path.
 
     The path counts as closed when its displacement is within k * 2**-53
     times its length, the rounding bound of the k-piece sum: below that the
     computed displacement is rounding noise, and dividing by it would turn
     an exact zero into a quotient near 1e16."""
-    disp = float(lengths(p.displacement))
-    if disp <= len(p.speeds) * 2.0 ** -53 * l1_norm(p):
-        return 1.0
-    return p.horizon * sup_norm(p) / disp
+    b, out = _rows(p)
+    disp = lengths(b.displacements)
+    closed = disp <= b.counts * 2.0 ** -53 * l1_norm(b)
+    ratio = b.horizons * sup_norm(b) / np.where(closed, 1.0, disp)
+    return out(np.where(closed, 1.0, ratio))
 
 
-def n2(p: SteppedPath) -> float:
+def n2(p):
     """horizon * sup-speed / path length, or 1 for a motionless path."""
-    length = l1_norm(p)
-    if length == 0.0:
-        return 1.0
-    return p.horizon * sup_norm(p) / length
+    b, out = _rows(p)
+    length = l1_norm(b)
+    still = length == 0.0
+    ratio = b.horizons * sup_norm(b) / np.where(still, 1.0, length)
+    return out(np.where(still, 1.0, ratio))
 
 
-def cost_plain(p: SteppedPath, cost: CostFunction) -> float:
+def cost_plain(p, cost: CostFunction):
     """Integral of cost(speed) along the path."""
-    return float(p.durations @ np.atleast_1d(cost.eval(p.speeds)))
+    b, out = _rows(p)
+    return out(_row_dot(b.durations, cost.eval(b.speeds)))
 
 
-def cost_li(p: SteppedPath, cost: CostFunction, i: int) -> float:
+def cost_li(p, cost: CostFunction, i: int):
     """Modified running cost N_i * integral of cost(speed / N_i).
 
     Defined on unit-horizon paths only.
     """
-    if abs(p.horizon - 1.0) > DURATION_TOL:
+    b, out = _rows(p)
+    if np.any(np.abs(b.horizons - 1.0) > DURATION_TOL):
         raise BadHorizon("the modified cost is defined on horizon-1 paths")
     if i not in (1, 2):
         raise ValueError("i must be 1 or 2")
-    ni = n1(p) if i == 1 else n2(p)
-    return float(ni * (p.durations @ np.atleast_1d(cost.eval(p.speeds / ni))))
+    ni = n1(b) if i == 1 else n2(b)
+    return out(ni * _row_dot(b.durations, cost.eval(b.speeds / ni[:, None])))
 
 
-def stop_and_go(x, y, A: IntervalSet) -> SteppedPath:
+def stop_and_go(x, y, A):
     """Path from x to y moving at constant velocity exactly on A.
 
     Velocity is (y-x)/|A| on A and 0 off A; if x == y the constant path is
     returned regardless of A.  Raises DegenerateSet when x != y and |A| = 0.
+    Given (k, dim) endpoints and a sequence of k sets, the block of the k
+    paths.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    dim = len(x)
-    zero = np.zeros(dim)
-    if np.array_equal(x, y):
-        return SteppedPath(start=x, horizon=1.0, durations=np.array([1.0]),
-                           velocities=zero[None, :])
-    total = A.measure
-    if total <= 0:
-        raise DegenerateSet("moving endpoints need a set of positive measure")
-    v = (y - x) / total
-    durations = []
-    velocities = []
-    cursor = 0.0
-    for a, b in A.intervals:
-        if a > cursor + DURATION_TOL:
-            durations.append(a - cursor)
-            velocities.append(zero)
-        durations.append(b - a)
-        velocities.append(v)
-        cursor = b
-    if cursor < 1.0 - DURATION_TOL:
-        durations.append(1.0 - cursor)
-        velocities.append(zero)
-    durations = np.asarray(durations)
+    if isinstance(A, IntervalSet):
+        return stop_and_go(x, y, [A]).row(0)
+    xs, ys = (np.atleast_2d(np.asarray(p, dtype=float)) for p in (x, y))
+    pieces, totals = [], []
+    for move, one in zip((xs != ys).any(axis=1).tolist(), A):
+        row, cursor = [], 0.0
+        total = one.measure if move else 1.0
+        if total <= 0:
+            raise DegenerateSet("moving endpoints need a set of positive "
+                                "measure")
+        for a, b in one.intervals if move else ():
+            if a > cursor + DURATION_TOL:
+                row.append((a - cursor, False))
+            row.append((b - a, True))
+            cursor = b
+        if cursor < 1.0 - DURATION_TOL:
+            row.append((1.0 - cursor, False))
+        pieces.append(row)
+        totals.append(total)
+    counts = [len(row) for row in pieces]
+    durations = np.zeros((len(counts), max(counts)))
+    on = np.zeros(durations.shape, dtype=bool)
+    for r, row in enumerate(pieces):
+        durations[r, :counts[r]], on[r, :counts[r]] = zip(*row)
     # absorb rounding so the horizon constraint holds exactly
-    durations = durations * (1.0 / durations.sum())
-    return SteppedPath(start=x, horizon=1.0, durations=durations,
-                       velocities=np.asarray(velocities))
+    durations = durations * (1.0 / durations.sum(axis=1))[:, None]
+    v = (ys - xs) / np.asarray(totals)[:, None]
+    return PathBlock(xs, np.ones(len(counts)), durations,
+                     np.where(on[..., None], v[:, None, :], 0.0), counts)
 
 
 def linear_path(x, y) -> SteppedPath:
@@ -280,26 +417,32 @@ def detour_path(x0, x1) -> SteppedPath:
                                             2.0 * (x1 - apex)]))
 
 
-def stretch(p: SteppedPath, T: float) -> SteppedPath:
+def stretch(p, T):
     """Reparametrize a unit-horizon path onto [0, T]: durations scale by T,
     velocities by 1/T.  The n-functionals over the new horizon are
     unchanged, and at T = n1(p) the plain cost of the stretched path equals
-    the modified cost of the original."""
-    if abs(p.horizon - 1.0) > DURATION_TOL:
+    the modified cost of the original.  On a block, T is one per row or
+    one for all."""
+    b = p.block if isinstance(p, SteppedPath) else p
+    T = np.broadcast_to(np.asarray(T, dtype=float), b.horizons.shape)
+    if np.any(np.abs(b.horizons - 1.0) > DURATION_TOL):
         raise BadHorizon("stretch starts from a horizon-1 path")
-    if T < 1.0 - DURATION_TOL:
+    if np.any(T < 1.0 - DURATION_TOL):
         raise BadHorizon("stretch needs T >= 1")
-    return SteppedPath(start=p.start, horizon=T, durations=p.durations * T,
-                       velocities=p.velocities / T)
+    out = PathBlock(b.starts, T, b.durations * T[:, None],
+                    b.velocities / T[:, None, None], b.counts)
+    return out if b is p else out.row(0)
 
 
-def compress(q: SteppedPath) -> SteppedPath:
+def compress(q):
     """Inverse of stretch: map a path on [0, T], T >= 1, back to [0, 1]."""
-    T = q.horizon
-    if T < 1.0 - DURATION_TOL:
+    b = q.block if isinstance(q, SteppedPath) else q
+    T = b.horizons
+    if np.any(T < 1.0 - DURATION_TOL):
         raise BadHorizon("compress needs horizon >= 1")
-    return SteppedPath(start=q.start, horizon=1.0, durations=q.durations / T,
-                       velocities=q.velocities * T)
+    out = PathBlock(b.starts, np.ones_like(T), b.durations / T[:, None],
+                    b.velocities * T[:, None, None], b.counts)
+    return out if b is q else out.row(0)
 
 
 def random_interval_set(rng: np.random.Generator) -> IntervalSet:

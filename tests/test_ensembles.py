@@ -12,7 +12,7 @@ from lagot.ensembles import (BoundedCouplingTriple, EnsembleMember,
                              induced_triple, oracle_min_path, solve_bounded)
 from lagot.errors import (BadHorizon, BoundViolated, Infeasible,
                           InfeasibleBound, MissingBound, NoFeasiblePath)
-from lagot.measures import Coupling, validate_measure
+from lagot.measures import Coupling, measure_of, validate_measure
 from lagot.mk_solver import solve_mk
 from lagot.paths import (IntervalSet, SteppedPath, cost_li, cost_plain,
                          fast_path, linear_path, l1_norm, n1,
@@ -293,3 +293,59 @@ def test_solve_bounded_examples():
 def test_weights_must_sum_to_one():
     with pytest.raises(ValueError):
         TransportEnsemble((EnsembleMember(0.5, linear_path([0.0], [1.0])),))
+
+
+def _built(theorem):
+    """An ensemble from build_opt_tilde (2.1) or build_opt_bounded (2.6)
+    between two seeded 4-atom measures, and the plan it was built on."""
+    rng = np.random.default_rng(21 if theorem == "2.1" else 26)
+    m0, m1 = (validate_measure(zip(rng.uniform(-2, 2, (4, 2)),
+                                   rng.dirichlet(np.ones(4))), 2)
+              for _ in range(2))
+    if theorem == "2.1":
+        sol = solve_mk(m0, m1, SQRT)
+        return (build_opt_tilde(sol, lambda i, j: random_interval_set(rng)),
+                sol.plan.plan)
+    _, triple = solve_bounded(m0, m1, SQRT, 1.5 * m0.diameter_to(m1))
+    return build_opt_bounded(triple), triple.coupling.plan
+
+
+@pytest.mark.parametrize("theorem", ["2.1", "2.6"])
+def test_ensemble_json_round_trip_keeps_the_block_bits(theorem):
+    e, plan = _built(theorem)
+    back = TransportEnsemble.from_json(e.to_json())
+    for name in ("starts", "horizons", "durations", "velocities", "counts"):
+        a, b = getattr(e.paths, name), getattr(back.paths, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert e.weights.tobytes() == back.weights.tobytes()
+    assert e.bounds.tobytes() == back.bounds.tobytes()
+    assert len(e.members) == np.count_nonzero(plan > 0)
+    assert [m.weight for m in e.members] == plan[plan > 0].tolist()
+
+
+def test_the_traced_run_counts_the_builders_members():
+    """perfbench's tracer counts len(members) of every builder result:
+    one member per positive plan cell."""
+    import sys
+    from pathlib import Path
+
+    import lagot.ensembles as ensembles
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from perfbench import tracing
+
+    m0 = measure_of([[0.0], [1.0], [2.0]], [0.25, 0.25, 0.5], 1)
+    m1 = measure_of([[0.5], [3.0]], [0.5, 0.5], 1)
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        sol = ensembles.solve_mk(m0, m1, SQRT)
+        _, triple = ensembles.solve_bounded(m0, m1, SQRT, 4.0)
+        built = [ensembles.build_opt_tilde(
+                     sol, lambda i, j: IntervalSet(((0.0, 1.0),))),
+                 ensembles.build_opt_bounded(triple)]
+    finally:
+        tracer.restore()
+    cells = sum(np.count_nonzero(c.plan > 0)
+                for c in (sol.plan, triple.coupling))
+    assert tracer.counts["ensembles.members"] == cells
+    assert sum(len(e.members) for e in built) == cells

@@ -673,10 +673,70 @@ BAD_INPUTS = {
         {"p1.json": {"dim": 1, "atoms": [{"x": [-3.0], "w": 1.0}]}},
         ["build-optimal", "--theorem", "2.6", "--p0", "good.json",
          "--p1", "p1.json", "--cost", "quadratic", "--bound", "1e308"],
-        "error: the result is not finite"),
+        "error: quadratic cost is not finite at the speed cap r = 1e+308"),
     "plain quadratic cost that overflows": (
         _ensemble(v=(1e160,), bound=2e160),
         _eval("plain")[:-1] + ["quadratic"], "error: the result is not finite"),
+    "bounded build whose cost overflows at the cap": (
+        {"p0.json": {"dim": 1, "atoms": [{"x": [0.0], "w": 0.5},
+                                         {"x": [3.0], "w": 0.5}]},
+         "p1.json": {"dim": 1, "atoms": [{"x": [-3.0], "w": 1.0}]}},
+        ["build-optimal", "--theorem", "2.6", "--p0", "p0.json",
+         "--p1", "p1.json", "--cost", "quadratic", "--bound", "1e200"],
+        "error: quadratic cost is not finite at the speed cap r = 1e+200"),
+    "triple whose cost overflows at a bound": (
+        {"t.json": {"source": GOOD, "target": GOOD,
+                    "plan": [[0.5, 0.0], [0.0, 0.5]],
+                    "bounds": [[0, 0, 1.0], [1, 1, 1e200]]}},
+        ["eval", "--objective", "TV", "--triple", "t.json",
+         "--cost", "quadratic"],
+        "error: quadratic cost is not finite at the speed cap r = 1e+200"),
+    "measure with a boolean weight": (
+        {"p0.json": {"dim": 1, "atoms": [{"x": [0], "w": True}]}}, SOLVE,
+        "p0.json: w must hold numbers only, got True"),
+    "measure with a string coordinate": (
+        {"p0.json": {"dim": 1, "atoms": [{"x": ["0"], "w": 1.0}]}}, SOLVE,
+        "p0.json: x must hold numbers only, got ['0']"),
+    "measure with a boolean dimension": (
+        {"p0.json": {"dim": True, "atoms": [{"x": [0], "w": 1.0}]}}, SOLVE,
+        "p0.json: dim must hold numbers only, got True"),
+    "ensemble with a boolean weight": (
+        _ensemble(weight=True, bound=1.0), _eval("plain"),
+        "e.json: weight must hold numbers only, got True"),
+    "ensemble with a boolean duration": (
+        _ensemble(dt=True, bound=1.0), _eval("plain"),
+        "e.json: dt must hold numbers only, got [True]"),
+    "ensemble with a boolean bound": (
+        _ensemble(bound=True), _eval("plain"),
+        "e.json: bound must hold numbers only, got True"),
+    "ensemble with a null bound": (
+        {"e.json": {"members": [{"weight": 1.0, "bound": None, "path": {
+            "start": [0.0], "pieces": [{"dt": 1.0, "v": [0.5]}]}}]}},
+        _eval("plain"), "e.json: bound must hold numbers only, got None"),
+    "ensemble with a boolean velocity": (
+        _ensemble(v=(True,), bound=1.0), _eval("plain"),
+        "e.json: v must hold numbers only, got [[True]]"),
+    "ensemble with a boolean horizon": (
+        _ensemble(horizon=True), _eval("L1"),
+        "e.json: horizon must hold numbers only, got True"),
+    "triple with a boolean plan cell": (
+        {"t.json": {"source": GOOD, "target": GOOD,
+                    "plan": [[0.5, False], [0.0, 0.5]],
+                    "bounds": [[0, 0, 1.0], [1, 1, 1.0]]}},
+        ["eval", "--objective", "TV", "--triple", "t.json",
+         "--cost", "power:0.5"], "t.json: plan must hold numbers only"),
+    "triple with a boolean bound": (
+        {"t.json": {"source": GOOD, "target": GOOD,
+                    "plan": [[0.5, 0.0], [0.0, 0.5]],
+                    "bounds": [[0, 0, True], [1, 1, 1.0]]}},
+        ["eval", "--objective", "TV", "--triple", "t.json",
+         "--cost", "power:0.5"], "t.json: bounds must hold numbers only"),
+    "grid function with a boolean value": (
+        {"f.json": {"points": [[0.0]], "values": [True]}}, DUAL,
+        "f.json: values must hold numbers only, got [True]"),
+    "query grid with a boolean point": (
+        {"f.json": {"points": [[0.0]], "values": [0.0]}, "g.json": [[True]]},
+        DUAL + ["--grid", "g.json"], "g.json: grid must hold numbers only"),
 }
 
 

@@ -7,11 +7,12 @@ import pytest
 
 from lagot.costs import builtin
 from lagot.errors import (BadHorizon, CoincidentPoints, DegenerateSet,
-                          DimensionTooSmall)
+                          DimensionMismatch, DimensionTooSmall)
 from lagot.measures import pairwise_distances
-from lagot.paths import (IntervalSet, SteppedPath, compress, cost_li,
-                         cost_plain, detour_path, fast_path, l1_norm,
-                         linear_path, n1, n2, stop_and_go, stretch, sup_norm)
+from lagot.paths import (IntervalSet, PathBlock, SteppedPath, block_of,
+                         compress, cost_li, cost_plain, detour_path, fast_path,
+                         l1_norm, linear_path, n1, n2, stop_and_go, stretch,
+                         sup_norm)
 
 SQRT = builtin("power", [0.5])
 REMARK = builtin("remark_iii")
@@ -192,3 +193,125 @@ def test_json_roundtrip():
     assert np.array_equal(p.durations, q.durations)
     assert np.array_equal(p.velocities, q.velocities)
     assert np.array_equal(p.start, q.start)
+
+
+def _ragged(rng, k, dim, scales=None):
+    """k random unit-horizon rows of 1-7 pieces as (block, paths alone)."""
+    rows = []
+    for r in range(k):
+        n = int(rng.integers(1, 8))
+        scale = 1.0 if scales is None else scales[r % len(scales)]
+        rows.append((rng.uniform(-1.0, 1.0, dim), 1.0,
+                     rng.dirichlet(np.ones(n)),
+                     scale * rng.normal(0.0, 2.0, size=(n, dim))))
+    return block_of(*zip(*rows)), [SteppedPath(*row) for row in rows]
+
+
+def _row_values(b, cost):
+    return {"n1": n1(b), "n2": n2(b),
+            "plain": cost_plain(b, cost), "li1": cost_li(b, cost, 1),
+            "li2": cost_li(b, cost, 2)}
+
+
+def _reference(p, cost):
+    """The one-path functionals as loops over 1-D arrays, the plain norm
+    standing in for the scaled one (the same bits at these scales)."""
+    speeds = np.linalg.norm(p.velocities, axis=1)
+    length, top = p.durations @ speeds, speeds.max()
+    disp = np.linalg.norm(p.durations @ p.velocities, axis=-1)
+    ref = {"n1": 1.0 if disp <= len(speeds) * 2.0 ** -53 * length
+           else p.horizon * top / disp,
+           "n2": 1.0 if length == 0.0 else p.horizon * top / length,
+           "plain": p.durations @ np.atleast_1d(cost.eval(speeds))}
+    for i in (1, 2):
+        ni = ref[f"n{i}"]
+        ref[f"li{i}"] = ni * (p.durations
+                              @ np.atleast_1d(cost.eval(speeds / ni)))
+    return speeds, ref
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_block_rows_equal_the_paths_alone(seed):
+    """Each row of a ragged block, 1-7 pieces in dims 1-3, evaluates bit
+    for bit as its path alone and as the 1-D reference loop."""
+    rng = np.random.default_rng(seed)
+    cost = (SQRT, REMARK, builtin("affine_exp", [0.25]))[seed % 3]
+    block, paths = _ragged(rng, int(rng.integers(1, 9)), 1 + seed % 3)
+    rows = _row_values(block, cost)
+    big_t = 1.0 + rng.uniform(0.0, 5.0, size=len(paths))
+    back = compress(stretch(block, big_t))
+    for r, p in enumerate(paths):
+        k = len(p.durations)
+        speeds, ref = _reference(p, cost)
+        assert np.array_equal(block.speeds[r, :k], p.speeds)
+        assert np.array_equal(p.speeds, speeds)
+        alone = {"n1": n1(p), "n2": n2(p), "plain": cost_plain(p, cost),
+                 "li1": cost_li(p, cost, 1), "li2": cost_li(p, cost, 2)}
+        for name, value in rows.items():
+            assert value[r] == alone[name] == ref[name], (name, r)
+        q = compress(stretch(p, float(big_t[r])))
+        assert np.array_equal(back.durations[r, :k], q.durations)
+        assert np.array_equal(back.velocities[r, :k], q.velocities)
+        assert np.array_equal(block.ends[r], p.end)
+
+
+def test_block_rows_keep_their_own_scale():
+    """Rows at 1e-300 and 1e200 in one block get the speeds they have
+    alone, each within rounding of its scale times the unit speeds."""
+    rng = np.random.default_rng(12)
+    scales = (1e-300, 1e200, 1.0)
+    block, paths = _ragged(rng, 6, 2, scales)
+    for r, p in enumerate(paths):
+        k = len(p.durations)
+        assert np.array_equal(block.speeds[r, :k], p.speeds)
+        unit = np.linalg.norm(p.velocities / scales[r % 3], axis=1)
+        assert np.allclose(block.speeds[r, :k], scales[r % 3] * unit,
+                           rtol=1e-15, atol=0.0)
+        assert n1(block)[r] == n1(p) and n2(block)[r] == n2(p)
+
+
+def test_padding_contributes_exactly_zero():
+    """Extra zero pieces change no row's value, and read as speed 0."""
+    rng = np.random.default_rng(5)
+    block, _ = _ragged(rng, 4, 2)
+    extra = 3
+    wide = PathBlock(block.starts, block.horizons,
+                     np.pad(block.durations, ((0, 0), (0, extra))),
+                     np.pad(block.velocities, ((0, 0), (0, extra), (0, 0))),
+                     block.counts)
+    pad = np.arange(wide.durations.shape[1]) >= wide.counts[:, None]
+    assert np.all(wide.speeds[pad] == 0.0)
+    for cost in (SQRT, REMARK):
+        narrow, padded = _row_values(block, cost), _row_values(wide, cost)
+        for name in narrow:
+            assert np.array_equal(narrow[name], padded[name]), name
+    assert np.array_equal(wide.displacements, block.displacements)
+
+
+def test_block_refuses_what_a_path_refuses():
+    ok = dict(starts=np.zeros((1, 1)), horizons=[1.0],
+              durations=[[0.5, 0.5, 0.0]], velocities=[[[1.0], [2.0], [0.0]]],
+              counts=[2])
+    PathBlock(**ok)
+    for change, error in (({"durations": [[0.5, 0.5, 0.1]]}, BadHorizon),
+                          ({"durations": [[1.0, 0.0, 0.0]]}, ValueError),
+                          ({"velocities": [[[1.0], [2.0], [3.0]]]},
+                           ValueError),
+                          ({"velocities": [[[1.0], [np.inf], [0.0]]]},
+                           ValueError),
+                          ({"horizons": [np.nan]}, BadHorizon),
+                          ({"starts": np.zeros((1, 2))}, DimensionMismatch)):
+        with pytest.raises(error):
+            PathBlock(**{**ok, **change})
+
+
+def test_take_views_rows_with_what_the_block_measured():
+    rng = np.random.default_rng(8)
+    block, paths = _ragged(rng, 5, 2)
+    whole = _row_values(block, SQRT)
+    part = block.take(1, 4)
+    assert np.shares_memory(part.speeds, block.speeds)
+    assert part.durations.shape[1] == max(len(p.durations) for p in paths[1:4])
+    for name, value in _row_values(part, SQRT).items():
+        assert np.array_equal(value, whole[name][1:4]), name
+    assert block.take(0, 5) is block

@@ -11,9 +11,10 @@ the ``ensemble`` of its output, solve-mk --max-arc-length) at 0.6, 1.0 and
 1.5 x the diameter and at one infeasible cap, invalid input and usage
 errors, refusals of mismatched dimensions, of a config whose cost is a
 string and of an unknown cost, refusals of a report curve without
-columns and of distances that overflow, and, last, the control
-identity's refusals of a cost that is not sublinear and of one that
-decreases.  Each line is ``name
+columns and of distances that overflow, the control identity's
+refusals of a cost that is not sublinear and of one that decreases,
+and, last, refusals of JSON booleans where numbers belong and of a speed
+cap at which the cost overflows.  Each line is ``name
 digest``, where the digest is taken over the exit code, stdout, stderr
 and the ``--out`` file (null when none was written), with the
 directory's path replaced by ``<dir>``.  For a usage error (a call
@@ -183,6 +184,22 @@ def calls(d: Path):
     for i, cost in (("1", "quadratic"), ("2", "remark_iii")):
         yield f"dual-{i}-{cost}", ["dual", "--f", f, "--p0", p0,
                                    "--cost", cost, "--i", i]
+
+    boolean = _write(d, "boolean.json", {"dim": 1, "atoms": [
+        {"x": [0.0], "w": True}]})
+    yield "solve-mk-boolean-weight", ["solve-mk", "--p0", boolean,
+                                      "--p1", boolean, "--cost", COST]
+    flags = _write(d, "flags.json", {"members": [{
+        "weight": True, "bound": True,
+        "path": {"start": [0.0], "pieces": [{"dt": True, "v": [0.5]}]}}]})
+    yield "eval-boolean-ensemble", ["eval", "--objective", "plain",
+                                    "--ensemble", flags, "--cost", COST]
+    ends = [_write(d, name, {"dim": 1, "atoms": atoms}) for name, atoms in (
+        ("ends0.json", [{"x": [0.0], "w": 0.5}, {"x": [3.0], "w": 0.5}]),
+        ("ends1.json", [{"x": [-3.0], "w": 1.0}]))]
+    yield "capped-cost-overflow", ["build-optimal", "--theorem", "2.6",
+                                   "--p0", ends[0], "--p1", ends[1],
+                                   "--cost", "quadratic", "--bound", "1e200"]
 
 
 def digests():

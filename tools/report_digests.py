@@ -1,13 +1,17 @@
 """Print one sha256 per seeded verification report, to compare two trees.
 
     python3 tools/report_digests.py > digests.txt
+    python3 tools/report_digests.py --json > reports.jsonl
 
 Covers every (suite, cost) pair of the ten suites and five costs at seeds
 0-4.  Each line is ``suite cost seed digest``, where the digest is taken
 over ``json.dumps(report.to_json(), sort_keys=True, default=bool)``, or is
 the class name of the error when the suite refuses the cost.  Run it in
 two checkouts and ``diff`` the outputs: identical files mean identical
-reports.
+reports.  With ``--json`` each line is instead the JSON object
+``{"theorem", "cost", "seed", "report"}``, whose report is the full report
+or the class name of the refusal, so two trees can be compared value by
+value.
 """
 
 import hashlib
@@ -25,23 +29,38 @@ COSTS = ("power:0.5", "remark_iii", "affine_exp:0.25", "linear", "quadratic")
 SEEDS = range(5)
 
 
-def digest(theorem: str, cost: str, seed: int) -> str:
+def report(theorem: str, cost: str, seed: int):
+    """The report's JSON, or the class name of the error refusing it."""
     cfg = VerifyConfig(theorem=theorem, seed=seed,
                        cost_spec=parse_cost(cost).to_spec())
     try:
-        report = verify(cfg)
+        return verify(cfg).to_json()
     except LagotError as exc:
         return type(exc).__name__
-    text = json.dumps(report.to_json(), sort_keys=True, default=bool)
+
+
+def digest(theorem: str, cost: str, seed: int) -> str:
+    got = report(theorem, cost, seed)
+    if isinstance(got, str):
+        return got
+    text = json.dumps(got, sort_keys=True, default=bool)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def main() -> None:
+    as_json = "--json" in sys.argv[1:]
     for theorem in THEOREMS:
         for cost in COSTS:
             for seed in SEEDS:
-                print(theorem, cost, seed, digest(theorem, cost, seed),
-                      flush=True)
+                if as_json:
+                    print(json.dumps({"theorem": theorem, "cost": cost,
+                                      "seed": seed,
+                                      "report": report(theorem, cost, seed)},
+                                     sort_keys=True, default=bool),
+                          flush=True)
+                else:
+                    print(theorem, cost, seed, digest(theorem, cost, seed),
+                          flush=True)
 
 
 if __name__ == "__main__":
