@@ -14,13 +14,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .costs import CostFunction, power_cost
-from .errors import (BoundViolated, DimensionMismatch, Infeasible,
-                     InfeasibleBound, MissingBound, NoFeasiblePath)
+from .errors import (BoundViolated, Infeasible, InfeasibleBound,
+                     MissingBound, NoFeasiblePath)
 from .measures import (WEIGHT_SUM_TOL, Coupling, DiscreteMeasure,
                        json_numbers, make_coupling, measure_of,
                        pairwise_distances)
@@ -45,51 +45,41 @@ class EnsembleMember:
     bound: Optional[float] = None
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class TransportEnsemble:
     """Finite weighted family of paths: one PathBlock ``paths``, the (k,)
     ``weights`` summing to 1 within 1e-12, and the (k,) speed ``bounds``,
-    each dominating its row's sup-speed, NaN where none is declared.
-    Built from EnsembleMembers or, by keyword, from the block, weights and
-    bounds (None for none); ``members`` is a view built on first read.
+    each dominating its row's sup-speed, NaN where none is declared (given
+    as None, for one row or all); ``members`` is a view built on first read.
     """
 
     paths: PathBlock
     weights: np.ndarray
-    bounds: np.ndarray
+    bounds: Optional[Sequence] = None
 
-    def __init__(self, members=None, *, paths: Optional[PathBlock] = None,
-                 weights=None, bounds=None):
-        if members is not None:
-            members = self.__dict__["members"] = tuple(members)
-            weights = [m.weight for m in members]
-            bounds = [m.bound for m in members]
-            paths = members and block_of(*zip(*(
-                (m.path.start, m.path.horizon, m.path.durations,
-                 m.path.velocities) for m in members)))
-        weights = np.array(weights, dtype=float)
+    def __post_init__(self):
+        weights = np.array(self.weights, dtype=float)
         total = float(weights.sum())
         if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # also fails on NaN
             raise ValueError(f"member weights sum to {total!r}, not 1")
         if np.any(weights <= 0):
             raise ValueError("member weights must be positive")
-        for b in [] if bounds is None else bounds:
+        bounds = [None] * len(weights) if self.bounds is None else \
+            list(self.bounds)
+        for b in bounds:
             if b is not None and not math.isfinite(b):
                 raise BoundViolated(f"speed bound {b} is not finite")
-        bounds = np.array([np.nan] * len(weights) if bounds is None else
-                          [np.nan if b is None else b for b in bounds],
+        bounds = np.array([np.nan if b is None else b for b in bounds],
                           dtype=float)
-        sup = paths.speeds.max(axis=1)
+        sup = self.paths.speeds.max(axis=1)
         over = _exceeds(sup, bounds)  # false where no bound is declared
         if over.any():
             r = int(over.argmax())
             raise BoundViolated(
                 f"sup speed {sup[r]} exceeds bound {bounds[r]}")
-        for name, value in (("paths", paths), ("weights", weights),
-                            ("bounds", bounds)):
+        for name, value in (("weights", weights), ("bounds", bounds)):
+            value.setflags(write=False)
             object.__setattr__(self, name, value)
-        weights.setflags(write=False)
-        bounds.setflags(write=False)
 
     @functools.cached_property
     def members(self) -> tuple:
@@ -287,9 +277,7 @@ def oracle_min_path(x, y, cost: CostFunction, objective: str, K: int,
     if not np.all(np.asarray(grid) >= 0):  # also fails on NaN
         raise ValueError("speed grid values are magnitudes, >= 0")
     xs, ys = (np.atleast_2d(np.asarray(p, dtype=float)) for p in (x, y))
-    if len(xs) != len(ys):
-        raise DimensionMismatch(f"{len(xs)} start points vs {len(ys)} ends")
-    delta = np.diagonal(pairwise_distances(xs, ys))
+    delta = pairwise_distances(xs, ys, paired=True)
     if cap is not None and np.isnan(cap):
         raise ValueError("the speed cap must not be NaN")
     out, moving = np.zeros(len(delta)), delta > 0.0
@@ -297,11 +285,13 @@ def oracle_min_path(x, y, cost: CostFunction, objective: str, K: int,
     if not moving.any():
         return float(out[0]) if np.ndim(x) < 2 else out
     speeds = np.abs(_feasible_multisets(grid, K) * delta[:, None, None])
-    ok = (np.ones(speeds.shape[:2], dtype=bool) if cap is None
-          else ~_exceeds(speeds, cap).any(axis=2))
+    ok = ~_exceeds(speeds, np.inf if cap is None else cap).any(axis=2)
     if not ok.any(axis=1).all():
         raise NoFeasiblePath("no speed assignment meets the endpoint")
-    if not ok.all():  # scored as the pair's first admitted row: same minimum
+    if not ok.all():
+        # a row over the cap is scored as the pair's first admitted row, so
+        # the minimum is the admitted rows' and no cost is taken past the
+        # cap, where it may overflow
         first = speeds[np.arange(len(ok)), ok.argmax(axis=1)]
         speeds = np.where(ok[..., None], speeds, first[:, None])
     if objective == "plain":

@@ -20,15 +20,21 @@ WEIGHT_SUM_TOL = 1e-12
 PLAN_MARGIN_TOL = 1e-10
 
 
-def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(n, m) matrix of |a_i - b_j|; every distance between two points is
-    read from here, so a cap equal to the diameter admits the longest arc.
-    Points of two dimensions raise DimensionMismatch; a distance that
-    overflows, or a non-finite point, raises ValueError."""
+def pairwise_distances(a: np.ndarray, b: np.ndarray,
+                       paired: bool = False) -> np.ndarray:
+    """(n, m) matrix of |a_i - b_j|, or with ``paired`` the (n,) |a_i - b_i|
+    of n points each, the same bits as the matrix's diagonal; every distance
+    between two points is read from here, so a cap equal to the diameter
+    admits the longest arc.  Points of two dimensions, or paired rows of two
+    lengths, raise DimensionMismatch; a distance that overflows, or a
+    non-finite point, raises ValueError."""
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatch(f"dim {a.shape[1]} vs {b.shape[1]}")
+    if paired and len(a) != len(b):
+        raise DimensionMismatch(f"{len(a)} points paired with {len(b)}")
     with np.errstate(over="ignore", invalid="ignore"):
-        dist = np.linalg.norm(a[:, None] - b[None], axis=2)
+        dist = np.linalg.norm(a - b if paired else a[:, None] - b[None],
+                              axis=-1)
     if not np.isfinite(dist).all():
         raise ValueError("a distance between two points is not finite")
     return dist
@@ -113,23 +119,17 @@ def measure_of(points, weights, dim: int) -> DiscreteMeasure:
     listed = weights.tolist()
     if min(listed) < 0:
         raise WeightSumMismatch(f"negative weight {min(listed)!r}")
-    keys = list(map(tuple, points.tolist()))
-    merged = dict.fromkeys(keys, 0.0)
-    rebuild = len(merged) < len(keys) or 0.0 in listed
-    if rebuild:
-        for key, w in zip(keys, listed):
-            merged[key] += w
-        listed = list(merged.values())
-    total = sum(listed)
+    merged: dict = {}
+    for key, w in zip(map(tuple, points.tolist()), listed):
+        merged[key] = merged.get(key, 0.0) + w
+    total = sum(merged.values())
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise WeightSumMismatch(f"weights sum to {total!r}, not 1")
-    if rebuild:
-        keys = [k for k, w in merged.items() if w > 0.0]
-        if not keys:
-            raise EmptyMeasure("all atoms have zero weight")
-        points = np.array(keys, dtype=float)
-        weights = np.array([merged[k] for k in keys])
-    return DiscreteMeasure(dim=dim, points=points, weights=weights)
+    keys = [k for k, w in merged.items() if w > 0.0]
+    if not keys:
+        raise EmptyMeasure("all atoms have zero weight")
+    return DiscreteMeasure(dim=dim, points=np.array(keys, dtype=float),
+                           weights=np.array([merged[k] for k in keys]))
 
 
 def json_numbers(value, field: str) -> np.ndarray:

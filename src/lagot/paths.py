@@ -109,21 +109,14 @@ class PathBlock:
 
     def take(self, lo: int, hi: int) -> "PathBlock":
         """Rows lo to hi - 1 as a block viewing these arrays, padded to
-        their longest row, with the speeds, displacements and ends measured
-        so far; unchecked, as this block was checked when it was built."""
+        their longest row; unchecked, as this block was checked when it
+        was built."""
         width = self.counts[lo:hi].max()
-        if (lo, hi, width) == (0, len(self.counts), self.durations.shape[1]):
-            return self
         view = object.__new__(PathBlock)
         _freeze(view, starts=self.starts[lo:hi],
                 horizons=self.horizons[lo:hi], counts=self.counts[lo:hi],
                 durations=self.durations[lo:hi, :width],
                 velocities=self.velocities[lo:hi, :width])
-        for name, cut in (("speeds", np.s_[lo:hi, :width]),
-                          ("displacements", np.s_[lo:hi]),
-                          ("ends", np.s_[lo:hi])):
-            if name in self.__dict__:  # measured: the view shares it
-                view.__dict__[name] = self.__dict__[name][cut]
         return view
 
     def row(self, r: int) -> "SteppedPath":

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lagot.costs import builtin, power_cost, quadratic_cost
-from lagot.ensembles import (BoundedCouplingTriple, EnsembleMember,
+from lagot.ensembles import (BoundedCouplingTriple,
                              TransportEnsemble, build_opt_bounded,
                              build_opt_tilde, endpoint_marginals,
                              eval_bounded, eval_tilde, eval_tv,
@@ -21,19 +21,19 @@ from lagot.paths import (IntervalSet, SteppedPath, cost_li, cost_plain,
 SQRT = builtin("power", [0.5])
 REMARK = builtin("remark_iii")
 GRID = (0.0, 0.5, 1.0, 2.0, 4.0)
+FULL = IntervalSet(((0.0, 1.0),))
 
 
-def single(path, bound=None):
-    return TransportEnsemble((EnsembleMember(1.0, path, bound),))
+def single(path, bound=None, weight=1.0):
+    return TransportEnsemble(path.block, [weight], [bound])
 
 
 def test_endpoint_marginals():
     e = single(linear_path([0.0], [1.0]))
     src, tgt = endpoint_marginals(e)
     assert src.points[0, 0] == 0.0 and tgt.points[0, 0] == 1.0
-    two = TransportEnsemble((
-        EnsembleMember(0.5, linear_path([0.0], [1.0])),
-        EnsembleMember(0.5, linear_path([0.0], [-1.0]))))
+    two = TransportEnsemble(stop_and_go([[0.0], [0.0]], [[1.0], [-1.0]],
+                                        [FULL, FULL]), [0.5, 0.5])
     src, tgt = endpoint_marginals(two)
     assert src.n_atoms == 1 and tgt.n_atoms == 2
 
@@ -157,9 +157,8 @@ def test_optimal_structure():
 
 
 def test_induced_triple_roundtrip():
-    ens = TransportEnsemble((
-        EnsembleMember(0.6, linear_path([0.0], [1.0]), bound=1.5),
-        EnsembleMember(0.4, linear_path([0.0], [-2.0]), bound=2.0)))
+    ens = TransportEnsemble(stop_and_go([[0.0], [0.0]], [[1.0], [-2.0]],
+                                        [FULL, FULL]), [0.6, 0.4], [1.5, 2.0])
     t = induced_triple(ens)
     assert eval_tv(t, SQRT) <= eval_bounded(ens, SQRT) + 1e-12
 
@@ -258,6 +257,31 @@ def _assert_oracle_matches_brute_force(x, y, K, grid, cap):
                 (cost.name, objective, got, expect)
 
 
+def test_oracle_pairs_equal_each_pair_alone():
+    """n endpoint pairs in one call give, bit for bit, the minima of the
+    pairs one at a time, a resting pair and a cap that drops rows of the
+    longer pairs included."""
+    rng = np.random.default_rng(7)
+    xs, ys = rng.uniform(-2.0, 2.0, size=(2, 6, 2))
+    ys[2] = xs[2]
+    for cost in ORACLE_COSTS:
+        for objective in OBJECTIVES:
+            for cap in (None, 6.0):
+                got = oracle_min_path(xs, ys, cost, objective, 4, GRID,
+                                      cap=cap)
+                assert got.tolist() == [
+                    oracle_min_path(x, y, cost, objective, 4, GRID, cap=cap)
+                    for x, y in zip(xs, ys)], (cost.name, objective, cap)
+
+
+def test_oracle_pairs_measure_only_their_own_distance():
+    """Two resting pairs 2e308 apart: the distance between them overflows,
+    but the call never measures it."""
+    pts = np.array([[-1e308], [1e308]])
+    assert oracle_min_path(pts, pts, SQRT, "plain", 4, GRID).tolist() == \
+        [0.0, 0.0]
+
+
 @pytest.mark.parametrize("p", [0.25, 0.5, 1.0, 2.0])
 def test_oracle_power_cost_scale_covariance(p):
     """oracle(delta) = delta**p * oracle(1) for cost u**p: feasibility is
@@ -292,7 +316,7 @@ def test_solve_bounded_examples():
 
 def test_weights_must_sum_to_one():
     with pytest.raises(ValueError):
-        TransportEnsemble((EnsembleMember(0.5, linear_path([0.0], [1.0])),))
+        single(linear_path([0.0], [1.0]), weight=0.5)
 
 
 def _built(theorem):

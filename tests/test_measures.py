@@ -65,6 +65,16 @@ def test_pairwise_distances_refuse_a_non_finite_distance(a, b):
         pairwise_distances(np.array(a), np.array(b))
 
 
+def test_paired_distances_are_the_matrix_diagonal():
+    rng = np.random.default_rng(3)
+    for dim in (1, 2, 3, 9):
+        a, b = rng.uniform(-2.0, 2.0, size=(2, 40, dim))
+        assert np.array_equal(pairwise_distances(a, b, paired=True),
+                              np.diagonal(pairwise_distances(a, b)))
+    with pytest.raises(DimensionMismatch, match="3 points paired with 2"):
+        pairwise_distances(a[:3], b[:2], paired=True)
+
+
 def test_every_library_distance_is_the_kernel_s():
     """Couplings, the path oracle's |y - x| and the arc cap read the same
     bits as pairwise_distances, so a cap equal to a distance admits it."""

@@ -11,8 +11,8 @@ from lagot.errors import (BadHorizon, CoincidentPoints, DegenerateSet,
 from lagot.measures import pairwise_distances
 from lagot.paths import (IntervalSet, PathBlock, SteppedPath, block_of,
                          compress, cost_li, cost_plain, detour_path, fast_path,
-                         l1_norm, linear_path, n1, n2, stop_and_go, stretch,
-                         sup_norm)
+                         l1_norm, lengths, linear_path, n1, n2, stop_and_go,
+                         stretch, sup_norm)
 
 SQRT = builtin("power", [0.5])
 REMARK = builtin("remark_iii")
@@ -195,11 +195,21 @@ def test_json_roundtrip():
     assert np.array_equal(p.start, q.start)
 
 
-def _ragged(rng, k, dim, scales=None):
-    """k random unit-horizon rows of 1-7 pieces as (block, paths alone)."""
+def test_length_is_never_below_the_largest_coordinate():
+    """What lets the random-path draws skip measuring a long displacement."""
+    rng = np.random.default_rng(4)
+    for scale in (1e-300, 1e-3, 1.0, 1e200):
+        v = scale * rng.normal(size=(2000, 3))
+        assert np.all(lengths(v) >= np.abs(v).max(axis=1))
+
+
+def _ragged(rng, k, dim, scales=None, wide=None):
+    """k random unit-horizon rows of 1-7 pieces as (block, paths alone);
+    with ``wide``, rows of 4-7 pieces and row 1 of ``wide`` pieces."""
     rows = []
     for r in range(k):
-        n = int(rng.integers(1, 8))
+        n = int(rng.integers(1 if wide is None else 4, 8))
+        n = wide if wide and r == 1 else n
         scale = 1.0 if scales is None else scales[r % len(scales)]
         rows.append((rng.uniform(-1.0, 1.0, dim), 1.0,
                      rng.dirichlet(np.ones(n)),
@@ -255,6 +265,26 @@ def test_block_rows_equal_the_paths_alone(seed):
         assert np.array_equal(block.ends[r], p.end)
 
 
+@pytest.mark.parametrize("wide", [8, 15, 16, 40])
+def test_wide_block_rows_against_the_paths_alone(wide):
+    """A row of 8-15 pieces leaves the rows beside it bit for bit as they
+    are alone.  From 16 pieces wide, BLAS sums a padded row dot in blocks,
+    so a shorter row may move in its last bits (the width limit in the
+    README); the wide row itself stays exact."""
+    rng = np.random.default_rng(wide)
+    for _ in range(20):
+        block, paths = _ragged(rng, 5, int(rng.integers(1, 4)), wide=wide)
+        rows = _row_values(block, SQRT)
+        for r, p in enumerate(paths):
+            alone = _row_values(p.block, SQRT)
+            for name, value in rows.items():
+                if wide < 16 or r == 1:
+                    assert value[r] == alone[name][0], (name, r)
+                else:
+                    assert value[r] == pytest.approx(alone[name][0],
+                                                     rel=1e-14, abs=0.0)
+
+
 def test_block_rows_keep_their_own_scale():
     """Rows at 1e-300 and 1e200 in one block get the speeds they have
     alone, each within rounding of its scale times the unit speeds."""
@@ -305,13 +335,13 @@ def test_block_refuses_what_a_path_refuses():
             PathBlock(**{**ok, **change})
 
 
-def test_take_views_rows_with_what_the_block_measured():
+def test_take_views_rows():
     rng = np.random.default_rng(8)
     block, paths = _ragged(rng, 5, 2)
     whole = _row_values(block, SQRT)
     part = block.take(1, 4)
-    assert np.shares_memory(part.speeds, block.speeds)
+    assert np.shares_memory(part.velocities, block.velocities)
     assert part.durations.shape[1] == max(len(p.durations) for p in paths[1:4])
     for name, value in _row_values(part, SQRT).items():
         assert np.array_equal(value, whole[name][1:4]), name
-    assert block.take(0, 5) is block
+    assert np.array_equal(part.speeds, block.speeds[1:4, :part.counts.max()])
