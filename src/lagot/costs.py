@@ -25,6 +25,7 @@ _NEEDS = {A1I: "needs sublinearity; witness {}",
           A1III: "needs positivity of the cost"}
 
 _EQ_TOL = 1e-12
+_BY_NAME: dict = {}  # from_spec's costs by name, which fixes a builtin
 
 
 @dataclass(frozen=True)
@@ -125,8 +126,10 @@ def quadratic_cost() -> CostFunction:
 
 
 def from_spec(spec: dict) -> CostFunction:
-    """Build a cost from a config dict {"name": ..., "params": [...]}."""
-    return builtin(spec["name"], spec.get("params", []))
+    """Build a cost from a config dict {"name": ..., "params": [...]}; the
+    first cost of each builtin name is returned again, witnesses and all."""
+    cost = builtin(spec["name"], spec.get("params", []))
+    return _BY_NAME.setdefault(cost.name, cost)
 
 
 def parse_cost(text: str) -> CostFunction:

@@ -323,8 +323,7 @@ def arcs_longer_than(m0: DiscreteMeasure, m1: DiscreteMeasure,
 
 
 def solve_bounded(m0: DiscreteMeasure, m1: DiscreteMeasure,
-                  cost: CostFunction, r: float,
-                  ) -> tuple[float, BoundedCouplingTriple]:
+                  cost: CostFunction, r):
     """Bounded-velocity transport with the constant speed cap r.
 
     Solves the |x-y|-cost LP restricted to arcs of length <= r, weighs the
@@ -332,14 +331,25 @@ def solve_bounded(m0: DiscreteMeasure, m1: DiscreteMeasure,
     the optimal coupling bounded by r on every cell; build_opt_bounded(triple)
     turns it into capped stop-and-go paths.  When r dominates the support
     diameter the value is cost(r)/r times the first-order transport cost.
+    A 1-D ladder of caps, each checked as r alone is, gives the list of each
+    rung's (value, triple): one LP per admitted-arc set, its coupling shared.
     """
-    if not np.isfinite(r):
-        raise ValueError(f"the speed cap must be finite, got {r!r}")
-    if r <= 0:
-        raise Infeasible("the speed cap must be positive")
-    cost_r = float(_cost_at_caps(cost, r))
-    sol = solve_mk(m0, m1, power_cost(1.0),
-                   forbidden_arcs=arcs_longer_than(m0, m1, r))
-    bounds = {(i, j): float(r) for i, j, _ in sol.plan.cells()}
-    triple = BoundedCouplingTriple(coupling=sol.plan, bound_assignment=bounds)
-    return float(cost_r / r * sol.value), triple
+    caps = np.atleast_1d(np.asarray(r, dtype=float)).tolist()
+    for rk in caps:
+        if not math.isfinite(rk):
+            raise ValueError(f"the speed cap must be finite, got {rk!r}")
+        if rk <= 0:
+            raise Infeasible("the speed cap must be positive")
+    cost_rs = [float(_cost_at_caps(cost, rk)) for rk in caps]
+    dist, solved, out = pairwise_distances(m0.points, m1.points), {}, []
+    for rk, cost_r in zip(caps, cost_rs):
+        arcs = dist <= rk
+        key = arcs.tobytes()
+        if key not in solved:
+            solved[key] = solve_mk(m0, m1, power_cost(1.0),
+                                   forbidden_arcs=lambda i, j: not arcs[i, j])
+        sol = solved[key]
+        bounds = {(i, j): rk for i, j, _ in sol.plan.cells()}
+        out.append((cost_r / rk * sol.value,
+                    BoundedCouplingTriple(sol.plan, bounds)))
+    return out[0] if np.ndim(r) == 0 else out

@@ -317,7 +317,7 @@ def _suite_cor2_8(cfg, cost, rngs):
         t1 = t_p(m0, m1, 1.0)
         diam = max(m0.diameter_to(m1), 1e-6)
         r_grid = diam * np.array([1.0, 1.5, 2.0, 3.0, 4.0])
-        values = [solve_bounded(m0, m1, cost, r)[0] for r in r_grid]
+        values = [v for v, _ in solve_bounded(m0, m1, cost, r_grid)]
         formula = [float(cost.eval(r)) / r * t1 for r in r_grid]
         eq = max(abs(v - f) for v, f in zip(values, formula))
         mono = min(values[k] - values[k + 1] for k in range(len(values) - 1))
@@ -332,9 +332,8 @@ def _suite_eq1_6(cfg, cost, rngs):
     if cost.analytic_c_ell != 0.0:
         raise AssumptionRefused(
             "the degenerate unmodified problem needs cost(u)/u -> 0")
-    x, y = np.zeros(1), np.ones(1)
     ns = list(range(1, 33))
-    values = [cost_plain(fast_path(x, y, n), cost) for n in ns]
+    values = cost_plain(fast_path(np.zeros(1), np.ones(1), ns), cost).tolist()
     formula = [float(cost.eval(float(n))) / n for n in ns]
     eq = max(abs(v - f) for v, f in zip(values, formula))
     mono = min(values[k] - values[k + 1] for k in range(len(values) - 1))

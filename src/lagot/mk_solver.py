@@ -30,32 +30,22 @@ class MKSolution:
     plan: Coupling
 
 
-def _cost_matrix(m0: DiscreteMeasure, m1: DiscreteMeasure,
-                 cost: CostFunction) -> np.ndarray:
-    return np.asarray(cost.eval(pairwise_distances(m0.points, m1.points)),
-                      dtype=float)
-
-
 def _northwest_corner(supply, demand):
+    """North-west corner start: the flow as a list of rows, and the basis."""
     n, m = len(supply), len(demand)
-    a = supply.copy()
-    b = demand.copy()
-    flow = np.zeros((n, m))
+    a, b = list(supply), list(demand)
+    flow = [[0.0] * m for _ in range(n)]
     basis = []
     i = j = 0
     while True:
         q = min(a[i], b[j])
-        flow[i, j] = q
+        flow[i][j] = q
         basis.append((i, j))
         a[i] -= q
         b[j] -= q
         if i == n - 1 and j == m - 1:
             break
-        if j == m - 1:
-            i += 1
-        elif i == n - 1:
-            j += 1
-        elif a[i] <= 0.0:
+        if j == m - 1 or (i < n - 1 and a[i] <= 0.0):
             i += 1
         else:
             j += 1
@@ -65,25 +55,24 @@ def _northwest_corner(supply, demand):
 def _basis_tree(basis, cost, n, m):
     """One breadth-first walk of the basis tree from row 0; rows are nodes
     ``0..n-1``, columns ``n..n+m-1``, neighbours come in basis order.
-    Returns potentials u, v (u[0] = 0, u_i + v_j = cost[i, j] on the basis)
-    and each node's parent, as a (node, cell) pair, and depth."""
+    Returns potentials u, v (u[0] = 0, u_i + v_j = cost[i][j] on the basis)
+    as lists, and each node's parent, as a (node, cell) pair, and depth."""
     adj = [[] for _ in range(n + m)]
-    for i, j in basis:
-        adj[i].append(n + j)
-        adj[n + j].append(i)
-    pot = [np.nan] * (n + m)
+    for cell in basis:
+        i, j = cell
+        adj[i].append((n + j, cell, cost[i][j]))
+        adj[n + j].append((i, cell, cost[i][j]))
+    pot = [0.0] * (n + m)
     parent = [None] * (n + m)
-    depth = [-1] * (n + m)
-    pot[0], depth[0] = 0.0, 0
+    depth = [0] + [-1] * (n + m - 1)
     order = [0]
     for k in order:
-        for w in adj[k]:
+        up, below = pot[k], depth[k] + 1
+        for w, cell, c in adj[k]:
             if depth[w] < 0:
-                cell = (k, w - n) if k < n else (w, k - n)
-                pot[w] = cost[cell] - pot[k]
-                parent[w], depth[w] = (k, cell), depth[k] + 1
+                pot[w], parent[w], depth[w] = c - up, (k, cell), below
                 order.append(w)
-    return np.array(pot[:n]), np.array(pot[n:]), parent, depth
+    return pot[:n], pot[n:], parent, depth
 
 
 def _tree_path(parent, depth, i0, j0, n):
@@ -101,43 +90,45 @@ def _tree_path(parent, depth, i0, j0, n):
     return up_a + up_b[::-1]
 
 
+def _entering(cost, u, v, basis, tol):
+    """Bland: the first non-basis cell, row by row, whose reduced cost
+    (c - u_i) - v_j is below tol; None at optimality."""
+    in_basis = set(basis)
+    for i, row in enumerate(cost):
+        ui = u[i]
+        for j, vj in enumerate(v):
+            if (row[j] - ui) - vj < tol and (i, j) not in in_basis:
+                return i, j
+    return None
+
+
 def _transportation_simplex(supply, demand, cost, scale):
     """Minimize sum(flow * cost) over the transportation polytope.
 
     Returns (flow, basis).  Deterministic: Bland smallest-index entering
     and leaving rules.  Reduced costs above -_RC_TOL * scale count as
     nonnegative; ``scale`` is the largest |cost| of an allowed arc, never
-    big-M.
+    big-M.  Pivots run on Python floats, whose IEEE arithmetic is numpy's.
     """
     n, m = cost.shape
-    flow, basis = _northwest_corner(np.asarray(supply, float),
-                                    np.asarray(demand, float))
-    max_iters = 20000 * (n + m)
-    for _ in range(max_iters):
-        u, v, parent, depth = _basis_tree(basis, cost, n, m)
-        reduced = cost - u[:, None] - v[None, :]
-        basis_set = set(basis)
-        entering = None
-        # Bland: lexicographically smallest violating cell
-        neg = np.argwhere(reduced < -_RC_TOL * scale)
-        for i, j in neg:
-            if (int(i), int(j)) not in basis_set:
-                entering = (int(i), int(j))
-                break
+    c = cost.tolist()
+    flow, basis = _northwest_corner(np.asarray(supply, float).tolist(),
+                                    np.asarray(demand, float).tolist())
+    for _ in range(20000 * (n + m)):
+        u, v, parent, depth = _basis_tree(basis, c, n, m)
+        entering = _entering(c, u, v, basis, -_RC_TOL * scale)
         if entering is None:
-            return flow, basis
+            return np.array(flow), basis
         path = _tree_path(parent, depth, entering[0], entering[1], n)
         # cycle: entering (+), then alternating - / + along the tree path
         minus = path[0::2]
-        plus = path[1::2]
-        theta = min(flow[c] for c in minus)
-        leaving = min(c for c in minus if flow[c] <= theta)
-        flow[entering] += theta
-        for c in plus:
-            flow[c] += theta
-        for c in minus:
-            flow[c] -= theta
-        flow[leaving] = 0.0
+        theta = min(flow[i][j] for i, j in minus)
+        leaving = min(e for e in minus if flow[e[0]][e[1]] <= theta)
+        for i, j in [entering] + path[1::2]:
+            flow[i][j] += theta
+        for i, j in minus:
+            flow[i][j] -= theta
+        flow[leaving[0]][leaving[1]] = 0.0
         basis[basis.index(leaving)] = entering
     raise RuntimeError("transportation simplex failed to terminate")
 
@@ -150,7 +141,8 @@ def solve_mk(m0: DiscreteMeasure, m1: DiscreteMeasure, cost: CostFunction,
     ``forbidden_arcs(i, j)`` excludes arcs; Infeasible is raised when no
     plan avoids them.
     """
-    c = _cost_matrix(m0, m1, cost)
+    dist = pairwise_distances(m0.points, m1.points)
+    c = np.asarray(cost.eval(dist), dtype=float)
     mask = np.zeros(c.shape, bool) if forbidden_arcs is None else np.array(
         [[bool(forbidden_arcs(i, j)) for j in range(m1.n_atoms)]
          for i in range(m0.n_atoms)])
@@ -162,8 +154,10 @@ def solve_mk(m0: DiscreteMeasure, m1: DiscreteMeasure, cost: CostFunction,
     flow = np.where(flow < 0, 0.0, flow)
     if float(flow[mask].sum()) > _FORBIDDEN_FLOW_TOL:
         raise Infeasible("no feasible plan avoids the forbidden arcs")
-    value = float((flow * c).sum())
-    return MKSolution(value=value, plan=make_coupling(m0, m1, flow))
+    plan = make_coupling(m0, m1, flow)
+    dist.setflags(write=False)  # the cached Coupling.distances: the matrix
+    plan.__dict__["distances"] = dist  # priced here, not a second kernel call
+    return MKSolution(value=float((flow * c).sum()), plan=plan)
 
 
 def t_p(m0: DiscreteMeasure, m1: DiscreteMeasure, p: float) -> float:

@@ -367,15 +367,19 @@ def linear_path(x, y) -> SteppedPath:
     return stop_and_go(x, y, IntervalSet(((0.0, 1.0),)))
 
 
-def fast_path(x, y, n: int) -> SteppedPath:
+def fast_path(x, y, n):
     """Traverse the displacement at speed n*|y-x| in time 1/n, then rest.
 
     The plain cost of this path is cost(n*|y-x|)/n, which vanishes as n
     grows whenever cost(u)/u does: the degenerate unmodified problem.
+    Given a sequence of n, the block of one such path per n.
     """
-    if n < 1:
+    if np.ndim(n) == 0:
+        return fast_path(x, y, [n]).row(0)
+    if min(n) < 1:
         raise ValueError("n must be >= 1")
-    return stop_and_go(x, y, IntervalSet(((0.0, 1.0 / n),)))
+    return stop_and_go(np.tile(x, (len(n), 1)), np.tile(y, (len(n), 1)),
+                       [IntervalSet(((0.0, 1.0 / k),)) for k in n])
 
 
 def detour_path(x0, x1) -> SteppedPath:

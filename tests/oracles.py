@@ -6,7 +6,7 @@ import numpy as np
 
 from lagot.costs import _EQ_TOL, A1I, A1III
 from lagot.measures import DiscreteMeasure, make_coupling, pairwise_distances
-from lagot.mk_solver import MKSolution
+from lagot.mk_solver import _RC_TOL, MKSolution
 
 
 def brute_force_mk(m0: DiscreteMeasure, m1: DiscreteMeasure,
@@ -54,3 +54,115 @@ def check_a1_per_r(cost, r_grid, u_grid) -> dict:
     if nonpos.size:
         a1iii = (float(u_grid[nonpos[0]]), float(lu[nonpos[0]]))
     return {A1I: a1i, A1III: a1iii}
+
+
+# The transportation simplex as it was before its pivots moved to Python
+# floats: numpy flow and potentials, and Bland pricing by ``np.argwhere``
+# over the whole reduced-cost matrix.  lagot's simplex must return the same
+# (flow, basis) bit for bit.
+
+def _northwest_corner(supply, demand):
+    n, m = len(supply), len(demand)
+    a = supply.copy()
+    b = demand.copy()
+    flow = np.zeros((n, m))
+    basis = []
+    i = j = 0
+    while True:
+        q = min(a[i], b[j])
+        flow[i, j] = q
+        basis.append((i, j))
+        a[i] -= q
+        b[j] -= q
+        if i == n - 1 and j == m - 1:
+            break
+        if j == m - 1:
+            i += 1
+        elif i == n - 1:
+            j += 1
+        elif a[i] <= 0.0:
+            i += 1
+        else:
+            j += 1
+    return flow, basis
+
+
+def _basis_tree(basis, cost, n, m):
+    """One breadth-first walk of the basis tree from row 0; rows are nodes
+    ``0..n-1``, columns ``n..n+m-1``, neighbours come in basis order.
+    Returns potentials u, v (u[0] = 0, u_i + v_j = cost[i, j] on the basis)
+    and each node's parent, as a (node, cell) pair, and depth."""
+    adj = [[] for _ in range(n + m)]
+    for i, j in basis:
+        adj[i].append(n + j)
+        adj[n + j].append(i)
+    pot = [np.nan] * (n + m)
+    parent = [None] * (n + m)
+    depth = [-1] * (n + m)
+    pot[0], depth[0] = 0.0, 0
+    order = [0]
+    for k in order:
+        for w in adj[k]:
+            if depth[w] < 0:
+                cell = (k, w - n) if k < n else (w, k - n)
+                pot[w] = cost[cell] - pot[k]
+                parent[w], depth[w] = (k, cell), depth[k] + 1
+                order.append(w)
+    return np.array(pot[:n]), np.array(pot[n:]), parent, depth
+
+
+def _tree_path(parent, depth, i0, j0, n):
+    """Cells along the unique basis-tree path from row i0 to column j0,
+    found by climbing both ends to their common ancestor."""
+    a, b = i0, n + j0
+    up_a, up_b = [], []
+    while a != b:
+        if depth[a] >= depth[b]:
+            a, cell = parent[a]
+            up_a.append(cell)
+        else:
+            b, cell = parent[b]
+            up_b.append(cell)
+    return up_a + up_b[::-1]
+
+
+def reference_simplex(supply, demand, cost, scale):
+    """Minimize sum(flow * cost) over the transportation polytope.
+
+    Returns (flow, basis).  Deterministic: Bland smallest-index entering
+    and leaving rules.  Reduced costs above -_RC_TOL * scale count as
+    nonnegative; ``scale`` is the largest |cost| of an allowed arc, never
+    big-M.
+    """
+    n, m = cost.shape
+    flow, basis = _northwest_corner(np.asarray(supply, float),
+                                    np.asarray(demand, float))
+    max_iters = 20000 * (n + m)
+    for _ in range(max_iters):
+        u, v, parent, depth = _basis_tree(basis, cost, n, m)
+        reduced = cost - u[:, None] - v[None, :]
+        basis_set = set(basis)
+        entering = None
+        # Bland: lexicographically smallest violating cell
+        neg = np.argwhere(reduced < -_RC_TOL * scale)
+        for i, j in neg:
+            if (int(i), int(j)) not in basis_set:
+                entering = (int(i), int(j))
+                break
+        if entering is None:
+            return flow, basis
+        path = _tree_path(parent, depth, entering[0], entering[1], n)
+        # cycle: entering (+), then alternating - / + along the tree path
+        minus = path[0::2]
+        plus = path[1::2]
+        theta = min(flow[c] for c in minus)
+        leaving = min(c for c in minus if flow[c] <= theta)
+        flow[entering] += theta
+        for c in plus:
+            flow[c] += theta
+        for c in minus:
+            flow[c] -= theta
+        flow[leaving] = 0.0
+        basis[basis.index(leaving)] = entering
+    raise RuntimeError("transportation simplex failed to terminate")
+

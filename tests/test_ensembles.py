@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import lagot.ensembles as ensembles
 from lagot.costs import builtin, power_cost, quadratic_cost
 from lagot.ensembles import (BoundedCouplingTriple,
                              TransportEnsemble, build_opt_bounded,
@@ -12,7 +13,8 @@ from lagot.ensembles import (BoundedCouplingTriple,
                              induced_triple, oracle_min_path, solve_bounded)
 from lagot.errors import (BadHorizon, BoundViolated, Infeasible,
                           InfeasibleBound, MissingBound, NoFeasiblePath)
-from lagot.measures import Coupling, measure_of, validate_measure
+from lagot.measures import (Coupling, measure_of, pairwise_distances,
+                            validate_measure)
 from lagot.mk_solver import solve_mk
 from lagot.paths import (IntervalSet, SteppedPath, cost_li, cost_plain,
                          fast_path, linear_path, l1_norm, n1,
@@ -314,6 +316,62 @@ def test_solve_bounded_examples():
         solve_bounded(m0, m1, SQRT, 0.5)
 
 
+def _ladder_instance(seed):
+    """Two seeded measures of 1-4 atoms in the plane, their arc lengths
+    sorted and distinct, and the bottleneck cap r*: the least arc length
+    at which a capped plan exists."""
+    rng = np.random.default_rng(300 + seed)
+    m0, m1 = (measure_of(rng.uniform(-2, 2, (k, 2)),
+                         rng.dirichlet(np.ones(k)), 2)
+              for k in rng.integers(1, 5, size=2))
+    arcs = np.unique(pairwise_distances(m0.points, m1.points))
+    for r_star in arcs:
+        try:
+            solve_bounded(m0, m1, SQRT, r_star)
+            return m0, m1, arcs, r_star
+        except Infeasible:
+            pass
+    raise AssertionError("the diameter admits every arc")
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_cap_ladder_rungs_are_their_scalar_calls(seed, monkeypatch):
+    """Caps at the arc lengths, most of them forbidding arcs, then past the
+    diameter, in a shuffled order: each rung is its scalar call bit for bit,
+    and one LP is solved per distinct set of admitted arcs."""
+    m0, m1, arcs, r_star = _ladder_instance(seed)
+    caps = np.concatenate([arcs[arcs >= r_star],
+                           [1.5 * arcs[-1], 2.0 * arcs[-1]]])
+    caps = np.random.default_rng(seed).permutation(np.repeat(caps, 2))
+    calls = []
+    monkeypatch.setattr(ensembles, "solve_mk",
+                        lambda *a, **k: calls.append(1) or solve_mk(*a, **k))
+    ladder = solve_bounded(m0, m1, SQRT, caps)
+    dist = pairwise_distances(m0.points, m1.points)
+    assert len(calls) == len({(dist <= r).tobytes() for r in caps})
+    assert len(ladder) == len(caps)
+    for r, (value, triple) in zip(caps, ladder):
+        want, alone = solve_bounded(m0, m1, SQRT, r)
+        assert value.hex() == want.hex()
+        assert triple.coupling.plan.tobytes() == alone.coupling.plan.tobytes()
+        assert triple.bound_assignment == alone.bound_assignment
+        assert triple.coupling.distances.tobytes() == dist.tobytes()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "zero", "negative", "below"])
+def test_a_ladder_raises_what_its_bad_rung_raises_alone(bad):
+    m0, m1, arcs, r_star = _ladder_instance(7)
+    assert arcs[0] < r_star  # this instance's shortest arc admits no plan
+    cap = {"nan": np.nan, "inf": np.inf, "zero": 0.0, "negative": -1.0,
+           "below": arcs[arcs < r_star][-1]}[bad]
+    with pytest.raises(Exception) as alone:
+        solve_bounded(m0, m1, SQRT, cap)
+    ladder = np.array([arcs[-1], r_star, cap, 2.0 * arcs[-1]])
+    with pytest.raises(type(alone.value)) as got:
+        solve_bounded(m0, m1, SQRT, ladder)
+    assert str(got.value) == str(alone.value)
+
+
 def test_weights_must_sum_to_one():
     with pytest.raises(ValueError):
         single(linear_path([0.0], [1.0]), weight=0.5)
@@ -353,7 +411,6 @@ def test_the_traced_run_counts_the_builders_members():
     import sys
     from pathlib import Path
 
-    import lagot.ensembles as ensembles
     sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     from perfbench import tracing
 

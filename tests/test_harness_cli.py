@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lagot import cli, harness
+from lagot import cli, costs, harness
 from lagot.cli import main
 from lagot.costs import parse_cost
 from lagot.errors import AssumptionRefused, ConfigInvalid, UnknownKind
@@ -37,6 +37,32 @@ def test_verify_refuses_convex_cost():
     with pytest.raises(AssumptionRefused):
         verify(VerifyConfig(theorem="thm2_1", trials=1,
                             cost_spec={"name": "quadratic", "params": []}))
+
+
+def test_verify_samples_a_specs_witnesses_once(monkeypatch):
+    """from_spec hands every verify of one spec the same cost, so its
+    witnesses are sampled by the first call only; a refused spec is refused
+    again, with the same message."""
+    calls = []
+    real = costs.check_a1
+    monkeypatch.setattr(costs, "check_a1",
+                        lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(costs, "_BY_NAME", {})
+    cfg = VerifyConfig(theorem="thm2_1", trials=1, cost_spec=POWER)
+    assert verify(cfg).dumps() == verify(cfg).dumps()
+    assert len(calls) == 1
+    quad = VerifyConfig(theorem="thm2_1", trials=1,
+                        cost_spec={"name": "quadratic", "params": []})
+    messages = []
+    for _ in range(2):
+        with pytest.raises(AssumptionRefused) as refused:
+            verify(quad)
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1] and len(calls) == 2
+    # costs are kept by name: -0.0 is not 0.0
+    for a in (0.0, -0.0):
+        cost = costs.from_spec({"name": "affine_exp", "params": [a]})
+        assert cost.name == f"affine_exp:{a}"
 
 
 def test_prop2_3_gap():
@@ -280,7 +306,9 @@ def test_eq1_9_reports_the_linear_path_check(monkeypatch):
 
 
 def test_eq1_6_reports_the_decay_check(monkeypatch):
-    monkeypatch.setattr(harness, "cost_plain", lambda p, cost: 1.0)
+    # every fast path costs 1.0: the decay check sees no decay
+    monkeypatch.setattr(harness, "cost_plain",
+                        lambda block, cost: np.ones(len(block.horizons)))
     report = verify(VerifyConfig(theorem="eq1_6", cost_spec=POWER))
     assert not report.passed
     assert report.trials[0]["margins"]["decay"] == 0.0

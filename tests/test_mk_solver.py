@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from lagot import mk_solver
 from lagot.costs import CostFunction, builtin, power_cost
-from lagot.ensembles import solve_bounded
+from lagot.ensembles import arcs_longer_than, solve_bounded
 from lagot.errors import DimensionMismatch, Infeasible
 from lagot.measures import random_measure, validate_measure
 from lagot.mk_solver import _basis_tree, _tree_path, solve_mk, t_p
-from oracles import brute_force_mk
+from oracles import brute_force_mk, reference_simplex
 
 
 def _uniform(points, dim=1):
@@ -195,3 +196,47 @@ def test_tree_path_is_the_tree_geodesic(seed):
             cells = [(a, b - n) if a < n else (b, a - n)
                      for a, b in zip(nodes, nodes[1:])]
             assert _tree_path(parent, depth, i0, j0, n) == cells
+
+
+def _simplex_cases():
+    """(name, m0, m1, cap factor or None): seeded instances of 1-4 atoms,
+    with Dirichlet and with equal (degenerate) weights, then n = 10, 14
+    and 20; every third one capped at a fraction of its diameter, so that
+    big-M prices the forbidden arcs, some of them infeasibly."""
+    rng = np.random.default_rng(2024)
+    sizes = [int(k) for k in rng.integers(1, 5, size=120)] + [10, 14, 20] * 2
+    for t, n in enumerate(sizes):
+        n1 = n if t % 2 else int(rng.integers(1, n + 1))
+        pts = rng.uniform(-2, 2, size=(n + n1, 2))
+        w0, w1 = ((np.full(k, 1.0 / k) if t % 4 < 2 else
+                   rng.dirichlet(np.ones(k))) for k in (n, n1))
+        cap = float(rng.uniform(0.5, 1.0)) if t % 3 == 0 else None
+        yield (f"{t}-n{n}x{n1}", validate_measure(zip(pts[:n], w0), 2),
+               validate_measure(zip(pts[n:], w1), 2), cap)
+
+
+def test_simplex_matches_the_reference_bit_for_bit(monkeypatch):
+    """The list-based simplex returns the reference's (flow, basis) bit for
+    bit on the LPs solve_mk sets up, big-M and degenerate ones included."""
+    seen = []
+
+    def both(supply, demand, cost, scale):
+        got = real(supply, demand, cost, scale)
+        want = reference_simplex(supply, demand, cost, scale)
+        seen.append((got[0].tobytes(), got[1]) ==
+                    (want[0].tobytes(), want[1]))
+        return got
+
+    real = mk_solver._transportation_simplex
+    monkeypatch.setattr(mk_solver, "_transportation_simplex", both)
+    capped = infeasible = 0
+    for name, m0, m1, cap in _simplex_cases():
+        arcs = None if cap is None else arcs_longer_than(
+            m0, m1, cap * m0.diameter_to(m1))
+        try:
+            solve_mk(m0, m1, SQRT, forbidden_arcs=arcs)
+        except Infeasible:
+            infeasible += 1
+        capped += cap is not None
+        assert seen[-1], name
+    assert len(seen) == 126 and capped == 42 and 0 < infeasible < capped
