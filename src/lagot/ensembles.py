@@ -22,11 +22,9 @@ from .costs import CostFunction, power_cost
 from .errors import (BoundViolated, Infeasible, InfeasibleBound,
                      MissingBound, NoFeasiblePath)
 from .measures import (WEIGHT_SUM_TOL, Coupling, DiscreteMeasure,
-                       json_numbers, make_coupling, measure_of,
-                       pairwise_distances)
+                       json_numbers, measure_of, pairwise_distances)
 from .mk_solver import MKSolution, solve_mk
-from .paths import (IntervalSet, PathBlock, SteppedPath, block_of, cost_li,
-                    cost_plain, stop_and_go)
+from .paths import IntervalSet, PathBlock, cost_li, cost_plain, stop_and_go
 
 _BOUND_TOL = 1e-12
 _FEAS_TOL = 1e-9
@@ -41,7 +39,7 @@ def _exceeds(value, bound: float):
 @dataclass(frozen=True)
 class EnsembleMember:
     weight: float
-    path: SteppedPath
+    path: PathBlock  # one row
     bound: Optional[float] = None
 
 
@@ -83,23 +81,23 @@ class TransportEnsemble:
 
     @functools.cached_property
     def members(self) -> tuple:
-        return tuple(EnsembleMember(w, self.paths.row(r),
+        return tuple(EnsembleMember(w, self.paths.take(r, r + 1),
                                     None if np.isnan(b) else b)
                      for r, (w, b) in enumerate(zip(self.weights.tolist(),
                                                     self.bounds.tolist())))
 
     def to_json(self) -> dict:
         return {"members": [
-            {"weight": m.weight, "path": m.path.to_json(),
-             **({"bound": m.bound} if m.bound is not None else {})}
-            for m in self.members]}
+            {"weight": w, "path": path,
+             **({} if math.isnan(b) else {"bound": b})}
+            for w, path, b in zip(self.weights.tolist(), self.paths.to_json(),
+                                  self.bounds.tolist())]}
 
     @staticmethod
     def from_json(obj: dict) -> "TransportEnsemble":
         members = obj["members"]
         return TransportEnsemble(
-            paths=block_of(*zip(*(SteppedPath.json_fields(m["path"])
-                                  for m in members))),
+            paths=PathBlock.from_json([m["path"] for m in members]),
             weights=[float(json_numbers(m["weight"], "weight"))
                      for m in members],
             bounds=[float(json_numbers(m["bound"], "bound"))
@@ -206,7 +204,9 @@ def induced_triple(e: TransportEnsemble) -> BoundedCouplingTriple:
         plan[i, j] += w
         if bounds.setdefault((i, j), m) != m:
             raise MissingBound("conflicting bounds on one endpoint cell")
-    return BoundedCouplingTriple(coupling=make_coupling(src, tgt, plan),
+    # the plan groups checked positive weights by endpoint cell, so its
+    # marginals are the endpoint laws by construction
+    return BoundedCouplingTriple(coupling=Coupling(src, tgt, plan),
                                  bound_assignment=bounds)
 
 

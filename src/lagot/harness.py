@@ -243,7 +243,7 @@ def _suite_prop2_3(cfg, cost, rngs):
     x1 = np.zeros(dim)
     x1[0] = span
     direct = float(cost.eval(span))                      # transport value
-    detour = cost_li(detour_path(x0, x1), cost, 2)       # beats it
+    detour = float(cost_li(detour_path(x0, x1), cost, 2)[0])  # beats it
     yield ([list(x0), list(x1), cost.name],
            {"transport": direct, "detour_modified_2": detour},
            [("gap", direct - detour, "ge", STRICT_MARGIN)], ())
@@ -354,7 +354,8 @@ def _suite_eq1_9(cfg, cost, rngs):
         o = oracle_min_path(np.zeros(1), np.array([span]), cost, "conv", 4,
                             ORACLE_GRID)
         target = float(cost.eval(span))
-        linear = cost_li(linear_path(np.zeros(1), np.array([span])), cost, 1)
+        linear = float(cost_li(linear_path(np.zeros(1), np.array([span])),
+                               cost, 1)[0])
         yield ([cost.name, span], {"oracle": o, "direct": target},
                [("equality", o - target, "eq", cfg.tolerance),
                 ("linear", linear - target, "eq", 1e-12)], ())

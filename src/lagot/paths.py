@@ -7,21 +7,22 @@ and the modified running costs built from them are evaluated exactly as
 finite sums; the optimal paths of the transport identities are all of this
 form, so nothing is lost by restricting to it.
 
-Paths are held k at a time as one zero-padded ``PathBlock``; each
-functional evaluates all rows of a block in one array expression, and on
-a ``SteppedPath``, a one-row block, returns a float or a path.
+Paths are held k at a time as one zero-padded ``PathBlock``, a
+``SteppedPath`` being a one-row block; each functional evaluates all rows
+of a block in one array expression and returns one value or row per row.
 """
 
 from __future__ import annotations
 
 import functools
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .costs import CostFunction
-from .errors import (BadHorizon, CoincidentPoints, DegenerateSet,
-                     DimensionMismatch, DimensionTooSmall)
+from .errors import (BadHorizon, CoincidentPoints, ConfigInvalid,
+                     DegenerateSet, DimensionMismatch, DimensionTooSmall)
 from .measures import json_numbers, pairwise_distances
 
 DURATION_TOL = 1e-12
@@ -119,9 +120,31 @@ class PathBlock:
                 velocities=self.velocities[lo:hi, :width])
         return view
 
-    def row(self, r: int) -> "SteppedPath":
-        """Row r as a SteppedPath viewing this block, unchecked."""
-        return object.__new__(SteppedPath)._bind(self.take(r, r + 1))
+    def to_json(self) -> list:
+        """One JSON object per row: its start, horizon and pieces."""
+        return [{"start": start, "horizon": horizon,
+                 "pieces": [{"dt": dt, "v": v} for dt, v in
+                            zip(durations[:c], velocities[:c])]}
+                for start, horizon, durations, velocities, c in zip(
+                    self.starts.tolist(), self.horizons.tolist(),
+                    self.durations.tolist(), self.velocities.tolist(),
+                    self.counts.tolist())]
+
+    @staticmethod
+    def from_json(rows) -> "PathBlock":
+        """Block of the JSON objects of ``to_json``; horizon defaults to 1."""
+        fields = []
+        for obj in rows:
+            start, pieces = json_numbers(obj["start"], "start"), obj["pieces"]
+            if start.ndim != 1:
+                raise ConfigInvalid("start must be a flat list of numbers, "
+                                    f"got {reprlib.repr(obj['start'])}")
+            fields.append((
+                start, float(json_numbers(obj.get("horizon", 1.0), "horizon")),
+                json_numbers([p["dt"] for p in pieces], "dt"),
+                json_numbers([p["v"] for p in pieces], "v").reshape(
+                    len(pieces), -1)))
+        return block_of(*zip(*fields))
 
 
 def block_of(starts, horizons, durations, velocities) -> PathBlock:
@@ -145,87 +168,16 @@ def block_of(starts, horizons, durations, velocities) -> PathBlock:
     return PathBlock(starts, horizons, pad_d, pad_v, counts)
 
 
-@dataclass(frozen=True)
-class SteppedPath:
+class SteppedPath(PathBlock):
     """Absolutely continuous path with piecewise-constant velocity: the
-    one-row view of a PathBlock, held as ``block``.
+    one-row block of ``start`` (dim,), ``horizon``, ``durations`` (k,) and
+    ``velocities`` (k, dim), or (k,) in one dimension."""
 
-    ``durations`` (k,) are positive and sum to the finite ``horizon``;
-    ``start`` and ``velocities`` (k, dim) are finite.
-    """
-
-    start: np.ndarray
-    horizon: float
-    durations: np.ndarray
-    velocities: np.ndarray
-
-    def __post_init__(self):
-        velocities = np.asarray(self.velocities, dtype=float)
-        self._bind(block_of(
-            [np.atleast_1d(np.asarray(self.start, dtype=float))],
-            [self.horizon], [np.asarray(self.durations, dtype=float)],
-            [velocities[:, None] if velocities.ndim == 1 else velocities]))
-
-    def _bind(self, block: PathBlock) -> "SteppedPath":
-        """Make this path the view of the one-row ``block``."""
-        object.__setattr__(self, "block", block)
-        object.__setattr__(self, "horizon", float(block.horizons[0]))
-        _freeze(self, start=block.starts[0], durations=block.durations[0],
-                velocities=block.velocities[0])
-        return self
-
-    @property
-    def dim(self) -> int:
-        return len(self.start)
-
-    @property
-    def end(self) -> np.ndarray:
-        return self.block.ends[0]
-
-    @property
-    def displacement(self) -> np.ndarray:
-        return self.block.displacements[0]
-
-    @property
-    def speeds(self) -> np.ndarray:
-        """(k,) read-only |v| of each piece."""
-        return self.block.speeds[0]
-
-    def position(self, t: float) -> np.ndarray:
-        """Position at time t in [0, horizon]."""
-        if t < -DURATION_TOL or t > self.horizon + DURATION_TOL:
-            raise BadHorizon(f"t={t} outside [0, {self.horizon}]")
-        pos = self.start.copy()
-        remaining = t
-        for dt, v in zip(self.durations, self.velocities):
-            step = min(dt, remaining)
-            if step <= 0:
-                break
-            pos = pos + step * v
-            remaining -= step
-        return pos
-
-    def to_json(self) -> dict:
-        return {
-            "start": self.start.tolist(),
-            "horizon": float(self.horizon),
-            "pieces": [{"dt": dt, "v": v} for dt, v in
-                       zip(self.durations.tolist(), self.velocities.tolist())],
-        }
-
-    @staticmethod
-    def json_fields(obj: dict) -> tuple:
-        """(start, horizon, durations, velocities) of a path's JSON."""
-        pieces = obj["pieces"]
-        return (np.atleast_1d(json_numbers(obj["start"], "start")),
-                float(json_numbers(obj.get("horizon", 1.0), "horizon")),
-                json_numbers([p["dt"] for p in pieces], "dt"),
-                json_numbers([p["v"] for p in pieces], "v").reshape(
-                    len(pieces), -1))
-
-    @staticmethod
-    def from_json(obj: dict) -> "SteppedPath":
-        return SteppedPath(*SteppedPath.json_fields(obj))
+    def __init__(self, start, horizon, durations, velocities):
+        v = np.array(velocities, dtype=float)
+        super().__init__(np.atleast_1d(np.array(start, dtype=float))[None],
+                         [horizon], np.array(durations, dtype=float)[None],
+                         (v[:, None] if v.ndim == 1 else v)[None], [len(v)])
 
 
 @dataclass(frozen=True)
@@ -260,79 +212,66 @@ def lengths(vectors: np.ndarray) -> np.ndarray:
                                    axis=-1), exp)
 
 
-def _rows(p):
-    """(block, out) of a PathBlock or SteppedPath argument: ``out`` returns
-    a (k,) result as it is for a block, as the float of row 0 for a path."""
-    if isinstance(p, SteppedPath):
-        return p.block, lambda values: float(values[0])
-    return p, lambda values: values
+def sup_norm(b: PathBlock) -> np.ndarray:
+    """Essential supremum of each row's speed (zero-duration pieces never
+    occur)."""
+    return b.speeds.max(axis=1)
 
 
-def sup_norm(p):
-    """Essential supremum of the speed (zero-duration pieces never occur)."""
-    b, out = _rows(p)
-    return out(b.speeds.max(axis=1))
+def l1_norm(b: PathBlock) -> np.ndarray:
+    """Each row's length: the integral of its speed."""
+    return _row_dot(b.durations, b.speeds)
 
 
-def l1_norm(p):
-    """Total path length: integral of the speed."""
-    b, out = _rows(p)
-    return out(_row_dot(b.durations, b.speeds))
+def n1(b: PathBlock) -> np.ndarray:
+    """horizon * sup-speed / |displacement| of each row, or 1 for a closed
+    row.
 
-
-def n1(p):
-    """horizon * sup-speed / |displacement|, or 1 for a closed path.
-
-    The path counts as closed when its displacement is within k * 2**-53
+    A row counts as closed when its displacement is within k * 2**-53
     times its length, the rounding bound of the k-piece sum: below that the
     computed displacement is rounding noise, and dividing by it would turn
     an exact zero into a quotient near 1e16."""
-    b, out = _rows(p)
     disp = lengths(b.displacements)
     closed = disp <= b.counts * 2.0 ** -53 * l1_norm(b)
     ratio = b.horizons * sup_norm(b) / np.where(closed, 1.0, disp)
-    return out(np.where(closed, 1.0, ratio))
+    return np.where(closed, 1.0, ratio)
 
 
-def n2(p):
-    """horizon * sup-speed / path length, or 1 for a motionless path."""
-    b, out = _rows(p)
+def n2(b: PathBlock) -> np.ndarray:
+    """horizon * sup-speed / length of each row, or 1 for a motionless
+    row."""
     length = l1_norm(b)
     still = length == 0.0
     ratio = b.horizons * sup_norm(b) / np.where(still, 1.0, length)
-    return out(np.where(still, 1.0, ratio))
+    return np.where(still, 1.0, ratio)
 
 
-def cost_plain(p, cost: CostFunction):
-    """Integral of cost(speed) along the path."""
-    b, out = _rows(p)
-    return out(_row_dot(b.durations, cost.eval(b.speeds)))
+def cost_plain(b: PathBlock, cost: CostFunction) -> np.ndarray:
+    """Integral of cost(speed) along each row."""
+    return _row_dot(b.durations, cost.eval(b.speeds))
 
 
-def cost_li(p, cost: CostFunction, i: int):
-    """Modified running cost N_i * integral of cost(speed / N_i).
+def cost_li(b: PathBlock, cost: CostFunction, i: int) -> np.ndarray:
+    """Modified running cost N_i * integral of cost(speed / N_i) of each
+    row.
 
     Defined on unit-horizon paths only.
     """
-    b, out = _rows(p)
     if np.any(np.abs(b.horizons - 1.0) > DURATION_TOL):
         raise BadHorizon("the modified cost is defined on horizon-1 paths")
     if i not in (1, 2):
         raise ValueError("i must be 1 or 2")
     ni = n1(b) if i == 1 else n2(b)
-    return out(ni * _row_dot(b.durations, cost.eval(b.speeds / ni[:, None])))
+    return ni * _row_dot(b.durations, cost.eval(b.speeds / ni[:, None]))
 
 
-def stop_and_go(x, y, A):
-    """Path from x to y moving at constant velocity exactly on A.
+def stop_and_go(x, y, A) -> PathBlock:
+    """Block of the paths from x[r] to y[r] moving at constant velocity
+    exactly on the set A[r], for (k, dim) endpoints and k sets.
 
     Velocity is (y-x)/|A| on A and 0 off A; if x == y the constant path is
     returned regardless of A.  Raises DegenerateSet when x != y and |A| = 0.
-    Given (k, dim) endpoints and a sequence of k sets, the block of the k
-    paths.
     """
-    if isinstance(A, IntervalSet):
-        return stop_and_go(x, y, [A]).row(0)
     xs, ys = (np.atleast_2d(np.asarray(p, dtype=float)) for p in (x, y))
     pieces, totals = [], []
     for move, one in zip((xs != ys).any(axis=1).tolist(), A):
@@ -362,28 +301,27 @@ def stop_and_go(x, y, A):
                      np.where(on[..., None], v[:, None, :], 0.0), counts)
 
 
-def linear_path(x, y) -> SteppedPath:
-    """Constant-velocity path from x to y on [0,1]."""
-    return stop_and_go(x, y, IntervalSet(((0.0, 1.0),)))
+def linear_path(x, y) -> PathBlock:
+    """One-row block of the constant-velocity path from x to y on [0,1]."""
+    return stop_and_go(x, y, [IntervalSet(((0.0, 1.0),))])
 
 
-def fast_path(x, y, n):
-    """Traverse the displacement at speed n*|y-x| in time 1/n, then rest.
+def fast_path(x, y, ns) -> PathBlock:
+    """Block of one path per n in ``ns``: traverse the displacement at
+    speed n*|y-x| in time 1/n, then rest.
 
-    The plain cost of this path is cost(n*|y-x|)/n, which vanishes as n
+    The plain cost of such a path is cost(n*|y-x|)/n, which vanishes as n
     grows whenever cost(u)/u does: the degenerate unmodified problem.
-    Given a sequence of n, the block of one such path per n.
     """
-    if np.ndim(n) == 0:
-        return fast_path(x, y, [n]).row(0)
-    if min(n) < 1:
+    if min(ns) < 1:
         raise ValueError("n must be >= 1")
-    return stop_and_go(np.tile(x, (len(n), 1)), np.tile(y, (len(n), 1)),
-                       [IntervalSet(((0.0, 1.0 / k),)) for k in n])
+    return stop_and_go(np.tile(x, (len(ns), 1)), np.tile(y, (len(ns), 1)),
+                       [IntervalSet(((0.0, 1.0 / n),)) for n in ns])
 
 
 def detour_path(x0, x1) -> SteppedPath:
-    """Two-leg constant-speed path through an apex equidistant from both ends.
+    """One-row block of the two-leg constant-speed path through an apex
+    equidistant from both ends.
 
     The apex sits at distance C = 1 + |x1-x0|/2 from each endpoint, placed
     at the midpoint plus a perpendicular offset in the first available
@@ -414,32 +352,28 @@ def detour_path(x0, x1) -> SteppedPath:
                                             2.0 * (x1 - apex)]))
 
 
-def stretch(p, T):
-    """Reparametrize a unit-horizon path onto [0, T]: durations scale by T,
-    velocities by 1/T.  The n-functionals over the new horizon are
-    unchanged, and at T = n1(p) the plain cost of the stretched path equals
-    the modified cost of the original.  On a block, T is one per row or
-    one for all."""
-    b = p.block if isinstance(p, SteppedPath) else p
+def stretch(b: PathBlock, T) -> PathBlock:
+    """Reparametrize unit-horizon rows onto [0, T]: durations scale by T,
+    velocities by 1/T, with T one per row or one for all.  The
+    n-functionals over the new horizon are unchanged, and at T = n1(b) the
+    plain cost of the stretched row equals the modified cost of the
+    original."""
     T = np.broadcast_to(np.asarray(T, dtype=float), b.horizons.shape)
     if np.any(np.abs(b.horizons - 1.0) > DURATION_TOL):
         raise BadHorizon("stretch starts from a horizon-1 path")
     if np.any(T < 1.0 - DURATION_TOL):
         raise BadHorizon("stretch needs T >= 1")
-    out = PathBlock(b.starts, T, b.durations * T[:, None],
-                    b.velocities / T[:, None, None], b.counts)
-    return out if b is p else out.row(0)
+    return PathBlock(b.starts, T, b.durations * T[:, None],
+                     b.velocities / T[:, None, None], b.counts)
 
 
-def compress(q):
-    """Inverse of stretch: map a path on [0, T], T >= 1, back to [0, 1]."""
-    b = q.block if isinstance(q, SteppedPath) else q
+def compress(b: PathBlock) -> PathBlock:
+    """Inverse of stretch: map rows on [0, T], T >= 1, back to [0, 1]."""
     T = b.horizons
     if np.any(T < 1.0 - DURATION_TOL):
         raise BadHorizon("compress needs horizon >= 1")
-    out = PathBlock(b.starts, np.ones_like(T), b.durations / T[:, None],
-                    b.velocities * T[:, None, None], b.counts)
-    return out if b is q else out.row(0)
+    return PathBlock(b.starts, np.ones_like(T), b.durations / T[:, None],
+                     b.velocities * T[:, None, None], b.counts)
 
 
 def random_interval_set(rng: np.random.Generator) -> IntervalSet:

@@ -76,14 +76,14 @@ def test_02_first_and_second_modified_values_agree():
         if abs(eval_tilde(ens, cost, 1) - eval_tilde(ens, cost, 2)) > 1e-10:
             failures.append(("tilde-gap", cost.name))
         for m in ens.members:
-            if np.linalg.norm(m.path.displacement) < 1e-12:
+            if np.linalg.norm(m.path.displacements[0]) < 1e-12:
                 continue
-            if abs(n1(m.path) - n2(m.path)) > 1e-12:
-                failures.append(("n-gap", n1(m.path), n2(m.path)))
+            if abs(n1(m.path)[0] - n2(m.path)[0]) > 1e-12:
+                failures.append(("n-gap", n1(m.path)[0], n2(m.path)[0]))
     rng = np.random.default_rng(2002)
     for _ in range(100):
-        p = _rand_paths(rng, 2, 1)[0].row(0)
-        if cost_li(p, SQRT, 1) < cost_li(p, SQRT, 2) - 1e-12:
+        p = _rand_paths(rng, 2, 1)[0]
+        if cost_li(p, SQRT, 1)[0] < cost_li(p, SQRT, 2)[0] - 1e-12:
             failures.append(("ordering", p))
     _report("02 both modified values agree on optimal ensembles", failures)
 
@@ -91,7 +91,7 @@ def test_02_first_and_second_modified_values_agree():
 def test_03_detour_strictly_beats_direct_under_second_functional():
     failures = []
     t = float(REMARK.eval(2.0))
-    det = cost_li(detour_path([0.0, 0.0], [2.0, 0.0]), REMARK, 2)
+    det = cost_li(detour_path([0.0, 0.0], [2.0, 0.0]), REMARK, 2)[0]
     if abs(t - 2.0 * math.exp(-2.0)) > 1e-9:
         failures.append(("direct", t))
     if abs(det - 4.0 * math.exp(-4.0)) > 1e-9:
@@ -165,9 +165,9 @@ def test_07_time_change_turns_modified_cost_into_plain_cost():
     failures = []
     rng = np.random.default_rng(707)
     for _ in range(100):
-        p = _rand_paths(rng, 2, 1)[0].row(0)
-        if abs(cost_plain(stretch(p, n1(p)), SQRT)
-               - cost_li(p, SQRT, 1)) > 1e-12:
+        p = _rand_paths(rng, 2, 1)[0]
+        if abs(cost_plain(stretch(p, n1(p)), SQRT)[0]
+               - cost_li(p, SQRT, 1)[0]) > 1e-12:
             failures.append(("identity", p))
         q = compress(stretch(p, 1.0 + rng.uniform(0.0, 9.0)))
         if not (np.allclose(q.durations, p.durations, rtol=1e-15, atol=0)

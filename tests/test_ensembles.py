@@ -13,6 +13,7 @@ from lagot.ensembles import (BoundedCouplingTriple,
                              induced_triple, oracle_min_path, solve_bounded)
 from lagot.errors import (BadHorizon, BoundViolated, Infeasible,
                           InfeasibleBound, MissingBound, NoFeasiblePath)
+from lagot.harness import _rand_bounded_ensembles
 from lagot.measures import (Coupling, measure_of, pairwise_distances,
                             validate_measure)
 from lagot.mk_solver import solve_mk
@@ -27,7 +28,7 @@ FULL = IntervalSet(((0.0, 1.0),))
 
 
 def single(path, bound=None, weight=1.0):
-    return TransportEnsemble(path.block, [weight], [bound])
+    return TransportEnsemble(path, [weight], [bound])
 
 
 def test_endpoint_marginals():
@@ -43,7 +44,7 @@ def test_endpoint_marginals():
 def test_eval_tilde_examples():
     assert eval_tilde(single(linear_path([0.0], [1.0])), SQRT, 1) == \
         pytest.approx(1.0)
-    sg = single(stop_and_go([0.0], [1.0], IntervalSet(((0.0, 0.5),))))
+    sg = single(stop_and_go([[0.0]], [[1.0]], [IntervalSet(((0.0, 0.5),))]))
     assert eval_tilde(sg, SQRT, 1) == pytest.approx(1.0)
     from lagot.paths import detour_path
     det = single(detour_path([0.0, 0.0], [2.0, 0.0]))
@@ -51,12 +52,12 @@ def test_eval_tilde_examples():
 
 
 def test_eval_bounded_examples():
-    sg = single(stop_and_go([0.0], [1.0], IntervalSet(((0.0, 0.5),))),
+    sg = single(stop_and_go([[0.0]], [[1.0]], [IntervalSet(((0.0, 0.5),))]),
                 bound=2.0)
     assert eval_bounded(sg, SQRT) == pytest.approx(0.5 * math.sqrt(2.0))
     zero = single(linear_path([0.0], [0.0]), bound=0.0)
     assert eval_bounded(zero, SQRT) == 0.0
-    y4 = single(fast_path([0.0], [1.0], 4), bound=4.0)
+    y4 = single(fast_path([0.0], [1.0], [4]), bound=4.0)
     assert eval_bounded(y4, SQRT) == pytest.approx(0.5)
     with pytest.raises(MissingBound):
         eval_bounded(single(linear_path([0.0], [1.0])), SQRT)
@@ -132,12 +133,12 @@ def test_build_opt_tilde_variants():
 def test_build_opt_bounded_examples():
     t = _triple([((0.0,), 1.0)], [((1.0,), 1.0)], [[1.0]], {(0, 0): 2.0})
     ens = build_opt_bounded(t)
-    assert sup_norm(ens.members[0].path) == pytest.approx(2.0)
+    assert sup_norm(ens.members[0].path)[0] == pytest.approx(2.0)
     assert eval_bounded(ens, SQRT) == pytest.approx(eval_tv(t, SQRT),
                                                     abs=1e-10)
     exact = _triple([((0.0,), 1.0)], [((1.0,), 1.0)], [[1.0]], {(0, 0): 1.0})
     ens = build_opt_bounded(exact)
-    assert len(ens.members[0].path.durations) == 1  # linear path
+    assert ens.members[0].path.counts[0] == 1  # linear path
     rest = _triple([((0.0,), 1.0)], [((0.0,), 1.0)], [[1.0]], {(0, 0): 0.0})
     assert eval_bounded(build_opt_bounded(rest), SQRT) == 0.0
 
@@ -150,10 +151,10 @@ def test_optimal_structure():
     rng = np.random.default_rng(3)
     ens = build_opt_tilde(sol, lambda i, j: random_interval_set(rng))
     for m in ens.members:
-        disp = float(np.linalg.norm(m.path.displacement))
-        assert l1_norm(m.path) == pytest.approx(disp, abs=1e-9)
-        speeds = np.linalg.norm(m.path.velocities, axis=1)
-        top = n1(m.path) * disp
+        disp = float(np.linalg.norm(m.path.displacements[0]))
+        assert l1_norm(m.path)[0] == pytest.approx(disp, abs=1e-9)
+        speeds = np.linalg.norm(m.path.velocities[0], axis=1)
+        top = n1(m.path)[0] * disp
         for s in speeds:
             assert min(abs(s), abs(s - top)) <= 1e-9
 
@@ -163,6 +164,33 @@ def test_induced_triple_roundtrip():
                                         [FULL, FULL]), [0.6, 0.4], [1.5, 2.0])
     t = induced_triple(ens)
     assert eval_tv(t, SQRT) <= eval_bounded(ens, SQRT) + 1e-12
+
+
+def _shared_endpoint_ensemble(rng):
+    """2-7 resting or full-interval members between a few integer points,
+    so that many share a start, an end or both."""
+    k, dim = int(rng.integers(2, 8)), int(rng.integers(1, 3))
+    xs, ys = rng.integers(0, 2, size=(2, k, dim)).astype(float)
+    paths = stop_and_go(xs, ys, [FULL] * k)
+    return TransportEnsemble(paths, rng.dirichlet(np.ones(k)),
+                             2.0 * sup_norm(paths))
+
+
+def test_induced_plan_has_the_endpoint_marginals():
+    """induced_triple builds its Coupling unchecked: its plan groups the
+    weights by endpoint cell, so its row and column sums are the endpoint
+    laws' weights to rounding."""
+    rng = np.random.default_rng(16)
+    drawn = [e for _ in range(60)
+             for e in _rand_bounded_ensembles(rng, int(rng.integers(1, 4)), 4)]
+    shared = [_shared_endpoint_ensemble(rng) for _ in range(200)]
+    for e in drawn + shared:
+        src, tgt = endpoint_marginals(e)
+        plan = induced_triple(e).coupling.plan
+        assert np.abs(plan.sum(axis=1) - src.weights).max() <= 1e-15
+        assert np.abs(plan.sum(axis=0) - tgt.weights).max() <= 1e-15
+    assert sum(endpoint_marginals(e)[0].n_atoms < len(e.weights)
+               for e in shared) > 100
 
 
 def test_oracle_examples():
@@ -205,17 +233,17 @@ def _brute_force_minima(x, y, K, grid, cap):
     for tup in itertools.product(signed, repeat=K):
         path = SteppedPath(start=x, horizon=1.0, durations=np.full(K, 1.0 / K),
                            velocities=np.outer(tup, (y - x)))
-        if np.linalg.norm(path.end - y) > 1e-9 * delta:
+        if np.linalg.norm(path.ends[0] - y) > 1e-9 * delta:
             continue
-        if cap is not None and sup_norm(path) > cap + 1e-12 * cap:
+        if cap is not None and sup_norm(path)[0] > cap + 1e-12 * cap:
             continue
-        speeds = np.linalg.norm(path.velocities, axis=1)
-        big_n = n1(path)
+        speeds = np.linalg.norm(path.velocities[0], axis=1)
+        big_n = n1(path)[0]
         for cost in ORACLE_COSTS:
-            conv = path.durations @ cost.eval(speeds * big_n) / big_n
-            for objective, value in (("plain", cost_plain(path, cost)),
-                                     ("L1", cost_li(path, cost, 1)),
-                                     ("L2", cost_li(path, cost, 2)),
+            conv = path.durations[0] @ cost.eval(speeds * big_n) / big_n
+            for objective, value in (("plain", cost_plain(path, cost)[0]),
+                                     ("L1", cost_li(path, cost, 1)[0]),
+                                     ("L2", cost_li(path, cost, 2)[0]),
                                      ("conv", conv)):
                 key = (cost.name, objective)
                 best[key] = min(best.get(key, math.inf), float(value))

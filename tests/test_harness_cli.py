@@ -747,6 +747,11 @@ BAD_INPUTS = {
     "ensemble with a boolean horizon": (
         _ensemble(horizon=True), _eval("L1"),
         "e.json: horizon must hold numbers only, got True"),
+    "ensemble with a nested start": (
+        {"e.json": {"members": [{"weight": 1, "path": {
+            "start": [[0]], "horizon": 1, "pieces": [{"dt": 1, "v": [1]}]}}]}},
+        _eval("L1"),
+        "e.json: start must be a flat list of numbers, got [[0]]"),
     "triple with a boolean plan cell": (
         {"t.json": {"source": GOOD, "target": GOOD,
                     "plan": [[0.5, False], [0.0, 0.5]],

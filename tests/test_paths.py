@@ -25,28 +25,28 @@ def path1d(durations, velocities, start=0.0, horizon=1.0):
 
 
 def test_norms():
-    assert sup_norm(path1d([1.0], [1.0])) == 1.0
-    assert l1_norm(path1d([1.0], [1.0])) == 1.0
+    assert sup_norm(path1d([1.0], [1.0]))[0] == 1.0
+    assert l1_norm(path1d([1.0], [1.0]))[0] == 1.0
     p = path1d([0.5, 0.5], [2.0, 0.0])
-    assert sup_norm(p) == 2.0 and l1_norm(p) == 1.0
+    assert sup_norm(p)[0] == 2.0 and l1_norm(p)[0] == 1.0
     q = path1d([0.5, 0.5], [3.0, -1.0])
-    assert sup_norm(q) == 3.0 and l1_norm(q) == 2.0
+    assert sup_norm(q)[0] == 3.0 and l1_norm(q)[0] == 2.0
 
 
 def test_n_functionals():
-    assert n1(path1d([1.0], [1.0])) == 1.0
-    assert n2(path1d([1.0], [1.0])) == 1.0
+    assert n1(path1d([1.0], [1.0]))[0] == 1.0
+    assert n2(path1d([1.0], [1.0]))[0] == 1.0
     p = path1d([0.5, 0.5], [2.0, 0.0])
-    assert n1(p) == pytest.approx(2.0) and n2(p) == pytest.approx(2.0)
+    assert n1(p)[0] == pytest.approx(2.0) and n2(p)[0] == pytest.approx(2.0)
     q = path1d([0.5, 0.5], [3.0, -1.0])
-    assert n1(q) == pytest.approx(3.0) and n2(q) == pytest.approx(1.5)
+    assert n1(q)[0] == pytest.approx(3.0) and n2(q)[0] == pytest.approx(1.5)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-310, 1e200])
 def test_n_functionals_are_scale_free(scale):
     # squares of these speeds underflow or overflow in a plain norm
     q = path1d([0.5, 0.5], [3.0 * scale, -1.0 * scale])
-    assert n1(q) == pytest.approx(3.0) and n2(q) == pytest.approx(1.5)
+    assert n1(q)[0] == pytest.approx(3.0) and n2(q)[0] == pytest.approx(1.5)
     # lengths scale with the path, power:0.5 costs with its square root
     unit, root = path1d([0.5, 0.5], [3.0, -1.0]), math.sqrt(scale)
     for got, want in [(sup_norm(q), scale * sup_norm(unit)),
@@ -54,7 +54,7 @@ def test_n_functionals_are_scale_free(scale):
                       (cost_plain(q, SQRT), root * cost_plain(unit, SQRT)),
                       (cost_li(q, SQRT, 1), root * cost_li(unit, SQRT, 1)),
                       (cost_li(q, SQRT, 2), root * cost_li(unit, SQRT, 2))]:
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
 
 
 def test_straight_paths_are_exact():
@@ -65,8 +65,8 @@ def test_straight_paths_are_exact():
     for x, y in rng.uniform(-2.0, 2.0, size=(2000, 2, 2)):
         p = linear_path(x, y)
         want = SQRT.eval(pairwise_distances(x[None], y[None])[0, 0])
-        if not (n1(p) == 1.0 and cost_li(p, SQRT, 1) == want
-                and cost_plain(p, SQRT) == want):
+        if not (n1(p)[0] == 1.0 and cost_li(p, SQRT, 1)[0] == want
+                and cost_plain(p, SQRT)[0] == want):
             bad.append((x, y))
     assert bad == []
 
@@ -91,47 +91,53 @@ def test_only_the_two_kernels_take_a_norm():
 
 def test_cost_plain():
     zero = path1d([1.0], [0.0])
-    assert cost_plain(zero, SQRT) == 0.0
+    assert cost_plain(zero, SQRT)[0] == 0.0
     p = path1d([0.5, 0.5], [2.0, 0.0])
-    assert cost_plain(p, SQRT) == pytest.approx(0.5 * math.sqrt(2.0))
-    y4 = fast_path(np.array([0.0]), np.array([1.0]), 4)
-    assert cost_plain(y4, SQRT) == pytest.approx(0.5)
+    assert cost_plain(p, SQRT)[0] == pytest.approx(0.5 * math.sqrt(2.0))
+    y4 = fast_path(np.array([0.0]), np.array([1.0]), [4])
+    assert cost_plain(y4, SQRT)[0] == pytest.approx(0.5)
 
 
 def test_cost_li():
-    stop_go = stop_and_go([0.0], [1.0], IntervalSet(((0.0, 0.5),)))
-    assert cost_li(stop_go, SQRT, 1) == pytest.approx(1.0)
-    assert cost_li(linear_path([0.0], [1.0]), SQRT, 1) == pytest.approx(1.0)
+    stop_go = stop_and_go([[0.0]], [[1.0]], [IntervalSet(((0.0, 0.5),))])
+    assert cost_li(stop_go, SQRT, 1)[0] == pytest.approx(1.0)
+    assert cost_li(linear_path([0.0], [1.0]), SQRT, 1)[0] == \
+        pytest.approx(1.0)
     detour = detour_path([0.0, 0.0], [2.0, 0.0])
-    assert cost_li(detour, REMARK, 2) == pytest.approx(4.0 * math.exp(-4.0))
+    assert cost_li(detour, REMARK, 2)[0] == \
+        pytest.approx(4.0 * math.exp(-4.0))
     with pytest.raises(BadHorizon):
         cost_li(stretch(stop_go, 2.0), SQRT, 1)
 
 
 def test_stop_and_go():
-    const = stop_and_go([0.0], [0.0], IntervalSet(((0.0, 0.5),)))
-    assert sup_norm(const) == 0.0
-    p = stop_and_go([0.0], [1.0], IntervalSet(((0.0, 0.5),)))
-    assert sup_norm(p) == pytest.approx(2.0)
-    assert p.end[0] == pytest.approx(1.0)
-    q = stop_and_go([0.0], [1.0], IntervalSet(((0.25, 0.5), (0.75, 1.0))))
-    assert sup_norm(q) == pytest.approx(2.0)
-    assert q.position(0.5)[0] == pytest.approx(0.5)
-    assert q.end[0] == pytest.approx(1.0)
+    const = stop_and_go([[0.0]], [[0.0]], [IntervalSet(((0.0, 0.5),))])
+    assert sup_norm(const)[0] == 0.0
+    p = stop_and_go([[0.0]], [[1.0]], [IntervalSet(((0.0, 0.5),))])
+    assert sup_norm(p)[0] == pytest.approx(2.0)
+    assert p.ends[0, 0] == pytest.approx(1.0)
+    q = stop_and_go([[0.0]], [[1.0]],
+                    [IntervalSet(((0.25, 0.5), (0.75, 1.0)))])
+    assert sup_norm(q)[0] == pytest.approx(2.0)
+    # rest on [0, 0.25), move on [0.25, 0.5): at t = 0.5 after two pieces
+    assert q.counts[0] == 4
+    half = q.starts[0] + q.durations[0, :2] @ q.velocities[0, :2]
+    assert half[0] == pytest.approx(0.5)
+    assert q.ends[0, 0] == pytest.approx(1.0)
     with pytest.raises(DegenerateSet):
-        stop_and_go([0.0], [1.0], IntervalSet(()))
+        stop_and_go([[0.0]], [[1.0]], [IntervalSet(())])
 
 
 def test_linear_path():
-    assert sup_norm(linear_path([0.0], [0.0])) == 0.0
-    assert sup_norm(linear_path([0.0], [1.0])) == 1.0
-    assert n1(linear_path([0.0, 1.0], [2.0, 3.0])) == pytest.approx(1.0)
+    assert sup_norm(linear_path([0.0], [0.0]))[0] == 0.0
+    assert sup_norm(linear_path([0.0], [1.0]))[0] == 1.0
+    assert n1(linear_path([0.0, 1.0], [2.0, 3.0]))[0] == pytest.approx(1.0)
 
 
 def test_fast_path():
-    one = fast_path([0.0], [1.0], 1)
-    assert len(one.durations) == 1 and sup_norm(one) == 1.0
-    costs = [cost_plain(fast_path([0.0], [1.0], n), SQRT)
+    one = fast_path([0.0], [1.0], [1])
+    assert one.counts[0] == 1 and sup_norm(one)[0] == 1.0
+    costs = [cost_plain(fast_path([0.0], [1.0], [n]), SQRT)[0]
              for n in range(1, 20)]
     assert costs[3] == pytest.approx(0.5)
     assert all(a > b for a, b in zip(costs, costs[1:]))
@@ -140,12 +146,13 @@ def test_fast_path():
 
 def test_detour_geometry():
     d = detour_path([0.0, 0.0], [2.0, 0.0])
-    assert sup_norm(d) == pytest.approx(4.0)       # constant speed 2C = 4
-    assert n2(d) == pytest.approx(1.0)
-    apex = d.position(0.5)
+    assert sup_norm(d)[0] == pytest.approx(4.0)    # constant speed 2C = 4
+    assert n2(d)[0] == pytest.approx(1.0)
+    assert d.durations[0, 0] == 0.5
+    apex = d.starts[0] + 0.5 * d.velocities[0, 0]
     assert apex[0] == pytest.approx(1.0)
     assert abs(apex[1]) == pytest.approx(math.sqrt(3.0))
-    assert np.allclose(d.end, [2.0, 0.0])
+    assert np.allclose(d.ends[0], [2.0, 0.0])
     with pytest.raises(DimensionTooSmall):
         detour_path([0.0], [2.0])
     with pytest.raises(CoincidentPoints):
@@ -160,22 +167,24 @@ def test_stretch_compress_inverse():
 
 
 def test_stretch_time_change():
-    p = stop_and_go([0.0], [1.0], IntervalSet(((0.0, 0.5),)))
+    p = stop_and_go([[0.0]], [[1.0]], [IntervalSet(((0.0, 0.5),))])
     s = stretch(p, 2.0)
-    assert s.horizon == 2.0
-    assert sup_norm(s) == pytest.approx(1.0)
-    assert cost_plain(s, SQRT) == pytest.approx(cost_li(p, SQRT, 1))
+    assert s.horizons[0] == 2.0
+    assert sup_norm(s)[0] == pytest.approx(1.0)
+    assert cost_plain(s, SQRT)[0] == pytest.approx(cost_li(p, SQRT, 1)[0])
     # the n-functional over the stretched horizon matches the original
-    assert n1(s) == pytest.approx(n1(p))
+    assert n1(s)[0] == pytest.approx(n1(p)[0])
     with pytest.raises(BadHorizon):
         stretch(p, 0.5)
 
 
-def test_position_and_invariants():
+def test_points_and_invariants():
     p = path1d([0.25, 0.75], [4.0, 0.0])
-    assert p.position(0.25)[0] == pytest.approx(1.0)
-    assert p.position(1.0)[0] == pytest.approx(1.0)
-    assert l1_norm(p) >= abs(p.displacement[0]) - 1e-12
+    # at t = 0.25 the first piece ends; the second rests until t = 1
+    assert (p.starts[0] + p.durations[0, 0] * p.velocities[0, 0])[0] == \
+        pytest.approx(1.0)
+    assert p.ends[0, 0] == pytest.approx(1.0)
+    assert l1_norm(p)[0] >= abs(p.displacements[0, 0]) - 1e-12
 
 
 def test_interval_set_validation():
@@ -189,10 +198,10 @@ def test_interval_set_validation():
 
 def test_json_roundtrip():
     p = path1d([0.5, 0.5], [3.0, -1.0], start=0.25)
-    q = SteppedPath.from_json(p.to_json())
+    q = PathBlock.from_json(p.to_json())
     assert np.array_equal(p.durations, q.durations)
     assert np.array_equal(p.velocities, q.velocities)
-    assert np.array_equal(p.start, q.start)
+    assert np.array_equal(p.starts, q.starts)
 
 
 def test_length_is_never_below_the_largest_coordinate():
@@ -224,18 +233,20 @@ def _row_values(b, cost):
 
 
 def _reference(p, cost):
-    """The one-path functionals as loops over 1-D arrays, the plain norm
-    standing in for the scaled one (the same bits at these scales)."""
-    speeds = np.linalg.norm(p.velocities, axis=1)
-    length, top = p.durations @ speeds, speeds.max()
-    disp = np.linalg.norm(p.durations @ p.velocities, axis=-1)
+    """The functionals of a one-row block as loops over its 1-D arrays, the
+    plain norm standing in for the scaled one (the same bits at these
+    scales)."""
+    durations, horizon = p.durations[0], p.horizons[0]
+    speeds = np.linalg.norm(p.velocities[0], axis=1)
+    length, top = durations @ speeds, speeds.max()
+    disp = np.linalg.norm(durations @ p.velocities[0], axis=-1)
     ref = {"n1": 1.0 if disp <= len(speeds) * 2.0 ** -53 * length
-           else p.horizon * top / disp,
-           "n2": 1.0 if length == 0.0 else p.horizon * top / length,
-           "plain": p.durations @ np.atleast_1d(cost.eval(speeds))}
+           else horizon * top / disp,
+           "n2": 1.0 if length == 0.0 else horizon * top / length,
+           "plain": durations @ np.atleast_1d(cost.eval(speeds))}
     for i in (1, 2):
         ni = ref[f"n{i}"]
-        ref[f"li{i}"] = ni * (p.durations
+        ref[f"li{i}"] = ni * (durations
                               @ np.atleast_1d(cost.eval(speeds / ni)))
     return speeds, ref
 
@@ -251,18 +262,17 @@ def test_block_rows_equal_the_paths_alone(seed):
     big_t = 1.0 + rng.uniform(0.0, 5.0, size=len(paths))
     back = compress(stretch(block, big_t))
     for r, p in enumerate(paths):
-        k = len(p.durations)
+        k = p.counts[0]
         speeds, ref = _reference(p, cost)
-        assert np.array_equal(block.speeds[r, :k], p.speeds)
-        assert np.array_equal(p.speeds, speeds)
-        alone = {"n1": n1(p), "n2": n2(p), "plain": cost_plain(p, cost),
-                 "li1": cost_li(p, cost, 1), "li2": cost_li(p, cost, 2)}
+        assert np.array_equal(block.speeds[r, :k], p.speeds[0])
+        assert np.array_equal(p.speeds[0], speeds)
+        alone = _row_values(p, cost)
         for name, value in rows.items():
-            assert value[r] == alone[name] == ref[name], (name, r)
+            assert value[r] == alone[name][0] == ref[name], (name, r)
         q = compress(stretch(p, float(big_t[r])))
-        assert np.array_equal(back.durations[r, :k], q.durations)
-        assert np.array_equal(back.velocities[r, :k], q.velocities)
-        assert np.array_equal(block.ends[r], p.end)
+        assert np.array_equal(back.durations[r, :k], q.durations[0])
+        assert np.array_equal(back.velocities[r, :k], q.velocities[0])
+        assert np.array_equal(block.ends[r], p.ends[0])
 
 
 @pytest.mark.parametrize("wide", [8, 15, 16, 40])
@@ -276,7 +286,7 @@ def test_wide_block_rows_against_the_paths_alone(wide):
         block, paths = _ragged(rng, 5, int(rng.integers(1, 4)), wide=wide)
         rows = _row_values(block, SQRT)
         for r, p in enumerate(paths):
-            alone = _row_values(p.block, SQRT)
+            alone = _row_values(p, SQRT)
             for name, value in rows.items():
                 if wide < 16 or r == 1:
                     assert value[r] == alone[name][0], (name, r)
@@ -292,12 +302,12 @@ def test_block_rows_keep_their_own_scale():
     scales = (1e-300, 1e200, 1.0)
     block, paths = _ragged(rng, 6, 2, scales)
     for r, p in enumerate(paths):
-        k = len(p.durations)
-        assert np.array_equal(block.speeds[r, :k], p.speeds)
-        unit = np.linalg.norm(p.velocities / scales[r % 3], axis=1)
+        k = p.counts[0]
+        assert np.array_equal(block.speeds[r, :k], p.speeds[0])
+        unit = np.linalg.norm(p.velocities[0] / scales[r % 3], axis=1)
         assert np.allclose(block.speeds[r, :k], scales[r % 3] * unit,
                            rtol=1e-15, atol=0.0)
-        assert n1(block)[r] == n1(p) and n2(block)[r] == n2(p)
+        assert n1(block)[r] == n1(p)[0] and n2(block)[r] == n2(p)[0]
 
 
 def test_padding_contributes_exactly_zero():
@@ -341,7 +351,7 @@ def test_take_views_rows():
     whole = _row_values(block, SQRT)
     part = block.take(1, 4)
     assert np.shares_memory(part.velocities, block.velocities)
-    assert part.durations.shape[1] == max(len(p.durations) for p in paths[1:4])
+    assert part.durations.shape[1] == max(p.counts[0] for p in paths[1:4])
     for name, value in _row_values(part, SQRT).items():
         assert np.array_equal(value, whole[name][1:4]), name
     assert np.array_equal(part.speeds, block.speeds[1:4, :part.counts.max()])

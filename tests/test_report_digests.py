@@ -4,10 +4,18 @@ A change that is meant to move a report regenerates the golden file with
 
     python3 tools/report_digests.py | awk '$3 == 0' > tests/data/report_digests_seed0.txt
 
-and lists the moved lines in its change note.
+and lists the moved lines in its change note.  The digests hold only where
+the BLAS and numpy kernels round as those that made the golden file; the
+refusals and pass flags are also checked under an imitated AVX2-only CPU,
+whose values may move by rounding only.
 """
 
 import importlib.util
+import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -24,3 +32,56 @@ def test_seed0_reports_match_the_golden_digests():
            for theorem in report_digests.THEOREMS
            for cost in report_digests.COSTS]
     assert got == GOLDEN.read_text().splitlines()
+
+
+# OpenBLAS's kernels and numpy's loops of a CPU without AVX512
+AVX2_ONLY = {"OPENBLAS_CORETYPE": "Haswell",
+             "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
+SEED0_REPORTS = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("report_digests", sys.argv[1])
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+print(json.dumps([tool.report(t, c, 0) for t in tool.THEOREMS
+                  for c in tool.COSTS], default=bool))
+"""
+
+
+def _moves(native, other, where="reports"):
+    """Where two JSON trees differ in shape, in a string or flag, or in a
+    number by more than 1e-14 * max(1, |native|)."""
+    if isinstance(native, dict):
+        if not isinstance(other, dict) or native.keys() != other.keys():
+            return [where]
+        keys = list(native)
+    elif isinstance(native, list):
+        if not isinstance(other, list) or len(native) != len(other):
+            return [where]
+        keys = range(len(native))
+    elif type(native) in (int, float) and type(other) in (int, float):
+        tol = 1e-14 * max(1.0, abs(native))
+        same = math.isclose(native, other, rel_tol=0.0, abs_tol=tol) or \
+            (math.isnan(native) and math.isnan(other))
+        return [] if same else [where]
+    else:
+        return [] if (type(native), native) == (type(other), other) else \
+            [where]
+    return [m for k in keys
+            for m in _moves(native[k], other[k], f"{where}[{k!r}]")]
+
+
+def test_seed0_verdicts_do_not_depend_on_the_cpu(tmp_path):
+    """The 50 seed-0 reports, recomputed in a subprocess under the kernels
+    of an AVX2-only CPU, refuse and pass as they do here, with every value
+    and margin within 1e-14 relative of this run's."""
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", SEED0_REPORTS,
+         str(ROOT / "tools" / "report_digests.py")],
+        cwd=tmp_path, env={**os.environ, **AVX2_ONLY}, capture_output=True,
+        text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    native = json.loads(json.dumps(
+        [report_digests.report(theorem, cost, 0)
+         for theorem in report_digests.THEOREMS
+         for cost in report_digests.COSTS], default=bool))
+    assert _moves(native, json.loads(proc.stdout)) == []
