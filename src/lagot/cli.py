@@ -128,7 +128,7 @@ def _cmd_dual(args) -> int:
     m0 = _load(args.p0, DiscreteMeasure.from_json)
     f = _load(args.f, GridFunction.from_json)
     cost = parse_cost(args.cost)
-    queries = (_load(args.grid, lambda raw: json_numbers(raw, "grid"))
+    queries = (_load(args.grid, lambda raw: json_numbers(raw, "grid", 1, 2))
                if args.grid else m0.points)
     rep = verify_control_identity(m0, f, cost, args.i)
     payload = {"fl_values": inf_conv(f, cost, queries), "lhs": rep.lhs,

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import A1I, A1III, A2I, CostFunction, require
-from .measures import DiscreteMeasure, json_numbers, pairwise_distances
+from .measures import (DiscreteMeasure, expectation, freeze, json_numbers,
+                       pairwise_distances)
 
 
 @dataclass(frozen=True)
@@ -38,15 +39,12 @@ class GridFunction:
             raise ValueError("grid points and values must be finite")
         if len({tuple(p) for p in points}) != len(points):
             raise ValueError("grid points must be distinct")
-        points.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "values", values)
+        freeze(self, points=points, values=values)
 
     @staticmethod
     def from_json(obj: dict) -> "GridFunction":
-        return GridFunction(points=json_numbers(obj["points"], "points"),
-                            values=json_numbers(obj["values"], "values"))
+        return GridFunction(points=json_numbers(obj["points"], "points", 1, 2),
+                            values=json_numbers(obj["values"], "values", 1))
 
     def to_json(self) -> dict:
         return {"points": self.points.tolist(), "values": self.values.tolist()}
@@ -92,12 +90,12 @@ def verify_control_identity(m0: DiscreteMeasure, f: GridFunction,
     best = candidates.argmin(axis=1)
     per_atom = candidates[np.arange(len(best)), best]
     selected = [(k, int(j)) for k, j in enumerate(best)]
-    # both sides reduce through the same dot product so that the atomwise
+    # both sides reduce through the same weighted sum so that the atomwise
     # selection and the infimal convolution agree bit for bit
-    lhs = float(np.dot(m0.weights, per_atom))
-    rhs = float(np.dot(m0.weights, inf_conv(f, cost, m0.points)))
+    lhs = expectation(m0.weights, per_atom)
+    rhs = expectation(m0.weights, inf_conv(f, cost, m0.points))
     return ControlIdentityReport(
-        lhs=float(lhs), rhs=rhs, margin=float(lhs - rhs), selected=selected,
+        lhs=lhs, rhs=rhs, margin=lhs - rhs, selected=selected,
         note=("atomic-measure skeleton: the continuous identity assumes an "
               "absolutely continuous initial law; here the atomwise "
               "infimal-convolution structure is what is verified"))

@@ -19,10 +19,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .costs import CostFunction, power_cost
-from .errors import (BoundViolated, Infeasible, InfeasibleBound,
-                     MissingBound, NoFeasiblePath)
+from .errors import (BoundViolated, ConfigInvalid, Infeasible,
+                     InfeasibleBound, MissingBound, NoFeasiblePath)
 from .measures import (WEIGHT_SUM_TOL, Coupling, DiscreteMeasure,
-                       json_numbers, measure_of, pairwise_distances)
+                       expectation, freeze, json_numbers, measure_of,
+                       pairwise_distances, read_only)
 from .mk_solver import MKSolution, solve_mk
 from .paths import IntervalSet, PathBlock, cost_li, cost_plain, stop_and_go
 
@@ -75,9 +76,7 @@ class TransportEnsemble:
             r = int(over.argmax())
             raise BoundViolated(
                 f"sup speed {sup[r]} exceeds bound {bounds[r]}")
-        for name, value in (("weights", weights), ("bounds", bounds)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        freeze(self, weights=weights, bounds=bounds)
 
     @functools.cached_property
     def members(self) -> tuple:
@@ -96,11 +95,13 @@ class TransportEnsemble:
     @staticmethod
     def from_json(obj: dict) -> "TransportEnsemble":
         members = obj["members"]
+        if not len(members):
+            raise ConfigInvalid("members must not be empty")
         return TransportEnsemble(
             paths=PathBlock.from_json([m["path"] for m in members]),
-            weights=[float(json_numbers(m["weight"], "weight"))
+            weights=[float(json_numbers(m["weight"], "weight", 0))
                      for m in members],
-            bounds=[float(json_numbers(m["bound"], "bound"))
+            bounds=[float(json_numbers(m["bound"], "bound", 0))
                     if "bound" in m else None for m in members])
 
 
@@ -131,10 +132,9 @@ class BoundedCouplingTriple:
     def cell_bounds(self) -> np.ndarray:
         """Read-only bounds of the positive-mass cells, in support order."""
         ii, jj = self.coupling.support
-        bounds = np.array([self.bound_assignment[c] for c in
-                           zip(ii.tolist(), jj.tolist())], dtype=float)
-        bounds.setflags(write=False)
-        return bounds
+        return read_only(np.array([self.bound_assignment[c] for c in
+                                   zip(ii.tolist(), jj.tolist())],
+                                  dtype=float))
 
 
 def endpoint_marginals(e: TransportEnsemble) -> tuple[DiscreteMeasure,
@@ -144,15 +144,10 @@ def endpoint_marginals(e: TransportEnsemble) -> tuple[DiscreteMeasure,
             measure_of(e.paths.ends, e.weights, e.paths.dim))
 
 
-def _expectation(weights: np.ndarray, values: np.ndarray) -> float:
-    """Sum of weight * value, added in member order."""
-    return float(sum((weights * values).tolist()))
-
-
 def eval_tilde(e: TransportEnsemble, cost: CostFunction, i: int) -> float:
     """Expected modified running cost (the i = 1 or 2 functional); cost_li
     rejects rows whose horizon is not 1."""
-    return _expectation(e.weights, cost_li(e.paths, cost, i))
+    return expectation(e.weights, cost_li(e.paths, cost, i))
 
 
 def _require_bounds(e: TransportEnsemble) -> None:
@@ -163,7 +158,7 @@ def _require_bounds(e: TransportEnsemble) -> None:
 def eval_bounded(e: TransportEnsemble, cost: CostFunction) -> float:
     """Expected plain running cost; e checked each speed when it was built."""
     _require_bounds(e)
-    return _expectation(e.weights, cost_plain(e.paths, cost))
+    return expectation(e.weights, cost_plain(e.paths, cost))
 
 
 def _cost_at_caps(cost: CostFunction, caps) -> np.ndarray:
@@ -181,9 +176,9 @@ def eval_tv(t: BoundedCouplingTriple, cost: CostFunction) -> float:
     cells with positive bound; M = 0 cells contribute nothing."""
     c, pos = t.coupling, t.cell_bounds > 0
     m_ij = t.cell_bounds[pos]
-    return _expectation(c.plan[c.support][pos]
-                        * (_cost_at_caps(cost, m_ij) / m_ij),
-                        c.distances[c.support][pos])
+    return expectation(c.plan[c.support][pos]
+                       * (_cost_at_caps(cost, m_ij) / m_ij),
+                       c.distances[c.support][pos])
 
 
 def induced_triple(e: TransportEnsemble) -> BoundedCouplingTriple:
@@ -251,9 +246,7 @@ def _feasible_multisets(grid: tuple, K: int) -> np.ndarray:
     signed = np.unique(np.concatenate([grid, np.negative(grid)]))
     combos = np.array(list(
         itertools.combinations_with_replacement(signed, K))).reshape(-1, K)
-    table = combos[np.abs(combos.mean(axis=1) - 1.0) <= _FEAS_TOL]
-    table.setflags(write=False)
-    return table
+    return read_only(combos[np.abs(combos.mean(axis=1) - 1.0) <= _FEAS_TOL])
 
 
 def oracle_min_path(x, y, cost: CostFunction, objective: str, K: int,

@@ -23,7 +23,7 @@ from .ensembles import (BoundedCouplingTriple, TransportEnsemble,
                         solve_bounded)
 from .errors import AssumptionRefused, ConfigInvalid, LagotError, UnknownKind
 from .measures import (DiscreteMeasure, make_coupling, pairwise_distances,
-                       random_measure)
+                       random_measure, row_sum)
 from .mk_solver import solve_mk, t_p
 from .paths import (PathBlock, block_of, compress, cost_li, cost_plain,
                     detour_path, fast_path, lengths, linear_path, n1, n2,
@@ -127,7 +127,7 @@ def _rand_rows(rng, dim: int, n: int, extra: bool = False) -> tuple:
         # the computed length is never below the largest |coordinate|, so
         # a long coordinate decides without the ~12 us kernel call (3 % of
         # a suite sweep); a short one is measured
-        disp = durations @ velocities
+        disp = row_sum((durations[:, None] * velocities).T)
         if max(map(abs, disp.tolist())) >= 1e-3 or lengths(disp) >= 1e-3:
             rows.append((start, 1.0, durations, velocities))
             drawn.extend([rng.uniform(0.0, 1.0)] if extra else [])

@@ -40,6 +40,28 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray,
     return dist
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def freeze(obj, **fields) -> None:
+    """Set the fields of a frozen dataclass, their arrays read-only."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, read_only(value))
+
+
+def row_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of each row over axis 1, added first to last, so that a padded
+    row sums to the bits of the row alone at any width and on any CPU."""
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
+def expectation(weights: np.ndarray, values) -> float:
+    """Sum of weight * value over members or atoms, added first to last."""
+    return float(sum((weights * values).tolist()))
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Finitely supported probability measure on R^d.
@@ -54,10 +76,8 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        self.points.setflags(write=False)
-        self.weights.setflags(write=False)
+        freeze(self, points=np.asarray(self.points, dtype=float),
+               weights=np.asarray(self.weights, dtype=float))
 
     @property
     def n_atoms(self) -> int:
@@ -77,8 +97,8 @@ class DiscreteMeasure:
     @staticmethod
     def from_json(obj: dict) -> "DiscreteMeasure":
         return validate_measure(
-            [(json_numbers(a["x"], "x"), float(json_numbers(a["w"], "w")))
-             for a in obj["atoms"]], int(json_numbers(obj["dim"], "dim")))
+            [(json_numbers(a["x"], "x"), float(json_numbers(a["w"], "w", 0)))
+             for a in obj["atoms"]], int(json_numbers(obj["dim"], "dim", 0)))
 
 
 def validate_measure(raw, dim: int) -> DiscreteMeasure:
@@ -132,9 +152,11 @@ def measure_of(points, weights, dim: int) -> DiscreteMeasure:
                            weights=np.array([merged[k] for k in keys]))
 
 
-def json_numbers(value, field: str) -> np.ndarray:
-    """float array of a JSON number or nested list of numbers; a boolean,
-    string or null in it raises ConfigInvalid naming ``field``."""
+def json_numbers(value, field: str, *depths: int) -> np.ndarray:
+    """float array of a JSON number or nested list of numbers, nested as
+    deep as one of ``depths`` when any is given; a boolean, string or null
+    in it, lists of two lengths side by side, or another depth raises
+    ConfigInvalid naming ``field``."""
     def numeric(v):  # JSON gives bool, never a subclass of int, for true
         return all(map(numeric, v)) if type(v) is list else \
             type(v) in (int, float)
@@ -142,7 +164,17 @@ def json_numbers(value, field: str) -> np.ndarray:
     if not numeric(value):
         raise ConfigInvalid(
             f"{field} must hold numbers only, got {reprlib.repr(value)}")
-    return np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except ValueError:  # lists of two lengths side by side
+        arr = None
+    if arr is None or depths and arr.ndim not in depths:
+        forms = ("a number", "a flat list of numbers",  # by nesting depth
+                 "a list of equal-length lists of numbers")
+        raise ConfigInvalid(
+            f"{field} must be {' or '.join(forms[d] for d in depths or (2,))}"
+            f", got {reprlib.repr(value)}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -158,16 +190,14 @@ class Coupling:
     plan: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "plan", np.asarray(self.plan, dtype=float))
-        self.plan.setflags(write=False)
+        freeze(self, plan=np.asarray(self.plan, dtype=float))
 
     @functools.cached_property
     def distances(self) -> np.ndarray:
         """(n, m) read-only matrix of |x_i - y_j| from the shared kernel,
         built on first read."""
-        dist = pairwise_distances(self.source.points, self.target.points)
-        dist.setflags(write=False)
-        return dist
+        return read_only(pairwise_distances(self.source.points,
+                                            self.target.points))
 
     @functools.cached_property
     def support(self) -> tuple[np.ndarray, np.ndarray]:

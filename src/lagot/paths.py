@@ -15,7 +15,6 @@ of a block in one array expression and returns one value or row per row.
 from __future__ import annotations
 
 import functools
-import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,26 +22,10 @@ import numpy as np
 from .costs import CostFunction
 from .errors import (BadHorizon, CoincidentPoints, ConfigInvalid,
                      DegenerateSet, DimensionMismatch, DimensionTooSmall)
-from .measures import json_numbers, pairwise_distances
+from .measures import (freeze, json_numbers, pairwise_distances, read_only,
+                       row_sum)
 
 DURATION_TOL = 1e-12
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-def _freeze(obj, **fields) -> None:
-    """Set the fields of a frozen dataclass, their arrays read-only."""
-    for name, value in fields.items():
-        object.__setattr__(obj, name, _read_only(value))
-
-
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot of two (k, P) arrays, bit for bit the 1-D ``@`` of each
-    unpadded row, which ``(a * b).sum(1)`` and ``einsum`` are not."""
-    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -66,10 +49,10 @@ class PathBlock:
             np.asarray(a, dtype=float) for a in (
                 self.starts, self.horizons, self.durations, self.velocities))
         counts = np.asarray(self.counts, dtype=int)
-        if durations.shape != velocities.shape[:2]:
-            raise ValueError("one velocity per piece required")
+        if durations.shape != velocities.shape[:2] or not durations.shape[1]:
+            raise ValueError("a path needs pieces, one velocity per piece")
         # first, so that a NaN or infinite duration or horizon fails here
-        for s, h in zip(durations.sum(axis=1).tolist(), horizons.tolist()):
+        for s, h in zip(row_sum(durations).tolist(), horizons.tolist()):
             if not abs(s - h) <= DURATION_TOL * max(1.0, h) < np.inf:
                 raise BadHorizon(f"durations sum to {s}, horizon {h}")
         pad = np.arange(durations.shape[1]) >= counts[:, None]
@@ -82,8 +65,8 @@ class PathBlock:
         if velocities.shape[2] != starts.shape[1]:
             raise DimensionMismatch(f"velocities of dim {velocities.shape[2]} "
                                     f"vs a start of dim {starts.shape[1]}")
-        _freeze(self, starts=starts, horizons=horizons, durations=durations,
-                velocities=velocities, counts=counts)
+        freeze(self, starts=starts, horizons=horizons, durations=durations,
+               velocities=velocities, counts=counts)
 
     @property
     def dim(self) -> int:
@@ -93,20 +76,16 @@ class PathBlock:
     def speeds(self) -> np.ndarray:
         """(k, P) |v| of each piece, measured on first read; padding reads
         0.  This and the two below are read-only."""
-        return _read_only(lengths(self.velocities))
+        return read_only(lengths(self.velocities))
 
     @functools.cached_property
     def displacements(self) -> np.ndarray:
-        """(k, dim) durations @ velocities of each row, the 1-D product of
-        the unpadded row: padding changes the summation, so the last bits."""
-        return _read_only(np.array([
-            d[:c] @ v[:c] for d, v, c in zip(
-                self.durations, self.velocities, self.counts.tolist())
-        ]).reshape(self.starts.shape))
+        """(k, dim) sum of duration * velocity over each row's pieces."""
+        return read_only(row_sum(self.durations[..., None] * self.velocities))
 
     @functools.cached_property
     def ends(self) -> np.ndarray:
-        return _read_only(self.starts + self.displacements)
+        return read_only(self.starts + self.displacements)
 
     def take(self, lo: int, hi: int) -> "PathBlock":
         """Rows lo to hi - 1 as a block viewing these arrays, padded to
@@ -114,10 +93,10 @@ class PathBlock:
         was built."""
         width = self.counts[lo:hi].max()
         view = object.__new__(PathBlock)
-        _freeze(view, starts=self.starts[lo:hi],
-                horizons=self.horizons[lo:hi], counts=self.counts[lo:hi],
-                durations=self.durations[lo:hi, :width],
-                velocities=self.velocities[lo:hi, :width])
+        freeze(view, starts=self.starts[lo:hi],
+               horizons=self.horizons[lo:hi], counts=self.counts[lo:hi],
+               durations=self.durations[lo:hi, :width],
+               velocities=self.velocities[lo:hi, :width])
         return view
 
     def to_json(self) -> list:
@@ -135,15 +114,15 @@ class PathBlock:
         """Block of the JSON objects of ``to_json``; horizon defaults to 1."""
         fields = []
         for obj in rows:
-            start, pieces = json_numbers(obj["start"], "start"), obj["pieces"]
-            if start.ndim != 1:
-                raise ConfigInvalid("start must be a flat list of numbers, "
-                                    f"got {reprlib.repr(obj['start'])}")
-            fields.append((
-                start, float(json_numbers(obj.get("horizon", 1.0), "horizon")),
-                json_numbers([p["dt"] for p in pieces], "dt"),
-                json_numbers([p["v"] for p in pieces], "v").reshape(
-                    len(pieces), -1)))
+            start = json_numbers(obj["start"], "start", 1)
+            pieces = obj["pieces"]
+            for name in ("start", "pieces"):
+                if not len(obj[name]):
+                    raise ConfigInvalid(f"{name} must not be empty")
+            horizon = json_numbers(obj.get("horizon", 1.0), "horizon", 0)
+            fields.append((start, float(horizon),
+                           json_numbers([p["dt"] for p in pieces], "dt", 1),
+                           json_numbers([p["v"] for p in pieces], "v", 2)))
         return block_of(*zip(*fields))
 
 
@@ -220,7 +199,7 @@ def sup_norm(b: PathBlock) -> np.ndarray:
 
 def l1_norm(b: PathBlock) -> np.ndarray:
     """Each row's length: the integral of its speed."""
-    return _row_dot(b.durations, b.speeds)
+    return row_sum(b.durations * b.speeds)
 
 
 def n1(b: PathBlock) -> np.ndarray:
@@ -248,7 +227,7 @@ def n2(b: PathBlock) -> np.ndarray:
 
 def cost_plain(b: PathBlock, cost: CostFunction) -> np.ndarray:
     """Integral of cost(speed) along each row."""
-    return _row_dot(b.durations, cost.eval(b.speeds))
+    return row_sum(b.durations * cost.eval(b.speeds))
 
 
 def cost_li(b: PathBlock, cost: CostFunction, i: int) -> np.ndarray:
@@ -262,7 +241,7 @@ def cost_li(b: PathBlock, cost: CostFunction, i: int) -> np.ndarray:
     if i not in (1, 2):
         raise ValueError("i must be 1 or 2")
     ni = n1(b) if i == 1 else n2(b)
-    return ni * _row_dot(b.durations, cost.eval(b.speeds / ni[:, None]))
+    return ni * row_sum(b.durations * cost.eval(b.speeds / ni[:, None]))
 
 
 def stop_and_go(x, y, A) -> PathBlock:
@@ -295,7 +274,7 @@ def stop_and_go(x, y, A) -> PathBlock:
     for r, row in enumerate(pieces):
         durations[r, :counts[r]], on[r, :counts[r]] = zip(*row)
     # absorb rounding so the horizon constraint holds exactly
-    durations = durations * (1.0 / durations.sum(axis=1))[:, None]
+    durations = durations * (1.0 / row_sum(durations))[:, None]
     v = (ys - xs) / np.asarray(totals)[:, None]
     return PathBlock(xs, np.ones(len(counts)), durations,
                      np.where(on[..., None], v[:, None, :], 0.0), counts)

@@ -770,6 +770,51 @@ BAD_INPUTS = {
     "query grid with a boolean point": (
         {"f.json": {"points": [[0.0]], "values": [0.0]}, "g.json": [[True]]},
         DUAL + ["--grid", "g.json"], "g.json: grid must hold numbers only"),
+    "ensemble with a nested duration": (
+        _ensemble(dt=[1]), _eval("L1"),
+        "e.json: dt must be a flat list of numbers, got [[1]]"),
+    "ensemble with a nested velocity under a 2-D start": (
+        {"e.json": {"members": [{"weight": 1, "path": {
+            "start": [0, 0], "pieces": [{"dt": 1, "v": [[1], [0]]}]}}]}},
+        _eval("L1"), "e.json: v must be a list of equal-length lists of "
+                     "numbers, got [[[1], [0]]]"),
+    "ensemble without members": ({"e.json": {"members": []}}, _eval("L1"),
+                                 "e.json: members must not be empty"),
+    "path without pieces": (
+        {"e.json": {"members": [{"weight": 1, "path": {
+            "start": [0], "pieces": []}}]}},
+        _eval("L1"), "e.json: pieces must not be empty"),
+    "path with an empty start": (
+        {"e.json": {"members": [{"weight": 1, "path": {
+            "start": [], "pieces": [{"dt": 1, "v": []}]}}]}},
+        _eval("L1"), "e.json: start must not be empty"),
+    "path with velocities of two lengths": (
+        {"e.json": {"members": [{"weight": 1, "path": {
+            "start": [0, 0], "pieces": [{"dt": 0.5, "v": [1, 0]},
+                                        {"dt": 0.5, "v": [1]}]}}]}},
+        _eval("L1"), "e.json: v must be a list of equal-length lists of "
+                     "numbers, got [[1, 0], [1]]"),
+    "ensemble with a nested weight": (
+        _ensemble(weight=[1]), _eval("L1"),
+        "e.json: weight must be a number, got [1]"),
+    "ensemble with a nested horizon": (
+        _ensemble(horizon=[[1]]), _eval("L1"),
+        "e.json: horizon must be a number, got [[1]]"),
+    "query grid that is a number": (
+        {"f.json": {"points": [[0.0]], "values": [0.0]}, "g.json": 0},
+        DUAL + ["--grid", "g.json"], "g.json: grid must be a flat list of "
+        "numbers or a list of equal-length lists of numbers, got 0"),
+    "query grid nested three deep": (
+        {"f.json": {"points": [[0.0]], "values": [0.0]}, "g.json": [[[0]]]},
+        DUAL + ["--grid", "g.json"], "g.json: grid must be a flat list of "
+        "numbers or a list of equal-length lists of numbers, got [[[0]]]"),
+    "grid function with nested values": (
+        {"f.json": {"points": [[0.0]], "values": [[1]]}}, DUAL,
+        "f.json: values must be a flat list of numbers, got [[1]]"),
+    "grid function with points nested three deep": (
+        {"f.json": {"points": [[[0]]], "values": [0.0]}}, DUAL,
+        "f.json: points must be a flat list of numbers or a list of "
+        "equal-length lists of numbers, got [[[0]]]"),
 }
 
 

@@ -4,10 +4,11 @@ A change that is meant to move a report regenerates the golden file with
 
     python3 tools/report_digests.py | awk '$3 == 0' > tests/data/report_digests_seed0.txt
 
-and lists the moved lines in its change note.  The digests hold only where
-the BLAS and numpy kernels round as those that made the golden file; the
-refusals and pass flags are also checked under an imitated AVX2-only CPU,
-whose values may move by rounding only.
+and lists the moved lines in its change note.  Every sum over a path's
+pieces or an ensemble's members runs first to last, so the digests hold
+bit for bit under each of OpenBLAS's kernels; they still depend on numpy's
+``exp`` loops, so the refusals and pass flags are also checked under an
+imitated AVX2-only CPU, whose values may move by rounding only.
 """
 
 import importlib.util
@@ -17,6 +18,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "report_digests_seed0.txt"
@@ -34,14 +37,41 @@ def test_seed0_reports_match_the_golden_digests():
     assert got == GOLDEN.read_text().splitlines()
 
 
-# OpenBLAS's kernels and numpy's loops of a CPU without AVX512
-AVX2_ONLY = {"OPENBLAS_CORETYPE": "Haswell",
-             "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
-SEED0_REPORTS = """
+# loads tools/report_digests.py, given as argv[1], as ``tool``
+LOAD_TOOL = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("report_digests", sys.argv[1])
 tool = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tool)
+"""
+SEED0_DIGESTS = LOAD_TOOL + """
+for t in tool.THEOREMS:
+    for c in tool.COSTS:
+        print(t, c, 0, tool.digest(t, c, 0))
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge", "Nehalem"])
+def test_seed0_digests_hold_under_other_blas_kernels(coretype, tmp_path):
+    """The 50 seed-0 digests, recomputed in a subprocess under one of
+    OpenBLAS's AVX2, AVX and SSE kernels, are the golden ones bit for bit.
+    Only the BLAS kernel changes: numpy's loops are left at the CPU's own,
+    as the digests still depend on their ``exp``."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "NPY_DISABLE_CPU_FEATURES"}
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", SEED0_DIGESTS,
+         str(ROOT / "tools" / "report_digests.py")],
+        cwd=tmp_path, env={**env, "OPENBLAS_CORETYPE": coretype},
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == GOLDEN.read_text().splitlines()
+
+
+# OpenBLAS's kernels and numpy's loops of a CPU without AVX512
+AVX2_ONLY = {"OPENBLAS_CORETYPE": "Haswell",
+             "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
+SEED0_REPORTS = LOAD_TOOL + """
 print(json.dumps([tool.report(t, c, 0) for t in tool.THEOREMS
                   for c in tool.COSTS], default=bool))
 """
