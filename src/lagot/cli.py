@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import reprlib
 import sys
 from pathlib import Path
 
@@ -74,8 +75,17 @@ def _triple_from_json(obj: dict) -> BoundedCouplingTriple:
     coupling = make_coupling(DiscreteMeasure.from_json(obj["source"]),
                              DiscreteMeasure.from_json(obj["target"]),
                              json_numbers(obj["plan"], "plan"))
-    bounds = {(int(i), int(j)): m for i, j, m in
-              json_numbers(obj["bounds"], "bounds").tolist()}
+    rows = json_numbers(obj["bounds"], "bounds", 2)
+    n, m = coupling.plan.shape
+    if rows.shape[1] != 3 or not all(
+            i.is_integer() and j.is_integer() and 0 <= i < n and 0 <= j < m
+            for i, j, _ in rows.tolist()):
+        raise ConfigInvalid(
+            f"bounds must be rows [i, j, bound] with integral i in [0, {n})"
+            f" and j in [0, {m}), got {reprlib.repr(obj['bounds'])}")
+    bounds = {(int(i), int(j)): b for i, j, b in rows.tolist()}
+    if len(bounds) != len(rows):
+        raise ConfigInvalid("bounds must not repeat a cell")
     return BoundedCouplingTriple(coupling, bounds)
 
 

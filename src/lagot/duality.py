@@ -30,6 +30,9 @@ class GridFunction:
         points = np.asarray(self.points, dtype=float)
         if points.ndim == 1:
             points = points[:, None]
+        if points.ndim != 2:
+            raise ValueError("grid points must be a list of numbers or of"
+                             f" lists of numbers, got {points.ndim} levels")
         values = np.asarray(self.values, dtype=float)
         if len(points) != len(values):
             raise ValueError("one value per point required")

@@ -2,10 +2,11 @@
 
 The transportation LP is solved in-repo by the classical transportation
 (network) simplex with Bland's smallest-index rule on both the entering and
-the leaving variable, which rules out cycling.  Each pivot walks the basis
-tree once, for the dual potentials and the entering cycle.  Forbidden arcs
-are priced with a big-M penalty and a positive flow on any of them at
-optimality means the constrained instance is infeasible.
+the leaving variable, which rules out cycling.  The basis tree and its dual
+potentials are kept across pivots: a pivot walks again only the subtree
+that its leaving cell cuts off.  Forbidden arcs are priced with a big-M
+penalty and a positive flow on any of them at optimality means the
+constrained instance is infeasible.
 """
 
 from __future__ import annotations
@@ -52,27 +53,58 @@ def _northwest_corner(supply, demand):
     return flow, basis
 
 
+def _walk(top, adj, pot, parent, depth):
+    """Set pot, parent and depth below ``top``, whose own are set, walking
+    breadth-first: a node's neighbours but its parent hang under it."""
+    order = [top]
+    for k in order:
+        up, below = pot[k], depth[k] + 1
+        skip = parent[k][0] if parent[k] else None
+        for w, cell, c in adj[k]:
+            if w != skip:
+                pot[w], parent[w], depth[w] = c - up, (k, cell), below
+                order.append(w)
+
+
 def _basis_tree(basis, cost, n, m):
-    """One breadth-first walk of the basis tree from row 0; rows are nodes
-    ``0..n-1``, columns ``n..n+m-1``, neighbours come in basis order.
-    Returns potentials u, v (u[0] = 0, u_i + v_j = cost[i][j] on the basis)
-    as lists, and each node's parent, as a (node, cell) pair, and depth."""
+    """One full walk of the basis tree from row 0; rows are nodes
+    ``0..n-1``, columns ``n..n+m-1``.  Returns the potentials as one list,
+    u_i at node i and v_j at node n + j (u_0 = 0, u_i + v_j = cost[i][j] on
+    the basis), each node's parent, as a (node, cell) pair, its depth, and
+    the adjacency lists of (node, cell, cost) that :func:`_pivot` keeps."""
     adj = [[] for _ in range(n + m)]
     for cell in basis:
         i, j = cell
         adj[i].append((n + j, cell, cost[i][j]))
         adj[n + j].append((i, cell, cost[i][j]))
-    pot = [0.0] * (n + m)
-    parent = [None] * (n + m)
-    depth = [0] + [-1] * (n + m - 1)
-    order = [0]
-    for k in order:
-        up, below = pot[k], depth[k] + 1
-        for w, cell, c in adj[k]:
-            if depth[w] < 0:
-                pot[w], parent[w], depth[w] = c - up, (k, cell), below
-                order.append(w)
-    return pot[:n], pot[n:], parent, depth
+    pot, parent, depth = [0.0] * (n + m), [None] * (n + m), [0] * (n + m)
+    _walk(0, adj, pot, parent, depth)
+    return pot, parent, depth, adj
+
+
+def _pivot(basis, tree, cost, n, entering, leaving):
+    """Swap ``leaving`` for ``entering`` in the basis and in its tree.
+
+    The leaving cell's edge cuts off the subtree under its deeper end, and
+    the entering cell joins that subtree to the rest.  Only the cut subtree
+    is walked again, from the entering cell's end inside it, so each node
+    gets the parent, depth and potential (the alternating cost sum along
+    its root path) that a full walk of the new basis gives, bit for bit."""
+    pot, parent, depth, adj = tree
+    basis[basis.index(leaving)] = entering
+    (i, j), (a, b) = leaving, entering
+    for k in (i, n + j):
+        adj[k] = [e for e in adj[k] if e[1] != leaving]
+    c = cost[a][b]
+    adj[a].append((n + b, entering, c))
+    adj[n + b].append((a, entering, c))
+    cut, x = (i if depth[i] > depth[n + j] else n + j), a
+    while depth[x] > depth[cut]:
+        x = parent[x][0]
+    inner, outer = (a, n + b) if x == cut else (n + b, a)
+    pot[inner], parent[inner], depth[inner] = (
+        c - pot[outer], (outer, entering), depth[outer] + 1)
+    _walk(inner, adj, pot, parent, depth)
 
 
 def _tree_path(parent, depth, i0, j0, n):
@@ -90,12 +122,12 @@ def _tree_path(parent, depth, i0, j0, n):
     return up_a + up_b[::-1]
 
 
-def _entering(cost, u, v, basis, tol):
+def _entering(cost, pot, n, in_basis, tol):
     """Bland: the first non-basis cell, row by row, whose reduced cost
     (c - u_i) - v_j is below tol; None at optimality."""
-    in_basis = set(basis)
+    v = pot[n:]
     for i, row in enumerate(cost):
-        ui = u[i]
+        ui = pot[i]
         for j, vj in enumerate(v):
             if (row[j] - ui) - vj < tol and (i, j) not in in_basis:
                 return i, j
@@ -114,9 +146,10 @@ def _transportation_simplex(supply, demand, cost, scale):
     c = cost.tolist()
     flow, basis = _northwest_corner(np.asarray(supply, float).tolist(),
                                     np.asarray(demand, float).tolist())
+    tree, in_basis = _basis_tree(basis, c, n, m), set(basis)
+    pot, parent, depth, _ = tree
     for _ in range(20000 * (n + m)):
-        u, v, parent, depth = _basis_tree(basis, c, n, m)
-        entering = _entering(c, u, v, basis, -_RC_TOL * scale)
+        entering = _entering(c, pot, n, in_basis, -_RC_TOL * scale)
         if entering is None:
             return np.array(flow), basis
         path = _tree_path(parent, depth, entering[0], entering[1], n)
@@ -129,7 +162,8 @@ def _transportation_simplex(supply, demand, cost, scale):
         for i, j in minus:
             flow[i][j] -= theta
         flow[leaving[0]][leaving[1]] = 0.0
-        basis[basis.index(leaving)] = entering
+        in_basis ^= {leaving, entering}  # one leaves, the other enters
+        _pivot(basis, tree, c, n, entering, leaving)
     raise RuntimeError("transportation simplex failed to terminate")
 
 

@@ -119,3 +119,11 @@ def test_query_points_of_the_grid_dimension_only():
     with pytest.raises(DimensionMismatch):
         verify_control_identity(validate_measure([((0.5,), 1.0)], 1), f,
                                 SQRT, 1)
+
+
+@pytest.mark.parametrize("points", [[[[0.0]]], [[[0.0], [1.0]]], 0.0])
+def test_grid_points_nested_too_deep_are_refused(points):
+    """Points three deep, or a bare number, are refused with a ValueError
+    naming the points, not a TypeError from the distinct-points check."""
+    with pytest.raises(ValueError, match="grid points must be a list of numbers"):
+        GridFunction(points=points, values=[0.0])

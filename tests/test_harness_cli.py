@@ -492,6 +492,19 @@ def _ensemble(dt=1.0, start=0.0, horizon=1.0, weight=1.0, bound=None,
     return {"e.json": {"members": [member]}}
 
 
+def _triple(bounds):
+    """Files and argv of ``eval --objective TV`` on the diagonal plan
+    between two GOOD measures, with these ``bounds`` rows."""
+    return ({"t.json": {"source": GOOD, "target": GOOD,
+                        "plan": [[0.5, 0.0], [0.0, 0.5]], "bounds": bounds}},
+            ["eval", "--objective", "TV", "--triple", "t.json",
+             "--cost", "power:0.5"])
+
+
+BAD_BOUNDS = ("t.json: bounds must be rows [i, j, bound] with integral i in"
+              " [0, 2) and j in [0, 2)")
+
+
 def _eval(objective):
     return ["eval", "--objective", objective, "--ensemble", "e.json",
             "--cost", "power:0.5"]
@@ -764,6 +777,19 @@ BAD_INPUTS = {
                     "bounds": [[0, 0, True], [1, 1, 1.0]]}},
         ["eval", "--objective", "TV", "--triple", "t.json",
          "--cost", "power:0.5"], "t.json: bounds must hold numbers only"),
+    "triple with a bounds row of two numbers": (
+        *_triple([[0, 0], [1, 1]]), BAD_BOUNDS),
+    "triple with a bounds row of four numbers": (
+        *_triple([[0, 0, 1, 7]]), BAD_BOUNDS),
+    "triple with a fractional bounds cell": (
+        *_triple([[0.5, 0, 2.0], [1, 1, 1.0]]), BAD_BOUNDS),
+    "triple with a bounds cell past the plan": (
+        *_triple([[0, 0, 1.0], [1, 1, 1.0], [5, 0, 1.0]]), BAD_BOUNDS),
+    "triple with a negative bounds cell": (
+        *_triple([[0, 0, 1.0], [1, 1, 1.0], [-1, 0, 1.0]]), BAD_BOUNDS),
+    "triple with a repeated bounds cell": (
+        *_triple([[0, 0, 1.0], [1, 1, 1.0], [0, 0, 2.0]]),
+        "t.json: bounds must not repeat a cell"),
     "grid function with a boolean value": (
         {"f.json": {"points": [[0.0]], "values": [True]}}, DUAL,
         "f.json: values must hold numbers only, got [True]"),

@@ -173,7 +173,8 @@ def test_basis_tree_potentials_fit_the_basis(seed):
     n, m = (int(k) for k in rng.integers(1, 9, size=2))
     basis = _random_basis(rng, n, m)
     cost = rng.uniform(0.0, 3.0, size=(n, m))
-    u, v, parent, depth = _basis_tree(basis, cost, n, m)
+    pot, parent, depth, _ = _basis_tree(basis, cost, n, m)
+    u, v = pot[:n], pot[n:]
     assert u[0] == 0.0 and depth[0] == 0 and parent[0] is None
     for i, j in basis:
         assert u[i] + v[j] == pytest.approx(cost[i, j], abs=1e-12)
@@ -188,7 +189,7 @@ def test_tree_path_is_the_tree_geodesic(seed):
     rng = np.random.default_rng(100 + seed)
     n, m = (int(k) for k in rng.integers(1, 9, size=2))
     basis = _random_basis(rng, n, m)
-    _, _, parent, depth = _basis_tree(basis, np.zeros((n, m)), n, m)
+    _, parent, depth, _ = _basis_tree(basis, np.zeros((n, m)), n, m)
     tree = nx.Graph((i, n + j) for i, j in basis)
     for i0 in range(n):
         for j0 in range(m):
@@ -240,3 +241,63 @@ def test_simplex_matches_the_reference_bit_for_bit(monkeypatch):
         capped += cap is not None
         assert seen[-1], name
     assert len(seen) == 126 and capped == 42 and 0 < infeasible < capped
+
+
+def _solve_capped(m0, m1, cap):
+    """solve_mk with the arcs longer than cap x the diameter forbidden, or
+    none when cap is None; an infeasible cap is not an error here."""
+    arcs = None if cap is None else arcs_longer_than(
+        m0, m1, cap * m0.diameter_to(m1))
+    try:
+        solve_mk(m0, m1, SQRT, forbidden_arcs=arcs)
+    except Infeasible:
+        pass
+
+
+def test_kept_tree_is_a_fresh_walk_after_every_pivot(monkeypatch):
+    """After every pivot of the _simplex_cases() LPs, big-M and degenerate
+    ones included, the kept potentials, parents and depths are exactly
+    those of a full walk of the new basis, and so are the edges."""
+    pivots = []
+
+    def checked(basis, tree, cost, n, entering, leaving):
+        real(basis, tree, cost, n, entering, leaving)
+        pot, parent, depth, adj = tree
+        fresh = _basis_tree(basis, cost, n, len(pot) - n)
+        assert pot == fresh[0] and parent == fresh[1] and depth == fresh[2]
+        assert [sorted(e) for e in adj] == [sorted(e) for e in fresh[3]]
+        pivots.append(entering)
+
+    real = mk_solver._pivot
+    monkeypatch.setattr(mk_solver, "_pivot", checked)
+    for _, m0, m1, cap in _simplex_cases():
+        _solve_capped(m0, m1, cap)
+    assert len(pivots) > 1000
+
+
+def test_simplex_matches_the_reference_at_ladder_sizes(monkeypatch):
+    """At the sizes of perfbench's mk-ladder, where the basis tree is deep,
+    the simplex returns the reference's (flow, basis) bit for bit: n = 40
+    with Dirichlet and with equal weights, and n = 30 capped at 0.7 x the
+    diameter, so that big-M prices the forbidden arcs."""
+    lps = []
+
+    def recorded(*lp):
+        got = real(*lp)
+        lps.append((lp, got))
+        return got
+
+    real = mk_solver._transportation_simplex
+    monkeypatch.setattr(mk_solver, "_transportation_simplex", recorded)
+    rng = np.random.default_rng(40)
+    for n, equal, cap in [(40, False, None), (40, True, None),
+                          (30, False, 0.7)]:
+        pts = rng.uniform(-2, 2, size=(2 * n, 2))
+        w0, w1 = (np.full(n, 1.0 / n) if equal else rng.dirichlet(np.ones(n))
+                  for _ in range(2))
+        _solve_capped(validate_measure(zip(pts[:n], w0), 2),
+                      validate_measure(zip(pts[n:], w1), 2), cap)
+    assert len(lps) == 3
+    for lp, (flow, basis) in lps:
+        want = reference_simplex(*lp)
+        assert (flow.tobytes(), basis) == (want[0].tobytes(), want[1])

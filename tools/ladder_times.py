@@ -1,0 +1,78 @@
+"""Per-rung solve times of mk-ladder's instances, to compare two trees.
+
+    python3 tools/ladder_times.py TREE [TREE] [--rounds 20] [--seed 0]
+
+Each TREE is a checkout holding ``src/lagot``; both are imported into this
+one process, side by side, with ``tools/suite_times.py``'s loader.  Round
+k solves pass k's instance of every mk-ladder rung (``solve_mk`` under
+power:0.5; the rungs, seeds and instance generator below are copied from
+perfbench/workloads.py) in both trees, the trees' order alternating from
+round to round.  Before the first round each tree solves the warm-up
+instance, as the benchmark does.  Prints the median over the rounds of
+each tree's milliseconds per rung and for the whole pass and, with two
+trees, the median of the per-round ratios first / second: above 1 means
+the second tree is faster.  Unlike perfbench it keeps no outputs, so its
+times do not move with its memory.
+"""
+
+from time import perf_counter
+
+# suite_times pins BLAS to one thread, so it comes before numpy
+from suite_times import load, parse_trees, print_table, timed_rounds
+
+import numpy as np
+
+# perfbench/workloads.py: LADDER, WARM_UP_SEED, BOX, random_pair and
+# ladder_instance, copied so that the timed instances stay fixed
+LADDER = (("n10", 10, False), ("n20", 20, False), ("n40", 40, False),
+          ("n20_equal", 20, True))
+WARM_UP_SEED = 0
+BOX = 2.0
+
+
+def random_pair(rng, n0: int, n1: int, equal: bool = False):
+    """Points uniform in the box; Dirichlet weights, or 1/n each."""
+    out = []
+    for n in (n0, n1):
+        points = rng.uniform(-BOX, BOX, size=(n, 2))
+        weights = np.full(n, 1.0 / n) if equal else rng.dirichlet(np.ones(n))
+        out.extend((points, weights))
+    return tuple(out)
+
+
+def ladder_instance(seed: int, k: int, rung: tuple):
+    name, n, equal = rung
+    rng = np.random.default_rng([seed, k, n, int(equal)])
+    return name, random_pair(rng, n, n, equal)
+
+
+def solve_pass(mk_solver, measures, cost, seed: int, k: int,
+               rungs=LADDER) -> dict:
+    """Seconds per rung of pass k's solves; measures are built untimed."""
+    times = {}
+    for rung in rungs:
+        name, (p0, w0, p1, w1) = ladder_instance(seed, k, rung)
+        m0 = measures.validate_measure(zip(p0, w0), 2)
+        m1 = measures.validate_measure(zip(p1, w1), 2)
+        t0 = perf_counter()
+        mk_solver.solve_mk(m0, m1, cost)
+        times[name] = perf_counter() - t0
+    return times
+
+
+def main(argv=None) -> None:
+    args = parse_trees(__doc__, argv, rounds=20)
+    progs = []
+    for tree in args.trees:
+        mk_solver, measures, costs = load(tree.resolve(), "mk_solver",
+                                          "measures", "costs")
+        progs.append((mk_solver, measures, costs.parse_cost("power:0.5")))
+    for prog in progs:
+        solve_pass(*prog, WARM_UP_SEED, 0, rungs=LADDER[:1])
+    rounds = timed_rounds(progs, args.rounds, lambda prog, k: solve_pass(
+        *prog, args.seed, k))
+    print_table("rung", "pass", args.trees, rounds, digits=2)
+
+
+if __name__ == "__main__":
+    main()

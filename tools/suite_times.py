@@ -20,6 +20,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import importlib  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -34,17 +35,16 @@ def _purge() -> None:
         del sys.modules[name]
 
 
-def load(tree: Path):
-    """lagot.harness, lagot.costs and the refusal class of ``tree``; the
-    modules stay alive through these references once they leave
-    ``sys.modules``."""
+def load(tree: Path, *names: str) -> list:
+    """The modules ``lagot.<name>`` of ``tree``, one per name; they stay
+    alive through these references once they leave ``sys.modules``."""
     _purge()
     sys.path.insert(0, str(tree / "src"))
     try:
-        from lagot import costs, errors, harness
-        if not Path(harness.__file__).resolve().is_relative_to(tree):
+        mods = [importlib.import_module(f"lagot.{name}") for name in names]
+        if not Path(mods[0].__file__).resolve().is_relative_to(tree):
             raise SystemExit(f"{tree} holds no src/lagot")
-        return harness, costs, errors.AssumptionRefused
+        return mods
     finally:
         sys.path.remove(str(tree / "src"))
         _purge()
@@ -79,39 +79,62 @@ def run_pass(harness, costs, refused, pairs, seed: int, k: int,
     return times
 
 
-def main(argv=None) -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def parse_trees(doc: str, argv, rounds: int):
+    """The command line TREE [TREE] [--rounds N] [--seed S]."""
+    ap = argparse.ArgumentParser(description=doc.splitlines()[0])
     ap.add_argument("trees", nargs="+", type=Path)
-    ap.add_argument("--rounds", type=int, default=12)
+    ap.add_argument("--rounds", type=int, default=rounds)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     if len(args.trees) > 2:
         ap.error("give one or two trees")
-    pairs = sweep_pairs()
-    progs = [load(t.resolve()) for t in args.trees]
-    for prog in progs:
-        run_pass(*prog, pairs, 0, 0, trials=1)
-    rounds = []  # per round, per tree: {suite: seconds}
-    for k in range(args.rounds):
+    return args
+
+
+def timed_rounds(progs: list, n_rounds: int, run) -> list:
+    """``run(prog, k)`` of every tree in round k, the trees' order
+    alternating from round to round; per round, per tree, its result."""
+    rounds = []
+    for k in range(n_rounds):
         order = list(range(len(progs)))[::1 if k % 2 == 0 else -1]
-        got = {t: run_pass(*progs[t], pairs, args.seed, k, 20)
-               for t in order}
+        got = {t: run(progs[t], k) for t in order}
         rounds.append([got[t] for t in range(len(progs))])
-    two = len(progs) == 2
-    print("| suite | " + " | ".join(f"{t} ms" for t in args.trees)
+    return rounds
+
+
+def print_table(kind: str, total: str, trees, rounds, digits: int = 1):
+    """One row per name of the rounds' {name: seconds} and one, ``total``,
+    for their sum: the median over the rounds of each tree's milliseconds
+    and, with two trees, the median of the per-round ratios."""
+    two = len(trees) == 2
+    print(f"| {kind} | " + " | ".join(f"{t} ms" for t in trees)
           + (" | ratio |" if two else " |"))
-    print("|---" * (len(progs) + 1 + two) + "|")
-    for suite in list(rounds[0][0]) + ["all ten"]:
+    print("|---" * (len(trees) + 1 + two) + "|")
+    for name in list(rounds[0][0]) + [total]:
         def ms(t, r):
             got = r[t]
-            return 1e3 * (sum(got.values()) if suite == "all ten"
-                          else got[suite])
-        cells = [f"{statistics.median(ms(t, r) for r in rounds):.1f}"
-                 for t in range(len(progs))]
+            return 1e3 * (sum(got.values()) if name == total else got[name])
+        cells = [f"{statistics.median(ms(t, r) for r in rounds):.{digits}f}"
+                 for t in range(len(trees))]
         if two:
             ratio = statistics.median(ms(0, r) / ms(1, r) for r in rounds)
             cells.append(f"{ratio:.2f}x")
-        print(f"| {suite} | " + " | ".join(cells) + " |")
+        print(f"| {name} | " + " | ".join(cells) + " |")
+
+
+def main(argv=None) -> None:
+    args = parse_trees(__doc__, argv, rounds=12)
+    pairs = sweep_pairs()
+    progs = []
+    for tree in args.trees:
+        harness, costs, errors = load(tree.resolve(), "harness", "costs",
+                                      "errors")
+        progs.append((harness, costs, errors.AssumptionRefused))
+    for prog in progs:
+        run_pass(*prog, pairs, 0, 0, trials=1)
+    rounds = timed_rounds(progs, args.rounds, lambda prog, k: run_pass(
+        *prog, pairs, args.seed, k, 20))
+    print_table("suite", "all ten", args.trees, rounds)
 
 
 if __name__ == "__main__":
