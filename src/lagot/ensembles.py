@@ -22,7 +22,7 @@ from .costs import CostFunction, power_cost
 from .errors import (BoundViolated, ConfigInvalid, Infeasible,
                      InfeasibleBound, MissingBound, NoFeasiblePath)
 from .measures import (WEIGHT_SUM_TOL, Coupling, DiscreteMeasure,
-                       expectation, freeze, json_numbers, measure_of,
+                       expectation, freeze, json_rows, measure_of,
                        pairwise_distances, read_only)
 from .mk_solver import MKSolution, solve_mk
 from .paths import IntervalSet, PathBlock, cost_li, cost_plain, stop_and_go
@@ -48,8 +48,9 @@ class EnsembleMember:
 class TransportEnsemble:
     """Finite weighted family of paths: one PathBlock ``paths``, the (k,)
     ``weights`` summing to 1 within 1e-12, and the (k,) speed ``bounds``,
-    each dominating its row's sup-speed, NaN where none is declared (given
-    as None, for one row or all); ``members`` is a view built on first read.
+    each finite and dominating its row's sup-speed, or NaN where none is
+    declared (given as NaN or None, for one row or all); ``members`` is a
+    view built on first read.
     """
 
     paths: PathBlock
@@ -63,13 +64,11 @@ class TransportEnsemble:
             raise ValueError(f"member weights sum to {total!r}, not 1")
         if np.any(weights <= 0):
             raise ValueError("member weights must be positive")
-        bounds = [None] * len(weights) if self.bounds is None else \
-            list(self.bounds)
-        for b in bounds:
-            if b is not None and not math.isfinite(b):
-                raise BoundViolated(f"speed bound {b} is not finite")
-        bounds = np.array([np.nan if b is None else b for b in bounds],
-                          dtype=float)
+        bounds = np.full(len(weights), np.nan) if self.bounds is None else \
+            np.array(self.bounds, dtype=float)  # a None entry reads NaN
+        if np.isinf(bounds).any():
+            raise BoundViolated(f"speed bound {bounds[np.isinf(bounds)][0]} "
+                                f"is not finite")
         sup = self.paths.speeds.max(axis=1)
         over = _exceeds(sup, bounds)  # false where no bound is declared
         if over.any():
@@ -94,15 +93,18 @@ class TransportEnsemble:
 
     @staticmethod
     def from_json(obj: dict) -> "TransportEnsemble":
+        """Ensemble of ``to_json``'s object, each field read as one array."""
         members = obj["members"]
         if not len(members):
             raise ConfigInvalid("members must not be empty")
-        return TransportEnsemble(
-            paths=PathBlock.from_json([m["path"] for m in members]),
-            weights=[float(json_numbers(m["weight"], "weight", 0))
-                     for m in members],
-            bounds=[float(json_numbers(m["bound"], "bound", 0))
-                    if "bound" in m else None for m in members])
+        paths = PathBlock.from_json([m["path"] for m in members])
+        weights = json_rows([m["weight"] for m in members], "weight",
+                            "members", 0)
+        bounds = json_rows([m.get("bound", np.nan) for m in members],
+                           "bound", "members", 0)
+        if np.isnan(bounds[["bound" in m for m in members]]).any():
+            raise BoundViolated("speed bound nan is not finite")
+        return TransportEnsemble(paths, weights, bounds)
 
 
 @dataclass(frozen=True)

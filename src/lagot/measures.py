@@ -67,8 +67,7 @@ class DiscreteMeasure:
     """Finitely supported probability measure on R^d.
 
     ``points`` has shape (n, dim), ``weights`` shape (n,); weights sum to 1
-    within 1e-12 and every point is distinct (duplicates are merged by
-    :func:`validate_measure` before construction).
+    within 1e-12 and every point is distinct (measure_of merges repeats).
     """
 
     dim: int
@@ -96,27 +95,26 @@ class DiscreteMeasure:
 
     @staticmethod
     def from_json(obj: dict) -> "DiscreteMeasure":
-        return validate_measure(
-            [(json_numbers(a["x"], "x"), float(json_numbers(a["w"], "w", 0)))
-             for a in obj["atoms"]], int(json_numbers(obj["dim"], "dim", 0)))
+        """Measure of ``to_json``'s object, each field read as one array."""
+        dim = json_numbers(obj["dim"], "dim", 0).item()
+        if not (dim >= 1 and dim.is_integer()):  # also false for NaN
+            raise ConfigInvalid(
+                f"dim must be a positive integer, got {obj['dim']!r}")
+        atoms = obj["atoms"]
+        x = json_rows([a["x"] for a in atoms], "x", "atoms", 0, 1)
+        w = json_rows([a["w"] for a in atoms], "w", "atoms", 0)
+        return measure_of(x, w, int(dim))
 
 
 def validate_measure(raw, dim: int) -> DiscreteMeasure:
-    """Merge duplicate points, check weights, and build a DiscreteMeasure
-    from (point, weight) pairs; see measure_of."""
+    """measure_of the points and weights of (point, weight) pairs."""
     raw = list(raw)
-    points = [np.atleast_1d(np.asarray(p, dtype=float)) for p, _ in raw]
-    for (point, _), p in zip(raw, points):
-        if p.shape != (dim,):
-            raise DimensionMismatch(
-                f"point {point!r} does not have length {dim}")
-    return measure_of(np.reshape(points, (len(raw), dim)),
-                      np.array([w for _, w in raw], dtype=float), dim)
+    return measure_of([p for p, _ in raw], [w for _, w in raw], dim)
 
 
 def measure_of(points, weights, dim: int) -> DiscreteMeasure:
-    """The measure of (n, dim) points and (n,) weights, checked in one
-    vectorised pass.
+    """The measure of (n, dim) points, or in dim 1 (n,) numbers, and (n,)
+    weights, checked in one vectorised pass.
 
     Duplicate points (exact coordinate equality) are merged by summing
     weights, in order, and zero-weight atoms dropped.  Raises EmptyMeasure,
@@ -124,6 +122,7 @@ def measure_of(points, weights, dim: int) -> DiscreteMeasure:
     weight raises ValueError.
     """
     points = np.array(points, dtype=float)
+    points = points[:, None] if points.ndim == 1 else points
     weights = np.array(weights, dtype=float)
     if len(weights) == 0:
         raise EmptyMeasure("measure needs at least one atom")
@@ -145,6 +144,8 @@ def measure_of(points, weights, dim: int) -> DiscreteMeasure:
     total = sum(merged.values())
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise WeightSumMismatch(f"weights sum to {total!r}, not 1")
+    if len(merged) == len(listed) and min(listed) > 0.0:  # no repeat or zero
+        return DiscreteMeasure(dim=dim, points=points, weights=weights)
     keys = [k for k, w in merged.items() if w > 0.0]
     if not keys:
         raise EmptyMeasure("all atoms have zero weight")
@@ -158,8 +159,11 @@ def json_numbers(value, field: str, *depths: int) -> np.ndarray:
     in it, lists of two lengths side by side, or another depth raises
     ConfigInvalid naming ``field``."""
     def numeric(v):  # JSON gives bool, never a subclass of int, for true
-        return all(map(numeric, v)) if type(v) is list else \
-            type(v) in (int, float)
+        level = [v]  # all items one level deep, in one pass per level
+        while (kinds := {*map(type, level)}) == {list}:
+            level = [x for sub in level for x in sub]
+        return kinds <= {int, float} or list in kinds and all(
+            map(numeric, level))
 
     if not numeric(value):
         raise ConfigInvalid(
@@ -175,6 +179,16 @@ def json_numbers(value, field: str, *depths: int) -> np.ndarray:
             f"{field} must be {' or '.join(forms[d] for d in depths or (2,))}"
             f", got {reprlib.repr(value)}")
     return arr
+
+
+def json_rows(rows: list, field: str, noun: str, *depths: int) -> np.ndarray:
+    """json_numbers of a list of ``rows``, each as deep as one of ``depths``;
+    a refusal names the first row at fault, or ``noun`` if lengths differ."""
+    try:
+        return json_numbers(rows, field, *(d + 1 for d in depths))
+    except ConfigInvalid:  # a bare number's shape sums to 0, a list's to n
+        dims = [sum(json_numbers(r, field, *depths).shape) for r in rows]
+        raise ConfigInvalid(f"{noun} of dim {min(dims)} vs {max(dims)}")
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ import numpy as np
 from .costs import CostFunction
 from .errors import (BadHorizon, CoincidentPoints, ConfigInvalid,
                      DegenerateSet, DimensionMismatch, DimensionTooSmall)
-from .measures import (freeze, json_numbers, pairwise_distances, read_only,
-                       row_sum)
+from .measures import (freeze, json_numbers, json_rows, pairwise_distances,
+                       read_only, row_sum)
 
 DURATION_TOL = 1e-12
 
@@ -111,39 +111,37 @@ class PathBlock:
 
     @staticmethod
     def from_json(rows) -> "PathBlock":
-        """Block of the JSON objects of ``to_json``; horizon defaults to 1."""
-        fields = []
-        for obj in rows:
-            start = json_numbers(obj["start"], "start", 1)
-            pieces = obj["pieces"]
-            for name in ("start", "pieces"):
-                if not len(obj[name]):
-                    raise ConfigInvalid(f"{name} must not be empty")
-            horizon = json_numbers(obj.get("horizon", 1.0), "horizon", 0)
-            fields.append((start, float(horizon),
-                           json_numbers([p["dt"] for p in pieces], "dt", 1),
-                           json_numbers([p["v"] for p in pieces], "v", 2)))
-        return block_of(*zip(*fields))
+        """Block of ``to_json``'s rows, one read per field; horizon 1."""
+        raw = [obj["start"] for obj in rows]
+        counts = [len(obj["pieces"]) for obj in rows]
+        for name, empty in (("start", [] in raw), ("pieces", 0 in counts)):
+            if empty:
+                raise ConfigInvalid(f"{name} must not be empty")
+        starts = json_rows(raw, "start", "member paths", 1)
+        horizons = json_rows([obj.get("horizon", 1.0) for obj in rows],
+                             "horizon", "member paths", 0)
+        flat = [p for obj in rows for p in obj["pieces"]]
+        return block_of_pieces(starts, horizons, counts,
+                               json_numbers([p["dt"] for p in flat], "dt", 1),
+                               json_numbers([p["v"] for p in flat], "v", 2))
 
 
 def block_of(starts, horizons, durations, velocities) -> PathBlock:
     """Block of the rows given as sequences: starts (dim,), durations
     (k_r,) and velocities (k_r, dim), zero-padded to the longest row."""
-    dims = [len(x) for x in starts]
-    if len(set(dims)) > 1:
-        raise DimensionMismatch(f"member paths of dim {dims[0]} vs "
-                                f"{next(d for d in dims if d != dims[0])}")
-    counts = [len(d) for d in durations]
-    pad_d = np.zeros((len(counts), max(counts)))
-    pad_v = np.zeros(pad_d.shape + (dims[0],))
-    for r, (d, v) in enumerate(zip(durations, velocities)):
-        if len(v) != len(d):
-            raise ValueError("one velocity per piece required")
-        if np.shape(v)[1] != dims[0]:
-            raise DimensionMismatch(f"velocities of dim {np.shape(v)[1]} "
-                                    f"vs a start of dim {dims[0]}")
-        pad_d[r, :len(d)] = d
-        pad_v[r, :len(d)] = v
+    return block_of_pieces(starts, horizons, [len(d) for d in durations],
+                           *map(np.concatenate, (durations, velocities)))
+
+
+def block_of_pieces(starts, horizons, counts, durations,
+                    velocities) -> PathBlock:
+    """Block of rows whose pieces, counts[r] for row r, come end to end,
+    zero-padded to the longest row through one boolean mask."""
+    counts = np.asarray(counts)
+    mask = np.arange(counts.max()) < counts[:, None]
+    pad_d = np.zeros(mask.shape)
+    pad_v = np.zeros(mask.shape + velocities.shape[1:])
+    pad_d[mask], pad_v[mask] = durations, velocities
     return PathBlock(starts, horizons, pad_d, pad_v, counts)
 
 

@@ -17,8 +17,8 @@ from lagot.harness import _rand_bounded_ensembles
 from lagot.measures import (Coupling, measure_of, pairwise_distances,
                             validate_measure)
 from lagot.mk_solver import solve_mk
-from lagot.paths import (IntervalSet, SteppedPath, cost_li, cost_plain,
-                         fast_path, linear_path, l1_norm, n1,
+from lagot.paths import (IntervalSet, SteppedPath, block_of, cost_li,
+                         cost_plain, fast_path, linear_path, l1_norm, n1,
                          random_interval_set, stop_and_go, stretch, sup_norm)
 
 SQRT = builtin("power", [0.5])
@@ -431,6 +431,38 @@ def test_ensemble_json_round_trip_keeps_the_block_bits(theorem):
     assert e.bounds.tobytes() == back.bounds.tobytes()
     assert len(e.members) == np.count_nonzero(plan > 0)
     assert [m.weight for m in e.members] == plan[plan > 0].tolist()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_ensemble_json_round_trip_of_ragged_rows_and_some_bounds(dim):
+    """Members of 1-6 pieces over horizons in [1, 3], every third without
+    a bound, read back bit for bit."""
+    rng = np.random.default_rng(50 + dim)
+    rows = []
+    for n in rng.integers(1, 7, size=8).tolist():
+        horizon = float(rng.uniform(1.0, 3.0))
+        rows.append((rng.uniform(-1.0, 1.0, dim), horizon,
+                     horizon * rng.dirichlet(np.ones(n)),
+                     rng.normal(0.0, 2.0, size=(n, dim))))
+    paths = block_of(*zip(*rows))
+    bounds = [None if r % 3 == 0 else 1.5 * s
+              for r, s in enumerate(sup_norm(paths).tolist())]
+    e = TransportEnsemble(paths, rng.dirichlet(np.ones(8)), bounds)
+    back = TransportEnsemble.from_json(e.to_json())
+    for name in ("starts", "horizons", "durations", "velocities", "counts"):
+        a, b = getattr(e.paths, name), getattr(back.paths, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert e.weights.tobytes() == back.weights.tobytes()
+    assert e.bounds.tobytes() == back.bounds.tobytes()
+    assert np.isnan(back.bounds).tolist() == [r % 3 == 0 for r in range(8)]
+
+
+def test_a_nan_bound_is_undeclared_and_an_infinite_one_refused():
+    e = single(linear_path([0.0], [1.0]))
+    again = TransportEnsemble(e.paths, e.weights, e.bounds)
+    assert np.isnan(again.bounds).all()
+    with pytest.raises(BoundViolated, match="speed bound inf is not finite"):
+        single(linear_path([0.0], [1.0]), bound=float("inf"))
 
 
 def test_the_traced_run_counts_the_builders_members():

@@ -841,6 +841,33 @@ BAD_INPUTS = {
         {"f.json": {"points": [[[0]]], "values": [0.0]}}, DUAL,
         "f.json: points must be a flat list of numbers or a list of "
         "equal-length lists of numbers, got [[[0]]]"),
+    "measure with a fractional dimension": (
+        {"p0.json": {**GOOD, "dim": 1.7}}, SOLVE,
+        "p0.json: dim must be a positive integer, got 1.7"),
+    "measure with a negative dimension": (
+        {"p0.json": {**GOOD, "dim": -1}}, SOLVE,
+        "p0.json: dim must be a positive integer, got -1"),
+    "triple whose target has dimension zero": (
+        {"t.json": {"source": GOOD, "target": {**GOOD, "dim": 0},
+                    "plan": [[0.5, 0.0], [0.0, 0.5]],
+                    "bounds": [[0, 0, 1.0], [1, 1, 1.0]]}},
+        _triple([])[1], "t.json: dim must be a positive integer, got 0"),
+    "measure whose points differ in length": (
+        {"p0.json": {"dim": 1, "atoms": [{"x": [0.0], "w": 0.5},
+                                         {"x": [1.0, 2.0], "w": 0.5}]}},
+        SOLVE, "p0.json: atoms of dim 1 vs 2"),
+    "measure with a point nested three deep": (
+        {"p0.json": {"dim": 1, "atoms": [{"x": [[[0.0]]], "w": 1.0}]}}, SOLVE,
+        "p0.json: x must be a number or a flat list of numbers, "
+        "got [[[0.0]]]"),
+    "ensemble with one velocity shorter than its start": (
+        {"e.json": {"members": [
+            {"weight": 0.5, "path": {"start": [0.0, 0.0], "pieces": [
+                {"dt": 1.0, "v": [0.5, 0.5]}]}},
+            {"weight": 0.5, "path": {"start": [0.0, 0.0], "pieces": [
+                {"dt": 1.0, "v": [0.5]}]}}]}},
+        _eval("L1"), "e.json: v must be a list of equal-length lists of "
+                     "numbers, got [[0.5, 0.5], [0.5]]"),
 }
 
 

@@ -129,3 +129,34 @@ def test_json_roundtrip():
     again = DiscreteMeasure.from_json(m.to_json())
     assert np.array_equal(m.points, again.points)
     assert np.array_equal(m.weights, again.weights)
+
+
+def _same_bits(got, want):
+    assert got.dim == want.dim
+    for a, b in ((got.points, want.points), (got.weights, want.weights)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_from_json_gives_the_bits_of_the_python_data(dim):
+    """A measure file reads as the measure of its atoms given as Python
+    data, bit for bit: a seeded round trip, and atoms 4 and 5 repeating
+    atoms 0 and 1, merged into them in order."""
+    rng = np.random.default_rng(dim)
+    m = random_measure(rng, 7, dim, 1.5)
+    _same_bits(DiscreteMeasure.from_json(m.to_json()), m)
+    points = rng.uniform(-1.0, 1.0, size=(4, dim)).tolist()
+    atoms = [(points[i % 4], w)
+             for i, w in enumerate(rng.dirichlet(np.ones(6)).tolist())]
+    got = DiscreteMeasure.from_json(
+        {"dim": dim, "atoms": [{"x": x, "w": w} for x, w in atoms]})
+    assert got.n_atoms == 4
+    _same_bits(got, validate_measure(atoms, dim))
+
+
+def test_from_json_takes_a_bare_number_as_a_point_in_dim_1():
+    atoms = [(0.5, 0.25), (-1, 0.375), (0.5, 0.375)]
+    got = DiscreteMeasure.from_json(
+        {"dim": 1, "atoms": [{"x": x, "w": w} for x, w in atoms]})
+    _same_bits(got, validate_measure(atoms, 1))
+    assert got.points.tolist() == [[0.5], [-1.0]]

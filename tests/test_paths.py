@@ -224,6 +224,18 @@ def test_json_roundtrip():
     assert np.array_equal(p.starts, q.starts)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_json_round_trip_of_ragged_rows_keeps_the_bits(dim):
+    """Rows of 1-7 pieces read back from JSON, each field as one array,
+    into the block the rows build as Python data."""
+    block, _ = _ragged(np.random.default_rng(40 + dim), 9, dim)
+    back = PathBlock.from_json(block.to_json())
+    for name in ("starts", "horizons", "durations", "velocities", "counts"):
+        a, b = getattr(block, name), getattr(back, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
 def test_length_is_never_below_the_largest_coordinate():
     """What lets the random-path draws skip measuring a long displacement."""
     rng = np.random.default_rng(4)

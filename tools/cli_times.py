@@ -1,0 +1,114 @@
+"""Per-subcommand times of capped-cli's calls, to compare two trees.
+
+    python3 tools/cli_times.py TREE [TREE] [--rounds 30] [--seed 0]
+
+Each TREE is a checkout holding ``src/lagot``; both are imported into this
+one process, side by side, with ``tools/suite_times.py``'s loader.  Round
+k writes pass k's instance of capped-cli (the caps, atom counts and
+instance generator below are copied from perfbench/workloads.py) and
+runs its calls through each tree's ``lagot.cli.main``, the trees' order
+alternating from round to round: per cap, build-optimal --theorem 2.6,
+eval --objective plain on the ``ensemble`` of its output (when the build
+succeeds) and solve-mk --max-arc-length, then one eval handed the last
+cap's build-optimal output unchanged (``raw eval``, which is refused).
+Before the first round each tree runs the warm-up instance at the last
+cap, as the benchmark does.  Prints the median over the rounds of each
+tree's milliseconds per subcommand and for the whole pass and, with two
+trees, the median of the per-round ratios first / second: above 1 means
+the second tree is faster.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+# suite_times pins BLAS to one thread, so it comes before numpy
+from suite_times import load, parse_trees, print_table, timed_rounds
+
+import numpy as np
+
+# perfbench/workloads.py: CLI_COST, CAP_FACTORS, CLI_ATOMS, BOX,
+# WARM_UP_SEED, random_pair and CappedCli.make_pass, copied so that the
+# timed instances stay fixed
+CLI_COST = "power:0.5"
+CAP_FACTORS = (0.6, 0.8, 1.0, 1.5)
+CLI_ATOMS = (10, 14)
+BOX = 2.0
+WARM_UP_SEED = 0
+
+
+def random_pair(rng, n0: int, n1: int):
+    """Points uniform in the box, Dirichlet weights."""
+    out = []
+    for n in (n0, n1):
+        out.extend((rng.uniform(-BOX, BOX, size=(n, 2)),
+                    rng.dirichlet(np.ones(n))))
+    return tuple(out)
+
+
+def make_pass(seed: int, k: int, d: Path) -> list:
+    """Write pass k's two measure files into ``d``; its caps."""
+    rng = np.random.default_rng([seed, k])
+    n0, n1 = (int(n) for n in rng.integers(CLI_ATOMS[0], CLI_ATOMS[1] + 1,
+                                            size=2))
+    arrays = random_pair(rng, n0, n1)
+    for name, (points, weights) in (("p0.json", arrays[:2]),
+                                    ("p1.json", arrays[2:])):
+        doc = {"dim": 2, "atoms": [{"x": [float(v) for v in x],
+                                    "w": float(w)}
+                                   for x, w in zip(points, weights)]}
+        (d / name).write_text(json.dumps(doc))
+    diam = float(np.linalg.norm(arrays[0][:, None] - arrays[2][None],
+                                axis=2).max())
+    return [(f, f * diam) for f in CAP_FACTORS]
+
+
+def run_pass(cli, d: Path, caps) -> dict:
+    """Summed seconds per subcommand of one pass over ``caps`` in ``d``;
+    the ensemble is copied out of build-optimal's output untimed."""
+    times = dict.fromkeys(("build-optimal", "eval", "solve-mk", "raw eval"),
+                          0.0)
+
+    def timed(name, *argv) -> int:
+        t0 = perf_counter()
+        with contextlib.redirect_stderr(io.StringIO()):
+            rc = cli.main([*argv, "--cost", CLI_COST])
+        times[name] += perf_counter() - t0
+        return rc
+
+    pair = ["--p0", str(d / "p0.json"), "--p1", str(d / "p1.json")]
+    for factor, r in caps:
+        built = d / f"build-{factor}.json"
+        built_rc = timed("build-optimal", "build-optimal", "--theorem", "2.6",
+                         *pair, "--bound", repr(r), "--out", str(built))
+        if built_rc == 0:
+            (d / "ens.json").write_text(json.dumps(
+                json.loads(built.read_text())["ensemble"]))
+            timed("eval", "eval", "--objective", "plain", "--ensemble",
+                  str(d / "ens.json"), "--out", str(d / "eval.json"))
+        timed("solve-mk", "solve-mk", *pair, "--max-arc-length", repr(r),
+              "--out", str(d / "solve.json"))
+    if built_rc == 0:
+        timed("raw eval", "eval", "--objective", "plain", "--ensemble",
+              str(built), "--out", str(d / "eval.json"))
+    return times
+
+
+def main(argv=None) -> None:
+    args = parse_trees(__doc__, argv, rounds=30)
+    clis = [load(tree.resolve(), "cli")[0] for tree in args.trees]
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        caps = make_pass(WARM_UP_SEED, 0, d)
+        for cli in clis:
+            run_pass(cli, d, caps[-1:])
+        rounds = timed_rounds(clis, args.rounds, lambda cli, k: run_pass(
+            cli, d, make_pass(args.seed, k, d)))
+    print_table("subcommand", "pass", args.trees, rounds, digits=2)
+
+
+if __name__ == "__main__":
+    main()
