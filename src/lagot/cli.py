@@ -9,7 +9,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import reprlib
+import stat
 import sys
 from pathlib import Path
 
@@ -53,10 +55,16 @@ def _result(payload: dict) -> str:
 
 
 def _emit(payload: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(payload)
-    else:
+    """Writes ``payload`` to stdout, or rewrites ``out`` in place: on ext4 a
+    truncating open makes ``close`` start writeback, so a regular file is
+    cut to the new length only after the write; other files are not cut."""
+    if not out:
         sys.stdout.write(payload)
+        return
+    with os.fdopen(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(payload.encode())
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate()
 
 
 def _cmd_solve_mk(args) -> int:

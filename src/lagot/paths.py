@@ -51,6 +51,10 @@ class PathBlock:
         counts = np.asarray(self.counts, dtype=int)
         if durations.shape != velocities.shape[:2] or not durations.shape[1]:
             raise ValueError("a path needs pieces, one velocity per piece")
+        rows = len(starts), len(horizons), len(durations), len(counts)
+        if min(rows) < max(rows):
+            raise DimensionMismatch("%d starts, %d horizons, %d rows of "
+                                    "pieces and %d counts" % rows)
         # first, so that a NaN or infinite duration or horizon fails here
         for s, h in zip(row_sum(durations).tolist(), horizons.tolist()):
             if not abs(s - h) <= DURATION_TOL * max(1.0, h) < np.inf:

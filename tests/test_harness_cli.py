@@ -928,3 +928,71 @@ def test_cli_oracle_at_a_tiny_displacement():
                            (0.0, 0.5, 1.0, 2.0, 4.0))
     assert json.loads(run.stdout)["value"] == \
         pytest.approx(1e-5 * unit, rel=1e-9, abs=0.0)
+
+
+ORACLE = ["oracle", "--x", "0", "--y", "1", "--cost", "power:0.5"]
+
+
+@pytest.fixture
+def oracle_payload(capsys):
+    """What the oracle call writes to stdout, which --out writes to a file."""
+    assert main(ORACLE) == 0
+    return capsys.readouterr().out.encode()
+
+
+def test_cli_out_rewrites_a_longer_file_to_the_new_payload(oracle_payload,
+                                                           tmp_path):
+    out = tmp_path / "o.json"
+    out.write_bytes(b"x" * 5000)
+    assert main([*ORACLE, "--out", str(out)]) == 0
+    assert out.read_bytes() == oracle_payload
+
+
+def test_cli_out_writes_through_a_symlink(oracle_payload, tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(b"x" * 5000)
+    link.symlink_to(target)
+    assert main([*ORACLE, "--out", str(link)]) == 0
+    assert link.is_symlink() and target.read_bytes() == oracle_payload
+
+
+def test_cli_out_to_dev_null_is_not_truncated(capsys):
+    """/dev/null is written; cutting it to length would fail."""
+    assert main([*ORACLE, "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("name, message", [
+    (".", "invalid input: [Errno 21] Is a directory: "),
+    ("missing/o.json", "invalid input: [Errno 2] No such file or directory: ")])
+def test_cli_out_that_cannot_be_opened_exits_2(name, message, tmp_path,
+                                               capsys):
+    out = str(tmp_path / name)
+    assert main([*ORACLE, "--out", out]) == 2
+    assert capsys.readouterr().err == f"{message}{out!r}\n"
+
+
+def test_cli_out_makes_a_new_file_with_the_umask_mode(tmp_path):
+    out = tmp_path / "o.json"
+    old = os.umask(0o027)
+    try:
+        assert main([*ORACLE, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~0o027
+
+
+def test_cli_out_never_opens_with_o_trunc(tmp_path, monkeypatch):
+    """The file is cut to length after the write, not truncated on open."""
+    flags, real_open = [], os.open
+
+    def spy(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    out = tmp_path / "o.json"
+    out.write_bytes(b"x" * 5000)
+    monkeypatch.setattr(os, "open", spy)
+    assert main([*ORACLE, "--out", str(out)]) == 0
+    monkeypatch.undo()
+    assert flags and not any(f & os.O_TRUNC for f in flags)

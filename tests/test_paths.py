@@ -384,6 +384,22 @@ def test_block_refuses_what_a_path_refuses():
             PathBlock(**{**ok, **change})
 
 
+@pytest.mark.parametrize("change, lengths", [
+    ({"horizons": [1.0]}, "2 starts, 1 horizons, 2 rows of pieces and 2"),
+    ({"starts": np.zeros((1, 2))}, "1 starts, 2 horizons, 2 rows of pieces"),
+    ({"counts": [1]}, "2 rows of pieces and 1 counts")])
+def test_block_refuses_rows_of_unequal_length(change, lengths):
+    """If let through, a short horizons would skip a row's horizon check, a
+    (1, dim) starts would broadcast into every row's end, and a short counts
+    would fail in numpy's indexing."""
+    ok = dict(starts=np.zeros((2, 2)), horizons=[1.0, 1.0],
+              durations=np.ones((2, 1)), velocities=np.ones((2, 1, 2)),
+              counts=[1, 1])
+    PathBlock(**ok)
+    with pytest.raises(DimensionMismatch, match=lengths):
+        PathBlock(**{**ok, **change})
+
+
 def test_take_views_rows():
     rng = np.random.default_rng(8)
     block, paths = _ragged(rng, 5, 2)
