@@ -22,8 +22,8 @@ from .costs import CostFunction, power_cost
 from .errors import (BoundViolated, ConfigInvalid, Infeasible,
                      InfeasibleBound, MissingBound, NoFeasiblePath)
 from .measures import (WEIGHT_SUM_TOL, Coupling, DiscreteMeasure,
-                       expectation, freeze, json_rows, measure_of,
-                       pairwise_distances, read_only)
+                       expectation, expectations, freeze, json_rows,
+                       measure_of, pairwise_distances, read_only)
 from .mk_solver import MKSolution, solve_mk
 from .paths import IntervalSet, PathBlock, cost_li, cost_plain, stop_and_go
 
@@ -77,6 +77,11 @@ class TransportEnsemble:
                 f"sup speed {sup[r]} exceeds bound {bounds[r]}")
         freeze(self, weights=weights, bounds=bounds)
 
+    @property
+    def cuts(self) -> list:
+        """All rows as one run, as a stack of one ensemble has them."""
+        return [0, len(self.weights)]
+
     @functools.cached_property
     def members(self) -> tuple:
         return tuple(EnsembleMember(w, self.paths.take(r, r + 1),
@@ -105,6 +110,28 @@ class TransportEnsemble:
         if np.isnan(bounds[["bound" in m for m in members]]).any():
             raise BoundViolated("speed bound nan is not finite")
         return TransportEnsemble(paths, weights, bounds)
+
+
+@dataclass(frozen=True, eq=False)
+class EnsembleStack:
+    """Ensembles end to end in one PathBlock ``paths``: ensemble s is rows
+    cuts[s] to cuts[s + 1] - 1 with those entries of ``weights`` and
+    ``bounds`` (NaN where none is declared), and ``ensembles[s]`` is it as
+    a TransportEnsemble viewing the block, checked as one built alone is."""
+
+    paths: PathBlock
+    weights: np.ndarray
+    bounds: np.ndarray
+    cuts: list
+
+    def __post_init__(self):
+        self.paths.speeds  # measured once, for every view
+        freeze(self, weights=np.array(self.weights, dtype=float),
+               bounds=np.array(self.bounds, dtype=float))
+        object.__setattr__(self, "ensembles", tuple(
+            TransportEnsemble(self.paths.take(lo, hi), self.weights[lo:hi],
+                              self.bounds[lo:hi])
+            for lo, hi in zip(self.cuts, self.cuts[1:])))
 
 
 @dataclass(frozen=True)
@@ -149,18 +176,28 @@ def endpoint_marginals(e: TransportEnsemble) -> tuple[DiscreteMeasure,
 def eval_tilde(e: TransportEnsemble, cost: CostFunction, i: int) -> float:
     """Expected modified running cost (the i = 1 or 2 functional); cost_li
     rejects rows whose horizon is not 1."""
-    return expectation(e.weights, cost_li(e.paths, cost, i))
+    return eval_tilde_each(e, cost, i)[0]
 
 
-def _require_bounds(e: TransportEnsemble) -> None:
+def eval_tilde_each(s, cost: CostFunction, i: int) -> list:
+    """eval_tilde of each ensemble of a stack, from one cost_li call."""
+    return expectations(s.weights, cost_li(s.paths, cost, i), s.cuts)
+
+
+def _require_bounds(e) -> None:
     if np.isnan(e.bounds).any():
         raise MissingBound("every member needs a speed bound")
 
 
 def eval_bounded(e: TransportEnsemble, cost: CostFunction) -> float:
     """Expected plain running cost; e checked each speed when it was built."""
-    _require_bounds(e)
-    return expectation(e.weights, cost_plain(e.paths, cost))
+    return eval_bounded_each(e, cost)[0]
+
+
+def eval_bounded_each(s, cost: CostFunction) -> list:
+    """eval_bounded of each ensemble of a stack, from one cost_plain call."""
+    _require_bounds(s)
+    return expectations(s.weights, cost_plain(s.paths, cost), s.cuts)
 
 
 def _cost_at_caps(cost: CostFunction, caps) -> np.ndarray:
@@ -210,16 +247,28 @@ def induced_triple(e: TransportEnsemble) -> BoundedCouplingTriple:
 def build_opt_tilde(sol: MKSolution,
                     set_gen: Callable[[int, int], IntervalSet],
                     ) -> TransportEnsemble:
-    """One stop-and-go row per positive-mass cell of an optimal plan.
+    """One stop-and-go row per positive-mass cell of an optimal plan, moving
+    on set_gen(i, j) for cell (i, j).
 
     Any positive-measure moving set per cell yields the same modified
     cost, equal to the plan's transport value.
     """
-    plan = sol.plan
-    ii, jj = plan.support
+    ii, jj = sol.plan.support
     sets = [set_gen(i, j) for i, j in zip(ii.tolist(), jj.tolist())]
-    paths = stop_and_go(plan.source.points[ii], plan.target.points[jj], sets)
-    return TransportEnsemble(paths=paths, weights=plan.plan[ii, jj])
+    return build_opt_tilde_each([sol], [sets]).ensembles[0]
+
+
+def build_opt_tilde_each(sols: Sequence[MKSolution],
+                         sets: Sequence[list]) -> EnsembleStack:
+    """The build_opt_tilde ensemble of each plan, all in one stack, with
+    sets[s] the moving sets of plan s's positive cells in support order."""
+    plans = [s.plan for s in sols]
+    xs, ys, weights = (np.concatenate(a) for a in zip(*[
+        (p.source.points[ii], p.target.points[jj], p.plan[ii, jj])
+        for p in plans for ii, jj in [p.support]]))
+    paths = stop_and_go(xs, ys, [a for one in sets for a in one])
+    cuts = np.cumsum([0] + [len(p.support[0]) for p in plans]).tolist()
+    return EnsembleStack(paths, weights, np.full(len(weights), np.nan), cuts)
 
 
 def build_opt_bounded(t: BoundedCouplingTriple) -> TransportEnsemble:

@@ -17,10 +17,10 @@ import numpy as np
 from . import costs as costmod
 from .costs import A1I, A1III, A2I, CostFunction, require
 from .duality import GridFunction, verify_control_identity
-from .ensembles import (BoundedCouplingTriple, TransportEnsemble,
-                        build_opt_bounded, build_opt_tilde, eval_bounded,
-                        eval_tilde, eval_tv, induced_triple, oracle_min_path,
-                        solve_bounded)
+from .ensembles import (BoundedCouplingTriple, EnsembleStack,
+                        build_opt_bounded, build_opt_tilde_each, eval_bounded,
+                        eval_bounded_each, eval_tilde_each, eval_tv,
+                        induced_triple, oracle_min_path, solve_bounded)
 from .errors import AssumptionRefused, ConfigInvalid, LagotError, UnknownKind
 from .measures import (DiscreteMeasure, make_coupling, pairwise_distances,
                        random_measure, row_sum)
@@ -134,11 +134,12 @@ def _rand_rows(rng, dim: int, n: int, extra: bool = False) -> tuple:
     return rows, drawn
 
 
-def _rand_paths(rng, dim: int, n: int,
+def _rand_paths(rngs, dim: int, n: int,
                 extra: bool = False) -> tuple[PathBlock, np.ndarray]:
-    """The rows of _rand_rows as one block, and the numbers drawn."""
-    rows, drawn = _rand_rows(rng, dim, n, extra)
-    return block_of(*zip(*rows)), np.array(drawn)
+    """The n rows of _rand_rows from each generator in turn as one block,
+    and the numbers drawn."""
+    rows, drawn = zip(*[_rand_rows(rng, dim, n, extra) for rng in rngs])
+    return block_of(*zip(*sum(rows, []))), np.array(sum(drawn, []))
 
 
 def _rand_bounded_triple(rng, n_atoms: int, dim: int) -> BoundedCouplingTriple:
@@ -156,78 +157,92 @@ def _rand_bounded_triple(rng, n_atoms: int, dim: int) -> BoundedCouplingTriple:
     return BoundedCouplingTriple(coupling=coupling, bound_assignment=bounds)
 
 
-def _rand_bounded_ensembles(rng, dim: int, n: int) -> list:
-    """n random admissible ensembles, drawn as n in turn would be, with
-    their paths in one block: each member's bound dominates its
-    sup-speed."""
+def _rand_bounded_ensembles(rngs, dim: int, n: int) -> EnsembleStack:
+    """n random admissible ensembles from each generator in turn, drawn as
+    n one at a time would be, all in one stack: each member's bound
+    dominates its sup-speed."""
     weights, rows, drawn = [], [], []
-    for _ in range(n):
-        weights.append(rng.dirichlet(np.ones(int(rng.integers(1, 4)))))
-        more, after = _rand_rows(rng, dim, len(weights[-1]), extra=True)
-        rows += more
-        drawn += after
+    for rng in rngs:
+        for _ in range(n):
+            weights.append(rng.dirichlet(np.ones(int(rng.integers(1, 4)))))
+            more, after = _rand_rows(rng, dim, len(weights[-1]), extra=True)
+            rows += more
+            drawn += after
     paths = block_of(*zip(*rows))
     bounds = paths.speeds.max(axis=1) * (1.0 + np.array(drawn))
     cuts = np.cumsum([0] + [len(w) for w in weights]).tolist()
-    return [TransportEnsemble(paths=paths.take(lo, hi), weights=w,
-                              bounds=bounds[lo:hi])
-            for w, lo, hi in zip(weights, cuts, cuts[1:])]
+    return EnsembleStack(paths, np.concatenate(weights), bounds, cuts)
 
 
 # ---------------------------------------------------------------------------
-# suites: each refuses a cost outside its hypotheses, then yields (digest
+# suites: each refuses a cost outside its hypotheses, draws every trial from
+# its own generator, evaluates all trials as one block, then yields (digest
 # input, values, checks, curve rows) per trial; a check is (name, value,
 # kind, bound) with kind a key of _HOLDS
 # ---------------------------------------------------------------------------
 
-def _oracle_margin(xs, ys, dist, ii, jj, cost: CostFunction) -> float:
-    """Worst gap of the grid path oracle over cost(|y - x|) across the
-    cells (i, j) = (ii[r], jj[r]) whose xs[i] moves to a different ys[j],
-    all scored in one oracle call; 0 when none moves.  ``dist`` is the
-    kernel's matrix of |xs[i] - ys[j]|."""
-    moving = dist[ii, jj] > 0.0
-    if not moving.any():
-        return 0.0
-    ii, jj = ii[moving], jj[moving]
-    best = oracle_min_path(xs[ii], ys[jj], cost, "L1", 4, ORACLE_GRID)
-    return float(np.min(best - cost.eval(dist[ii, jj])))
+def _per_trial(values, cuts, reduce) -> list:
+    """reduce(values[lo:hi]) as a float for each trial's run of rows."""
+    return [float(reduce(values[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _oracle_margins(trials, cost: CostFunction) -> list:
+    """Per trial (xs, ys, ii, jj), the worst gap of the grid path oracle
+    over cost(|y - x|) across the cells (i, j) = (ii[r], jj[r]) whose xs[i]
+    moves to a different ys[j], every trial's cells scored in one oracle
+    call; 0 for a trial where none moves."""
+    cuts = np.cumsum([0] + [len(t[2]) for t in trials]).tolist()
+    xs, ys = (np.concatenate([t[k][t[k + 2]] for t in trials]) for k in (0, 1))
+    dist = pairwise_distances(xs, ys, paired=True)
+    gaps, moving = np.full(len(dist), np.inf), dist > 0.0
+    gaps[moving] = (oracle_min_path(xs[moving], ys[moving], cost, "L1", 4,
+                                    ORACLE_GRID) - cost.eval(dist[moving]))
+    return [0.0 if g == np.inf else g for g in _per_trial(gaps, cuts, np.min)]
+
+
+def _opt_tilde_trials(cfg, cost, rngs) -> tuple:
+    """Per generator, two random measures, their optimal plan and a random
+    moving set per plan cell; the measure pairs, the solutions, and every
+    plan's build_opt_tilde ensemble in one stack."""
+    pairs, sols, sets = [], [], []
+    for rng in rngs:
+        m0, m1 = (_rand_measure(rng, cfg.n_atoms, cfg.dim) for _ in range(2))
+        pairs.append((m0, m1))
+        sols.append(solve_mk(m0, m1, cost))
+        sets.append([random_interval_set(rng)
+                     for _ in sols[-1].plan.support[0]])
+    return pairs, sols, build_opt_tilde_each(sols, sets)
 
 
 def _suite_thm2_1(cfg, cost, rngs):
     require(cost, "thm2_1", A1I)
-    for rng in rngs:
-        m0 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
-        m1 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
-        sol = solve_mk(m0, m1, cost)
-        ens = build_opt_tilde(sol, lambda i, j: random_interval_set(rng))
-        v1 = eval_tilde(ens, cost, 1)
-        oracle_margin = _oracle_margin(m0.points, m1.points,
-                                       sol.plan.distances,
-                                       *sol.plan.support, cost)
+    pairs, sols, stack = _opt_tilde_trials(cfg, cost, rngs)
+    v1 = eval_tilde_each(stack, cost, 1)
+    oracle = _oracle_margins([(s.plan.source.points, s.plan.target.points,
+                               *s.plan.support) for s in sols], cost)
+    for (m0, m1), sol, v, margin in zip(pairs, sols, v1, oracle):
         yield ([m0.to_json(), m1.to_json()],
-               {"transport": sol.value, "modified_1": v1},
-               [("equality", v1 - sol.value, "eq", cfg.tolerance),
-                ("oracle", oracle_margin, "ge", -cfg.tolerance)], ())
+               {"transport": sol.value, "modified_1": v},
+               [("equality", v - sol.value, "eq", cfg.tolerance),
+                ("oracle", margin, "ge", -cfg.tolerance)], ())
 
 
 def _suite_thm2_2(cfg, cost, rngs):
     require(cost, "thm2_2", A1I, A2I, A1III)
-    for rng in rngs:
-        m0 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
-        m1 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
-        sol = solve_mk(m0, m1, cost)
-        ens = build_opt_tilde(sol, lambda i, j: random_interval_set(rng))
-        v1 = eval_tilde(ens, cost, 1)
-        v2 = eval_tilde(ens, cost, 2)
-        n_gap = np.max(np.abs(n1(ens.paths) - n2(ens.paths)))
-        paths = _rand_paths(rng, cfg.dim, 5)[0]
-        rand_margin = np.min(cost_li(paths, cost, 1)
-                             - cost_li(paths, cost, 2))
+    rngs = list(rngs)
+    pairs, sols, stack = _opt_tilde_trials(cfg, cost, rngs)
+    paths = _rand_paths(rngs, cfg.dim, 5)[0]
+    v1, v2 = (eval_tilde_each(stack, cost, i) for i in (1, 2))
+    n_gap = _per_trial(np.abs(n1(stack.paths) - n2(stack.paths)),
+                       stack.cuts, np.max)
+    rand_margin = _per_trial(cost_li(paths, cost, 1) - cost_li(paths, cost, 2),
+                             range(0, 5 * len(rngs) + 1, 5), np.min)
+    for (m0, m1), a, b, gap, rand in zip(pairs, v1, v2, n_gap, rand_margin):
         yield ([m0.to_json(), m1.to_json()],
-               {"modified_1": v1, "modified_2": v2},
-               [("equality", v1 - v2, "eq", cfg.tolerance),
-                ("n_gap", float(n_gap), "le", 1e-12),
-                ("ordering", float(rand_margin), "ge", -1e-12)], ())
+               {"modified_1": a, "modified_2": b},
+               [("equality", a - b, "eq", cfg.tolerance),
+                ("n_gap", gap, "le", 1e-12),
+                ("ordering", rand, "ge", -1e-12)], ())
 
 
 def _suite_prop2_3(cfg, cost, rngs):
@@ -251,37 +266,39 @@ def _suite_prop2_3(cfg, cost, rngs):
 
 def _suite_cor2_4(cfg, cost, rngs):
     require(cost, "cor2_4", A1I)
+    drawn = []
     for rng in rngs:
         m0 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
         grid_pts = rng.uniform(-2.0, 2.0, size=(5, cfg.dim))
         f = GridFunction(points=grid_pts,
                          values=rng.uniform(0.0, 2.0, size=5))
-        rep = verify_control_identity(m0, f, cost, 1)
-        oracle_margin = _oracle_margin(
-            m0.points, f.points, pairwise_distances(m0.points, f.points),
-            *np.transpose(rep.selected), cost)
+        drawn.append((m0, f, verify_control_identity(m0, f, cost, 1)))
+    oracle = _oracle_margins([(m0.points, f.points,
+                               *np.transpose(rep.selected))
+                              for m0, f, rep in drawn], cost)
+    for (m0, f, rep), margin in zip(drawn, oracle):
         yield ([m0.to_json(), f.to_json()],
                {"lhs": rep.lhs, "rhs": rep.rhs},
                [("equality", rep.margin, "eq", cfg.tolerance),
-                ("oracle", oracle_margin, "ge", -cfg.tolerance)], ())
+                ("oracle", margin, "ge", -cfg.tolerance)], ())
 
 
 def _suite_thm2_6(cfg, cost, rngs):
     require(cost, "thm2_6", A1I)
-    for rng in rngs:
-        triple = _rand_bounded_triple(rng, cfg.n_atoms, cfg.dim)
-        built = build_opt_bounded(triple)
-        lhs = eval_bounded(built, cost)
+    rngs = list(rngs)
+    triples = [_rand_bounded_triple(rng, cfg.n_atoms, cfg.dim)
+               for rng in rngs]
+    rand = _rand_bounded_ensembles(rngs, cfg.dim, 4)
+    gaps = [v - eval_tv(induced_triple(e), cost)
+            for v, e in zip(eval_bounded_each(rand, cost), rand.ensembles)]
+    for t, triple in enumerate(triples):
+        lhs = eval_bounded(build_opt_bounded(triple), cost)
         rhs = eval_tv(triple, cost)
-        rand_margin = np.inf
-        for ens in _rand_bounded_ensembles(rng, cfg.dim, 4):
-            rand_margin = min(rand_margin,
-                              eval_bounded(ens, cost)
-                              - eval_tv(induced_triple(ens), cost))
         yield (triple.coupling.source.to_json(),
                {"dynamic": lhs, "static": rhs},
                [("equality", lhs - rhs, "eq", cfg.tolerance),
-                ("ordering", float(rand_margin), "ge", -cfg.tolerance)], ())
+                ("ordering", float(min(np.inf, *gaps[4 * t:4 * t + 4])),
+                 "ge", -cfg.tolerance)], ())
 
 
 def _suite_cor2_7(cfg, cost, rngs):
@@ -362,17 +379,19 @@ def _suite_eq1_9(cfg, cost, rngs):
 
 
 def _suite_eq1_11(cfg, cost, rngs):
-    for t, rng in enumerate(rngs):
-        paths, drawn = _rand_paths(rng, cfg.dim, 5, extra=True)
-        lhs = cost_plain(stretch(paths, n1(paths)), cost)
-        worst_eq = np.max(np.abs(lhs - cost_li(paths, cost, 1)))
-        # 5.0 * u is what rng.uniform(0.0, 5.0) returns for the same draw u
-        back = compress(stretch(paths, 1.0 + 5.0 * drawn))
-        worst_rt = max(np.max(np.abs(back.durations - paths.durations)),
-                       np.max(np.abs(back.velocities - paths.velocities)))
+    paths, drawn = _rand_paths(rngs, cfg.dim, 5, extra=True)
+    cuts = range(0, len(paths.counts) + 1, 5)
+    lhs = cost_plain(stretch(paths, n1(paths)), cost)
+    worst_eq = _per_trial(np.abs(lhs - cost_li(paths, cost, 1)), cuts, np.max)
+    # 5.0 * u is what rng.uniform(0.0, 5.0) returns for the same draw u
+    back = compress(stretch(paths, 1.0 + 5.0 * drawn))
+    moved = np.hstack([abs(back.durations - paths.durations),
+                       abs(back.velocities - paths.velocities).max(axis=2)])
+    worst_rt = _per_trial(moved, cuts, np.max)
+    for t, (eq, rt) in enumerate(zip(worst_eq, worst_rt)):
         yield ([cfg.seed, t], {},
-               [("time_change", float(worst_eq), "le", 1e-12),
-                ("roundtrip", float(worst_rt), "le", 1e-12)], ())
+               [("time_change", eq, "le", 1e-12),
+                ("roundtrip", rt, "le", 1e-12)], ())
 
 
 # theorem -> (suite, curve columns or None)

@@ -59,7 +59,13 @@ def row_sum(terms: np.ndarray) -> np.ndarray:
 
 def expectation(weights: np.ndarray, values) -> float:
     """Sum of weight * value over members or atoms, added first to last."""
-    return float(sum((weights * values).tolist()))
+    return expectations(weights, values, [0, len(weights)])[0]
+
+
+def expectations(weights: np.ndarray, values, cuts) -> list:
+    """``expectation`` of each run cuts[s] to cuts[s + 1] - 1 of entries."""
+    terms = (weights * values).tolist()
+    return [float(sum(terms[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
 
 
 @dataclass(frozen=True)

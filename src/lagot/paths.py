@@ -56,9 +56,11 @@ class PathBlock:
             raise DimensionMismatch("%d starts, %d horizons, %d rows of "
                                     "pieces and %d counts" % rows)
         # first, so that a NaN or infinite duration or horizon fails here
-        for s, h in zip(row_sum(durations).tolist(), horizons.tolist()):
-            if not abs(s - h) <= DURATION_TOL * max(1.0, h) < np.inf:
-                raise BadHorizon(f"durations sum to {s}, horizon {h}")
+        sums, tol = row_sum(durations), DURATION_TOL * np.fmax(1.0, horizons)
+        bad = ~((np.abs(sums - horizons) <= tol) & (tol < np.inf))
+        if bad.any():
+            raise BadHorizon(f"durations sum to {float(sums[bad][0])}, "
+                             f"horizon {float(horizons[bad][0])}")
         pad = np.arange(durations.shape[1]) >= counts[:, None]
         if not (np.sign(durations) == ~pad).all():
             raise ValueError("durations must be positive, and zero on padding")
@@ -93,14 +95,16 @@ class PathBlock:
 
     def take(self, lo: int, hi: int) -> "PathBlock":
         """Rows lo to hi - 1 as a block viewing these arrays, padded to
-        their longest row; unchecked, as this block was checked when it
-        was built."""
+        their longest row, and viewing the speeds too once measured;
+        unchecked, as this block was checked when it was built."""
         width = self.counts[lo:hi].max()
         view = object.__new__(PathBlock)
         freeze(view, starts=self.starts[lo:hi],
                horizons=self.horizons[lo:hi], counts=self.counts[lo:hi],
                durations=self.durations[lo:hi, :width],
                velocities=self.velocities[lo:hi, :width])
+        if "speeds" in vars(self):  # lengths measures vector by vector
+            vars(view)["speeds"] = self.speeds[lo:hi, :width]
         return view
 
     def to_json(self) -> list:
@@ -254,6 +258,8 @@ def stop_and_go(x, y, A) -> PathBlock:
     returned regardless of A.  Raises DegenerateSet when x != y and |A| = 0.
     """
     xs, ys = (np.atleast_2d(np.asarray(p, dtype=float)) for p in (x, y))
+    if len(A) != len(xs):
+        raise DimensionMismatch(f"{len(A)} sets for {len(xs)} paths")
     pieces, totals = [], []
     for move, one in zip((xs != ys).any(axis=1).tolist(), A):
         row, cursor = [], 0.0

@@ -82,7 +82,7 @@ def test_02_first_and_second_modified_values_agree():
                 failures.append(("n-gap", n1(m.path)[0], n2(m.path)[0]))
     rng = np.random.default_rng(2002)
     for _ in range(100):
-        p = _rand_paths(rng, 2, 1)[0]
+        p = _rand_paths([rng], 2, 1)[0]
         if cost_li(p, SQRT, 1)[0] < cost_li(p, SQRT, 2)[0] - 1e-12:
             failures.append(("ordering", p))
     _report("02 both modified values agree on optimal ensembles", failures)
@@ -111,7 +111,7 @@ def test_04_bounded_velocity_value_matches_static_form():
             failures.append(("opt", k))
     rng = np.random.default_rng(4004)
     for _ in range(200):
-        ens = _rand_bounded_ensembles(rng, 2, 1)[0]
+        ens = _rand_bounded_ensembles([rng], 2, 1).ensembles[0]
         if eval_bounded(ens, SQRT) < eval_tv(induced_triple(ens), SQRT) - 1e-10:
             failures.append(("lower-bound", ens))
     _report("04 bounded-velocity value equals its static form", failures)
@@ -165,7 +165,7 @@ def test_07_time_change_turns_modified_cost_into_plain_cost():
     failures = []
     rng = np.random.default_rng(707)
     for _ in range(100):
-        p = _rand_paths(rng, 2, 1)[0]
+        p = _rand_paths([rng], 2, 1)[0]
         if abs(cost_plain(stretch(p, n1(p)), SQRT)[0]
                - cost_li(p, SQRT, 1)[0]) > 1e-12:
             failures.append(("identity", p))

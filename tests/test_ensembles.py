@@ -6,11 +6,13 @@ import pytest
 
 import lagot.ensembles as ensembles
 from lagot.costs import builtin, power_cost, quadratic_cost
-from lagot.ensembles import (BoundedCouplingTriple,
+from lagot.ensembles import (BoundedCouplingTriple, EnsembleStack,
                              TransportEnsemble, build_opt_bounded,
-                             build_opt_tilde, endpoint_marginals,
-                             eval_bounded, eval_tilde, eval_tv,
-                             induced_triple, oracle_min_path, solve_bounded)
+                             build_opt_tilde, build_opt_tilde_each,
+                             endpoint_marginals, eval_bounded,
+                             eval_bounded_each, eval_tilde, eval_tilde_each,
+                             eval_tv, induced_triple, oracle_min_path,
+                             solve_bounded)
 from lagot.errors import (BadHorizon, BoundViolated, Infeasible,
                           InfeasibleBound, MissingBound, NoFeasiblePath)
 from lagot.harness import _rand_bounded_ensembles
@@ -182,7 +184,8 @@ def test_induced_plan_has_the_endpoint_marginals():
     laws' weights to rounding."""
     rng = np.random.default_rng(16)
     drawn = [e for _ in range(60)
-             for e in _rand_bounded_ensembles(rng, int(rng.integers(1, 4)), 4)]
+             for e in _rand_bounded_ensembles(
+                 [rng], int(rng.integers(1, 4)), 4).ensembles]
     shared = [_shared_endpoint_ensemble(rng) for _ in range(200)]
     for e in drawn + shared:
         src, tgt = endpoint_marginals(e)
@@ -490,3 +493,53 @@ def test_the_traced_run_counts_the_builders_members():
                 for c in (sol.plan, triple.coupling))
     assert tracer.counts["ensembles.members"] == cells
     assert sum(len(e.members) for e in built) == cells
+
+
+def _plans(seed, k):
+    rng = np.random.default_rng(seed)
+    sols = []
+    for _ in range(k):
+        m0, m1 = (validate_measure(zip(rng.uniform(-2, 2, (n, 2)),
+                                       rng.dirichlet(np.ones(n))), 2)
+                  for n in rng.integers(1, 5, size=2).tolist())
+        sols.append(solve_mk(m0, m1, SQRT))
+    return rng, sols
+
+
+def test_stacked_tilde_ensembles_are_the_ones_built_alone():
+    """Each ensemble of build_opt_tilde_each, and its eval_tilde_each
+    values, have the bits of build_opt_tilde on its plan alone."""
+    rng, sols = _plans(31, 12)
+    sets = [[random_interval_set(rng) for _ in sol.plan.support[0]]
+            for sol in sols]
+    stack = build_opt_tilde_each(sols, sets)
+    alone = [build_opt_tilde(sol, lambda i, j, it=iter(one): next(it))
+             for sol, one in zip(sols, sets)]
+    assert len(stack.ensembles) == len(sols)
+    for e, a in zip(stack.ensembles, alone):
+        for name in ("starts", "durations", "velocities", "counts"):
+            assert getattr(e.paths, name).tobytes() == \
+                getattr(a.paths, name).tobytes(), name
+        assert e.weights.tobytes() == a.weights.tobytes()
+        assert np.isnan(e.bounds).all()
+    for i in (1, 2):
+        assert eval_tilde_each(stack, SQRT, i) == \
+            [eval_tilde(a, SQRT, i) for a in alone]
+    with pytest.raises(MissingBound):
+        eval_bounded_each(stack, SQRT)
+
+
+def test_stacked_bounded_ensembles_are_checked_and_evaluated_alone():
+    rng = np.random.default_rng(32)
+    stack = _rand_bounded_ensembles([rng] * 3, 2, 4)
+    assert len(stack.ensembles) == 12
+    alone = [TransportEnsemble(block_of(*zip(*[
+        (s, 1.0, d[:c], v[:c]) for s, d, v, c in zip(
+            e.paths.starts, e.paths.durations, e.paths.velocities,
+            e.paths.counts)])), e.weights, e.bounds) for e in stack.ensembles]
+    assert eval_bounded_each(stack, SQRT) == \
+        [eval_bounded(a, SQRT) for a in alone]
+    bounds = stack.bounds.copy()
+    bounds[5] = 0.5 * stack.paths.speeds[5].max()
+    with pytest.raises(BoundViolated):
+        EnsembleStack(stack.paths, stack.weights, bounds, stack.cuts)

@@ -294,6 +294,20 @@ def test_report_margins_and_passes_are_the_suites_checks(theorem, cost):
                                       for _, v, kind, b in checks)
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("theorem,cost", ADMITTED)
+def test_a_trial_does_not_depend_on_its_block_mates(theorem, cost, seed):
+    """Every trial is drawn from its own generator and evaluated in one
+    block with the others; its record must not depend on the block's
+    width, so the first 7 of 20 trials are the 7 trials of a shorter run."""
+    spec = parse_cost(cost).to_spec()
+    short, full = (verify(VerifyConfig(theorem=theorem, seed=seed,
+                                       trials=n, cost_spec=spec))
+                   for n in (7, 20))
+    assert json.dumps(short.trials, sort_keys=True) == \
+        json.dumps(full.trials[:7], sort_keys=True)
+
+
 def test_eq1_9_reports_the_linear_path_check(monkeypatch):
     cost_li = harness.cost_li
     monkeypatch.setattr(harness, "cost_li",

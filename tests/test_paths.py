@@ -128,6 +128,15 @@ def test_stop_and_go():
         stop_and_go([[0.0]], [[1.0]], [IntervalSet(())])
 
 
+@pytest.mark.parametrize("n_sets", [1, 3])
+def test_stop_and_go_refuses_a_set_count_other_than_the_row_count(n_sets):
+    """Rows and sets were zipped: 3 sets for 2 rows dropped the third, and
+    1 set for 2 rows failed with an unrelated message."""
+    with pytest.raises(DimensionMismatch, match=f"{n_sets} sets for 2 paths"):
+        stop_and_go([[0.0], [0.0]], [[1.0], [2.0]],
+                    [IntervalSet(((0.0, 0.5),))] * n_sets)
+
+
 def test_stop_and_go_rows_beside_a_wide_row():
     """A 7-piece row beside a 19-piece row has the durations and values it
     has alone: the horizon normalisation sums first to last.  (numpy's
@@ -410,3 +419,38 @@ def test_take_views_rows():
     for name, value in _row_values(part, SQRT).items():
         assert np.array_equal(value, whole[name][1:4]), name
     assert np.array_equal(part.speeds, block.speeds[1:4, :part.counts.max()])
+
+
+def test_block_names_the_first_row_whose_durations_miss_its_horizon():
+    ok = dict(starts=np.zeros((4, 1)), horizons=[1.0, 1.0, 2.0, 1.0],
+              durations=[[0.5, 0.5], [1.0, 0.0], [1.0, 1.0], [1.0, 0.0]],
+              velocities=np.ones((4, 2, 1)), counts=[2, 1, 2, 1])
+    ok["velocities"][[1, 3], 1] = 0.0
+    PathBlock(**ok)
+    bad = {**ok, "durations": [[0.5, 0.5], [0.75, 0.0], [1.0, 1.0],
+                               [0.5, 0.0]]}
+    with pytest.raises(BadHorizon, match=r"^durations sum to 0\.75, "
+                                         r"horizon 1\.0$"):
+        PathBlock(**bad)
+    for change, message in (
+            ({"horizons": [1.0, np.inf, 2.0, 1.0]}, "1.0, horizon inf"),
+            ({"horizons": [1.0, -np.inf, 2.0, 1.0]}, "1.0, horizon -inf"),
+            ({"durations": [[0.5, 0.5], [np.inf, 0.0], [1.0, 1.0],
+                            [1.0, 0.0]]}, "inf, horizon 1.0"),
+            ({"durations": [[0.5, 0.5], [np.nan, 0.0], [1.0, 1.0],
+                            [1.0, 0.0]]}, "nan, horizon 1.0")):
+        with pytest.raises(BadHorizon, match=f"durations sum to {message}"):
+            PathBlock(**{**ok, **change})
+
+
+def test_take_views_the_speeds_once_measured():
+    rng = np.random.default_rng(9)
+    block, _ = _ragged(rng, 6, 3)
+    fresh = block.take(1, 4)
+    measured = block.speeds
+    part = block.take(1, 4)
+    assert "speeds" not in vars(fresh)
+    assert np.shares_memory(part.speeds, measured)
+    assert not part.speeds.flags.writeable
+    assert np.array_equal(part.speeds, fresh.speeds)
+    assert part.speeds.tobytes() == fresh.speeds.tobytes()

@@ -1,0 +1,44 @@
+"""tools/suite_times.py, ladder_times.py and cli_times.py: one round on
+this tree, and a round count below one."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from lagot.harness import THEOREMS
+
+ROOT = Path(__file__).resolve().parents[1]
+# tool -> the first cell of each row of its table, in order
+ROWS = {
+    "suite_times.py": [*THEOREMS, "all ten"],
+    "ladder_times.py": ["n10", "n20", "n40", "n20_equal", "pass"],
+    "cli_times.py": ["build-optimal", "eval", "solve-mk", "raw eval", "pass"],
+}
+
+
+def _run(tool: str, *argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(ROOT / "tools" / tool),
+                           str(ROOT), *argv],
+                          capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("tool", sorted(ROWS))
+def test_one_round_on_this_tree_prints_every_row(tool):
+    got = _run(tool, "--rounds", "1")
+    assert got.returncode == 0, got.stderr
+    lines = got.stdout.splitlines()
+    assert lines[0].startswith("| ") and lines[1].startswith("|---")
+    assert [line.split(" | ")[0][2:] for line in lines[2:]] == ROWS[tool]
+
+
+@pytest.mark.parametrize("rounds", ["0", "-3"])
+@pytest.mark.parametrize("tool", sorted(ROWS))
+def test_a_round_count_below_one_is_a_usage_error(tool, rounds):
+    """It used to end in an IndexError traceback from print_table."""
+    got = _run(tool, "--rounds", rounds)
+    assert got.returncode == 2 and got.stdout == ""
+    assert got.stderr.startswith("usage: ")
+    assert got.stderr.splitlines()[-1].endswith(
+        f"error: --rounds must be at least 1, got {rounds}")

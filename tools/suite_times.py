@@ -88,6 +88,8 @@ def parse_trees(doc: str, argv, rounds: int):
     args = ap.parse_args(argv)
     if len(args.trees) > 2:
         ap.error("give one or two trees")
+    if args.rounds < 1:
+        ap.error(f"--rounds must be at least 1, got {args.rounds}")
     return args
 
 
