@@ -22,8 +22,8 @@ from .costs import CostFunction, power_cost
 from .errors import (BoundViolated, ConfigInvalid, Infeasible,
                      InfeasibleBound, MissingBound, NoFeasiblePath)
 from .measures import (WEIGHT_SUM_TOL, Coupling, DiscreteMeasure,
-                       expectation, expectations, freeze, json_rows,
-                       measure_of, pairwise_distances, read_only)
+                       expectations, freeze, json_rows, measure_of,
+                       merge_atoms, pairwise_distances, read_only)
 from .mk_solver import MKSolution, solve_mk
 from .paths import IntervalSet, PathBlock, cost_li, cost_plain, stop_and_go
 
@@ -62,7 +62,7 @@ class TransportEnsemble:
         total = float(weights.sum())
         if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # also fails on NaN
             raise ValueError(f"member weights sum to {total!r}, not 1")
-        if np.any(weights <= 0):
+        if (weights <= 0).any():
             raise ValueError("member weights must be positive")
         bounds = np.full(len(weights), np.nan) if self.bounds is None else \
             np.array(self.bounds, dtype=float)  # a None entry reads NaN
@@ -184,11 +184,6 @@ def eval_tilde_each(s, cost: CostFunction, i: int) -> list:
     return expectations(s.weights, cost_li(s.paths, cost, i), s.cuts)
 
 
-def _require_bounds(e) -> None:
-    if np.isnan(e.bounds).any():
-        raise MissingBound("every member needs a speed bound")
-
-
 def eval_bounded(e: TransportEnsemble, cost: CostFunction) -> float:
     """Expected plain running cost; e checked each speed when it was built."""
     return eval_bounded_each(e, cost)[0]
@@ -196,28 +191,82 @@ def eval_bounded(e: TransportEnsemble, cost: CostFunction) -> float:
 
 def eval_bounded_each(s, cost: CostFunction) -> list:
     """eval_bounded of each ensemble of a stack, from one cost_plain call."""
-    _require_bounds(s)
+    if np.isnan(s.bounds).any():
+        raise MissingBound("every member needs a speed bound")
     return expectations(s.weights, cost_plain(s.paths, cost), s.cuts)
 
 
 def _cost_at_caps(cost: CostFunction, caps) -> np.ndarray:
     """cost(r) at each speed cap r; refuses a cap where it is not finite."""
     values = np.asarray(cost.eval(caps), dtype=float)
-    bad = np.ravel(caps)[~np.isfinite(np.ravel(values))]
-    if len(bad):
+    if not np.isfinite(values).all():
+        bad = np.ravel(caps)[~np.isfinite(np.ravel(values))]
         raise InfeasibleBound(f"{cost.name} cost is not finite at the speed "
                               f"cap r = {float(bad[0])!r}")
     return values
 
 
+def _joined(parts: list) -> tuple:
+    """Each column of a list of tuples of arrays joined end to end (one
+    tuple's own arrays as they are), then the cuts between the tuples."""
+    cuts = [0]
+    for part in parts:
+        cuts.append(cuts[-1] + len(part[0]))
+    joined = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    return (*joined, cuts)
+
+
+def _tv_sums(mass, bounds, dist, cuts, cost: CostFunction) -> list:
+    """Sum of mass * cost(M)/M * dist over each run cuts[s] to
+    cuts[s + 1] - 1 of cells; a cell whose M is not positive adds 0.0,
+    which leaves the sum's bits alone, and its cost is never taken."""
+    pos, ratio = bounds > 0, np.zeros(len(bounds))
+    m = bounds[pos]
+    ratio[pos] = _cost_at_caps(cost, m) / m
+    return expectations(mass * ratio, dist, cuts)
+
+
 def eval_tv(t: BoundedCouplingTriple, cost: CostFunction) -> float:
     """Static bounded-transport value: mass * cost(M)/M * |x - y| over the
     cells with positive bound; M = 0 cells contribute nothing."""
-    c, pos = t.coupling, t.cell_bounds > 0
-    m_ij = t.cell_bounds[pos]
-    return expectation(c.plan[c.support][pos]
-                       * (_cost_at_caps(cost, m_ij) / m_ij),
-                       c.distances[c.support][pos])
+    return eval_tv_each([t], cost)[0]
+
+
+def eval_tv_each(triples: Sequence[BoundedCouplingTriple],
+                 cost: CostFunction) -> list:
+    """eval_tv of each triple, from one cost call."""
+    cells = [(c.plan[ii, jj], t.cell_bounds, c.distances[ii, jj])
+             for t in triples for c in [t.coupling] for ii, jj in [c.support]]
+    return _tv_sums(*_joined(cells), cost)
+
+
+def _endpoint_cells(s) -> list:
+    """Per ensemble of a stack, what induced_triple reads off it: its
+    distinct starts and ends and their weights, merged as measure_of merges
+    them, its plan as a row-major list of each cell's weights summed in
+    member order, and each cell's one bound.  Refuses, ensemble by
+    ensemble, what endpoint_marginals refuses, a member without a bound,
+    then a second bound on one cell."""
+    starts, ends = s.paths.starts.tolist(), s.paths.ends
+    bad_end = int(np.append(~np.isfinite(ends).all(axis=1), True).argmax())
+    no_bound = int(np.append(np.isnan(s.bounds), True).argmax())
+    ends, weights, bounds = ends.tolist(), s.weights.tolist(), s.bounds.tolist()
+    out = []
+    for lo, hi in zip(s.cuts, s.cuts[1:]):
+        ii, src, src_w = merge_atoms(starts[lo:hi], weights[lo:hi])
+        if lo <= bad_end < hi:  # starts are finite: the block checked them
+            raise ValueError(f"non-finite atom {ends[bad_end]!r}, "
+                             f"weight {weights[bad_end]!r}")
+        jj, tgt, tgt_w = merge_atoms(ends[lo:hi], weights[lo:hi])
+        if lo <= no_bound < hi:
+            raise MissingBound("every member needs a speed bound")
+        plan, cells = [0.0] * (len(src) * len(tgt)), {}
+        for i, j, w, m in zip(ii, jj, weights[lo:hi], bounds[lo:hi]):
+            plan[i * len(tgt) + j] += w
+            if cells.setdefault((i, j), m) != m:
+                raise MissingBound("conflicting bounds on one endpoint cell")
+        out.append((src, src_w, tgt, tgt_w, plan, cells))
+    return out
 
 
 def induced_triple(e: TransportEnsemble) -> BoundedCouplingTriple:
@@ -226,22 +275,39 @@ def induced_triple(e: TransportEnsemble) -> BoundedCouplingTriple:
     Members sharing an endpoint pair must carry the same bound for the
     cell map to be well defined.
     """
-    src, tgt = endpoint_marginals(e)
-    _require_bounds(e)
-    src_index = {p: k for k, p in enumerate(map(tuple, src.points.tolist()))}
-    tgt_index = {p: k for k, p in enumerate(map(tuple, tgt.points.tolist()))}
-    ii = [src_index[p] for p in map(tuple, e.paths.starts.tolist())]
-    jj = [tgt_index[p] for p in map(tuple, e.paths.ends.tolist())]
-    plan = np.zeros((src.n_atoms, tgt.n_atoms))
-    bounds: dict = {}
-    for i, j, w, m in zip(ii, jj, e.weights.tolist(), e.bounds.tolist()):
-        plan[i, j] += w
-        if bounds.setdefault((i, j), m) != m:
-            raise MissingBound("conflicting bounds on one endpoint cell")
+    src, src_w, tgt, tgt_w, plan, cells = _endpoint_cells(e)[0]
+    dim = e.paths.dim
     # the plan groups checked positive weights by endpoint cell, so its
     # marginals are the endpoint laws by construction
-    return BoundedCouplingTriple(coupling=Coupling(src, tgt, plan),
-                                 bound_assignment=bounds)
+    return BoundedCouplingTriple(Coupling(
+        DiscreteMeasure(dim, np.array(src, dtype=float), np.array(src_w)),
+        DiscreteMeasure(dim, np.array(tgt, dtype=float), np.array(tgt_w)),
+        np.reshape(plan, (len(src), len(tgt)))), cells)
+
+
+def eval_tv_induced_each(s, cost: CostFunction) -> list:
+    """eval_tv(induced_triple(e), cost) of each ensemble e of a stack, with
+    no triple built: every triple's distance matrix from one paired kernel
+    call, with the matrix's bits.  Refuses what induced_triple refuses,
+    ensemble by ensemble, then, at the first cell of the stack, a distance
+    that overflows, a displacement over its bound and a non-finite cost."""
+    xs, ys, pairs, cells, mass, bounds, cuts = [], [], [], [], [], [], [0]
+    for src, _, tgt, _, plan, bound in _endpoint_cells(s):
+        ij = list(itertools.product(range(len(src)), range(len(tgt))))
+        pairs += [(len(xs) + i, len(ys) + j) for i, j in ij]
+        xs += src
+        ys += tgt
+        cells += ij
+        bounds += [bound.get(c, np.nan) for c in ij]  # NaN: no member
+        mass += plan
+        cuts.append(len(mass))
+    a, b = np.array(pairs).T
+    dist = pairwise_distances(np.array(xs)[a], np.array(ys)[b], True)
+    bounds = np.array(bounds)
+    if (over := _exceeds(dist, bounds)).any():
+        raise InfeasibleBound(f"cell {cells[over.argmax()]}: displacement "
+                              f"exceeds bound {bounds[over].item(0)}")
+    return _tv_sums(np.array(mass), bounds, dist, cuts, cost)
 
 
 def build_opt_tilde(sol: MKSolution,
@@ -263,11 +329,10 @@ def build_opt_tilde_each(sols: Sequence[MKSolution],
     """The build_opt_tilde ensemble of each plan, all in one stack, with
     sets[s] the moving sets of plan s's positive cells in support order."""
     plans = [s.plan for s in sols]
-    xs, ys, weights = (np.concatenate(a) for a in zip(*[
+    xs, ys, weights, cuts = _joined([
         (p.source.points[ii], p.target.points[jj], p.plan[ii, jj])
-        for p in plans for ii, jj in [p.support]]))
+        for p in plans for ii, jj in [p.support]])
     paths = stop_and_go(xs, ys, [a for one in sets for a in one])
-    cuts = np.cumsum([0] + [len(p.support[0]) for p in plans]).tolist()
     return EnsembleStack(paths, weights, np.full(len(weights), np.nan), cuts)
 
 
@@ -275,18 +340,28 @@ def build_opt_bounded(t: BoundedCouplingTriple) -> TransportEnsemble:
     """Per cell, move at exactly the bound speed M on [0, |x-y|/M] and rest;
     the plain cost then matches the static bounded value cell by cell.
     t checked M >= |x - y| on every cell when it was built."""
-    c = t.coupling
-    ii, jj = c.support
-    disp = c.distances[ii, jj]
-    bounds = t.cell_bounds
+    return TransportEnsemble(*_bounded_rows([t])[:3])
+
+
+def build_opt_bounded_each(triples: Sequence[BoundedCouplingTriple],
+                           ) -> EnsembleStack:
+    """The build_opt_bounded ensemble of each triple, all in one stack."""
+    return EnsembleStack(*_bounded_rows(triples))
+
+
+def _bounded_rows(triples) -> tuple:
+    """build_opt_bounded's rows for every triple's positive-mass cells in
+    one block, their weights and bounds, and the cuts between triples."""
+    xs, ys, disp, bounds, weights, cuts = _joined([
+        (c.source.points[ii], c.target.points[jj], c.distances[ii, jj],
+         t.cell_bounds, c.plan[ii, jj])
+        for t in triples for c in [t.coupling] for ii, jj in [c.support]])
     # stop_and_go rests when x = y whatever the set; M = 0 admits no other
     moving = np.minimum(1.0, np.divide(disp, bounds, out=np.ones_like(disp),
                                        where=disp > 0.0))
-    paths = stop_and_go(
-        c.source.points[ii], c.target.points[jj],
-        [IntervalSet(((0.0, m),)) for m in moving.tolist()])
-    return TransportEnsemble(paths=paths, weights=c.plan[ii, jj],
-                             bounds=bounds)
+    paths = stop_and_go(xs, ys, [IntervalSet(((0.0, m),))
+                                 for m in moving.tolist()])
+    return paths, weights, bounds, cuts
 
 
 @functools.lru_cache
@@ -384,7 +459,7 @@ def solve_bounded(m0: DiscreteMeasure, m1: DiscreteMeasure,
             raise ValueError(f"the speed cap must be finite, got {rk!r}")
         if rk <= 0:
             raise Infeasible("the speed cap must be positive")
-    cost_rs = [float(_cost_at_caps(cost, rk)) for rk in caps]
+    cost_rs = _cost_at_caps(cost, caps).tolist()
     dist, solved, out = pairwise_distances(m0.points, m1.points), {}, []
     for rk, cost_r in zip(caps, cost_rs):
         arcs = dist <= rk

@@ -18,9 +18,9 @@ from . import costs as costmod
 from .costs import A1I, A1III, A2I, CostFunction, require
 from .duality import GridFunction, verify_control_identity
 from .ensembles import (BoundedCouplingTriple, EnsembleStack,
-                        build_opt_bounded, build_opt_tilde_each, eval_bounded,
-                        eval_bounded_each, eval_tilde_each, eval_tv,
-                        induced_triple, oracle_min_path, solve_bounded)
+                        build_opt_bounded_each, build_opt_tilde_each,
+                        eval_bounded_each, eval_tilde_each, eval_tv_each,
+                        eval_tv_induced_each, oracle_min_path, solve_bounded)
 from .errors import AssumptionRefused, ConfigInvalid, LagotError, UnknownKind
 from .measures import (DiscreteMeasure, make_coupling, pairwise_distances,
                        random_measure, row_sum)
@@ -289,11 +289,11 @@ def _suite_thm2_6(cfg, cost, rngs):
     triples = [_rand_bounded_triple(rng, cfg.n_atoms, cfg.dim)
                for rng in rngs]
     rand = _rand_bounded_ensembles(rngs, cfg.dim, 4)
-    gaps = [v - eval_tv(induced_triple(e), cost)
-            for v, e in zip(eval_bounded_each(rand, cost), rand.ensembles)]
-    for t, triple in enumerate(triples):
-        lhs = eval_bounded(build_opt_bounded(triple), cost)
-        rhs = eval_tv(triple, cost)
+    gaps = [v - tv for v, tv in zip(eval_bounded_each(rand, cost),
+                                    eval_tv_induced_each(rand, cost))]
+    dynamic = eval_bounded_each(build_opt_bounded_each(triples), cost)
+    for t, (triple, lhs, rhs) in enumerate(
+            zip(triples, dynamic, eval_tv_each(triples, cost))):
         yield (triple.coupling.source.to_json(),
                {"dynamic": lhs, "static": rhs},
                [("equality", lhs - rhs, "eq", cfg.tolerance),

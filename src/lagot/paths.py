@@ -172,7 +172,7 @@ class IntervalSet:
     intervals: tuple
 
     def __post_init__(self):
-        ivs = tuple((float(a), float(b)) for a, b in self.intervals)
+        ivs = tuple([(float(a), float(b)) for a, b in self.intervals])
         prev = 0.0
         for a, b in ivs:
             if a < -DURATION_TOL or b > 1.0 + DURATION_TOL or a >= b:

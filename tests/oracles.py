@@ -5,8 +5,13 @@ import itertools
 import numpy as np
 
 from lagot.costs import _EQ_TOL, A1I, A1III
-from lagot.measures import DiscreteMeasure, make_coupling, pairwise_distances
+from lagot.ensembles import (BoundedCouplingTriple, TransportEnsemble,
+                             _cost_at_caps)
+from lagot.errors import MissingBound
+from lagot.measures import (Coupling, DiscreteMeasure, expectation,
+                            make_coupling, measure_of, pairwise_distances)
 from lagot.mk_solver import _RC_TOL, MKSolution
+from lagot.paths import IntervalSet, stop_and_go
 
 
 def brute_force_mk(m0: DiscreteMeasure, m1: DiscreteMeasure,
@@ -166,3 +171,48 @@ def reference_simplex(supply, demand, cost, scale):
         basis[basis.index(leaving)] = entering
     raise RuntimeError("transportation simplex failed to terminate")
 
+
+
+def induced_triple_per_ensemble(e: TransportEnsemble) -> BoundedCouplingTriple:
+    """``lagot.ensembles.induced_triple`` as one ensemble at a time: the
+    endpoint laws from measure_of, atoms numbered by dict lookups of their
+    points, the plan filled member by member."""
+    src, tgt = (measure_of(p, e.weights, e.paths.dim)
+                for p in (e.paths.starts, e.paths.ends))
+    if np.isnan(e.bounds).any():
+        raise MissingBound("every member needs a speed bound")
+    src_index = {p: k for k, p in enumerate(map(tuple, src.points.tolist()))}
+    tgt_index = {p: k for k, p in enumerate(map(tuple, tgt.points.tolist()))}
+    ii = [src_index[p] for p in map(tuple, e.paths.starts.tolist())]
+    jj = [tgt_index[p] for p in map(tuple, e.paths.ends.tolist())]
+    plan = np.zeros((src.n_atoms, tgt.n_atoms))
+    bounds: dict = {}
+    for i, j, w, m in zip(ii, jj, e.weights.tolist(), e.bounds.tolist()):
+        plan[i, j] += w
+        if bounds.setdefault((i, j), m) != m:
+            raise MissingBound("conflicting bounds on one endpoint cell")
+    return BoundedCouplingTriple(Coupling(src, tgt, plan), bounds)
+
+
+def eval_tv_per_triple(t: BoundedCouplingTriple, cost) -> float:
+    """``lagot.ensembles.eval_tv`` of one triple over its positive-bound
+    cells only."""
+    c, pos = t.coupling, t.cell_bounds > 0
+    m_ij = t.cell_bounds[pos]
+    return expectation(c.plan[c.support][pos]
+                       * (_cost_at_caps(cost, m_ij) / m_ij),
+                       c.distances[c.support][pos])
+
+
+def build_opt_bounded_per_triple(t: BoundedCouplingTriple,
+                                 ) -> TransportEnsemble:
+    """``lagot.ensembles.build_opt_bounded`` of one triple, built directly
+    as a TransportEnsemble rather than as the view of a stack."""
+    c = t.coupling
+    ii, jj = c.support
+    disp, bounds = c.distances[ii, jj], t.cell_bounds
+    moving = np.minimum(1.0, np.divide(disp, bounds, out=np.ones_like(disp),
+                                       where=disp > 0.0))
+    paths = stop_and_go(c.source.points[ii], c.target.points[jj],
+                        [IntervalSet(((0.0, m),)) for m in moving.tolist()])
+    return TransportEnsemble(paths, c.plan[ii, jj], bounds)

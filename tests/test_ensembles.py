@@ -5,23 +5,27 @@ import numpy as np
 import pytest
 
 import lagot.ensembles as ensembles
+import lagot.measures as measures
 from lagot.costs import builtin, power_cost, quadratic_cost
 from lagot.ensembles import (BoundedCouplingTriple, EnsembleStack,
                              TransportEnsemble, build_opt_bounded,
-                             build_opt_tilde, build_opt_tilde_each,
-                             endpoint_marginals, eval_bounded,
-                             eval_bounded_each, eval_tilde, eval_tilde_each,
-                             eval_tv, induced_triple, oracle_min_path,
-                             solve_bounded)
+                             build_opt_bounded_each, build_opt_tilde,
+                             build_opt_tilde_each, endpoint_marginals,
+                             eval_bounded, eval_bounded_each, eval_tilde,
+                             eval_tilde_each, eval_tv, eval_tv_each,
+                             eval_tv_induced_each, induced_triple,
+                             oracle_min_path, solve_bounded)
 from lagot.errors import (BadHorizon, BoundViolated, Infeasible,
                           InfeasibleBound, MissingBound, NoFeasiblePath)
-from lagot.harness import _rand_bounded_ensembles
+from lagot.harness import _rand_bounded_ensembles, _rand_bounded_triple
 from lagot.measures import (Coupling, measure_of, pairwise_distances,
                             validate_measure)
 from lagot.mk_solver import solve_mk
 from lagot.paths import (IntervalSet, SteppedPath, block_of, cost_li,
                          cost_plain, fast_path, linear_path, l1_norm, n1,
                          random_interval_set, stop_and_go, stretch, sup_norm)
+from oracles import (build_opt_bounded_per_triple, eval_tv_per_triple,
+                     induced_triple_per_ensemble)
 
 SQRT = builtin("power", [0.5])
 REMARK = builtin("remark_iii")
@@ -168,10 +172,12 @@ def test_induced_triple_roundtrip():
     assert eval_tv(t, SQRT) <= eval_bounded(ens, SQRT) + 1e-12
 
 
-def _shared_endpoint_ensemble(rng):
+def _shared_endpoint_ensemble(rng, dim=None):
     """2-7 resting or full-interval members between a few integer points,
-    so that many share a start, an end or both."""
-    k, dim = int(rng.integers(2, 8)), int(rng.integers(1, 3))
+    so that many share a start, an end or both; in dimension 1 or 2 unless
+    ``dim`` is given."""
+    k, drawn = int(rng.integers(2, 8)), int(rng.integers(1, 3))
+    dim = dim or drawn
     xs, ys = rng.integers(0, 2, size=(2, k, dim)).astype(float)
     paths = stop_and_go(xs, ys, [FULL] * k)
     return TransportEnsemble(paths, rng.dirichlet(np.ones(k)),
@@ -543,3 +549,164 @@ def test_stacked_bounded_ensembles_are_checked_and_evaluated_alone():
     bounds[5] = 0.5 * stack.paths.speeds[5].max()
     with pytest.raises(BoundViolated):
         EnsembleStack(stack.paths, stack.weights, bounds, stack.cuts)
+
+
+def _stack_of(ens):
+    """The given ensembles end to end in one EnsembleStack."""
+    rows = [(s, h, d[:c], v[:c]) for e in ens for s, h, d, v, c in zip(
+        e.paths.starts, e.paths.horizons, e.paths.durations,
+        e.paths.velocities, e.paths.counts)]
+    cuts = np.cumsum([0] + [len(e.weights) for e in ens]).tolist()
+    return EnsembleStack(block_of(*zip(*rows)),
+                         np.concatenate([e.weights for e in ens]),
+                         np.concatenate([e.bounds for e in ens]), cuts)
+
+
+def _same_triple(got, want):
+    for a, b in ((got.coupling.source, want.coupling.source),
+                 (got.coupling.target, want.coupling.target)):
+        assert a.points.tobytes() == b.points.tobytes()
+        assert a.weights.tobytes() == b.weights.tobytes()
+    assert got.coupling.plan.tobytes() == want.coupling.plan.tobytes()
+    assert got.bound_assignment == want.bound_assignment
+
+
+def _gap_stacks():
+    """Stacks of 2-7 member ensembles between a few integer points, so that
+    members share a start, an end or both and resting members carry the
+    bound 0; then the harness's random stacks, their ensembles of 1-3
+    members."""
+    rng = np.random.default_rng(41)
+    shared = [_stack_of([_shared_endpoint_ensemble(rng, dim)
+                         for _ in range(k)])
+              for k, dim in ((1, 1), (5, 2), (12, 1), (30, 2))]
+    return shared + [_rand_bounded_ensembles([rng] * 5, dim, 4)
+                     for dim in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("cost", [SQRT, REMARK, builtin("linear"),
+                                  builtin("affine_exp", [0.25])],
+                         ids=lambda c: c.name)
+def test_induced_gaps_are_each_ensembles_eval_tv(cost):
+    """eval_tv_induced_each has, ensemble by ensemble, the bits of
+    eval_tv(induced_triple(e)), and both those of the per-ensemble
+    reference; induced_triple builds the reference's triple."""
+    stacks = _gap_stacks()
+    merged = zero = 0
+    for stack in stacks:
+        want = []
+        for e in stack.ensembles:
+            ref = induced_triple_per_ensemble(e)
+            _same_triple(induced_triple(e), ref)
+            want.append(eval_tv_per_triple(ref, cost))
+            merged += ref.coupling.source.n_atoms < len(e.weights)
+            zero += (ref.cell_bounds == 0).any()
+        got = eval_tv_induced_each(stack, cost)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert [eval_tv(induced_triple(e), cost).hex()
+                for e in stack.ensembles] == [v.hex() for v in want]
+    assert merged > 5 and zero > 5
+    assert {len(e.weights) for s in stacks for e in s.ensembles} >= \
+        {1, 2, 3, 4, 5, 6, 7}
+
+
+def _faulty(fault):
+    """One ensemble that induced_triple or eval_tv refuses, and the cost."""
+    if fault == "conflict":  # two members on one cell, two bounds
+        return TransportEnsemble(stop_and_go([[0.0], [0.0]], [[1.0], [1.0]],
+                                             [FULL, FULL]),
+                                 [0.5, 0.5], [1.0, 2.0]), SQRT
+    if fault == "missing":
+        return TransportEnsemble(stop_and_go([[0.0], [1.0]], [[1.0], [2.0]],
+                                             [FULL, FULL]),
+                                 [0.5, 0.5], [1.0, None]), SQRT
+    if fault == "end":  # a finite start and speed, an end past the largest
+        return single(block_of([[1.5e308]], [1.0], [[1.0]], [[[1e308]]]),
+                      bound=1.5e308), SQRT
+    if fault == "sum":  # the merged sum, with the tolerance patched to 0-
+        return TransportEnsemble(stop_and_go([[0.0], [0.0]], [[1.0], [2.0]],
+                                             [FULL, FULL]),
+                                 [0.5, 0.5], [1.0, 2.0]), SQRT
+    if fault == "distance":  # two resting members 2e200 apart
+        return TransportEnsemble(stop_and_go([[1e200], [-1e200]],
+                                             [[1e200], [-1e200]],
+                                             [FULL, FULL]),
+                                 [0.5, 0.5], [0.0, 0.0]), SQRT
+    if fault == "horizon":  # speed 1 for time 2: displacement 2 > bound 1
+        return single(block_of([[0.0]], [2.0], [[2.0]], [[[1.0]]]),
+                      bound=1.0), SQRT
+    return single(linear_path([0.0], [1.0]), bound=1e200), quadratic_cost()
+
+
+@pytest.mark.parametrize("fault", ["conflict", "missing", "end", "sum",
+                                   "distance", "horizon", "cost"])
+def test_a_stack_refuses_what_one_ensemble_refuses(fault, monkeypatch):
+    """A faulty ensemble after a good one is refused through the stack with
+    the class and message of eval_tv(induced_triple(e)) and of the
+    per-ensemble reference."""
+    bad, cost = _faulty(fault)
+    good = _rand_bounded_ensembles([np.random.default_rng(7)], 1, 1)
+    stack = _stack_of([good.ensembles[0], bad])
+    if fault == "sum":
+        monkeypatch.setattr(measures, "WEIGHT_SUM_TOL", -1.0)
+    raised = []
+    for call in (lambda: eval_tv_per_triple(
+                     induced_triple_per_ensemble(bad), cost),
+                 lambda: eval_tv(induced_triple(bad), cost),
+                 lambda: eval_tv_induced_each(stack, cost)):
+        with pytest.raises(Exception) as info, np.errstate(over="ignore"):
+            call()
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0][0] is not AssertionError
+    assert raised[1] == raised[0] and raised[2] == raised[0]
+
+
+def _trial_triples(dim):
+    """Triples of 1-16 cells: the harness's random ones, and one whose cell
+    (0, 0) has x = y, resting under the bound 0."""
+    rng = np.random.default_rng(43 + dim)
+    drawn = [_rand_bounded_triple(rng, 4, dim) for _ in range(12)]
+    pad = (0.0,) * (dim - 1)
+    still = _triple([((0.0, *pad), 0.5), ((1.0, *pad), 0.5)],
+                    [((0.0, *pad), 0.5), ((3.0, *pad), 0.5)],
+                    [[0.25, 0.25], [0.25, 0.25]],
+                    {(0, 0): 0.0, (0, 1): 4.0, (1, 0): 1.0, (1, 1): 2.5},
+                    dim=dim)
+    return drawn[:7] + [still] + drawn[7:]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("cost", [SQRT, REMARK, builtin("linear")],
+                         ids=lambda c: c.name)
+def test_trial_side_blocks_are_the_one_at_a_time_calls(cost, dim):
+    """build_opt_bounded_each and eval_tv_each over triples of several cell
+    counts have the bits of the one-triple calls and of the references."""
+    triples = _trial_triples(dim)
+    assert len({len(t.cell_bounds) for t in triples}) > 3
+    stack = build_opt_bounded_each(triples)
+    assert len(stack.ensembles) == len(triples)
+    for e, t in zip(stack.ensembles, triples):
+        for want in (build_opt_bounded(t), build_opt_bounded_per_triple(t)):
+            for name in ("starts", "horizons", "durations", "velocities",
+                         "counts"):
+                assert getattr(e.paths, name).tobytes() == \
+                    getattr(want.paths, name).tobytes(), name
+            assert e.weights.tobytes() == want.weights.tobytes()
+            assert e.bounds.tobytes() == want.bounds.tobytes()
+    assert [v.hex() for v in eval_bounded_each(stack, cost)] == \
+        [eval_bounded(build_opt_bounded(t), cost).hex() for t in triples]
+    want = [eval_tv_per_triple(t, cost).hex() for t in triples]
+    assert [v.hex() for v in eval_tv_each(triples, cost)] == want
+    assert [eval_tv(t, cost).hex() for t in triples] == want
+
+
+def test_a_ladder_refuses_an_overflowing_rung_as_its_scalar_call():
+    m0 = validate_measure([((0.0, 0.0), 1.0)], 2)
+    m1 = validate_measure([((0.5, 0.0), 1.0)], 2)
+    cost = quadratic_cost()
+    with pytest.raises(InfeasibleBound) as alone, np.errstate(over="ignore"):
+        solve_bounded(m0, m1, cost, 1e200)
+    with pytest.raises(InfeasibleBound) as ladder, np.errstate(over="ignore"):
+        solve_bounded(m0, m1, cost, [1.0, 1e200, 2.0])
+    assert str(ladder.value) == str(alone.value)
+    assert "r = 1e+200" in str(alone.value)
