@@ -7,8 +7,8 @@ from .costs import (CostFunction, builtin, c_ell, check_a1, check_a2,
 from .duality import GridFunction, inf_conv, verify_control_identity
 from .ensembles import (BoundedCouplingTriple, EnsembleMember,
                         TransportEnsemble, build_opt_bounded, build_opt_tilde,
-                        endpoint_marginals, eval_bounded, eval_tilde, eval_tv,
-                        induced_triple, oracle_min_path, solve_bounded)
+                        eval_bounded, eval_tilde, eval_tv, induced_triple,
+                        oracle_min_path, solve_bounded)
 from .harness import Report, VerifyConfig, emit_plot_data, verify
 from .measures import (Coupling, DiscreteMeasure, make_coupling,
                        random_measure, validate_measure)

@@ -19,11 +19,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .costs import CostFunction, power_cost
-from .errors import (BoundViolated, ConfigInvalid, Infeasible,
-                     InfeasibleBound, MissingBound, NoFeasiblePath)
+from .errors import (BoundViolated, ConfigInvalid, DimensionMismatch,
+                     Infeasible, InfeasibleBound, MissingBound,
+                     NoFeasiblePath)
 from .measures import (WEIGHT_SUM_TOL, Coupling, DiscreteMeasure,
-                       expectations, freeze, json_rows, measure_of,
-                       merge_atoms, pairwise_distances, read_only)
+                       expectations, freeze, json_rows, merge_atoms,
+                       pairwise_distances, read_only)
 from .mk_solver import MKSolution, solve_mk
 from .paths import IntervalSet, PathBlock, cost_li, cost_plain, stop_and_go
 
@@ -45,27 +46,39 @@ class EnsembleMember:
 
 
 @dataclass(frozen=True, eq=False)
-class TransportEnsemble:
-    """Finite weighted family of paths: one PathBlock ``paths``, the (k,)
-    ``weights`` summing to 1 within 1e-12, and the (k,) speed ``bounds``,
-    each finite and dominating its row's sup-speed, or NaN where none is
-    declared (given as NaN or None, for one row or all); ``members`` is a
-    view built on first read.
+class EnsembleStack:
+    """Finite weighted families of paths end to end in one PathBlock
+    ``paths``: ensemble s is rows cuts[s] to cuts[s + 1] - 1 with those
+    entries of the (k,) ``weights``, which sum to 1 within 1e-12 in each
+    ensemble, and of the (k,) speed ``bounds``, each finite and dominating
+    its row's sup-speed, or NaN where none is declared (given as NaN or
+    None, for one row or all).  The one check of an ensemble; each fault
+    is looked for over the whole stack before the next.  ``ensembles[s]``
+    is ensemble s as a TransportEnsemble, built on first read.
     """
 
     paths: PathBlock
     weights: np.ndarray
-    bounds: Optional[Sequence] = None
+    bounds: Optional[Sequence]
+    cuts: list
 
     def __post_init__(self):
         weights = np.array(self.weights, dtype=float)
-        total = float(weights.sum())
-        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # also fails on NaN
-            raise ValueError(f"member weights sum to {total!r}, not 1")
+        bounds = np.full(len(self.paths.starts), np.nan) \
+            if self.bounds is None else \
+            np.array(self.bounds, dtype=float)  # a None entry reads NaN
+        # counted from the last run's first row, as that run alone counts
+        counts = tuple(len(a) - self.cuts[-2]
+                       for a in (weights, bounds, self.paths.starts))
+        if min(counts) < max(counts):
+            raise DimensionMismatch("%d weights and %d bounds for %d paths"
+                                    % counts)
+        for lo, hi in zip(self.cuts, self.cuts[1:]):
+            total = float(weights[lo:hi].sum())
+            if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # also fails on NaN
+                raise ValueError(f"member weights sum to {total!r}, not 1")
         if (weights <= 0).any():
             raise ValueError("member weights must be positive")
-        bounds = np.full(len(weights), np.nan) if self.bounds is None else \
-            np.array(self.bounds, dtype=float)  # a None entry reads NaN
         if np.isinf(bounds).any():
             raise BoundViolated(f"speed bound {bounds[np.isinf(bounds)][0]} "
                                 f"is not finite")
@@ -77,10 +90,19 @@ class TransportEnsemble:
                 f"sup speed {sup[r]} exceeds bound {bounds[r]}")
         freeze(self, weights=weights, bounds=bounds)
 
-    @property
-    def cuts(self) -> list:
-        """All rows as one run, as a stack of one ensemble has them."""
-        return [0, len(self.weights)]
+    @functools.cached_property
+    def ensembles(self) -> tuple:
+        return tuple(TransportEnsemble(self.paths.take(lo, hi),
+                                       self.weights[lo:hi], self.bounds[lo:hi])
+                     for lo, hi in zip(self.cuts, self.cuts[1:]))
+
+
+class TransportEnsemble(EnsembleStack):
+    """The one-ensemble stack of ``paths``, ``weights`` and ``bounds``, its
+    cuts [0, k]; ``members`` is a view built on first read."""
+
+    def __init__(self, paths: PathBlock, weights, bounds=None):
+        super().__init__(paths, weights, bounds, [0, len(paths.starts)])
 
     @functools.cached_property
     def members(self) -> tuple:
@@ -110,28 +132,6 @@ class TransportEnsemble:
         if np.isnan(bounds[["bound" in m for m in members]]).any():
             raise BoundViolated("speed bound nan is not finite")
         return TransportEnsemble(paths, weights, bounds)
-
-
-@dataclass(frozen=True, eq=False)
-class EnsembleStack:
-    """Ensembles end to end in one PathBlock ``paths``: ensemble s is rows
-    cuts[s] to cuts[s + 1] - 1 with those entries of ``weights`` and
-    ``bounds`` (NaN where none is declared), and ``ensembles[s]`` is it as
-    a TransportEnsemble viewing the block, checked as one built alone is."""
-
-    paths: PathBlock
-    weights: np.ndarray
-    bounds: np.ndarray
-    cuts: list
-
-    def __post_init__(self):
-        self.paths.speeds  # measured once, for every view
-        freeze(self, weights=np.array(self.weights, dtype=float),
-               bounds=np.array(self.bounds, dtype=float))
-        object.__setattr__(self, "ensembles", tuple(
-            TransportEnsemble(self.paths.take(lo, hi), self.weights[lo:hi],
-                              self.bounds[lo:hi])
-            for lo, hi in zip(self.cuts, self.cuts[1:])))
 
 
 @dataclass(frozen=True)
@@ -164,13 +164,6 @@ class BoundedCouplingTriple:
         return read_only(np.array([self.bound_assignment[c] for c in
                                    zip(ii.tolist(), jj.tolist())],
                                   dtype=float))
-
-
-def endpoint_marginals(e: TransportEnsemble) -> tuple[DiscreteMeasure,
-                                                      DiscreteMeasure]:
-    """Laws of the start and end points of the ensemble."""
-    return (measure_of(e.paths.starts, e.weights, e.paths.dim),
-            measure_of(e.paths.ends, e.weights, e.paths.dim))
 
 
 def eval_tilde(e: TransportEnsemble, cost: CostFunction, i: int) -> float:
@@ -245,7 +238,7 @@ def _endpoint_cells(s) -> list:
     distinct starts and ends and their weights, merged as measure_of merges
     them, its plan as a row-major list of each cell's weights summed in
     member order, and each cell's one bound.  Refuses, ensemble by
-    ensemble, what endpoint_marginals refuses, a member without a bound,
+    ensemble, an end that measure_of refuses, a member without a bound,
     then a second bound on one cell."""
     starts, ends = s.paths.starts.tolist(), s.paths.ends
     bad_end = int(np.append(~np.isfinite(ends).all(axis=1), True).argmax())
@@ -319,9 +312,11 @@ def build_opt_tilde(sol: MKSolution,
     Any positive-measure moving set per cell yields the same modified
     cost, equal to the plan's transport value.
     """
-    ii, jj = sol.plan.support
+    p, (ii, jj) = sol.plan, sol.plan.support
     sets = [set_gen(i, j) for i, j in zip(ii.tolist(), jj.tolist())]
-    return build_opt_tilde_each([sol], [sets]).ensembles[0]
+    return TransportEnsemble(stop_and_go(p.source.points[ii],
+                                         p.target.points[jj], sets),
+                             p.plan[ii, jj])
 
 
 def build_opt_tilde_each(sols: Sequence[MKSolution],
@@ -333,7 +328,7 @@ def build_opt_tilde_each(sols: Sequence[MKSolution],
         (p.source.points[ii], p.target.points[jj], p.plan[ii, jj])
         for p in plans for ii, jj in [p.support]])
     paths = stop_and_go(xs, ys, [a for one in sets for a in one])
-    return EnsembleStack(paths, weights, np.full(len(weights), np.nan), cuts)
+    return EnsembleStack(paths, weights, None, cuts)
 
 
 def build_opt_bounded(t: BoundedCouplingTriple) -> TransportEnsemble:

@@ -10,14 +10,15 @@ from lagot.costs import builtin, power_cost, quadratic_cost
 from lagot.ensembles import (BoundedCouplingTriple, EnsembleStack,
                              TransportEnsemble, build_opt_bounded,
                              build_opt_bounded_each, build_opt_tilde,
-                             build_opt_tilde_each, endpoint_marginals,
-                             eval_bounded, eval_bounded_each, eval_tilde,
-                             eval_tilde_each, eval_tv, eval_tv_each,
-                             eval_tv_induced_each, induced_triple,
-                             oracle_min_path, solve_bounded)
-from lagot.errors import (BadHorizon, BoundViolated, Infeasible,
-                          InfeasibleBound, MissingBound, NoFeasiblePath)
-from lagot.harness import _rand_bounded_ensembles, _rand_bounded_triple
+                             build_opt_tilde_each, eval_bounded,
+                             eval_bounded_each, eval_tilde, eval_tilde_each,
+                             eval_tv, eval_tv_each, eval_tv_induced_each,
+                             induced_triple, oracle_min_path, solve_bounded)
+from lagot.errors import (BadHorizon, BoundViolated, DimensionMismatch,
+                          Infeasible, InfeasibleBound, MissingBound,
+                          NoFeasiblePath)
+from lagot.harness import (VerifyConfig, _rand_bounded_ensembles,
+                           _rand_bounded_triple, verify)
 from lagot.measures import (Coupling, measure_of, pairwise_distances,
                             validate_measure)
 from lagot.mk_solver import solve_mk
@@ -37,13 +38,19 @@ def single(path, bound=None, weight=1.0):
     return TransportEnsemble(path, [weight], [bound])
 
 
+def endpoint_laws(e):
+    """Laws of the start and end points of an ensemble."""
+    return (measure_of(e.paths.starts, e.weights, e.paths.dim),
+            measure_of(e.paths.ends, e.weights, e.paths.dim))
+
+
 def test_endpoint_marginals():
     e = single(linear_path([0.0], [1.0]))
-    src, tgt = endpoint_marginals(e)
+    src, tgt = endpoint_laws(e)
     assert src.points[0, 0] == 0.0 and tgt.points[0, 0] == 1.0
     two = TransportEnsemble(stop_and_go([[0.0], [0.0]], [[1.0], [-1.0]],
                                         [FULL, FULL]), [0.5, 0.5])
-    src, tgt = endpoint_marginals(two)
+    src, tgt = endpoint_laws(two)
     assert src.n_atoms == 1 and tgt.n_atoms == 2
 
 
@@ -132,7 +139,7 @@ def test_build_opt_tilde_variants():
     rng = np.random.default_rng(0)
     ens = build_opt_tilde(sol, lambda i, j: random_interval_set(rng))
     assert eval_tilde(ens, SQRT, 1) == pytest.approx(sol.value, abs=1e-10)
-    src, tgt = endpoint_marginals(ens)
+    src, tgt = endpoint_laws(ens)
     assert np.allclose(sorted(src.points[:, 0]), [0.0, 3.0])
 
 
@@ -194,11 +201,11 @@ def test_induced_plan_has_the_endpoint_marginals():
                  [rng], int(rng.integers(1, 4)), 4).ensembles]
     shared = [_shared_endpoint_ensemble(rng) for _ in range(200)]
     for e in drawn + shared:
-        src, tgt = endpoint_marginals(e)
+        src, tgt = endpoint_laws(e)
         plan = induced_triple(e).coupling.plan
         assert np.abs(plan.sum(axis=1) - src.weights).max() <= 1e-15
         assert np.abs(plan.sum(axis=0) - tgt.weights).max() <= 1e-15
-    assert sum(endpoint_marginals(e)[0].n_atoms < len(e.weights)
+    assert sum(endpoint_laws(e)[0].n_atoms < len(e.weights)
                for e in shared) > 100
 
 
@@ -535,7 +542,35 @@ def test_stacked_tilde_ensembles_are_the_ones_built_alone():
         eval_bounded_each(stack, SQRT)
 
 
-def test_stacked_bounded_ensembles_are_checked_and_evaluated_alone():
+def _run_fault(fault, weights, bounds, sup):
+    """An ensemble's weights and bounds, and its rows' sup-speeds, with one
+    fault that its constructor refuses."""
+    w, b = weights.copy(), bounds.copy()
+    if fault == "sum":
+        w[0] += 0.25
+    elif fault == "positive":  # the sum keeps its bits: it adds in order
+        w[:2] = [w[0] + w[1], 0.0]
+    elif fault == "infinite":
+        b[-1] = np.inf
+    elif fault == "speed":
+        b[-1] = 0.5 * sup[-1]
+    elif fault == "weights":
+        w = w[:-1]
+    else:
+        b = np.append(b, 1.0)
+    return w, b
+
+
+RUN_FAULTS = {"sum": ValueError, "positive": ValueError,
+              "infinite": BoundViolated, "speed": BoundViolated,
+              "weights": DimensionMismatch, "bounds": DimensionMismatch}
+
+
+@pytest.mark.parametrize("fault", RUN_FAULTS)
+def test_stacked_bounded_ensembles_are_checked_and_evaluated_alone(fault):
+    """A stack evaluates each ensemble as it evaluates alone, and refuses a
+    fault in its last ensemble with the class and message of that ensemble
+    built alone."""
     rng = np.random.default_rng(32)
     stack = _rand_bounded_ensembles([rng] * 3, 2, 4)
     assert len(stack.ensembles) == 12
@@ -545,10 +580,53 @@ def test_stacked_bounded_ensembles_are_checked_and_evaluated_alone():
             e.paths.counts)])), e.weights, e.bounds) for e in stack.ensembles]
     assert eval_bounded_each(stack, SQRT) == \
         [eval_bounded(a, SQRT) for a in alone]
-    bounds = stack.bounds.copy()
-    bounds[5] = 0.5 * stack.paths.speeds[5].max()
-    with pytest.raises(BoundViolated):
-        EnsembleStack(stack.paths, stack.weights, bounds, stack.cuts)
+    lo, last = stack.cuts[-2], alone[-1]
+    w, b = _run_fault(fault, last.weights, last.bounds,
+                      last.paths.speeds.max(axis=1))
+    raised = []
+    for build in (lambda: TransportEnsemble(last.paths, w, b),
+                  lambda: EnsembleStack(
+                      stack.paths, np.append(stack.weights[:lo], w),
+                      np.append(stack.bounds[:lo], b), stack.cuts)):
+        with pytest.raises(RUN_FAULTS[fault]) as info:
+            build()
+        raised.append((type(info.value), str(info.value)))
+    assert raised[1] == raised[0]
+
+
+@pytest.mark.parametrize("weights, bounds, line", [
+    ([1.0], [10.0], "1 weights and 1 bounds for 2 paths"),
+    ([0.5, 0.5], [10.0, 10.0, 10.0], "2 weights and 3 bounds for 2 paths"),
+    ([0.25, 0.25, 0.5], None, "3 weights and 2 bounds for 2 paths")],
+    ids=["one_weight", "three_bounds", "three_weights"])
+def test_an_ensemble_refuses_weights_or_bounds_not_one_per_row(
+        weights, bounds, line):
+    two = stop_and_go([[0.0], [0.0]], [[1.0], [-1.0]], [FULL, FULL])
+    with pytest.raises(DimensionMismatch) as info:
+        TransportEnsemble(two, weights, bounds)
+    assert str(info.value) == line
+
+
+def test_each_ensemble_or_stack_is_checked_once(monkeypatch):
+    """A thm2_1, thm2_2 or thm2_6 verify builds its stacks and no
+    TransportEnsemble, and build_opt_tilde, build_opt_bounded and
+    TransportEnsemble.from_json each run the one check once."""
+    checked, check = [], EnsembleStack.__post_init__
+    monkeypatch.setattr(EnsembleStack, "__post_init__",
+                        lambda self: (checked.append(type(self)), check(self)))
+    for theorem in ("thm2_1", "thm2_2", "thm2_6"):
+        verify(VerifyConfig(theorem, trials=5))
+    assert checked == [EnsembleStack] * 4
+    m = validate_measure([((0.0,), 0.5), ((3.0,), 0.5)], 1)
+    sol = solve_mk(m, validate_measure([((1.0,), 1.0)], 1), SQRT)
+    _, triple = solve_bounded(sol.plan.source, sol.plan.target, SQRT, 4.0)
+    obj = build_opt_bounded(triple).to_json()
+    for build in (lambda: build_opt_tilde(sol, lambda i, j: FULL),
+                  lambda: build_opt_bounded(triple),
+                  lambda: TransportEnsemble.from_json(obj)):
+        checked.clear()
+        build()
+        assert checked == [TransportEnsemble]
 
 
 def _stack_of(ens):
