@@ -114,6 +114,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_build_optimal(args) -> int:
+    if args.seed < 0:
+        raise ConfigInvalid(f"seed must be >= 0, got {args.seed}")
     m0 = _load(args.p0, DiscreteMeasure.from_json)
     m1 = _load(args.p1, DiscreteMeasure.from_json)
     cost = parse_cost(args.cost)

@@ -22,8 +22,8 @@ from .ensembles import (BoundedCouplingTriple, EnsembleStack,
                         eval_bounded_each, eval_tilde_each, eval_tv_each,
                         eval_tv_induced_each, oracle_min_path, solve_bounded)
 from .errors import AssumptionRefused, ConfigInvalid, LagotError, UnknownKind
-from .measures import (DiscreteMeasure, make_coupling, pairwise_distances,
-                       random_measure, row_sum)
+from .measures import (DiscreteMeasure, flat_dirichlet, make_coupling,
+                       pairwise_distances, random_measure, row_sum)
 from .mk_solver import solve_mk, t_p
 from .paths import (PathBlock, block_of, compress, cost_li, cost_plain,
                     detour_path, fast_path, lengths, linear_path, n1, n2,
@@ -66,6 +66,8 @@ class VerifyConfig:
             costmod.from_spec(spec)
         except (LagotError, TypeError, ValueError) as exc:
             raise ConfigInvalid(f"cost {spec!r}: {exc}") from exc
+        if self.seed < 0:
+            raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
             raise ConfigInvalid("trials must be >= 1")
         if self.n_atoms < 1 or self.dim < 1:
@@ -121,16 +123,20 @@ def _rand_rows(rng, dim: int, n: int, extra: bool = False) -> tuple:
     rows, drawn = [], []
     while len(rows) < n:
         k = int(rng.integers(1, 5))
-        durations = rng.dirichlet(np.ones(k))
+        durations = flat_dirichlet(rng, k)
         velocities = rng.normal(0.0, 2.0, size=(k, dim))
         start = rng.uniform(-1, 1, size=dim)
-        # the computed length is never below the largest |coordinate|, so
-        # a long coordinate decides without the ~12 us kernel call (3 % of
-        # a suite sweep); a short one is measured
-        disp = row_sum((durations[:, None] * velocities).T)
-        if max(map(abs, disp.tolist())) >= 1e-3 or lengths(disp) >= 1e-3:
+        # each coordinate added first to last, as row_sum adds it; the
+        # length is never below the largest |coordinate|, so a long one
+        # decides without the kernel calls and only a short one is measured
+        disp = [0.0] * dim
+        for d, v in zip(durations.tolist(), velocities.tolist()):
+            disp = [a + d * b for a, b in zip(disp, v)]
+        if max(map(abs, disp)) >= 1e-3 or lengths(
+                row_sum((durations[:, None] * velocities).T)) >= 1e-3:
             rows.append((start, 1.0, durations, velocities))
-            drawn.extend([rng.uniform(0.0, 1.0)] if extra else [])
+            if extra:  # what rng.uniform(0.0, 1.0) returns
+                drawn.append(rng.random())
     return rows, drawn
 
 
@@ -149,12 +155,12 @@ def _rand_bounded_triple(rng, n_atoms: int, dim: int) -> BoundedCouplingTriple:
     m1 = _rand_measure(rng, n_atoms, dim)
     coupling = make_coupling(m0, m1, np.outer(m0.weights, m1.weights))
     levels = np.sort(rng.uniform(0.5, 2.0, size=3))
-    bounds = {}
-    for i, j, _ in coupling.cells():
-        disp = float(coupling.distances[i, j])
-        level = float(levels[int(rng.integers(0, 3))])
-        bounds[(i, j)] = max(disp, level * (1.0 + disp))
-    return BoundedCouplingTriple(coupling=coupling, bound_assignment=bounds)
+    ii, jj = coupling.support
+    disp = coupling.distances[ii, jj]
+    level = levels[rng.integers(0, 3, size=len(ii))]  # one pick per cell
+    bounds = np.maximum(disp, level * (1.0 + disp))
+    return BoundedCouplingTriple(coupling=coupling, bound_assignment=dict(
+        zip(zip(ii.tolist(), jj.tolist()), bounds.tolist())))
 
 
 def _rand_bounded_ensembles(rngs, dim: int, n: int) -> EnsembleStack:
@@ -164,7 +170,7 @@ def _rand_bounded_ensembles(rngs, dim: int, n: int) -> EnsembleStack:
     weights, rows, drawn = [], [], []
     for rng in rngs:
         for _ in range(n):
-            weights.append(rng.dirichlet(np.ones(int(rng.integers(1, 4)))))
+            weights.append(flat_dirichlet(rng, int(rng.integers(1, 4))))
             more, after = _rand_rows(rng, dim, len(weights[-1]), extra=True)
             rows += more
             drawn += after
@@ -410,15 +416,21 @@ _SUITES = {
 THEOREMS = tuple(_SUITES)
 
 
+def _trial_generators(seeds: np.random.SeedSequence, n: int):
+    """One generator per trial, spawned from ``seeds`` on the first draw,
+    so that a suite that draws nothing spawns none."""
+    yield from map(np.random.default_rng, seeds.spawn(n))
+
+
 def verify(cfg: VerifyConfig) -> Report:
     """Run one theorem suite; deterministic given the config.  A trial's
     margins are its checks' values, and it passes when every check holds."""
     cost = costmod.from_spec(cfg.cost_spec)
     suite, columns = _SUITES[cfg.theorem]
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
-    rngs = (np.random.default_rng(s) for s in seeds)
+    seeds = np.random.SeedSequence(cfg.seed)
     trials, rows = [], []
-    for t, (key, values, checks, curve) in enumerate(suite(cfg, cost, rngs)):
+    for t, (key, values, checks, curve) in enumerate(
+            suite(cfg, cost, _trial_generators(seeds, cfg.trials))):
         trials.append({
             "index": t, "digest": _digest(key), "values": values,
             "margins": {name: v for name, v, _, _ in checks},

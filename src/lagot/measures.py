@@ -261,6 +261,14 @@ def make_coupling(source: DiscreteMeasure, target: DiscreteMeasure,
     return Coupling(source=source, target=target, plan=plan)
 
 
+def flat_dirichlet(rng: np.random.Generator, k: int) -> np.ndarray:
+    """``rng.dirichlet(np.ones(k))`` bit for bit and state for state, from
+    one cheaper call: numpy draws each gamma(1) as a standard exponential,
+    sums them first to last from 0.0 and scales by the reciprocal."""
+    e = rng.standard_exponential(k)
+    return e * (1.0 / functools.reduce(float.__add__, e.tolist(), 0.0))
+
+
 def random_measure(seed, n_atoms: int, dim: int,
                    box_radius: float) -> DiscreteMeasure:
     """Seeded random measure: points uniform in the centered box, weights
@@ -271,4 +279,4 @@ def random_measure(seed, n_atoms: int, dim: int,
         raise ValueError(f"box_radius must be positive, got {box_radius!r}")
     rng = np.random.default_rng(seed)
     points = rng.uniform(-box_radius, box_radius, size=(n_atoms, dim))
-    return measure_of(points, rng.dirichlet(np.ones(n_atoms)), dim)
+    return measure_of(points, flat_dirichlet(rng, n_atoms), dim)

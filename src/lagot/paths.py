@@ -368,7 +368,7 @@ def random_interval_set(rng: np.random.Generator) -> IntervalSet:
     least 0.05; used to exercise the stop-and-go constructions."""
     while True:
         k = int(rng.integers(1, 4))
-        cuts = np.sort(rng.uniform(0.0, 1.0, size=2 * k))
+        cuts = sorted(rng.random(2 * k).tolist())  # uniform(0.0, 1.0)'s
         intervals = [(cuts[2 * i], cuts[2 * i + 1]) for i in range(k)]
         intervals = [(a, b) for a, b in intervals if b - a > 1e-9]
         s = IntervalSet(tuple(intervals)) if intervals else None

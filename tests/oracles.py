@@ -5,13 +5,14 @@ import itertools
 import numpy as np
 
 from lagot.costs import _EQ_TOL, A1I, A1III
-from lagot.ensembles import (BoundedCouplingTriple, TransportEnsemble,
-                             _cost_at_caps)
+from lagot.ensembles import (BoundedCouplingTriple, EnsembleStack,
+                             TransportEnsemble, _cost_at_caps)
 from lagot.errors import MissingBound
 from lagot.measures import (Coupling, DiscreteMeasure, expectation,
-                            make_coupling, measure_of, pairwise_distances)
+                            make_coupling, measure_of, pairwise_distances,
+                            row_sum)
 from lagot.mk_solver import _RC_TOL, MKSolution
-from lagot.paths import IntervalSet, stop_and_go
+from lagot.paths import IntervalSet, block_of, lengths, stop_and_go
 
 
 def brute_force_mk(m0: DiscreteMeasure, m1: DiscreteMeasure,
@@ -216,3 +217,85 @@ def build_opt_bounded_per_triple(t: BoundedCouplingTriple,
     paths = stop_and_go(c.source.points[ii], c.target.points[jj],
                         [IntervalSet(((0.0, m),)) for m in moving.tolist()])
     return TransportEnsemble(paths, c.plan[ii, jj], bounds)
+
+
+# ---------------------------------------------------------------------------
+# the seeded draws as lagot first made them, through the costlier numpy
+# calls: references that pin the cheaper calls to the same streams, value
+# for value and state for state
+# ---------------------------------------------------------------------------
+
+def random_measure_per_call(rng, n_atoms: int, dim: int,
+                            box_radius: float) -> DiscreteMeasure:
+    """``lagot.measures.random_measure`` with ``rng.dirichlet`` weights."""
+    points = rng.uniform(-box_radius, box_radius, size=(n_atoms, dim))
+    return measure_of(points, rng.dirichlet(np.ones(n_atoms)), dim)
+
+
+def rand_measure_per_call(rng, n_atoms: int, dim: int) -> DiscreteMeasure:
+    """``lagot.harness._rand_measure`` over random_measure_per_call."""
+    return random_measure_per_call(rng, int(rng.integers(1, n_atoms + 1)),
+                                   dim, 2.0)
+
+
+def rand_rows_per_call(rng, dim: int, n: int, extra: bool = False) -> tuple:
+    """``lagot.harness._rand_rows`` with ``rng.dirichlet`` durations, every
+    displacement summed by the row_sum kernel, and each extra number drawn
+    by ``rng.uniform(0.0, 1.0)``."""
+    rows, drawn = [], []
+    while len(rows) < n:
+        k = int(rng.integers(1, 5))
+        durations = rng.dirichlet(np.ones(k))
+        velocities = rng.normal(0.0, 2.0, size=(k, dim))
+        start = rng.uniform(-1, 1, size=dim)
+        disp = row_sum((durations[:, None] * velocities).T)
+        if max(map(abs, disp.tolist())) >= 1e-3 or lengths(disp) >= 1e-3:
+            rows.append((start, 1.0, durations, velocities))
+            drawn.extend([rng.uniform(0.0, 1.0)] if extra else [])
+    return rows, drawn
+
+
+def rand_bounded_triple_per_call(rng, n_atoms: int,
+                                 dim: int) -> BoundedCouplingTriple:
+    """``lagot.harness._rand_bounded_triple`` with one scalar
+    ``rng.integers`` level pick and one Python ``max`` per cell."""
+    m0 = rand_measure_per_call(rng, n_atoms, dim)
+    m1 = rand_measure_per_call(rng, n_atoms, dim)
+    coupling = make_coupling(m0, m1, np.outer(m0.weights, m1.weights))
+    levels = np.sort(rng.uniform(0.5, 2.0, size=3))
+    bounds = {}
+    for i, j, _ in coupling.cells():
+        disp = float(coupling.distances[i, j])
+        level = float(levels[int(rng.integers(0, 3))])
+        bounds[(i, j)] = max(disp, level * (1.0 + disp))
+    return BoundedCouplingTriple(coupling=coupling, bound_assignment=bounds)
+
+
+def rand_bounded_ensembles_per_call(rngs, dim: int, n: int) -> EnsembleStack:
+    """``lagot.harness._rand_bounded_ensembles`` with ``rng.dirichlet``
+    weights over rand_rows_per_call."""
+    weights, rows, drawn = [], [], []
+    for rng in rngs:
+        for _ in range(n):
+            weights.append(rng.dirichlet(np.ones(int(rng.integers(1, 4)))))
+            more, after = rand_rows_per_call(rng, dim, len(weights[-1]),
+                                             extra=True)
+            rows += more
+            drawn += after
+    paths = block_of(*zip(*rows))
+    bounds = paths.speeds.max(axis=1) * (1.0 + np.array(drawn))
+    cuts = np.cumsum([0] + [len(w) for w in weights]).tolist()
+    return EnsembleStack(paths, np.concatenate(weights), bounds, cuts)
+
+
+def random_interval_set_per_call(rng) -> IntervalSet:
+    """``lagot.paths.random_interval_set`` with ``rng.uniform`` cuts sorted
+    by ``np.sort``."""
+    while True:
+        k = int(rng.integers(1, 4))
+        cuts = np.sort(rng.uniform(0.0, 1.0, size=2 * k))
+        intervals = [(cuts[2 * i], cuts[2 * i + 1]) for i in range(k)]
+        intervals = [(a, b) for a, b in intervals if b - a > 1e-9]
+        s = IntervalSet(tuple(intervals)) if intervals else None
+        if s is not None and s.measure >= 0.05:
+            return s

@@ -80,11 +80,11 @@ def test_config_validation():
     for field in ("n_atoms", "dim"):
         with pytest.raises(ConfigInvalid):
             VerifyConfig(theorem="thm2_1", **{field: 0})
-    # integer fields refuse floats, bools and strings; the cost must be a
-    # spec that from_spec accepts
-    for bad in ({"seed": True}, {"trials": 2.0}, {"n_atoms": "3"},
-                {"dim": False}, {"tolerance": True}, {"tolerance": "1e-9"},
-                {"cost_spec": "power:0.5"},
+    # integer fields refuse floats, bools and strings, and the seed a
+    # negative value; the cost must be a spec that from_spec accepts
+    for bad in ({"seed": True}, {"seed": -1}, {"trials": 2.0},
+                {"n_atoms": "3"}, {"dim": False}, {"tolerance": True},
+                {"tolerance": "1e-9"}, {"cost_spec": "power:0.5"},
                 {"cost_spec": {"params": [0.5]}}, {"cost_spec": {"name": 1}},
                 {"cost_spec": {"name": "sqrt"}},
                 {"cost_spec": {"name": "power", "params": [None]}},
@@ -306,6 +306,35 @@ def test_a_trial_does_not_depend_on_its_block_mates(theorem, cost, seed):
                    for n in (7, 20))
     assert json.dumps(short.trials, sort_keys=True) == \
         json.dumps(full.trials[:7], sort_keys=True)
+
+
+# suites that draw no random instance
+DRAWS_NONE = ("prop2_3", "eq1_6", "eq1_9_0416")
+
+
+@pytest.mark.parametrize("cost", SWEEP_COSTS)
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_verify_spawns_generators_only_for_a_suite_that_draws(
+        theorem, cost, monkeypatch):
+    """A suite that draws spawns one generator per trial, on its first
+    draw; a refused pair, or a suite that draws nothing, spawns none."""
+    spawned = []
+
+    class Spy(np.random.SeedSequence):
+        def spawn(self, n_children):
+            spawned.append(n_children)
+            return super().spawn(n_children)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Spy)
+    cfg = VerifyConfig(theorem=theorem, trials=3,
+                       cost_spec=parse_cost(cost).to_spec())
+    if (theorem, cost) in REFUSALS:
+        with pytest.raises(AssumptionRefused):
+            verify(cfg)
+    else:
+        verify(cfg)
+    draws = (theorem, cost) not in REFUSALS and theorem not in DRAWS_NONE
+    assert spawned == ([3] if draws else [])
 
 
 def test_eq1_9_reports_the_linear_path_check(monkeypatch):
@@ -660,6 +689,15 @@ BAD_INPUTS = {
     "config with a null seed": (
         {"cfg.json": {"theorem": "thm2_1", "seed": None}}, VERIFY_CFG,
         "cfg.json: seed must be an integer, got None"),
+    "negative seed": ({}, ["verify", "--theorem", "thm2_1", "--seed", "-1"],
+                      "refused: seed must be >= 0, got -1"),
+    "config with a negative seed": (
+        {"cfg.json": {"theorem": "thm2_1", "seed": -3}}, VERIFY_CFG,
+        "cfg.json: seed must be >= 0, got -3"),
+    "build-optimal with a negative seed": (
+        {}, ["build-optimal", "--theorem", "2.1", "--p0", "good.json",
+             "--p1", "good.json", "--cost", "power:0.5", "--seed", "-1"],
+        "refused: seed must be >= 0, got -1"),
     "config with a boolean trial count": (
         {"cfg.json": {"theorem": "thm2_1", "trials": True}}, VERIFY_CFG,
         "cfg.json: trials must be an integer, got True"),

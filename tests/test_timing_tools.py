@@ -33,6 +33,30 @@ def test_one_round_on_this_tree_prints_every_row(tool):
     assert [line.split(" | ")[0][2:] for line in lines[2:]] == ROWS[tool]
 
 
+@pytest.mark.parametrize("tool", sorted(ROWS))
+def test_two_trees_add_the_paired_ratio_and_faster_count(tool):
+    """Two rounds of this tree against itself: each row ends in the median
+    ratio and the count k/2 of rounds the second tree won, whose majority
+    sides with the ratio; one line under the table says what is paired."""
+    got = _run(tool, str(ROOT), "--rounds", "2")
+    assert got.returncode == 0, got.stderr
+    lines = got.stdout.splitlines()
+    assert lines[0].endswith(" ms | ratio | faster |")
+    assert lines[1] == "|---" * 5 + "|"
+    table, note = lines[2:-2], lines[-2:]
+    assert [line.split(" | ")[0][2:] for line in table] == ROWS[tool]
+    for line in table:
+        ratio, won = line.removesuffix(" |").split(" | ")[-2:]
+        ratio, won = float(ratio.removesuffix("x")), won.removesuffix("/2")
+        assert won in ("0", "1", "2")
+        # two rounds won (lost) put the median ratio at or above (below) 1
+        assert {"2": ratio >= 1.0, "0": ratio <= 1.0}.get(won, True)
+    assert note == ["", "The ms columns are each tree's median over the "
+                    "rounds, unpaired; ratio (the median of the per-round "
+                    "ratios) and faster (the rounds in which the second "
+                    "tree was faster) are paired round by round."]
+
+
 @pytest.mark.parametrize("rounds", ["0", "-3"])
 @pytest.mark.parametrize("tool", sorted(ROWS))
 def test_a_round_count_below_one_is_a_usage_error(tool, rounds):

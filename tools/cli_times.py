@@ -14,8 +14,9 @@ cap's build-optimal output unchanged (``raw eval``, which is refused).
 Before the first round each tree runs the warm-up instance at the last
 cap, as the benchmark does.  Prints the median over the rounds of each
 tree's milliseconds per subcommand and for the whole pass and, with two
-trees, the median of the per-round ratios first / second: above 1 means
-the second tree is faster.
+trees, the median of the per-round ratios first / second (above 1 means
+the second tree is faster) and the count k/N of the rounds in which the
+second tree was faster, as ``tools/suite_times.py`` prints them.
 """
 
 import contextlib

@@ -10,9 +10,10 @@ perfbench/workloads.py) in both trees, the trees' order alternating from
 round to round.  Before the first round each tree solves the warm-up
 instance, as the benchmark does.  Prints the median over the rounds of
 each tree's milliseconds per rung and for the whole pass and, with two
-trees, the median of the per-round ratios first / second: above 1 means
-the second tree is faster.  Unlike perfbench it keeps no outputs, so its
-times do not move with its memory.
+trees, the median of the per-round ratios first / second (above 1 means
+the second tree is faster) and the count k/N of the rounds in which the
+second tree was faster, as ``tools/suite_times.py`` prints them.  Unlike
+perfbench it keeps no outputs, so its times do not move with its memory.
 """
 
 from time import perf_counter

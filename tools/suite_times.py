@@ -10,8 +10,10 @@ both trees, the trees' order alternating from round to round.  Before the
 first round each tree runs one pass at one trial, as the benchmark's
 warm-up does.  Prints, per suite and for all ten, the median over the
 rounds of each tree's summed milliseconds and, with two trees, the median
-of the per-round ratios first / second: above 1 means the second tree is
-faster.  Runs on one thread, like the benchmark.
+of the per-round ratios first / second (above 1 means the second tree is
+faster) and the count k/N of the rounds in which the second tree was
+faster.  Each round runs another pass, so the ms columns are unpaired; the
+ratio and the count are paired.  Runs on one thread, like the benchmark.
 """
 
 import os
@@ -107,11 +109,13 @@ def timed_rounds(progs: list, n_rounds: int, run) -> list:
 def print_table(kind: str, total: str, trees, rounds, digits: int = 1):
     """One row per name of the rounds' {name: seconds} and one, ``total``,
     for their sum: the median over the rounds of each tree's milliseconds
-    and, with two trees, the median of the per-round ratios."""
+    and, with two trees, the median of the per-round ratios and the count
+    k/N of the rounds in which the second tree was faster, then a line
+    saying which columns are paired."""
     two = len(trees) == 2
     print(f"| {kind} | " + " | ".join(f"{t} ms" for t in trees)
-          + (" | ratio |" if two else " |"))
-    print("|---" * (len(trees) + 1 + two) + "|")
+          + (" | ratio | faster |" if two else " |"))
+    print("|---" * (len(trees) + 1 + 2 * two) + "|")
     for name in list(rounds[0][0]) + [total]:
         def ms(t, r):
             got = r[t]
@@ -119,9 +123,15 @@ def print_table(kind: str, total: str, trees, rounds, digits: int = 1):
         cells = [f"{statistics.median(ms(t, r) for r in rounds):.{digits}f}"
                  for t in range(len(trees))]
         if two:
-            ratio = statistics.median(ms(0, r) / ms(1, r) for r in rounds)
-            cells.append(f"{ratio:.2f}x")
+            ratios = [ms(0, r) / ms(1, r) for r in rounds]
+            cells.append(f"{statistics.median(ratios):.2f}x")
+            cells.append(f"{sum(q > 1.0 for q in ratios)}/{len(ratios)}")
         print(f"| {name} | " + " | ".join(cells) + " |")
+    if two:
+        print("\nThe ms columns are each tree's median over the rounds, "
+              "unpaired; ratio (the median of the per-round ratios) and "
+              "faster (the rounds in which the second tree was faster) are "
+              "paired round by round.")
 
 
 def main(argv=None) -> None:
