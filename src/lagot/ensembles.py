@@ -23,8 +23,8 @@ from .errors import (BoundViolated, ConfigInvalid, DimensionMismatch,
                      Infeasible, InfeasibleBound, MissingBound,
                      NoFeasiblePath)
 from .measures import (WEIGHT_SUM_TOL, Coupling, DiscreteMeasure,
-                       expectations, freeze, json_rows, merge_atoms,
-                       pairwise_distances, read_only)
+                       arc_lengths, expectations, freeze, json_rows,
+                       merge_atoms, pairwise_distances, read_only)
 from .mk_solver import MKSolution, solve_mk
 from .paths import IntervalSet, PathBlock, cost_li, cost_plain, stop_and_go
 
@@ -436,6 +436,37 @@ def arcs_longer_than(m0: DiscreteMeasure, m1: DiscreteMeasure,
     return lambda i, j: bool(too_long[i, j])
 
 
+def solve_bounded_each(pairs, cost: CostFunction, ladders) -> list:
+    """solve_bounded of each (m0, m1) pair with its ladder of caps, as lists
+    of (value, triple); every cap is checked, then the cost is taken at every
+    rung in one call and every arc length in one kernel call."""
+    caps = [np.atleast_1d(np.asarray(r, dtype=float)).tolist()
+            for r in ladders]
+    for rk in itertools.chain(*caps):
+        if not math.isfinite(rk):
+            raise ValueError(f"the speed cap must be finite, got {rk!r}")
+        if rk <= 0:
+            raise Infeasible("the speed cap must be positive")
+    cost_rs = iter(_cost_at_caps(cost, sum(caps, [])).tolist())
+    dist, cuts = arc_lengths(pairs)
+    out = [[] for _ in pairs]
+    for (m0, m1), lo, hi, ladder, rungs in zip(pairs, cuts, cuts[1:], caps,
+                                               out):
+        lengths, solved = dist[lo:hi].reshape(m0.n_atoms, m1.n_atoms), {}
+        for rk in ladder:
+            arcs = lengths <= rk
+            key = arcs.tobytes()
+            if key not in solved:
+                solved[key] = solve_mk(
+                    m0, m1, power_cost(1.0),
+                    forbidden_arcs=lambda i, j: not arcs[i, j])
+            sol = solved[key]
+            bounds = {(i, j): rk for i, j, _ in sol.plan.cells()}
+            rungs.append((next(cost_rs) / rk * sol.value,
+                          BoundedCouplingTriple(sol.plan, bounds)))
+    return out
+
+
 def solve_bounded(m0: DiscreteMeasure, m1: DiscreteMeasure,
                   cost: CostFunction, r):
     """Bounded-velocity transport with the constant speed cap r.
@@ -447,23 +478,7 @@ def solve_bounded(m0: DiscreteMeasure, m1: DiscreteMeasure,
     diameter the value is cost(r)/r times the first-order transport cost.
     A 1-D ladder of caps, each checked as r alone is, gives the list of each
     rung's (value, triple): one LP per admitted-arc set, its coupling shared.
+    The one-ladder case of solve_bounded_each.
     """
-    caps = np.atleast_1d(np.asarray(r, dtype=float)).tolist()
-    for rk in caps:
-        if not math.isfinite(rk):
-            raise ValueError(f"the speed cap must be finite, got {rk!r}")
-        if rk <= 0:
-            raise Infeasible("the speed cap must be positive")
-    cost_rs = _cost_at_caps(cost, caps).tolist()
-    dist, solved, out = pairwise_distances(m0.points, m1.points), {}, []
-    for rk, cost_r in zip(caps, cost_rs):
-        arcs = dist <= rk
-        key = arcs.tobytes()
-        if key not in solved:
-            solved[key] = solve_mk(m0, m1, power_cost(1.0),
-                                   forbidden_arcs=lambda i, j: not arcs[i, j])
-        sol = solved[key]
-        bounds = {(i, j): rk for i, j, _ in sol.plan.cells()}
-        out.append((cost_r / rk * sol.value,
-                    BoundedCouplingTriple(sol.plan, bounds)))
+    out = solve_bounded_each([(m0, m1)], cost, [r])[0]
     return out[0] if np.ndim(r) == 0 else out

@@ -15,16 +15,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import costs as costmod
-from .costs import A1I, A1III, A2I, CostFunction, require
+from .costs import A1I, A1III, A2I, CostFunction, power_cost, require
 from .duality import GridFunction, verify_control_identity
 from .ensembles import (BoundedCouplingTriple, EnsembleStack,
                         build_opt_bounded_each, build_opt_tilde_each,
                         eval_bounded_each, eval_tilde_each, eval_tv_each,
-                        eval_tv_induced_each, oracle_min_path, solve_bounded)
+                        eval_tv_induced_each, oracle_min_path,
+                        solve_bounded_each)
 from .errors import AssumptionRefused, ConfigInvalid, LagotError, UnknownKind
 from .measures import (DiscreteMeasure, flat_dirichlet, make_coupling,
                        pairwise_distances, random_measure, row_sum)
-from .mk_solver import solve_mk, t_p
+# solve_mk and t_p stay bound here for perfbench's import-site test
+from .mk_solver import solve_mk, solve_mk_each, t_p  # noqa: F401
 from .paths import (PathBlock, block_of, compress, cost_li, cost_plain,
                     detour_path, fast_path, lengths, linear_path, n1, n2,
                     random_interval_set, stretch)
@@ -114,6 +116,12 @@ def _digest(obj) -> str:
 def _rand_measure(rng, n_atoms: int, dim: int) -> DiscreteMeasure:
     """Random measure of 1..n_atoms atoms in the box [-2, 2]^dim."""
     return random_measure(rng, int(rng.integers(1, n_atoms + 1)), dim, 2.0)
+
+
+def _rand_pairs(cfg, rngs) -> list:
+    """Two random measures, m0 then m1, from each generator in turn."""
+    return [tuple(_rand_measure(rng, cfg.n_atoms, cfg.dim) for _ in range(2))
+            for rng in rngs]
 
 
 def _rand_rows(rng, dim: int, n: int, extra: bool = False) -> tuple:
@@ -207,16 +215,14 @@ def _oracle_margins(trials, cost: CostFunction) -> list:
 
 
 def _opt_tilde_trials(cfg, cost, rngs) -> tuple:
-    """Per generator, two random measures, their optimal plan and a random
-    moving set per plan cell; the measure pairs, the solutions, and every
-    plan's build_opt_tilde ensemble in one stack."""
-    pairs, sols, sets = [], [], []
-    for rng in rngs:
-        m0, m1 = (_rand_measure(rng, cfg.n_atoms, cfg.dim) for _ in range(2))
-        pairs.append((m0, m1))
-        sols.append(solve_mk(m0, m1, cost))
-        sets.append([random_interval_set(rng)
-                     for _ in sols[-1].plan.support[0]])
+    """Per generator, two random measures, their optimal plan (all in one
+    block) and a random moving set per plan cell; the measure pairs, the
+    solutions, and every plan's build_opt_tilde ensemble in one stack."""
+    rngs = list(rngs)
+    pairs = _rand_pairs(cfg, rngs)
+    sols = solve_mk_each(pairs, cost)
+    sets = [[random_interval_set(rng) for _ in sol.plan.support[0]]
+            for rng, sol in zip(rngs, sols)]
     return pairs, sols, build_opt_tilde_each(sols, sets)
 
 
@@ -310,11 +316,9 @@ def _suite_thm2_6(cfg, cost, rngs):
 def _suite_cor2_7(cfg, cost, rngs):
     require(cost, "cor2_7", A1I)
     c_ell = costmod.c_ell(cost)
-    for rng in rngs:
-        m0 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
-        m1 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
-        t1 = t_p(m0, m1, 1.0)
-        diam = m0.diameter_to(m1)
+    pairs = _rand_pairs(cfg, rngs)
+    for (m0, m1), sol in zip(pairs, solve_mk_each(pairs, power_cost(1.0))):
+        t1, diam = sol.value, float(sol.plan.distances.max())
         caps = [max(diam, c) for c in (1.0, 10.0, 100.0, 1e4, 1e8)]
         # every cap >= diam admits every arc, so solve_bounded's LP is t1's
         values = [float(cost.eval(R) / R * t1) for R in caps]
@@ -334,13 +338,14 @@ def _suite_cor2_7(cfg, cost, rngs):
 
 def _suite_cor2_8(cfg, cost, rngs):
     require(cost, "cor2_8", A1I)
-    for rng in rngs:
-        m0 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
-        m1 = _rand_measure(rng, cfg.n_atoms, cfg.dim)
-        t1 = t_p(m0, m1, 1.0)
-        diam = max(m0.diameter_to(m1), 1e-6)
-        r_grid = diam * np.array([1.0, 1.5, 2.0, 3.0, 4.0])
-        values = [v for v, _ in solve_bounded(m0, m1, cost, r_grid)]
+    pairs = _rand_pairs(cfg, rngs)
+    sols = solve_mk_each(pairs, power_cost(1.0))
+    grids = [max(float(s.plan.distances.max()), 1e-6)
+             * np.array([1.0, 1.5, 2.0, 3.0, 4.0]) for s in sols]
+    for (m0, m1), sol, r_grid, ladder in zip(
+            pairs, sols, grids, solve_bounded_each(pairs, cost, grids)):
+        t1, diam = sol.value, float(r_grid[0])
+        values = [v for v, _ in ladder]
         formula = [float(cost.eval(r)) / r * t1 for r in r_grid]
         eq = max(abs(v - f) for v, f in zip(values, formula))
         mono = min(values[k] - values[k + 1] for k in range(len(values) - 1))

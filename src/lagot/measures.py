@@ -40,6 +40,27 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray,
     return dist
 
 
+def arc_lengths(pairs) -> tuple[np.ndarray, list]:
+    """|x_i - y_j| of every arc (i, j) of every (m0, m1) pair, row by row and
+    pair after pair, from one kernel call, each with its pair's own matrix
+    bits, and the cuts between the pairs; the pairs share one dim."""
+    if len(pairs) < 2:
+        dist = [pairwise_distances(m0.points, m1.points) for m0, m1 in pairs]
+        return (dist[0].ravel(), [0, dist[0].size]) if dist else ([], [0])
+    ii, jj, cuts, i0, j0 = [], [], [0], 0, 0
+    for m0, m1 in pairs:
+        (n, a), (m, b) = m0.points.shape, m1.points.shape
+        if a != b or a != pairs[0][0].points.shape[1]:
+            raise DimensionMismatch(f"dim {a} vs {b}" if a != b else
+                                    "the pairs of a block differ in dim")
+        ii += [i for i in range(i0, i0 + n) for _ in range(m)]
+        jj += list(range(j0, j0 + m)) * n
+        i0, j0 = i0 + n, j0 + m
+        cuts.append(len(ii))
+    xs, ys = (np.concatenate([p[k].points for p in pairs]) for k in (0, 1))
+    return pairwise_distances(xs[ii], ys[jj], paired=True), cuts
+
+
 def read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr

@@ -18,8 +18,7 @@ import numpy as np
 
 from .costs import CostFunction, power_cost
 from .errors import Infeasible
-from .measures import (Coupling, DiscreteMeasure, make_coupling,
-                       pairwise_distances)
+from .measures import Coupling, DiscreteMeasure, arc_lengths, make_coupling
 
 _RC_TOL = 1e-11
 _FORBIDDEN_FLOW_TOL = 1e-9
@@ -167,31 +166,50 @@ def _transportation_simplex(supply, demand, cost, scale):
     raise RuntimeError("transportation simplex failed to terminate")
 
 
+def _solve(m0, m1, dist, c, mask) -> MKSolution:
+    """One LP on its slice of a block, the arcs where mask holds forbidden."""
+    # tolerance and big-M both scale with the allowed arcs, so scaling every
+    # point scales the optimum and leaves the pivots alone
+    scale = float(np.max(np.abs(c if mask is None else c[~mask]),
+                         initial=0.0)) or 1.0
+    work = c if mask is None else np.where(
+        mask, (m0.n_atoms + m1.n_atoms + 1) * scale * 1e3, c)
+    flow, _ = _transportation_simplex(m0.weights, m1.weights, work, scale)
+    flow = np.where(flow < 0, 0.0, flow)
+    if mask is not None and float(flow[mask].sum()) > _FORBIDDEN_FLOW_TOL:
+        raise Infeasible("no feasible plan avoids the forbidden arcs")
+    plan = make_coupling(m0, m1, flow)
+    dist.setflags(write=False)  # the cached Coupling.distances: the matrix
+    plan.__dict__["distances"] = dist  # priced here, not a second kernel call
+    return MKSolution(value=float((flow * c).sum()), plan=plan)
+
+
+def solve_mk_each(pairs, cost: CostFunction, forbidden_arcs=None) -> list:
+    """solve_mk of each (m0, m1) pair, pair k with ``forbidden_arcs[k]``
+    when given: one kernel call and one cost call price every arc of every
+    pair, then each LP is solved on its own slice."""
+    dist, cuts = arc_lengths(pairs)
+    c = np.asarray(cost.eval(dist), dtype=float)
+    sols = []
+    for (m0, m1), lo, hi, arcs in zip(pairs, cuts, cuts[1:],
+                                      forbidden_arcs or [None] * len(pairs)):
+        n, m = m0.n_atoms, m1.n_atoms
+        mask = None if arcs is None else np.array(
+            [[bool(arcs(i, j)) for j in range(m)] for i in range(n)])
+        sols.append(_solve(m0, m1, dist[lo:hi].reshape(n, m),
+                           c[lo:hi].reshape(n, m), mask))
+    return sols
+
+
 def solve_mk(m0: DiscreteMeasure, m1: DiscreteMeasure, cost: CostFunction,
              forbidden_arcs: Optional[Callable[[int, int], bool]] = None,
              ) -> MKSolution:
     """Exact optimum of the transportation LP with cost(|x_i - y_j|) arcs.
 
     ``forbidden_arcs(i, j)`` excludes arcs; Infeasible is raised when no
-    plan avoids them.
+    plan avoids them.  The one-pair case of solve_mk_each.
     """
-    dist = pairwise_distances(m0.points, m1.points)
-    c = np.asarray(cost.eval(dist), dtype=float)
-    mask = np.zeros(c.shape, bool) if forbidden_arcs is None else np.array(
-        [[bool(forbidden_arcs(i, j)) for j in range(m1.n_atoms)]
-         for i in range(m0.n_atoms)])
-    # tolerance and big-M both scale with the allowed arcs, so scaling every
-    # point scales the optimum and leaves the pivots alone
-    scale = float(np.max(np.abs(c[~mask]), initial=0.0)) or 1.0
-    work = np.where(mask, (m0.n_atoms + m1.n_atoms + 1) * scale * 1e3, c)
-    flow, _ = _transportation_simplex(m0.weights, m1.weights, work, scale)
-    flow = np.where(flow < 0, 0.0, flow)
-    if float(flow[mask].sum()) > _FORBIDDEN_FLOW_TOL:
-        raise Infeasible("no feasible plan avoids the forbidden arcs")
-    plan = make_coupling(m0, m1, flow)
-    dist.setflags(write=False)  # the cached Coupling.distances: the matrix
-    plan.__dict__["distances"] = dist  # priced here, not a second kernel call
-    return MKSolution(value=float((flow * c).sum()), plan=plan)
+    return solve_mk_each([(m0, m1)], cost, [forbidden_arcs])[0]
 
 
 def t_p(m0: DiscreteMeasure, m1: DiscreteMeasure, p: float) -> float:

@@ -1,17 +1,19 @@
 """Independent reference solvers and checks for the tests."""
 
 import itertools
+import math
 
 import numpy as np
 
-from lagot.costs import _EQ_TOL, A1I, A1III
+from lagot import mk_solver
+from lagot.costs import _EQ_TOL, A1I, A1III, power_cost
 from lagot.ensembles import (BoundedCouplingTriple, EnsembleStack,
                              TransportEnsemble, _cost_at_caps)
-from lagot.errors import MissingBound
+from lagot.errors import Infeasible, MissingBound
 from lagot.measures import (Coupling, DiscreteMeasure, expectation,
                             make_coupling, measure_of, pairwise_distances,
                             row_sum)
-from lagot.mk_solver import _RC_TOL, MKSolution
+from lagot.mk_solver import _FORBIDDEN_FLOW_TOL, _RC_TOL, MKSolution
 from lagot.paths import IntervalSet, block_of, lengths, stop_and_go
 
 
@@ -217,6 +219,59 @@ def build_opt_bounded_per_triple(t: BoundedCouplingTriple,
     paths = stop_and_go(c.source.points[ii], c.target.points[jj],
                         [IntervalSet(((0.0, m),)) for m in moving.tolist()])
     return TransportEnsemble(paths, c.plan[ii, jj], bounds)
+
+
+# ---------------------------------------------------------------------------
+# the static solvers as lagot first made them, one LP at a time: each with
+# its own kernel call, cost call, mask, scale and big-M around the same
+# simplex; references that pin the block solvers to the same bits
+# ---------------------------------------------------------------------------
+
+def solve_mk_per_pair(m0: DiscreteMeasure, m1: DiscreteMeasure, cost,
+                      forbidden_arcs=None) -> MKSolution:
+    """``lagot.mk_solver.solve_mk`` of one pair, priced on its own."""
+    dist = pairwise_distances(m0.points, m1.points)
+    c = np.asarray(cost.eval(dist), dtype=float)
+    mask = np.zeros(c.shape, bool) if forbidden_arcs is None else np.array(
+        [[bool(forbidden_arcs(i, j)) for j in range(m1.n_atoms)]
+         for i in range(m0.n_atoms)])
+    scale = float(np.max(np.abs(c[~mask]), initial=0.0)) or 1.0
+    work = np.where(mask, (m0.n_atoms + m1.n_atoms + 1) * scale * 1e3, c)
+    flow, _ = mk_solver._transportation_simplex(m0.weights, m1.weights,
+                                                work, scale)
+    flow = np.where(flow < 0, 0.0, flow)
+    if float(flow[mask].sum()) > _FORBIDDEN_FLOW_TOL:
+        raise Infeasible("no feasible plan avoids the forbidden arcs")
+    plan = make_coupling(m0, m1, flow)
+    dist.setflags(write=False)
+    plan.__dict__["distances"] = dist
+    return MKSolution(value=float((flow * c).sum()), plan=plan)
+
+
+def solve_bounded_per_ladder(m0: DiscreteMeasure, m1: DiscreteMeasure, cost,
+                             r):
+    """``lagot.ensembles.solve_bounded`` of one ladder (or one cap), with
+    its own kernel and cost calls, over solve_mk_per_pair."""
+    caps = np.atleast_1d(np.asarray(r, dtype=float)).tolist()
+    for rk in caps:
+        if not math.isfinite(rk):
+            raise ValueError(f"the speed cap must be finite, got {rk!r}")
+        if rk <= 0:
+            raise Infeasible("the speed cap must be positive")
+    cost_rs = _cost_at_caps(cost, caps).tolist()
+    dist, solved, out = pairwise_distances(m0.points, m1.points), {}, []
+    for rk, cost_r in zip(caps, cost_rs):
+        arcs = dist <= rk
+        key = arcs.tobytes()
+        if key not in solved:
+            solved[key] = solve_mk_per_pair(
+                m0, m1, power_cost(1.0),
+                forbidden_arcs=lambda i, j: not arcs[i, j])
+        sol = solved[key]
+        bounds = {(i, j): rk for i, j, _ in sol.plan.cells()}
+        out.append((cost_r / rk * sol.value,
+                    BoundedCouplingTriple(sol.plan, bounds)))
+    return out[0] if np.ndim(r) == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from lagot.ensembles import (BoundedCouplingTriple, EnsembleStack,
                              build_opt_tilde_each, eval_bounded,
                              eval_bounded_each, eval_tilde, eval_tilde_each,
                              eval_tv, eval_tv_each, eval_tv_induced_each,
-                             induced_triple, oracle_min_path, solve_bounded)
+                             induced_triple, oracle_min_path, solve_bounded,
+                             solve_bounded_each)
 from lagot.errors import (BadHorizon, BoundViolated, DimensionMismatch,
                           Infeasible, InfeasibleBound, MissingBound,
                           NoFeasiblePath)
@@ -26,7 +27,7 @@ from lagot.paths import (IntervalSet, SteppedPath, block_of, cost_li,
                          cost_plain, fast_path, linear_path, l1_norm, n1,
                          random_interval_set, stop_and_go, stretch, sup_norm)
 from oracles import (build_opt_bounded_per_triple, eval_tv_per_triple,
-                     induced_triple_per_ensemble)
+                     induced_triple_per_ensemble, solve_bounded_per_ladder)
 
 SQRT = builtin("power", [0.5])
 REMARK = builtin("remark_iii")
@@ -413,6 +414,72 @@ def test_a_ladder_raises_what_its_bad_rung_raises_alone(bad):
     ladder = np.array([arcs[-1], r_star, cap, 2.0 * arcs[-1]])
     with pytest.raises(type(alone.value)) as got:
         solve_bounded(m0, m1, SQRT, ladder)
+    assert str(got.value) == str(alone.value)
+
+
+def _binding_ladder(seed):
+    """_ladder_instance(seed)'s measures and the cap ladder of
+    test_cap_ladder_rungs_are_their_scalar_calls: every arc length from r*
+    on, those below the diameter forbidding arcs, then two caps past the
+    diameter, each twice, shuffled."""
+    m0, m1, arcs, r_star = _ladder_instance(seed)
+    caps = np.concatenate([arcs[arcs >= r_star],
+                           [1.5 * arcs[-1], 2.0 * arcs[-1]]])
+    return m0, m1, np.random.default_rng(seed).permutation(np.repeat(caps, 2))
+
+
+def test_a_block_of_ladders_is_each_ladders_reference(monkeypatch):
+    """One solve_bounded_each call over 30 binding ladders gives each rung
+    of each ladder the per-ladder reference's value, plan, bounds and
+    distances bit for bit, through one solve_mk call per distinct set of
+    admitted arcs of each pair."""
+    ladders = [_binding_ladder(seed) for seed in range(30)]
+    calls = []
+    monkeypatch.setattr(ensembles, "solve_mk",
+                        lambda *a, **k: calls.append(1) or solve_mk(*a, **k))
+    block = solve_bounded_each([(m0, m1) for m0, m1, _ in ladders], SQRT,
+                               [caps for _, _, caps in ladders])
+    sets = binding = 0
+    for (m0, m1, caps), rungs in zip(ladders, block):
+        dist = pairwise_distances(m0.points, m1.points)
+        sets += len({(dist <= r).tobytes() for r in caps})
+        binding += int(np.sum(caps < dist.max()))
+        want = solve_bounded_per_ladder(m0, m1, SQRT, caps)
+        assert len(rungs) == len(want) == len(caps)
+        for (value, triple), (v, alone) in zip(rungs, want):
+            assert value.hex() == v.hex()
+            assert triple.coupling.plan.tobytes() == \
+                alone.coupling.plan.tobytes()
+            assert triple.bound_assignment == alone.bound_assignment
+            assert triple.coupling.distances.tobytes() == dist.tobytes()
+    assert len(calls) == sets
+    assert binding >= 40  # of 222 rungs, 42 forbid an arc
+    m0, m1, caps = ladders[0]
+    value, triple = solve_bounded(m0, m1, SQRT, caps[0])
+    v, alone = solve_bounded_per_ladder(m0, m1, SQRT, caps[0])
+    assert value.hex() == v.hex() and triple.bound_assignment == \
+        alone.bound_assignment
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "zero", "negative", "below",
+                                 "cost"])
+def test_a_block_raises_what_its_bad_ladder_raises_alone(bad):
+    """A bad cap in the second of three ladders makes the block raise what
+    that ladder raises alone, class and message; a cap at which the cost
+    overflows is refused by the cost, and one below r* by its LP."""
+    m0, m1, arcs, r_star = _ladder_instance(7)
+    cap = {"nan": np.nan, "inf": np.inf, "zero": 0.0, "negative": -1.0,
+           "below": arcs[arcs < r_star][-1], "cost": 1e200}[bad]
+    cost = quadratic_cost() if bad == "cost" else SQRT
+    ladder = np.array([arcs[-1], r_star, cap, 2.0 * arcs[-1]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(Exception) as alone:
+            solve_bounded_per_ladder(m0, m1, cost, ladder)
+        with pytest.raises(type(alone.value)) as got:
+            solve_bounded_each([_binding_ladder(1)[:2], (m0, m1),
+                                _binding_ladder(2)[:2]], cost,
+                               [_binding_ladder(1)[2], ladder,
+                                _binding_ladder(2)[2]])
     assert str(got.value) == str(alone.value)
 
 

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from lagot import mk_solver
-from lagot.costs import CostFunction, builtin, power_cost
+from lagot.costs import CostFunction, builtin, parse_cost, power_cost
 from lagot.ensembles import arcs_longer_than, solve_bounded
 from lagot.errors import DimensionMismatch, Infeasible
-from lagot.measures import random_measure, validate_measure
-from lagot.mk_solver import _basis_tree, _tree_path, solve_mk, t_p
-from oracles import brute_force_mk, reference_simplex
+from lagot.measures import measure_of, random_measure, validate_measure
+from lagot.mk_solver import (_basis_tree, _tree_path, solve_mk, solve_mk_each,
+                             t_p)
+from oracles import brute_force_mk, reference_simplex, solve_mk_per_pair
 
 
 def _uniform(points, dim=1):
@@ -301,3 +302,130 @@ def test_simplex_matches_the_reference_at_ladder_sizes(monkeypatch):
     for lp, (flow, basis) in lps:
         want = reference_simplex(*lp)
         assert (flow.tobytes(), basis) == (want[0].tobytes(), want[1])
+
+
+def _block_pairs(seed, dim, count=16):
+    """Seeded pairs of 1-4 atoms in one dim: every fifth pair is one atom
+    against one atom, every third target shares atoms with its source, and
+    every fourth pair has equal (degenerate) weights."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for t in range(count):
+        n, m = (1, 1) if t % 5 == 0 else map(int, rng.integers(1, 5, size=2))
+        pts = rng.uniform(-2, 2, size=(n + m, dim))
+        if t % 3 == 1:
+            pts[n:n + min(n, m)] = pts[:min(n, m)]
+        w0, w1 = (np.full(k, 1.0 / k) if t % 4 == 2 else
+                  rng.dirichlet(np.ones(k)) for k in (n, m))
+        pairs.append((measure_of(pts[:n], w0, dim),
+                      measure_of(pts[n:], w1, dim)))
+    return pairs
+
+
+def _same_solution(got, want):
+    return (got.value.hex() == want.value.hex()
+            and got.plan.plan.tobytes() == want.plan.plan.tobytes()
+            and got.plan.distances.tobytes() == want.plan.distances.tobytes())
+
+
+@pytest.mark.parametrize("cost", ["power:0.5", "remark_iii", "affine_exp:0.25",
+                                  "linear"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_block_solves_each_pair_as_the_per_pair_reference(dim, cost):
+    """Each plan of one solve_mk_each block, and of each one-pair solve_mk
+    call, is the per-pair reference's bit for bit: value, plan and the
+    distances it was priced on."""
+    cost = parse_cost(cost)
+    pairs = _block_pairs(10 * dim, dim)
+    assert any(m0.n_atoms == m1.n_atoms == 1 for m0, m1 in pairs)
+    assert any(set(map(tuple, m0.points.tolist()))
+               & set(map(tuple, m1.points.tolist())) for m0, m1 in pairs)
+    block = solve_mk_each(pairs, cost)
+    assert len(block) == len(pairs)
+    for (m0, m1), got in zip(pairs, block):
+        want = solve_mk_per_pair(m0, m1, cost)
+        assert _same_solution(got, want)
+        assert _same_solution(solve_mk(m0, m1, cost), want)
+        assert not got.plan.distances.flags.writeable
+    assert solve_mk_each([], cost) == []
+
+
+def _capped_block(seed):
+    """Seeded 2-D pairs, each with a forbidden-arc callback (none for every
+    fourth pair) that caps its arcs at a random fraction of its diameter,
+    and whether the reference finds each pair infeasible."""
+    rng = np.random.default_rng(seed)
+    pairs, arcs, infeasible = _block_pairs(seed, 2, 24), [], []
+    for m0, m1 in pairs:
+        cap = None if len(arcs) % 4 == 0 else float(rng.uniform(0.4, 1.0))
+        arcs.append(None if cap is None else arcs_longer_than(
+            m0, m1, cap * m0.diameter_to(m1)))
+        try:
+            solve_mk_per_pair(m0, m1, SQRT, arcs[-1])
+            infeasible.append(False)
+        except Infeasible:
+            infeasible.append(True)
+    return pairs, arcs, infeasible
+
+
+def _counted(arcs, calls):
+    """Each callback recording its (pair, i, j) calls; None stays None."""
+    return [None if a is None else
+            (lambda i, j, k=k, a=a: calls.append((k, i, j)) or a(i, j))
+            for k, a in enumerate(arcs)]
+
+
+def test_a_block_calls_each_callback_and_stops_where_the_loop_stops():
+    """A block calls every pair's callback n x m times, pair by pair, as a
+    loop of per-pair references does; with an infeasible pair it raises
+    the reference's Infeasible there, having called no later callback."""
+    pairs, arcs, infeasible = _capped_block(3)
+    assert 0 < sum(infeasible) and not all(infeasible)
+    ok = [k for k, bad in enumerate(infeasible) if not bad]
+    assert any(arcs[k] is not None for k in ok)
+    want_calls, got_calls = [], []
+    want = [solve_mk_per_pair(*pairs[k], SQRT, a) for k, a in
+            zip(ok, _counted([arcs[k] for k in ok], want_calls))]
+    got = solve_mk_each([pairs[k] for k in ok], SQRT,
+                        _counted([arcs[k] for k in ok], got_calls))
+    assert all(map(_same_solution, got, want))
+    assert got_calls == want_calls and got_calls
+    stop = infeasible.index(True)
+    want_calls, got_calls = [], []
+    counted = _counted(arcs, want_calls)
+    for k in range(stop):
+        solve_mk_per_pair(*pairs[k], SQRT, counted[k])
+    with pytest.raises(Infeasible) as alone:
+        solve_mk_per_pair(*pairs[stop], SQRT, counted[stop])
+    with pytest.raises(Infeasible) as block:
+        solve_mk_each(pairs, SQRT, _counted(arcs, got_calls))
+    assert str(block.value) == str(alone.value)
+    assert got_calls == want_calls
+
+
+@pytest.mark.parametrize("bad", ["overflow", "dims"])
+def test_a_block_raises_what_its_bad_pair_raises_alone(bad):
+    """A later pair whose distance overflows, or whose two measures differ
+    in dim, makes the block raise that pair's own class and message; the
+    block measures every arc before it solves any LP or calls any
+    callback."""
+    pairs = _block_pairs(4, 2, 4)
+    far = measure_of([[1e308, 0.0]], [1.0], 2)
+    bad_pair = {"overflow": (far, measure_of([[-1e308, 0.0]], [1.0], 2)),
+                "dims": (far, measure_of([[0.0, 0.0, 0.0]], [1.0], 3))}[bad]
+    with pytest.raises(Exception) as alone:
+        solve_mk(*bad_pair, SQRT)
+    assert type(alone.value) in (ValueError, DimensionMismatch)
+    calls = []
+    everything = lambda i, j: calls.append((i, j)) or False  # noqa: E731
+    with pytest.raises(type(alone.value)) as block:
+        solve_mk_each(pairs[:2] + [bad_pair] + pairs[2:], SQRT,
+                      [everything] * 5)
+    assert str(block.value) == str(alone.value)
+    assert calls == []
+
+
+def test_a_block_of_two_dims_is_refused():
+    one, two = _block_pairs(5, 1, 1) + _block_pairs(5, 2, 1)
+    with pytest.raises(DimensionMismatch, match="differ in dim"):
+        solve_mk_each([one, two], SQRT)

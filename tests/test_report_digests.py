@@ -100,18 +100,36 @@ def _moves(native, other, where="reports"):
             for m in _moves(native[k], other[k], f"{where}[{k!r}]")]
 
 
-def test_seed0_verdicts_do_not_depend_on_the_cpu(tmp_path):
-    """The 50 seed-0 reports, recomputed in a subprocess under the kernels
-    of an AVX2-only CPU, refuse and pass as they do here, with every value
-    and margin within 1e-14 relative of this run's."""
+def _seed0_moves(env, tmp_path) -> list:
+    """Where the 50 seed-0 reports, recomputed in a subprocess under
+    ``env``, move from this run's (see _moves)."""
     proc = subprocess.run(
         [sys.executable, "-B", "-c", SEED0_REPORTS,
          str(ROOT / "tools" / "report_digests.py")],
-        cwd=tmp_path, env={**os.environ, **AVX2_ONLY}, capture_output=True,
+        cwd=tmp_path, env={**os.environ, **env}, capture_output=True,
         text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     native = json.loads(json.dumps(
         [report_digests.report(theorem, cost, 0)
          for theorem in report_digests.THEOREMS
          for cost in report_digests.COSTS], default=bool))
-    assert _moves(native, json.loads(proc.stdout)) == []
+    return _moves(native, json.loads(proc.stdout))
+
+
+def test_seed0_verdicts_do_not_depend_on_the_cpu(tmp_path):
+    """The 50 seed-0 reports, recomputed in a subprocess under the kernels
+    of an AVX2-only CPU, refuse and pass as they do here, with every value
+    and margin within 1e-14 relative of this run's."""
+    assert _seed0_moves(AVX2_ONLY, tmp_path) == []
+
+
+# numpy's X86_V2 baseline loops (SSE4.2, no AVX), no dispatched target
+X86_V2_ONLY = {"OPENBLAS_CORETYPE": "Nehalem",
+               "NPY_DISABLE_CPU_FEATURES":
+               "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}
+
+
+def test_seed0_verdicts_hold_on_numpys_baseline_loops(tmp_path):
+    """The same with numpy's dispatched AVX2 and AVX512 loops both off,
+    which leaves it on its X86_V2 baseline."""
+    assert _seed0_moves(X86_V2_ONLY, tmp_path) == []
