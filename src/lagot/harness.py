@@ -35,6 +35,9 @@ ORACLE_GRID = (0.0, 0.5, 1.0, 2.0, 4.0)
 FORMAT_VERSION = 1
 # least gap by which prop2_3's detour must beat the direct transport value
 STRICT_MARGIN = 1e-6
+# the largest trial count, atom count and dimension a VerifyConfig admits; a
+# larger one is refused before anything is drawn or allocated
+LIMITS = {"trials": 10 ** 5, "n_atoms": 10 ** 3, "dim": 10 ** 3}
 # check kind -> whether (value, bound) holds; every comparison with NaN is
 # false, so a NaN check holds for no kind
 _HOLDS = {"eq": lambda v, b: abs(v) <= b, "le": lambda v, b: v <= b,
@@ -74,6 +77,10 @@ class VerifyConfig:
             raise ConfigInvalid("trials must be >= 1")
         if self.n_atoms < 1 or self.dim < 1:
             raise ConfigInvalid("n_atoms and dim must be >= 1")
+        for name, top in LIMITS.items():
+            if getattr(self, name) > top:
+                raise ConfigInvalid(
+                    f"{name} must be <= {top}, got {getattr(self, name)}")
         tol = self.tolerance
         if isinstance(tol, bool) or not isinstance(tol, (int, float)) or \
                 not 0 < tol < np.inf:

@@ -2,11 +2,13 @@
 
 The transportation LP is solved in-repo by the classical transportation
 (network) simplex with Bland's smallest-index rule on both the entering and
-the leaving variable, which rules out cycling.  The basis tree and its dual
-potentials are kept across pivots: a pivot walks again only the subtree
-that its leaving cell cuts off.  Forbidden arcs are priced with a big-M
-penalty and a positive flow on any of them at optimality means the
-constrained instance is infeasible.
+the leaving variable, which rules out cycling.  Pricing is a Python scan
+that stops at the first entering cell or, above _ARRAY_SCAN_CELLS cells
+(measured break-even: 500-700), one array expression over all cells.  The
+basis tree and its dual potentials are kept across pivots: a pivot walks
+again only the subtree that its leaving cell cuts off.  Forbidden arcs are
+priced with a big-M penalty and a positive flow on any of them at
+optimality means the constrained instance is infeasible.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .measures import Coupling, DiscreteMeasure, arc_lengths, make_coupling
 
 _RC_TOL = 1e-11
 _FORBIDDEN_FLOW_TOL = 1e-9
+_ARRAY_SCAN_CELLS = 650
 
 
 @dataclass(frozen=True)
@@ -121,16 +124,24 @@ def _tree_path(parent, depth, i0, j0, n):
     return up_a + up_b[::-1]
 
 
-def _entering(cost, pot, n, in_basis, tol):
-    """Bland: the first non-basis cell, row by row, whose reduced cost
-    (c - u_i) - v_j is below tol; None at optimality."""
+def _entering(cost, pot, n, free, tol):
+    """Bland: the first non-basis (``free``) cell, row by row, whose reduced
+    cost (c - u_i) - v_j is below tol; None at optimality."""
     v = pot[n:]
     for i, row in enumerate(cost):
         ui = pot[i]
         for j, vj in enumerate(v):
-            if (row[j] - ui) - vj < tol and (i, j) not in in_basis:
+            if (row[j] - ui) - vj < tol and free[i][j]:
                 return i, j
     return None
+
+
+def _entering_array(cost, pot, n, free, tol):
+    """_entering as one array expression masked by the boolean matrix
+    ``free``; numpy rounds each difference as Python does: the same cell."""
+    hit = ((cost - np.array(pot[:n])[:, None]) - pot[n:] < tol) & free
+    k = int(hit.argmax())
+    return divmod(k, cost.shape[1]) if hit.flat[k] else None
 
 
 def _transportation_simplex(supply, demand, cost, scale):
@@ -145,10 +156,14 @@ def _transportation_simplex(supply, demand, cost, scale):
     c = cost.tolist()
     flow, basis = _northwest_corner(np.asarray(supply, float).tolist(),
                                     np.asarray(demand, float).tolist())
-    tree, in_basis = _basis_tree(basis, c, n, m), set(basis)
+    tree, free = _basis_tree(basis, c, n, m), [[True] * m for _ in range(n)]
+    for i, j in basis:
+        free[i][j] = False
     pot, parent, depth, _ = tree
+    scan, prices, free = ((_entering, c, free) if n * m <= _ARRAY_SCAN_CELLS
+                          else (_entering_array, cost, np.array(free)))
     for _ in range(20000 * (n + m)):
-        entering = _entering(c, pot, n, in_basis, -_RC_TOL * scale)
+        entering = scan(prices, pot, n, free, -_RC_TOL * scale)
         if entering is None:
             return np.array(flow), basis
         path = _tree_path(parent, depth, entering[0], entering[1], n)
@@ -160,8 +175,8 @@ def _transportation_simplex(supply, demand, cost, scale):
             flow[i][j] += theta
         for i, j in minus:
             flow[i][j] -= theta
-        flow[leaving[0]][leaving[1]] = 0.0
-        in_basis ^= {leaving, entering}  # one leaves, the other enters
+        (i, j), (a, b) = leaving, entering
+        flow[i][j], free[i][j], free[a][b] = 0.0, True, False
         _pivot(basis, tree, c, n, entering, leaving)
     raise RuntimeError("transportation simplex failed to terminate")
 

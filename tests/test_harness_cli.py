@@ -12,7 +12,7 @@ from lagot.cli import main
 from lagot.costs import parse_cost
 from lagot.errors import AssumptionRefused, ConfigInvalid, UnknownKind
 from lagot.ensembles import oracle_min_path, solve_bounded
-from lagot.harness import (_SUITES, THEOREMS, Report, VerifyConfig,
+from lagot.harness import (_SUITES, LIMITS, THEOREMS, Report, VerifyConfig,
                            _rand_measure, emit_plot_data, verify)
 from lagot.mk_solver import t_p
 
@@ -91,6 +91,19 @@ def test_config_validation():
                 {"cost_spec": {"name": "power", "params": 5}}):
         with pytest.raises(ConfigInvalid):
             VerifyConfig(theorem="thm2_1", **bad)
+
+
+@pytest.mark.parametrize("name", sorted(LIMITS))
+def test_config_limits_are_refused_before_anything_is_drawn(name):
+    """Each count is admitted up to its limit and refused by name above it,
+    at 2**70 too; only configs are built here, nothing is verified."""
+    top = LIMITS[name]
+    assert VerifyConfig(theorem="thm2_1", **{name: top}).to_json()[name] \
+        == top
+    for big in (top + 1, 2 ** 70):
+        with pytest.raises(ConfigInvalid, match=f"^{name} must be <= {top}, "
+                                                f"got {big}$"):
+            VerifyConfig(theorem="thm2_1", **{name: big})
 
 
 def test_emit_plot_data():
@@ -580,6 +593,13 @@ BAD_INPUTS = {
                    "n_atoms"),
     "zero dimensions": ({}, ["verify", "--theorem", "thm2_1", "--dim", "0"],
                         "dim"),
+    "2**70 trials": ({}, ["verify", "--theorem", "thm2_1", "--trials",
+                          str(2 ** 70)],
+                     f"refused: trials must be <= {LIMITS['trials']}, got "
+                     f"{2 ** 70}"),
+    "config with 2**70 trials": (
+        {"cfg.json": {"theorem": "thm2_1", "trials": 2 ** 70}}, VERIFY_CFG,
+        f"cfg.json: trials must be <= {LIMITS['trials']}, got {2 ** 70}"),
     "eval of build-optimal output": (
         {"built.json": {"value": 1.0, "ensemble": {"members": []}}},
         ["eval", "--objective", "plain", "--ensemble", "built.json",

@@ -255,11 +255,16 @@ def _solve_capped(m0, m1, cap):
         pass
 
 
+# _ARRAY_SCAN_CELLS forcing each of the two pricing scans on every LP
+SCANS = {"_entering": 10 ** 9, "_entering_array": -1}
+
+
 def test_kept_tree_is_a_fresh_walk_after_every_pivot(monkeypatch):
     """After every pivot of the _simplex_cases() LPs, big-M and degenerate
     ones included, the kept potentials, parents and depths are exactly
-    those of a full walk of the new basis, and so are the edges."""
-    pivots = []
+    those of a full walk of the new basis, and so are the edges; under
+    each pricing scan, which pivot alike."""
+    pivots = {scan: [] for scan in SCANS}
 
     def checked(basis, tree, cost, n, entering, leaving):
         real(basis, tree, cost, n, entering, leaving)
@@ -267,13 +272,16 @@ def test_kept_tree_is_a_fresh_walk_after_every_pivot(monkeypatch):
         fresh = _basis_tree(basis, cost, n, len(pot) - n)
         assert pot == fresh[0] and parent == fresh[1] and depth == fresh[2]
         assert [sorted(e) for e in adj] == [sorted(e) for e in fresh[3]]
-        pivots.append(entering)
+        pivots[scan].append(entering)
 
     real = mk_solver._pivot
     monkeypatch.setattr(mk_solver, "_pivot", checked)
-    for _, m0, m1, cap in _simplex_cases():
-        _solve_capped(m0, m1, cap)
-    assert len(pivots) > 1000
+    for scan, cells in SCANS.items():
+        monkeypatch.setattr(mk_solver, "_ARRAY_SCAN_CELLS", cells)
+        for _, m0, m1, cap in _simplex_cases():
+            _solve_capped(m0, m1, cap)
+    assert pivots["_entering"] == pivots["_entering_array"]
+    assert len(pivots["_entering"]) > 1000
 
 
 def test_simplex_matches_the_reference_at_ladder_sizes(monkeypatch):
@@ -302,6 +310,96 @@ def test_simplex_matches_the_reference_at_ladder_sizes(monkeypatch):
     for lp, (flow, basis) in lps:
         want = reference_simplex(*lp)
         assert (flow.tobytes(), basis) == (want[0].tobytes(), want[1])
+
+
+def _ladder_size_cases():
+    """(m0, m1, cap factor or None) at mk-ladder's sizes, drawn as
+    test_simplex_matches_the_reference_at_ladder_sizes draws them."""
+    rng = np.random.default_rng(40)
+    for n, equal, cap in [(40, False, None), (40, True, None),
+                          (30, False, 0.7)]:
+        pts = rng.uniform(-2, 2, size=(2 * n, 2))
+        w0, w1 = (np.full(n, 1.0 / n) if equal else rng.dirichlet(np.ones(n))
+                  for _ in range(2))
+        yield (validate_measure(zip(pts[:n], w0), 2),
+               validate_measure(zip(pts[n:], w1), 2), cap)
+
+
+def test_both_scans_pivot_as_the_reference(monkeypatch):
+    """Each LP that solve_mk sets up for _simplex_cases() (big-M,
+    infeasible and degenerate ones) and at mk-ladder's sizes, solved under
+    the Python scan and under the array scan, each forced by the crossover:
+    both enter the same cells in the same order and return the reference's
+    (flow, basis) bit for bit."""
+    lps, entering, called = [], [], []
+    real = mk_solver._transportation_simplex
+    monkeypatch.setattr(mk_solver, "_transportation_simplex",
+                        lambda *lp: lps.append(lp) or real(*lp))
+    cases = [case[1:] for case in _simplex_cases()]
+    for m0, m1, cap in cases + list(_ladder_size_cases()):
+        _solve_capped(m0, m1, cap)
+    monkeypatch.undo()
+    for scan in SCANS:
+        monkeypatch.setattr(mk_solver, scan, lambda *a, f=getattr(
+            mk_solver, scan), s=scan: called.append(s) or f(*a))
+    pivot = mk_solver._pivot
+    monkeypatch.setattr(mk_solver, "_pivot", lambda *a: entering.append(
+        a[4]) or pivot(*a))
+    assert len(lps) == 129
+    for lp in lps:
+        want = reference_simplex(*lp)
+        got = {}
+        for scan, cells in SCANS.items():
+            monkeypatch.setattr(mk_solver, "_ARRAY_SCAN_CELLS", cells)
+            del entering[:], called[:]
+            flow, basis = mk_solver._transportation_simplex(*lp)
+            assert set(called) == {scan}
+            got[scan] = (flow.tobytes(), basis, entering[:])
+        assert got["_entering"] == got["_entering_array"]
+        assert got["_entering"][:2] == (want[0].tobytes(), want[1])
+
+
+def test_the_array_scan_finds_the_python_scans_cell():
+    """On seeded pricing states of mixed magnitudes, basis cells below tol
+    among them, and at a tol that ties some cell's reduced cost or lies one
+    ulp above it, both scans return the same cell or both None."""
+    rng = np.random.default_rng(26)
+    found = 0
+    for t in range(3000):
+        n, m = (int(k) for k in rng.integers(1, 7, size=2))
+        cost = rng.uniform(-1, 1, (n, m)) * 10.0 ** rng.integers(-3, 6,
+                                                                 (n, m))
+        pot = (rng.uniform(-1, 1, n + m) * 10.0 ** rng.integers(
+            -3, 6, n + m)).tolist()
+        free = rng.random((n, m)) < 0.6
+        i, j = (int(k) for k in rng.integers(0, (n, m)))
+        tol = (cost[i, j] - pot[i]) - pot[n + j]
+        tol = [tol, np.nextafter(tol, np.inf), -abs(tol)][t % 3]
+        want = mk_solver._entering(cost.tolist(), pot, n, free.tolist(), tol)
+        assert mk_solver._entering_array(cost, pot, n, free, tol) == want
+        found += want is not None
+    assert 0 < found < 3000
+
+
+def test_the_scan_is_chosen_by_the_cell_count(monkeypatch):
+    """The array scan prices exactly the LPs of more than _ARRAY_SCAN_CELLS
+    cells: n20 (400 cells) stays on the Python scan, n40 does not."""
+    called = []
+    for scan in SCANS:
+        monkeypatch.setattr(mk_solver, scan, lambda *a, f=getattr(
+            mk_solver, scan), s=scan: called.append(s) or f(*a))
+    assert 400 < mk_solver._ARRAY_SCAN_CELLS < 40 * 40
+    rng = np.random.default_rng(7)
+    for n, m in [(20, 20), (40, 40), (1, 1),
+                 (1, mk_solver._ARRAY_SCAN_CELLS),
+                 (1, mk_solver._ARRAY_SCAN_CELLS + 1)]:
+        called.clear()
+        mk_solver._transportation_simplex(
+            rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m)),
+            rng.uniform(0, 2, size=(n, m)), 2.0)
+        want = ("_entering_array" if n * m > mk_solver._ARRAY_SCAN_CELLS
+                else "_entering")
+        assert set(called) == {want}, (n, m)
 
 
 def _block_pairs(seed, dim, count=16):

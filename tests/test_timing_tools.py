@@ -66,3 +66,19 @@ def test_a_round_count_below_one_is_a_usage_error(tool, rounds):
     assert got.stderr.startswith("usage: ")
     assert got.stderr.splitlines()[-1].endswith(
         f"error: --rounds must be at least 1, got {rounds}")
+
+
+def test_ladder_sizes_add_a_dirichlet_and_an_equal_row_per_size():
+    """--sizes 3 adds the rows n3 and n3_equal after mk-ladder's rows, and
+    the pass row sums them too; a size below one is a usage error."""
+    got = _run("ladder_times.py", "--rounds", "1", "--sizes", "3")
+    assert got.returncode == 0, got.stderr
+    rows = [line.split(" | ") for line in got.stdout.splitlines()[2:]]
+    assert [row[0][2:] for row in rows] == ROWS["ladder_times.py"][:-1] + [
+        "n3", "n3_equal", "pass"]
+    ms = [float(row[1].removesuffix(" |")) for row in rows]
+    assert ms[-1] == pytest.approx(sum(ms[:-1]), abs=0.01 * len(ms))
+    bad = _run("ladder_times.py", "--rounds", "1", "--sizes", "3,0")
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr.splitlines()[-1].endswith(
+        "sizes must be positive integers, got '3,0'")

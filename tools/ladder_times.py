@@ -1,6 +1,7 @@
 """Per-rung solve times of mk-ladder's instances, to compare two trees.
 
     python3 tools/ladder_times.py TREE [TREE] [--rounds 20] [--seed 0]
+                                  [--sizes N[,N...]]
 
 Each TREE is a checkout holding ``src/lagot``; both are imported into this
 one process, side by side, with ``tools/suite_times.py``'s loader.  Round
@@ -14,8 +15,15 @@ trees, the median of the per-round ratios first / second (above 1 means
 the second tree is faster) and the count k/N of the rounds in which the
 second tree was faster, as ``tools/suite_times.py`` prints them.  Unlike
 perfbench it keeps no outputs, so its times do not move with its memory.
+
+``--sizes 30,80`` adds, after the mk-ladder rows, the rows ``n30`` and
+``n30_equal``, then ``n80`` and ``n80_equal``: seeded power:0.5 instances of
+that many atoms on each side, drawn as the rungs' are, with Dirichlet and
+with equal weights, so that other sizes are timed in the same alternating
+pairs.  The ``pass`` row then sums every row.
 """
 
+import argparse
 from time import perf_counter
 
 # suite_times pins BLAS to one thread, so it comes before numpy
@@ -61,8 +69,20 @@ def solve_pass(mk_solver, measures, cost, seed: int, k: int,
     return times
 
 
+def sized_rungs(text: str) -> tuple:
+    """``--sizes``: per size N, a Dirichlet and an equal-weight rung."""
+    sizes = text.split(",")
+    if not all(n.isdigit() and int(n) > 0 for n in sizes):
+        raise argparse.ArgumentTypeError(
+            f"sizes must be positive integers, got {text!r}")
+    return tuple((f"n{n}{'_equal' * equal}", int(n), equal)
+                 for n in sizes for equal in (False, True))
+
+
 def main(argv=None) -> None:
-    args = parse_trees(__doc__, argv, rounds=20)
+    args = parse_trees(__doc__, argv, rounds=20, sizes=dict(
+        type=sized_rungs, default=(), metavar="N[,N...]"))
+    rungs = LADDER + tuple(r for r in args.sizes if r not in LADDER)
     progs = []
     for tree in args.trees:
         mk_solver, measures, costs = load(tree.resolve(), "mk_solver",
@@ -71,7 +91,7 @@ def main(argv=None) -> None:
     for prog in progs:
         solve_pass(*prog, WARM_UP_SEED, 0, rungs=LADDER[:1])
     rounds = timed_rounds(progs, args.rounds, lambda prog, k: solve_pass(
-        *prog, args.seed, k))
+        *prog, args.seed, k, rungs))
     print_table("rung", "pass", args.trees, rounds, digits=2)
 
 

@@ -81,12 +81,15 @@ def run_pass(harness, costs, refused, pairs, seed: int, k: int,
     return times
 
 
-def parse_trees(doc: str, argv, rounds: int):
-    """The command line TREE [TREE] [--rounds N] [--seed S]."""
+def parse_trees(doc: str, argv, rounds: int, **options):
+    """The command line TREE [TREE] [--rounds N] [--seed S], and one
+    ``--NAME`` per keyword NAME, whose value holds add_argument's keywords."""
     ap = argparse.ArgumentParser(description=doc.splitlines()[0])
     ap.add_argument("trees", nargs="+", type=Path)
     ap.add_argument("--rounds", type=int, default=rounds)
     ap.add_argument("--seed", type=int, default=0)
+    for name, kwargs in options.items():
+        ap.add_argument(f"--{name}", **kwargs)
     args = ap.parse_args(argv)
     if len(args.trees) > 2:
         ap.error("give one or two trees")
