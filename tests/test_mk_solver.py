@@ -259,6 +259,13 @@ def _solve_capped(m0, m1, cap):
 SCANS = {"_entering": 10 ** 9, "_entering_array": -1}
 
 
+def _count_scans(monkeypatch, called):
+    """Wrap both pricing scans so that each call appends its name."""
+    for scan in SCANS:
+        monkeypatch.setattr(mk_solver, scan, lambda *a, f=getattr(
+            mk_solver, scan), s=scan: called.append(s) or f(*a))
+
+
 def test_kept_tree_is_a_fresh_walk_after_every_pivot(monkeypatch):
     """After every pivot of the _simplex_cases() LPs, big-M and degenerate
     ones included, the kept potentials, parents and depths are exactly
@@ -339,9 +346,7 @@ def test_both_scans_pivot_as_the_reference(monkeypatch):
     for m0, m1, cap in cases + list(_ladder_size_cases()):
         _solve_capped(m0, m1, cap)
     monkeypatch.undo()
-    for scan in SCANS:
-        monkeypatch.setattr(mk_solver, scan, lambda *a, f=getattr(
-            mk_solver, scan), s=scan: called.append(s) or f(*a))
+    _count_scans(monkeypatch, called)
     pivot = mk_solver._pivot
     monkeypatch.setattr(mk_solver, "_pivot", lambda *a: entering.append(
         a[4]) or pivot(*a))
@@ -385,9 +390,7 @@ def test_the_scan_is_chosen_by_the_cell_count(monkeypatch):
     """The array scan prices exactly the LPs of more than _ARRAY_SCAN_CELLS
     cells: n20 (400 cells) stays on the Python scan, n40 does not."""
     called = []
-    for scan in SCANS:
-        monkeypatch.setattr(mk_solver, scan, lambda *a, f=getattr(
-            mk_solver, scan), s=scan: called.append(s) or f(*a))
+    _count_scans(monkeypatch, called)
     assert 400 < mk_solver._ARRAY_SCAN_CELLS < 40 * 40
     rng = np.random.default_rng(7)
     for n, m in [(20, 20), (40, 40), (1, 1),
