@@ -20,7 +20,8 @@ import numpy as np
 
 from .costs import CostFunction, power_cost
 from .errors import Infeasible
-from .measures import Coupling, DiscreteMeasure, arc_lengths, make_coupling
+from .measures import (Coupling, DiscreteMeasure, arc_lengths, make_coupling,
+                       read_only)
 
 _RC_TOL = 1e-11
 _FORBIDDEN_FLOW_TOL = 1e-9
@@ -29,99 +30,94 @@ _ARRAY_SCAN_CELLS = 650
 
 @dataclass(frozen=True)
 class MKSolution:
+    """The optimum ``value`` and ``plan``; from the simplex also the final
+    ``basis`` cells, the read-only dual ``potentials`` (u, v) of the priced
+    matrix (big-M on forbidden arcs) and the ``pivots`` made, else None."""
     value: float
     plan: Coupling
+    basis: Optional[tuple] = None
+    potentials: Optional[tuple] = None
+    pivots: Optional[int] = None
 
 
-def _northwest_corner(supply, demand):
-    """North-west corner start: the flow as a list of rows, and the basis."""
-    n, m = len(supply), len(demand)
-    a, b = list(supply), list(demand)
-    flow = [[0.0] * m for _ in range(n)]
-    basis = []
-    i = j = 0
-    while True:
-        q = min(a[i], b[j])
-        flow[i][j] = q
-        basis.append((i, j))
-        a[i] -= q
-        b[j] -= q
-        if i == n - 1 and j == m - 1:
-            break
+class _Tree(list):
+    """A basis as the list of its cells, swapped in place through ``slot``
+    (cell -> index), and its tree from row 0; rows are nodes 0..n-1, columns
+    n..n+m-1, each with ``pot`` (u_0 = 0), ``parent``, ``up`` cell, its cost
+    ``cup``, ``depth`` and ``kids``."""
+
+
+def _northwest_corner(a, b, cost):
+    """North-west corner start from the supply and demand lists a and b,
+    used up: the flow as a list of rows, and the basis as its _Tree, each
+    cell hanging a new node from the one it shares with the cell before."""
+    n, m, tree, i, j = len(a), len(b), _Tree(), 0, 0
+    flow, kids = [[0.0] * m for _ in range(n)], [[] for _ in range(n + m)]
+    pot, depth = [0.0] * (n + m), [0] * (n + m)
+    parent, up, cup = [None] * (n + m), [None] * (n + m), [None] * (n + m)
+    new, old = n, 0  # column 0 hangs from row 0
+    for _ in range(n + m - 1):  # each cell moves on by a row or a column
+        q, cell, cup[new] = min(a[i], b[j]), (i, j), cost[i][j]
+        flow[i][j], parent[new], up[new] = q, old, cell
+        pot[new], depth[new] = cup[new] - pot[old], depth[old] + 1
+        tree.append(cell)
+        kids[old].append(new)
+        a[i], b[j] = a[i] - q, b[j] - q
         if j == m - 1 or (i < n - 1 and a[i] <= 0.0):
-            i += 1
+            i, new, old = i + 1, i + 1, n + j
         else:
-            j += 1
-    return flow, basis
+            j, new, old = j + 1, n + j + 1, i
+    tree.pot, tree.depth, tree.parent, tree.up, tree.cup, tree.kids = (
+        pot, depth, parent, up, cup, kids)
+    tree.slot = {cell: k for k, cell in enumerate(tree)}
+    return flow, tree
 
 
-def _walk(top, adj, pot, parent, depth):
-    """Set pot, parent and depth below ``top``, whose own are set, walking
-    breadth-first: a node's neighbours but its parent hang under it."""
-    order = [top]
+def _pivot(tree, entering, c, inner, outer, top):
+    """Swap the cell over node ``top`` for ``entering``, of cost c, which
+    joins ``inner``, under top, to ``outer``: the subtree under top is cut
+    off, turned over along the path from inner to top, hung from outer and
+    walked again, so each node gets the depth and potential (the
+    alternating cost sum on its root path) of a full walk, bit for bit."""
+    pot, depth, parent, up, cup, kids = (tree.pot, tree.depth, tree.parent,
+                                         tree.up, tree.cup, tree.kids)
+    k = tree.slot.pop(up[top])
+    tree[k], tree.slot[entering] = entering, k
+    pot[inner], depth[inner] = c - pot[outer], depth[outer] + 1
+    x, p, cell = inner, outer, entering
+    while p != top:
+        xp, xu, xc = parent[x], up[x], cup[x]
+        kids[xp].remove(x)
+        kids[p].append(x)
+        parent[x], up[x], cup[x] = p, cell, c
+        x, p, cell, c = xp, x, xu, xc
+    order = [inner]
     for k in order:
-        up, below = pot[k], depth[k] + 1
-        skip = parent[k][0] if parent[k] else None
-        for w, cell, c in adj[k]:
-            if w != skip:
-                pot[w], parent[w], depth[w] = c - up, (k, cell), below
-                order.append(w)
+        if kids[k]:
+            u, below = pot[k], depth[k] + 1
+            for w in kids[k]:
+                pot[w], depth[w] = cup[w] - u, below
+            order += kids[k]
 
 
-def _basis_tree(basis, cost, n, m):
-    """One full walk of the basis tree from row 0; rows are nodes
-    ``0..n-1``, columns ``n..n+m-1``.  Returns the potentials as one list,
-    u_i at node i and v_j at node n + j (u_0 = 0, u_i + v_j = cost[i][j] on
-    the basis), each node's parent, as a (node, cell) pair, its depth, and
-    the adjacency lists of (node, cell, cost) that :func:`_pivot` keeps."""
-    adj = [[] for _ in range(n + m)]
-    for cell in basis:
-        i, j = cell
-        adj[i].append((n + j, cell, cost[i][j]))
-        adj[n + j].append((i, cell, cost[i][j]))
-    pot, parent, depth = [0.0] * (n + m), [None] * (n + m), [0] * (n + m)
-    _walk(0, adj, pot, parent, depth)
-    return pot, parent, depth, adj
-
-
-def _pivot(basis, tree, cost, n, entering, leaving):
-    """Swap ``leaving`` for ``entering`` in the basis and in its tree.
-
-    The leaving cell's edge cuts off the subtree under its deeper end, and
-    the entering cell joins that subtree to the rest.  Only the cut subtree
-    is walked again, from the entering cell's end inside it, so each node
-    gets the parent, depth and potential (the alternating cost sum along
-    its root path) that a full walk of the new basis gives, bit for bit."""
-    pot, parent, depth, adj = tree
-    basis[basis.index(leaving)] = entering
-    (i, j), (a, b) = leaving, entering
-    for k in (i, n + j):
-        adj[k] = [e for e in adj[k] if e[1] != leaving]
-    c = cost[a][b]
-    adj[a].append((n + b, entering, c))
-    adj[n + b].append((a, entering, c))
-    cut, x = (i if depth[i] > depth[n + j] else n + j), a
-    while depth[x] > depth[cut]:
-        x = parent[x][0]
-    inner, outer = (a, n + b) if x == cut else (n + b, a)
-    pot[inner], parent[inner], depth[inner] = (
-        c - pot[outer], (outer, entering), depth[outer] + 1)
-    _walk(inner, adj, pot, parent, depth)
-
-
-def _tree_path(parent, depth, i0, j0, n):
-    """Cells along the unique basis-tree path from row i0 to column j0,
-    found by climbing both ends to their common ancestor."""
-    a, b = i0, n + j0
-    up_a, up_b = [], []
+def _cycle(tree, flow, i0, j0, n):
+    """The cells of the tree path from row i0 to column j0 that gain what
+    the entering cell (i0, j0) gains, and those that lose it, each as its
+    (flow, cell, node under it, end of (i0, j0) that it cuts off), from one
+    climb from both ends: a cell climbed from its end's side loses."""
+    parent, up, depth = tree.parent, tree.up, tree.depth
+    a, b, plus, minus = i0, n + j0, [], []
     while a != b:
         if depth[a] >= depth[b]:
-            a, cell = parent[a]
-            up_a.append(cell)
+            x, a, end = a, parent[a], i0
         else:
-            b, cell = parent[b]
-            up_b.append(cell)
-    return up_a + up_b[::-1]
+            x, b, end = b, parent[b], n + j0
+        cell = up[x]
+        if (x < n) == (end < n):
+            minus.append((flow[cell[0]][cell[1]], cell, x, end))
+        else:
+            plus.append(cell)
+    return plus, minus
 
 
 def _entering(cost, pot, n, free, tol):
@@ -147,37 +143,36 @@ def _entering_array(cost, pot, n, free, tol):
 def _transportation_simplex(supply, demand, cost, scale):
     """Minimize sum(flow * cost) over the transportation polytope.
 
-    Returns (flow, basis).  Deterministic: Bland smallest-index entering
-    and leaving rules.  Reduced costs above -_RC_TOL * scale count as
+    Returns (flow, basis), the basis as its _Tree, whose ``pivots`` counts
+    the pivots made.  Deterministic: Bland smallest-index entering and
+    leaving rules.  Reduced costs above -_RC_TOL * scale count as
     nonnegative; ``scale`` is the largest |cost| of an allowed arc, never
     big-M.  Pivots run on Python floats, whose IEEE arithmetic is numpy's.
     """
     n, m = cost.shape
     c = cost.tolist()
-    flow, basis = _northwest_corner(np.asarray(supply, float).tolist(),
-                                    np.asarray(demand, float).tolist())
-    tree, free = _basis_tree(basis, c, n, m), [[True] * m for _ in range(n)]
-    for i, j in basis:
+    flow, tree = _northwest_corner(np.asarray(supply, float).tolist(),
+                                   np.asarray(demand, float).tolist(), c)
+    free = [[True] * m for _ in range(n)]
+    for i, j in tree:
         free[i][j] = False
-    pot, parent, depth, _ = tree
     scan, prices, free = ((_entering, c, free) if n * m <= _ARRAY_SCAN_CELLS
                           else (_entering_array, cost, np.array(free)))
-    for _ in range(20000 * (n + m)):
-        entering = scan(prices, pot, n, free, -_RC_TOL * scale)
+    for tree.pivots in range(20000 * (n + m)):
+        entering = scan(prices, tree.pot, n, free, -_RC_TOL * scale)
         if entering is None:
-            return np.array(flow), basis
-        path = _tree_path(parent, depth, entering[0], entering[1], n)
-        # cycle: entering (+), then alternating - / + along the tree path
-        minus = path[0::2]
-        theta = min(flow[i][j] for i, j in minus)
-        leaving = min(e for e in minus if flow[e[0]][e[1]] <= theta)
-        for i, j in [entering] + path[1::2]:
-            flow[i][j] += theta
-        for i, j in minus:
-            flow[i][j] -= theta
-        (i, j), (a, b) = leaving, entering
-        flow[i][j], free[i][j], free[a][b] = 0.0, True, False
-        _pivot(basis, tree, c, n, entering, leaving)
+            return np.array(flow), tree
+        a, b = entering
+        plus, minus = _cycle(tree, flow, a, b, n)
+        # Bland: the losing cell of least flow, theta, then of least index;
+        # it drops to 0.0 and the entering cell, at 0.0, rises to theta
+        theta, (i, j), top, inner = min(minus)
+        for f, (r, s), _, _ in minus:
+            flow[r][s] = f - theta
+        for r, s in plus:
+            flow[r][s] += theta
+        flow[a][b], free[i][j], free[a][b] = theta, True, False
+        _pivot(tree, entering, c[a][b], inner, a + n + b - inner, top)
     raise RuntimeError("transportation simplex failed to terminate")
 
 
@@ -189,14 +184,16 @@ def _solve(m0, m1, dist, c, mask) -> MKSolution:
                          initial=0.0)) or 1.0
     work = c if mask is None else np.where(
         mask, (m0.n_atoms + m1.n_atoms + 1) * scale * 1e3, c)
-    flow, _ = _transportation_simplex(m0.weights, m1.weights, work, scale)
+    flow, tree = _transportation_simplex(m0.weights, m1.weights, work, scale)
     flow = np.where(flow < 0, 0.0, flow)
     if mask is not None and float(flow[mask].sum()) > _FORBIDDEN_FLOW_TOL:
         raise Infeasible("no feasible plan avoids the forbidden arcs")
     plan = make_coupling(m0, m1, flow)
     dist.setflags(write=False)  # the cached Coupling.distances: the matrix
     plan.__dict__["distances"] = dist  # priced here, not a second kernel call
-    return MKSolution(value=float((flow * c).sum()), plan=plan)
+    pot = read_only(np.array(tree.pot))
+    return MKSolution(float((flow * c).sum()), plan, tuple(tree),
+                      (pot[:len(c)], pot[len(c):]), tree.pivots)
 
 
 def solve_mk_each(pairs, cost: CostFunction, forbidden_arcs=None) -> list:

@@ -134,13 +134,14 @@ def _tree_path(parent, depth, i0, j0, n):
     return up_a + up_b[::-1]
 
 
-def reference_simplex(supply, demand, cost, scale):
+def reference_simplex(supply, demand, cost, scale, pivots=None):
     """Minimize sum(flow * cost) over the transportation polytope.
 
     Returns (flow, basis).  Deterministic: Bland smallest-index entering
     and leaving rules.  Reduced costs above -_RC_TOL * scale count as
     nonnegative; ``scale`` is the largest |cost| of an allowed arc, never
-    big-M.
+    big-M.  A list given as ``pivots`` gets each pivot's (entering,
+    leaving) cells appended, in order.
     """
     n, m = cost.shape
     flow, basis = _northwest_corner(np.asarray(supply, float),
@@ -165,6 +166,8 @@ def reference_simplex(supply, demand, cost, scale):
         plus = path[1::2]
         theta = min(flow[c] for c in minus)
         leaving = min(c for c in minus if flow[c] <= theta)
+        if pivots is not None:
+            pivots.append((entering, leaving))
         flow[entering] += theta
         for c in plus:
             flow[c] += theta

@@ -1,13 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import oracles
 from lagot import mk_solver
 from lagot.costs import CostFunction, builtin, parse_cost, power_cost
 from lagot.ensembles import arcs_longer_than, solve_bounded
 from lagot.errors import DimensionMismatch, Infeasible
 from lagot.measures import measure_of, random_measure, validate_measure
-from lagot.mk_solver import (_basis_tree, _tree_path, solve_mk, solve_mk_each,
-                             t_p)
+from lagot.mk_solver import (_RC_TOL, _cycle, _northwest_corner, solve_mk,
+                             solve_mk_each, t_p)
 from oracles import brute_force_mk, reference_simplex, solve_mk_per_pair
 
 
@@ -168,36 +171,83 @@ def _random_basis(rng, n, m):
     return [(int(i), int(j)) for i, j in rng.permutation(basis)]
 
 
+def _fresh_walk(basis, cost, n, m):
+    """The tree of ``basis`` (cost a list of rows) from the reference's own
+    full walk, in the kept tree's terms, kids sorted."""
+    u, v, par, depth = oracles._basis_tree(basis, np.array(cost), n, m)
+    parent, up = [p and p[0] for p in par], [p and p[1] for p in par]
+    return SimpleNamespace(
+        pot=u.tolist() + v.tolist(), parent=parent, up=up, depth=depth,
+        cup=[None if e is None else cost[e[0]][e[1]] for e in up],
+        kids=[[w for w in range(n + m) if parent[w] == k]
+              for k in range(n + m)])
+
+
+def _assert_is_a_fresh_walk(tree, cost, n, m):
+    """The kept tree is the reference's full walk of its basis, potentials
+    bit for bit, and its slot map indexes its cells."""
+    fresh = _fresh_walk(list(tree), cost, n, m)
+    assert np.array(tree.pot).tobytes() == np.array(fresh.pot).tobytes()
+    assert (tree.parent, tree.up, tree.cup, tree.depth) == (
+        fresh.parent, fresh.up, fresh.cup, fresh.depth)
+    assert [sorted(k) for k in tree.kids] == fresh.kids
+    assert tree.slot == {cell: k for k, cell in enumerate(tree)}
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_basis_tree_potentials_fit_the_basis(seed):
+    """The north-west corner's tree, on seeded marginals (equal, so
+    degenerate, on odd seeds) and costs: the reference's flow and basis,
+    u_0 = 0 and u_i + v_j = c_ij on every basis cell, each node one deeper
+    than its parent, across a basis cell, and a fresh walk of its basis."""
     rng = np.random.default_rng(seed)
     n, m = (int(k) for k in rng.integers(1, 9, size=2))
-    basis = _random_basis(rng, n, m)
+    supply, demand = (np.full(k, 1.0 / k) if seed % 2 else
+                      rng.dirichlet(np.ones(k)) for k in (n, m))
     cost = rng.uniform(0.0, 3.0, size=(n, m))
-    pot, parent, depth, _ = _basis_tree(basis, cost, n, m)
-    u, v = pot[:n], pot[n:]
-    assert u[0] == 0.0 and depth[0] == 0 and parent[0] is None
-    for i, j in basis:
+    flow, tree = _northwest_corner(supply.tolist(), demand.tolist(),
+                                   cost.tolist())
+    want_flow, want_basis = oracles._northwest_corner(supply, demand)
+    assert np.array(flow).tobytes() == want_flow.tobytes()
+    assert tree == want_basis and len(tree) == n + m - 1
+    u, v = tree.pot[:n], tree.pot[n:]
+    assert u[0] == 0.0 and tree.depth[0] == 0 and tree.parent[0] is None
+    for i, j in tree:
         assert u[i] + v[j] == pytest.approx(cost[i, j], abs=1e-12)
     for node in range(1, n + m):
-        up, cell = parent[node]
-        assert depth[node] == depth[up] + 1 and cell in basis
+        up, (i, j) = tree.parent[node], tree.up[node]
+        assert tree.depth[node] == tree.depth[up] + 1 and (i, j) in tree
+        assert {node, up} == {i, n + j} and tree.cup[node] == cost[i, j]
+    _assert_is_a_fresh_walk(tree, cost.tolist(), n, m)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_tree_path_is_the_tree_geodesic(seed):
+    """On random spanning trees, _cycle splits the tree geodesic from row
+    i0 to column j0: the cells at even places from the row lose, with
+    their flow, the node under them and the end of (i0, j0) that each cuts
+    off from row 0, and the cells at odd places gain."""
     nx = pytest.importorskip("networkx")
     rng = np.random.default_rng(100 + seed)
     n, m = (int(k) for k in rng.integers(1, 9, size=2))
     basis = _random_basis(rng, n, m)
-    _, parent, depth, _ = _basis_tree(basis, np.zeros((n, m)), n, m)
-    tree = nx.Graph((i, n + j) for i, j in basis)
+    tree = _fresh_walk(basis, np.zeros((n, m)).tolist(), n, m)
+    flow = rng.uniform(size=(n, m)).tolist()
+    graph = nx.Graph((i, n + j) for i, j in basis)
     for i0 in range(n):
         for j0 in range(m):
-            nodes = nx.shortest_path(tree, i0, n + j0)
+            nodes = nx.shortest_path(graph, i0, n + j0)
             cells = [(a, b - n) if a < n else (b, a - n)
                      for a, b in zip(nodes, nodes[1:])]
-            assert _tree_path(parent, depth, i0, j0, n) == cells
+            plus, minus = _cycle(tree, flow, i0, j0, n)
+            assert sorted(plus) == sorted(cells[1::2])
+            assert sorted(e[1] for e in minus) == sorted(cells[0::2])
+            for f, (i, j), top, end in minus:
+                cut = graph.copy()
+                cut.remove_edge(i, n + j)
+                assert f == flow[i][j] and tree.up[top] == (i, j)
+                assert end in (i0, n + j0) and nx.has_path(cut, top, end)
+                assert not nx.has_path(cut, 0, end)
 
 
 def _simplex_cases():
@@ -268,21 +318,20 @@ def _count_scans(monkeypatch, called):
 
 def test_kept_tree_is_a_fresh_walk_after_every_pivot(monkeypatch):
     """After every pivot of the _simplex_cases() LPs, big-M and degenerate
-    ones included, the kept potentials, parents and depths are exactly
-    those of a full walk of the new basis, and so are the edges; under
-    each pricing scan, which pivot alike."""
-    pivots = {scan: [] for scan in SCANS}
+    ones included, the kept potentials (bit for bit), parents, cells,
+    depths and kids are exactly those of a full walk of the new basis;
+    under each pricing scan, which pivot alike."""
+    pivots, costs = {scan: [] for scan in SCANS}, []
 
-    def checked(basis, tree, cost, n, entering, leaving):
-        real(basis, tree, cost, n, entering, leaving)
-        pot, parent, depth, adj = tree
-        fresh = _basis_tree(basis, cost, n, len(pot) - n)
-        assert pot == fresh[0] and parent == fresh[1] and depth == fresh[2]
-        assert [sorted(e) for e in adj] == [sorted(e) for e in fresh[3]]
+    def checked(tree, entering, c, inner, outer, top):
+        real(tree, entering, c, inner, outer, top)
+        _assert_is_a_fresh_walk(tree, costs[-1], *np.shape(costs[-1]))
         pivots[scan].append(entering)
 
-    real = mk_solver._pivot
+    real, simplex = mk_solver._pivot, mk_solver._transportation_simplex
     monkeypatch.setattr(mk_solver, "_pivot", checked)
+    monkeypatch.setattr(mk_solver, "_transportation_simplex", lambda *lp: (
+        costs.append(lp[2].tolist()) or simplex(*lp)))
     for scan, cells in SCANS.items():
         monkeypatch.setattr(mk_solver, "_ARRAY_SCAN_CELLS", cells)
         for _, m0, m1, cap in _simplex_cases():
@@ -336,9 +385,9 @@ def test_both_scans_pivot_as_the_reference(monkeypatch):
     """Each LP that solve_mk sets up for _simplex_cases() (big-M,
     infeasible and degenerate ones) and at mk-ladder's sizes, solved under
     the Python scan and under the array scan, each forced by the crossover:
-    both enter the same cells in the same order and return the reference's
-    (flow, basis) bit for bit."""
-    lps, entering, called = [], [], []
+    both make the reference's pivots, each the same (entering, leaving)
+    pair, count them, and return its (flow, basis) bit for bit."""
+    lps, made, called = [], [], []
     real = mk_solver._transportation_simplex
     monkeypatch.setattr(mk_solver, "_transportation_simplex",
                         lambda *lp: lps.append(lp) or real(*lp))
@@ -347,21 +396,62 @@ def test_both_scans_pivot_as_the_reference(monkeypatch):
         _solve_capped(m0, m1, cap)
     monkeypatch.undo()
     _count_scans(monkeypatch, called)
-    pivot = mk_solver._pivot
-    monkeypatch.setattr(mk_solver, "_pivot", lambda *a: entering.append(
-        a[4]) or pivot(*a))
+    pivot = mk_solver._pivot  # leaving: the cell over its last argument
+    monkeypatch.setattr(mk_solver, "_pivot", lambda *a: made.append(
+        (a[1], a[0].up[a[5]])) or pivot(*a))
     assert len(lps) == 129
     for lp in lps:
-        want = reference_simplex(*lp)
+        pairs = []
+        want = reference_simplex(*lp, pivots=pairs)
         got = {}
         for scan, cells in SCANS.items():
             monkeypatch.setattr(mk_solver, "_ARRAY_SCAN_CELLS", cells)
-            del entering[:], called[:]
+            del made[:], called[:]
             flow, basis = mk_solver._transportation_simplex(*lp)
             assert set(called) == {scan}
-            got[scan] = (flow.tobytes(), basis, entering[:])
-        assert got["_entering"] == got["_entering_array"]
-        assert got["_entering"][:2] == (want[0].tobytes(), want[1])
+            got[scan] = (flow.tobytes(), basis, made[:], basis.pivots)
+        assert got["_entering"] == got["_entering_array"] == (
+            want[0].tobytes(), want[1], pairs, len(pairs))
+
+
+def test_a_solution_carries_its_optimality_certificate(monkeypatch):
+    """Each feasible solve of the _simplex_cases() and mk-ladder-size LPs
+    returns its final basis, read-only potentials and pivot count, and
+    they certify its plan on the priced matrix (big-M on forbidden arcs):
+    u_i + v_j = c_ij on every basis cell within 1e-12 x scale, no allowed
+    non-basis cell's reduced cost below -_RC_TOL x scale, n + m - 1 basis
+    cells spanning every node, and no flow off the basis."""
+    nx = pytest.importorskip("networkx")
+    lps, pivots = [], []
+    real = mk_solver._transportation_simplex
+    monkeypatch.setattr(mk_solver, "_transportation_simplex",
+                        lambda *lp: lps.append(lp) or real(*lp))
+    cases = [case[1:] for case in _simplex_cases()]
+    for m0, m1, cap in cases + list(_ladder_size_cases()):
+        arcs = None if cap is None else arcs_longer_than(
+            m0, m1, cap * m0.diameter_to(m1))
+        try:
+            sol = solve_mk(m0, m1, SQRT, forbidden_arcs=arcs)
+        except Infeasible:
+            continue
+        _, _, cost, scale = lps[-1]
+        (n, m), (u, v) = cost.shape, sol.potentials
+        assert (u.shape, v.shape) == ((n,), (m,)) and u[0] == 0.0
+        assert not (u.flags.writeable or v.flags.writeable)
+        basis = np.zeros((n, m), bool)
+        basis[tuple(np.transpose(sol.basis))] = True
+        assert type(sol.basis) is tuple and len(sol.basis) == n + m - 1
+        assert nx.is_tree(nx.Graph((i, n + j) for i, j in sol.basis))
+        assert basis.sum() == n + m - 1
+        assert np.abs(u[:, None] + v - cost)[basis].max() <= 1e-12 * scale
+        allowed = np.ones((n, m), bool) if arcs is None else ~np.array(
+            [[arcs(i, j) for j in range(m)] for i in range(n)])
+        reduced = (cost - u[:, None]) - v
+        assert reduced[allowed & ~basis].min(initial=0.0) >= -_RC_TOL * scale
+        assert not sol.plan.plan[~basis].any()
+        pivots.append(sol.pivots)
+    assert len(pivots) == 100 and all(type(k) is int for k in pivots)
+    assert pivots[-3:] == [1336, 2568, 627]
 
 
 def test_the_array_scan_finds_the_python_scans_cell():

@@ -1,6 +1,7 @@
 """tools/suite_times.py, ladder_times.py and cli_times.py: one round on
 this tree, and a round count below one."""
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -24,11 +25,16 @@ def _run(tool: str, *argv: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=300)
 
 
+def _blocks(out: str) -> list:
+    """The output's blank-line-separated blocks, each as its lines."""
+    return [block.splitlines() for block in out.rstrip("\n").split("\n\n")]
+
+
 @pytest.mark.parametrize("tool", sorted(ROWS))
 def test_one_round_on_this_tree_prints_every_row(tool):
     got = _run(tool, "--rounds", "1")
     assert got.returncode == 0, got.stderr
-    lines = got.stdout.splitlines()
+    lines = _blocks(got.stdout)[0]
     assert lines[0].startswith("| ") and lines[1].startswith("|---")
     assert [line.split(" | ")[0][2:] for line in lines[2:]] == ROWS[tool]
 
@@ -40,10 +46,10 @@ def test_two_trees_add_the_paired_ratio_and_faster_count(tool):
     sides with the ratio; one line under the table says what is paired."""
     got = _run(tool, str(ROOT), "--rounds", "2")
     assert got.returncode == 0, got.stderr
-    lines = got.stdout.splitlines()
+    lines, note = _blocks(got.stdout)[:2]
     assert lines[0].endswith(" ms | ratio | faster |")
     assert lines[1] == "|---" * 5 + "|"
-    table, note = lines[2:-2], lines[-2:]
+    table = lines[2:]
     assert [line.split(" | ")[0][2:] for line in table] == ROWS[tool]
     for line in table:
         ratio, won = line.removesuffix(" |").split(" | ")[-2:]
@@ -51,7 +57,7 @@ def test_two_trees_add_the_paired_ratio_and_faster_count(tool):
         assert won in ("0", "1", "2")
         # two rounds won (lost) put the median ratio at or above (below) 1
         assert {"2": ratio >= 1.0, "0": ratio <= 1.0}.get(won, True)
-    assert note == ["", "The ms columns are each tree's median over the "
+    assert note == ["The ms columns are each tree's median over the "
                     "rounds, unpaired; ratio (the median of the per-round "
                     "ratios) and faster (the rounds in which the second "
                     "tree was faster) are paired round by round."]
@@ -73,7 +79,7 @@ def test_ladder_sizes_add_a_dirichlet_and_an_equal_row_per_size():
     the pass row sums them too; a size below one is a usage error."""
     got = _run("ladder_times.py", "--rounds", "1", "--sizes", "3")
     assert got.returncode == 0, got.stderr
-    rows = [line.split(" | ") for line in got.stdout.splitlines()[2:]]
+    rows = [line.split(" | ") for line in _blocks(got.stdout)[0][2:]]
     assert [row[0][2:] for row in rows] == ROWS["ladder_times.py"][:-1] + [
         "n3", "n3_equal", "pass"]
     ms = [float(row[1].removesuffix(" |")) for row in rows]
@@ -82,3 +88,40 @@ def test_ladder_sizes_add_a_dirichlet_and_an_equal_row_per_size():
     assert bad.returncode == 2 and bad.stdout == ""
     assert bad.stderr.splitlines()[-1].endswith(
         "sizes must be positive integers, got '3,0'")
+
+
+def _pivot_rows(block: list) -> list:
+    """The cells of each row of a pivot table."""
+    return [line.removesuffix(" |").split(" | ") for line in block[2:]]
+
+
+def test_ladder_prints_each_trees_pivots_and_whether_they_agree(tmp_path):
+    """After its times, ladder_times.py prints each rung's median pivot
+    count per tree, and with two trees whether they returned bit-identical
+    values and plans in every round: this tree against itself agrees, and
+    a tree whose solutions carry no pivot count and whose values move by
+    1e-9 reads "-" and differs in every round."""
+    got = _run("ladder_times.py", str(ROOT), "--rounds", "2")
+    assert got.returncode == 0, got.stderr
+    pivots, agree = _blocks(got.stdout)[2:]
+    assert pivots[0] == f"| rung | {ROOT} pivots | {ROOT} pivots |"
+    rows = _pivot_rows(pivots)
+    assert [row[0][2:] for row in rows] == ROWS["ladder_times.py"][:-1]
+    assert all(a == b and float(a) > 0 for _, a, b in rows)
+    assert agree == ["Values and plans: bit-identical in all 2 rounds."]
+
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src" / "lagot", other / "src" / "lagot")
+    solver = other / "src" / "lagot" / "mk_solver.py"
+    solver.write_text(solver.read_text() + (
+        "\n\nfrom types import SimpleNamespace  # noqa: E402\n\n"
+        "exact = solve_mk\n\n\n"
+        "def solve_mk(*args):\n"
+        "    sol = exact(*args)\n"
+        "    return SimpleNamespace(value=sol.value + 1e-9, plan=sol.plan)\n"))
+    got = _run("ladder_times.py", str(other), "--rounds", "2")
+    assert got.returncode == 0, got.stderr
+    pivots, agree = _blocks(got.stdout)[2:]
+    assert all(row[2] == "-" and float(row[1]) > 0
+               for row in _pivot_rows(pivots))
+    assert agree == ["Values and plans: differ in 2 of 2 rounds."]
