@@ -3,12 +3,12 @@ non-convex radial costs: exact solvers, explicit path constructions, and
 seeded verification of the identities relating them."""
 
 from .costs import (CostFunction, builtin, c_ell, check_a1, check_a2,
-                    parse_cost, power_cost, quadratic_cost)
+                    parse_cost, power_cost)
 from .duality import GridFunction, inf_conv, verify_control_identity
 from .ensembles import (BoundedCouplingTriple, EnsembleMember,
                         TransportEnsemble, build_opt_bounded, build_opt_tilde,
-                        eval_bounded, eval_tilde, eval_tv, induced_triple,
-                        oracle_min_path, solve_bounded)
+                        eval_bounded, eval_tilde, eval_tv, oracle_min_path,
+                        solve_bounded)
 from .harness import Report, VerifyConfig, emit_plot_data, verify
 from .measures import (Coupling, DiscreteMeasure, make_coupling,
                        random_measure, validate_measure)

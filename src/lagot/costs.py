@@ -67,13 +67,17 @@ def builtin(name: str, params: Optional[list] = None) -> CostFunction:
 
     power(p), p in (0,1]; remark_iii (the discontinuous concave-then-
     decreasing example); affine_exp(a) = a*u + 1 - exp(-u); linear;
-    quadratic.
+    quadratic, the convex (not sublinear) reference case.
     """
     params = list(params or [])
     if name == "power":
         if len(params) != 1:
             raise BadParam("power needs exactly one parameter p")
-        return power_cost(params[0], restrict=True)
+        p = float(params[0])
+        cost = power_cost(p)  # refuses a p that is not finite and positive
+        if p > 1:
+            raise BadParam(f"power builtin needs p in (0,1], got {p}")
+        return cost
     if name == "remark_iii":
         if params:
             raise BadParam("remark_iii takes no parameters")
@@ -102,27 +106,20 @@ def builtin(name: str, params: Optional[list] = None) -> CostFunction:
     if name == "quadratic":
         if params:
             raise BadParam("quadratic takes no parameters")
-        return quadratic_cost()
+        return CostFunction(name="quadratic", fn=lambda u: u * u)
     raise UnknownCost(f"unknown cost {name!r}; the builtins are power, "
                       "remark_iii, affine_exp, linear and quadratic")
 
 
-def power_cost(p: float, restrict: bool = False) -> CostFunction:
-    """u -> u**p.  With ``restrict`` only p in (0,1] is accepted (the range
-    where sublinearity holds); otherwise any p > 0 is allowed."""
+def power_cost(p: float) -> CostFunction:
+    """u -> u**p for any finite p > 0; the builtin keeps p in (0,1], the
+    range where sublinearity holds."""
     p = float(p)
     if not 0 < p < np.inf:
         raise BadParam(f"power needs a finite p > 0, got {p}")
-    if restrict and p > 1:
-        raise BadParam(f"power builtin needs p in (0,1], got {p}")
     slope = None if p > 1 else 1.0 if p == 1 else 0.0
     return CostFunction(name=f"power:{p}", fn=lambda u, p=p: u ** p,
                         analytic_c_ell=slope)
-
-
-def quadratic_cost() -> CostFunction:
-    """u -> u**2, the convex reference case.  Not sublinear."""
-    return CostFunction(name="quadratic", fn=lambda u: u * u)
 
 
 def from_spec(spec: dict) -> CostFunction:

@@ -53,8 +53,7 @@ class EnsembleStack:
     ensemble, and of the (k,) speed ``bounds``, each finite and dominating
     its row's sup-speed, or NaN where none is declared (given as NaN or
     None, for one row or all).  The one check of an ensemble; each fault
-    is looked for over the whole stack before the next.  ``ensembles[s]``
-    is ensemble s as a TransportEnsemble, built on first read.
+    is looked for over the whole stack before the next.
     """
 
     paths: PathBlock
@@ -89,12 +88,6 @@ class EnsembleStack:
             raise BoundViolated(
                 f"sup speed {sup[r]} exceeds bound {bounds[r]}")
         freeze(self, weights=weights, bounds=bounds)
-
-    @functools.cached_property
-    def ensembles(self) -> tuple:
-        return tuple(TransportEnsemble(self.paths.take(lo, hi),
-                                       self.weights[lo:hi], self.bounds[lo:hi])
-                     for lo, hi in zip(self.cuts, self.cuts[1:]))
 
 
 class TransportEnsemble(EnsembleStack):
@@ -234,23 +227,23 @@ def eval_tv_each(triples: Sequence[BoundedCouplingTriple],
 
 
 def _endpoint_cells(s) -> list:
-    """Per ensemble of a stack, what induced_triple reads off it: its
-    distinct starts and ends and their weights, merged as measure_of merges
-    them, its plan as a row-major list of each cell's weights summed in
-    member order, and each cell's one bound.  Refuses, ensemble by
-    ensemble, an end that measure_of refuses, a member without a bound,
-    then a second bound on one cell."""
+    """Per ensemble of a stack, the coupling that its endpoints induce: its
+    distinct starts and ends, merged as measure_of merges them, its plan as
+    a row-major list of each cell's weights summed in member order, and
+    each cell's one bound, on which members sharing the cell must agree.
+    Refuses, ensemble by ensemble, an end that measure_of refuses, a member
+    without a bound, then a second bound on one cell."""
     starts, ends = s.paths.starts.tolist(), s.paths.ends
     bad_end = int(np.append(~np.isfinite(ends).all(axis=1), True).argmax())
     no_bound = int(np.append(np.isnan(s.bounds), True).argmax())
     ends, weights, bounds = ends.tolist(), s.weights.tolist(), s.bounds.tolist()
     out = []
     for lo, hi in zip(s.cuts, s.cuts[1:]):
-        ii, src, src_w = merge_atoms(starts[lo:hi], weights[lo:hi])
+        ii, src, _ = merge_atoms(starts[lo:hi], weights[lo:hi])
         if lo <= bad_end < hi:  # starts are finite: the block checked them
             raise ValueError(f"non-finite atom {ends[bad_end]!r}, "
                              f"weight {weights[bad_end]!r}")
-        jj, tgt, tgt_w = merge_atoms(ends[lo:hi], weights[lo:hi])
+        jj, tgt, _ = merge_atoms(ends[lo:hi], weights[lo:hi])
         if lo <= no_bound < hi:
             raise MissingBound("every member needs a speed bound")
         plan, cells = [0.0] * (len(src) * len(tgt)), {}
@@ -258,34 +251,19 @@ def _endpoint_cells(s) -> list:
             plan[i * len(tgt) + j] += w
             if cells.setdefault((i, j), m) != m:
                 raise MissingBound("conflicting bounds on one endpoint cell")
-        out.append((src, src_w, tgt, tgt_w, plan, cells))
+        out.append((src, tgt, plan, cells))
     return out
 
 
-def induced_triple(e: TransportEnsemble) -> BoundedCouplingTriple:
-    """Coupling-with-bounds read off a bounded ensemble's endpoint cells.
-
-    Members sharing an endpoint pair must carry the same bound for the
-    cell map to be well defined.
-    """
-    src, src_w, tgt, tgt_w, plan, cells = _endpoint_cells(e)[0]
-    dim = e.paths.dim
-    # the plan groups checked positive weights by endpoint cell, so its
-    # marginals are the endpoint laws by construction
-    return BoundedCouplingTriple(Coupling(
-        DiscreteMeasure(dim, np.array(src, dtype=float), np.array(src_w)),
-        DiscreteMeasure(dim, np.array(tgt, dtype=float), np.array(tgt_w)),
-        np.reshape(plan, (len(src), len(tgt)))), cells)
-
-
 def eval_tv_induced_each(s, cost: CostFunction) -> list:
-    """eval_tv(induced_triple(e), cost) of each ensemble e of a stack, with
-    no triple built: every triple's distance matrix from one paired kernel
-    call, with the matrix's bits.  Refuses what induced_triple refuses,
+    """eval_tv of the triple each ensemble of a stack induces, none built:
+    its members grouped by endpoint cell (start, end), each cell's weights
+    summed and its one bound kept; every distance from one paired kernel
+    call, with the matrix's bits.  Refuses what _endpoint_cells refuses,
     ensemble by ensemble, then, at the first cell of the stack, a distance
     that overflows, a displacement over its bound and a non-finite cost."""
     xs, ys, pairs, cells, mass, bounds, cuts = [], [], [], [], [], [], [0]
-    for src, _, tgt, _, plan, bound in _endpoint_cells(s):
+    for src, tgt, plan, bound in _endpoint_cells(s):
         ij = list(itertools.product(range(len(src)), range(len(tgt))))
         pairs += [(len(xs) + i, len(ys) + j) for i, j in ij]
         xs += src

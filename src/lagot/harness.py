@@ -346,12 +346,15 @@ def _suite_cor2_7(cfg, cost, rngs):
 def _suite_cor2_8(cfg, cost, rngs):
     require(cost, "cor2_8", A1I)
     pairs = _rand_pairs(cfg, rngs)
-    sols = solve_mk_each(pairs, power_cost(1.0))
-    grids = [max(float(s.plan.distances.max()), 1e-6)
-             * np.array([1.0, 1.5, 2.0, 3.0, 4.0]) for s in sols]
-    for (m0, m1), sol, r_grid, ladder in zip(
-            pairs, sols, grids, solve_bounded_each(pairs, cost, grids)):
-        t1, diam = sol.value, float(r_grid[0])
+    grids = [max(float(pairwise_distances(m0.points, m1.points).max()), 1e-6)
+             * np.array([1.0, 1.5, 2.0, 3.0, 4.0]) for m0, m1 in pairs]
+    for (m0, m1), r_grid, ladder in zip(
+            pairs, grids, solve_bounded_each(pairs, cost, grids)):
+        # rung 1, the diameter, admits every arc, so its coupling is the
+        # power:1.0 optimum, priced at the distances: t1 bit for bit (as
+        # long as a rung stays at or above the diameter)
+        c, diam = ladder[0][1].coupling, float(r_grid[0])
+        t1 = float((c.plan * c.distances).sum())
         values = [v for v, _ in ladder]
         formula = [float(cost.eval(r)) / r * t1 for r in r_grid]
         eq = max(abs(v - f) for v, f in zip(values, formula))

@@ -74,10 +74,6 @@ class PathBlock:
         freeze(self, starts=starts, horizons=horizons, durations=durations,
                velocities=velocities, counts=counts)
 
-    @property
-    def dim(self) -> int:
-        return self.starts.shape[1]
-
     @functools.cached_property
     def speeds(self) -> np.ndarray:
         """(k, P) |v| of each piece, measured on first read; padding reads

@@ -179,11 +179,20 @@ def reference_simplex(supply, demand, cost, scale, pivots=None):
 
 
 
+def ensembles_of(s: EnsembleStack) -> list:
+    """Each ensemble of a stack as a TransportEnsemble viewing its rows."""
+    return [TransportEnsemble(s.paths.take(lo, hi), s.weights[lo:hi],
+                              s.bounds[lo:hi])
+            for lo, hi in zip(s.cuts, s.cuts[1:])]
+
+
 def induced_triple_per_ensemble(e: TransportEnsemble) -> BoundedCouplingTriple:
-    """``lagot.ensembles.induced_triple`` as one ensemble at a time: the
-    endpoint laws from measure_of, atoms numbered by dict lookups of their
-    points, the plan filled member by member."""
-    src, tgt = (measure_of(p, e.weights, e.paths.dim)
+    """The coupling-with-bounds that a bounded ensemble induces on its
+    endpoint cells, whose eval_tv ``lagot.ensembles.eval_tv_induced_each``
+    gives: the endpoint laws from measure_of, atoms numbered by dict lookups
+    of their points, the plan filled member by member, and each cell's one
+    bound."""
+    src, tgt = (measure_of(p, e.weights, e.paths.starts.shape[1])
                 for p in (e.paths.starts, e.paths.ends))
     if np.isnan(e.bounds).any():
         raise MissingBound("every member needs a speed bound")

@@ -8,10 +8,10 @@ import time
 import numpy as np
 import pytest
 
-from lagot.costs import builtin, quadratic_cost
+from lagot.costs import builtin
 from lagot.duality import GridFunction, verify_control_identity
 from lagot.ensembles import (build_opt_bounded, build_opt_tilde, eval_bounded,
-                             eval_tilde, eval_tv, induced_triple,
+                             eval_tilde, eval_tv, eval_tv_induced_each,
                              oracle_min_path, solve_bounded)
 from lagot.harness import (ORACLE_GRID, _rand_bounded_ensembles,
                            _rand_bounded_triple, _rand_measure, _rand_paths)
@@ -111,8 +111,9 @@ def test_04_bounded_velocity_value_matches_static_form():
             failures.append(("opt", k))
     rng = np.random.default_rng(4004)
     for _ in range(200):
-        ens = _rand_bounded_ensembles([rng], 2, 1).ensembles[0]
-        if eval_bounded(ens, SQRT) < eval_tv(induced_triple(ens), SQRT) - 1e-10:
+        ens = _rand_bounded_ensembles([rng], 2, 1)  # a stack of one
+        if (eval_bounded(ens, SQRT)
+                < eval_tv_induced_each(ens, SQRT)[0] - 1e-10):
             failures.append(("lower-bound", ens))
     _report("04 bounded-velocity value equals its static form", failures)
 
@@ -179,7 +180,7 @@ def test_07_time_change_turns_modified_cost_into_plain_cost():
 
 def test_08_convex_cost_makes_the_linear_path_optimal():
     failures = []
-    quad = quadratic_cost()
+    quad = builtin("quadratic")
     for delta in (0.5, 1.0, 2.0):
         got = oracle_min_path([0.0], [delta], quad, "conv", 4, ORACLE_GRID)
         if abs(got - delta ** 2) > 1e-9:

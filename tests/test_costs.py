@@ -5,7 +5,7 @@ import pytest
 
 from lagot.costs import (A1I, A1III, A2I, CostFunction, builtin, c_ell,
                          check_a1, check_a2, default_a1_grids, from_spec,
-                         parse_cost, power_cost, quadratic_cost, require)
+                         parse_cost, power_cost, require)
 from lagot.errors import AssumptionRefused, BadParam, UnknownCost
 from oracles import check_a1_per_r
 
@@ -57,8 +57,17 @@ def test_bad_params():
     for p in (math.nan, math.inf):
         with pytest.raises(BadParam, match="finite"):
             power_cost(p)
-    # unrestricted power admits any positive exponent
+    # power_cost admits any positive exponent; the builtin only p in (0,1],
+    # refused after power_cost's own check
     assert power_cost(1.5).eval(4.0) == pytest.approx(8.0)
+    for p, message in [(2.0, "power builtin needs p in (0,1], got 2.0"),
+                       (2, "power builtin needs p in (0,1], got 2.0"),
+                       (math.nan, "power needs a finite p > 0, got nan"),
+                       (-1.0, "power needs a finite p > 0, got -1.0"),
+                       (math.inf, "power needs a finite p > 0, got inf")]:
+        with pytest.raises(BadParam) as info:
+            builtin("power", [p])
+        assert str(info.value) == message
 
 
 def test_check_a1_sublinear_pass():
@@ -68,7 +77,7 @@ def test_check_a1_sublinear_pass():
 
 def test_check_a1_convex_fails():
     # the witness is taken at the first r that fails
-    r, u, lru, rlu = check_a1(quadratic_cost(), [0.5, 0.25], [1.0])[A1I]
+    r, u, lru, rlu = check_a1(builtin("quadratic"), [0.5, 0.25], [1.0])[A1I]
     assert r == 0.5 and u == 1.0
     assert lru == pytest.approx(0.25) and rlu == pytest.approx(0.5)
 
@@ -107,7 +116,7 @@ def test_c_ell_without_an_analytic_slope_is_refused():
     with pytest.raises(BadParam):
         c_ell(CostFunction(name="sqrt", fn=np.sqrt))
     with pytest.raises(BadParam):
-        c_ell(quadratic_cost())
+        c_ell(builtin("quadratic"))
 
 
 CLEAN = {A1I: None, A1III: None, A2I: None}
@@ -124,7 +133,7 @@ FAILING = {
 }
 
 
-@pytest.mark.parametrize("cost", ALL_BUILTINS + [quadratic_cost()],
+@pytest.mark.parametrize("cost", ALL_BUILTINS + [builtin("quadratic")],
                          ids=lambda c: c.name)
 def test_declared_a1_flags_hold_on_grid(cost):
     """The hypothesis table declared above is what each builtin's sampled
@@ -148,7 +157,7 @@ def test_require_refuses_at_the_first_failing_hypothesis_given():
 R_GRIDS = [default_a1_grids()[0], [0.5, 0.25], [0.5], np.linspace(0.9, 0.1, 7)]
 U_GRIDS = [default_a1_grids()[1], [1.0], [0.5, 2.0], np.logspace(-2, 2, 9)]
 A1_COSTS = ALL_BUILTINS + [
-    quadratic_cost(), power_cost(1.5),
+    builtin("quadratic"), power_cost(1.5),
     CostFunction(name="shifted", fn=lambda u: np.sqrt(u) + 1.0),
     CostFunction(name="flat", fn=lambda u: np.where(u < 1.0, u, 0.0)),
     # fails (A1i) at a u that grows as r falls, so each r's first failing u

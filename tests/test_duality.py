@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lagot.costs import builtin, parse_cost, power_cost, quadratic_cost
+from lagot.costs import builtin, parse_cost, power_cost
 from lagot.duality import GridFunction, inf_conv, verify_control_identity
 from lagot.errors import AssumptionRefused, DimensionMismatch
 from lagot.measures import validate_measure
@@ -76,7 +76,7 @@ def test_hypothesis_gate():
     m0 = validate_measure([((0.0,), 1.0)], 1)
     f = grid1d([0.0], [0.0])
     with pytest.raises(AssumptionRefused) as exc:
-        verify_control_identity(m0, f, quadratic_cost(), 1)
+        verify_control_identity(m0, f, builtin("quadratic"), 1)
     assert str(exc.value) == (
         "the control identity needs sublinearity; witness (0.02, "
         "0.0071968567300115215, 2.0717898716924856e-08, "

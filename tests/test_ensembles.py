@@ -6,14 +6,14 @@ import pytest
 
 import lagot.ensembles as ensembles
 import lagot.measures as measures
-from lagot.costs import builtin, power_cost, quadratic_cost
+from lagot.costs import builtin, power_cost
 from lagot.ensembles import (BoundedCouplingTriple, EnsembleStack,
                              TransportEnsemble, build_opt_bounded,
                              build_opt_bounded_each, build_opt_tilde,
                              build_opt_tilde_each, eval_bounded,
                              eval_bounded_each, eval_tilde, eval_tilde_each,
                              eval_tv, eval_tv_each, eval_tv_induced_each,
-                             induced_triple, oracle_min_path, solve_bounded,
+                             oracle_min_path, solve_bounded,
                              solve_bounded_each)
 from lagot.errors import (BadHorizon, BoundViolated, DimensionMismatch,
                           Infeasible, InfeasibleBound, MissingBound,
@@ -26,8 +26,9 @@ from lagot.mk_solver import solve_mk
 from lagot.paths import (IntervalSet, SteppedPath, block_of, cost_li,
                          cost_plain, fast_path, linear_path, l1_norm, n1,
                          random_interval_set, stop_and_go, stretch, sup_norm)
-from oracles import (build_opt_bounded_per_triple, eval_tv_per_triple,
-                     induced_triple_per_ensemble, solve_bounded_per_ladder)
+from oracles import (build_opt_bounded_per_triple, ensembles_of,
+                     eval_tv_per_triple, induced_triple_per_ensemble,
+                     solve_bounded_per_ladder)
 
 SQRT = builtin("power", [0.5])
 REMARK = builtin("remark_iii")
@@ -41,8 +42,8 @@ def single(path, bound=None, weight=1.0):
 
 def endpoint_laws(e):
     """Laws of the start and end points of an ensemble."""
-    return (measure_of(e.paths.starts, e.weights, e.paths.dim),
-            measure_of(e.paths.ends, e.weights, e.paths.dim))
+    return (measure_of(e.paths.starts, e.weights, e.paths.starts.shape[1]),
+            measure_of(e.paths.ends, e.weights, e.paths.starts.shape[1]))
 
 
 def test_endpoint_marginals():
@@ -176,8 +177,9 @@ def test_optimal_structure():
 def test_induced_triple_roundtrip():
     ens = TransportEnsemble(stop_and_go([[0.0], [0.0]], [[1.0], [-2.0]],
                                         [FULL, FULL]), [0.6, 0.4], [1.5, 2.0])
-    t = induced_triple(ens)
+    t = induced_triple_per_ensemble(ens)
     assert eval_tv(t, SQRT) <= eval_bounded(ens, SQRT) + 1e-12
+    assert eval_tv_induced_each(ens, SQRT) == [eval_tv(t, SQRT)]
 
 
 def _shared_endpoint_ensemble(rng, dim=None):
@@ -193,17 +195,21 @@ def _shared_endpoint_ensemble(rng, dim=None):
 
 
 def test_induced_plan_has_the_endpoint_marginals():
-    """induced_triple builds its Coupling unchecked: its plan groups the
-    weights by endpoint cell, so its row and column sums are the endpoint
-    laws' weights to rounding."""
+    """eval_tv_induced_each builds no Coupling, so nothing checks the plan
+    that it groups by endpoint cell: its row and column sums are the
+    endpoint laws' weights, atoms numbered as measure_of numbers them, to
+    rounding."""
     rng = np.random.default_rng(16)
     drawn = [e for _ in range(60)
-             for e in _rand_bounded_ensembles(
-                 [rng], int(rng.integers(1, 4)), 4).ensembles]
+             for e in ensembles_of(_rand_bounded_ensembles(
+                 [rng], int(rng.integers(1, 4)), 4))]
     shared = [_shared_endpoint_ensemble(rng) for _ in range(200)]
     for e in drawn + shared:
         src, tgt = endpoint_laws(e)
-        plan = induced_triple(e).coupling.plan
+        src_at, tgt_at, plan, _ = ensembles._endpoint_cells(e)[0]
+        assert np.array_equal(src_at, src.points)
+        assert np.array_equal(tgt_at, tgt.points)
+        plan = np.reshape(plan, (len(src_at), len(tgt_at)))
         assert np.abs(plan.sum(axis=1) - src.weights).max() <= 1e-15
         assert np.abs(plan.sum(axis=0) - tgt.weights).max() <= 1e-15
     assert sum(endpoint_laws(e)[0].n_atoms < len(e.weights)
@@ -236,7 +242,7 @@ def test_oracle_2d_spot_check():
 
 OBJECTIVES = ("plain", "L1", "L2", "conv")
 ORACLE_COSTS = (SQRT, REMARK, builtin("affine_exp", [0.25]),
-                builtin("linear"), quadratic_cost())
+                builtin("linear"), builtin("quadratic"))
 
 
 def _brute_force_minima(x, y, K, grid, cap):
@@ -475,7 +481,7 @@ def test_a_block_raises_what_its_bad_ladder_raises_alone(bad):
     m0, m1, arcs, r_star = _ladder_instance(7)
     cap = {"nan": np.nan, "inf": np.inf, "zero": 0.0, "negative": -1.0,
            "below": arcs[arcs < r_star][-1], "cost": 1e200}[bad]
-    cost = quadratic_cost() if bad == "cost" else SQRT
+    cost = builtin("quadratic") if bad == "cost" else SQRT
     ladder = np.array([arcs[-1], r_star, cap, 2.0 * arcs[-1]])
     with np.errstate(over="ignore"):
         with pytest.raises(Exception) as alone:
@@ -600,8 +606,8 @@ def test_stacked_tilde_ensembles_are_the_ones_built_alone():
     stack = build_opt_tilde_each(sols, sets)
     alone = [build_opt_tilde(sol, lambda i, j, it=iter(one): next(it))
              for sol, one in zip(sols, sets)]
-    assert len(stack.ensembles) == len(sols)
-    for e, a in zip(stack.ensembles, alone):
+    assert len(ensembles_of(stack)) == len(sols)
+    for e, a in zip(ensembles_of(stack), alone):
         for name in ("starts", "durations", "velocities", "counts"):
             assert getattr(e.paths, name).tobytes() == \
                 getattr(a.paths, name).tobytes(), name
@@ -645,11 +651,12 @@ def test_stacked_bounded_ensembles_are_checked_and_evaluated_alone(fault):
     built alone."""
     rng = np.random.default_rng(32)
     stack = _rand_bounded_ensembles([rng] * 3, 2, 4)
-    assert len(stack.ensembles) == 12
+    assert len(ensembles_of(stack)) == 12
     alone = [TransportEnsemble(block_of(*zip(*[
         (s, 1.0, d[:c], v[:c]) for s, d, v, c in zip(
             e.paths.starts, e.paths.durations, e.paths.velocities,
-            e.paths.counts)])), e.weights, e.bounds) for e in stack.ensembles]
+            e.paths.counts)])), e.weights, e.bounds)
+        for e in ensembles_of(stack)]
     assert eval_bounded_each(stack, SQRT) == \
         [eval_bounded(a, SQRT) for a in alone]
     lo, last = stack.cuts[-2], alone[-1]
@@ -712,15 +719,6 @@ def _stack_of(ens):
                          np.concatenate([e.bounds for e in ens]), cuts)
 
 
-def _same_triple(got, want):
-    for a, b in ((got.coupling.source, want.coupling.source),
-                 (got.coupling.target, want.coupling.target)):
-        assert a.points.tobytes() == b.points.tobytes()
-        assert a.weights.tobytes() == b.weights.tobytes()
-    assert got.coupling.plan.tobytes() == want.coupling.plan.tobytes()
-    assert got.bound_assignment == want.bound_assignment
-
-
 def _gap_stacks():
     """Stacks of 2-7 member ensembles between a few integer points, so that
     members share a start, an end or both and resting members carry the
@@ -738,30 +736,27 @@ def _gap_stacks():
                                   builtin("affine_exp", [0.25])],
                          ids=lambda c: c.name)
 def test_induced_gaps_are_each_ensembles_eval_tv(cost):
-    """eval_tv_induced_each has, ensemble by ensemble, the bits of
-    eval_tv(induced_triple(e)), and both those of the per-ensemble
-    reference; induced_triple builds the reference's triple."""
+    """eval_tv_induced_each has, ensemble by ensemble, the bits of eval_tv
+    of the per-ensemble reference's triple."""
     stacks = _gap_stacks()
     merged = zero = 0
     for stack in stacks:
         want = []
-        for e in stack.ensembles:
+        for e in ensembles_of(stack):
             ref = induced_triple_per_ensemble(e)
-            _same_triple(induced_triple(e), ref)
             want.append(eval_tv_per_triple(ref, cost))
             merged += ref.coupling.source.n_atoms < len(e.weights)
             zero += (ref.cell_bounds == 0).any()
         got = eval_tv_induced_each(stack, cost)
         assert [v.hex() for v in got] == [v.hex() for v in want]
-        assert [eval_tv(induced_triple(e), cost).hex()
-                for e in stack.ensembles] == [v.hex() for v in want]
     assert merged > 5 and zero > 5
-    assert {len(e.weights) for s in stacks for e in s.ensembles} >= \
+    assert {len(e.weights) for s in stacks for e in ensembles_of(s)} >= \
         {1, 2, 3, 4, 5, 6, 7}
 
 
 def _faulty(fault):
-    """One ensemble that induced_triple or eval_tv refuses, and the cost."""
+    """One ensemble whose induced triple, or its eval_tv, is refused, and
+    the cost."""
     if fault == "conflict":  # two members on one cell, two bounds
         return TransportEnsemble(stop_and_go([[0.0], [0.0]], [[1.0], [1.0]],
                                              [FULL, FULL]),
@@ -785,30 +780,28 @@ def _faulty(fault):
     if fault == "horizon":  # speed 1 for time 2: displacement 2 > bound 1
         return single(block_of([[0.0]], [2.0], [[2.0]], [[[1.0]]]),
                       bound=1.0), SQRT
-    return single(linear_path([0.0], [1.0]), bound=1e200), quadratic_cost()
+    return single(linear_path([0.0], [1.0]), bound=1e200), builtin("quadratic")
 
 
 @pytest.mark.parametrize("fault", ["conflict", "missing", "end", "sum",
                                    "distance", "horizon", "cost"])
 def test_a_stack_refuses_what_one_ensemble_refuses(fault, monkeypatch):
     """A faulty ensemble after a good one is refused through the stack with
-    the class and message of eval_tv(induced_triple(e)) and of the
-    per-ensemble reference."""
+    the class and message of the per-ensemble reference."""
     bad, cost = _faulty(fault)
     good = _rand_bounded_ensembles([np.random.default_rng(7)], 1, 1)
-    stack = _stack_of([good.ensembles[0], bad])
+    stack = _stack_of([*ensembles_of(good), bad])
     if fault == "sum":
         monkeypatch.setattr(measures, "WEIGHT_SUM_TOL", -1.0)
     raised = []
     for call in (lambda: eval_tv_per_triple(
                      induced_triple_per_ensemble(bad), cost),
-                 lambda: eval_tv(induced_triple(bad), cost),
                  lambda: eval_tv_induced_each(stack, cost)):
         with pytest.raises(Exception) as info, np.errstate(over="ignore"):
             call()
         raised.append((type(info.value), str(info.value)))
     assert raised[0][0] is not AssertionError
-    assert raised[1] == raised[0] and raised[2] == raised[0]
+    assert raised[1] == raised[0]
 
 
 def _trial_triples(dim):
@@ -834,8 +827,8 @@ def test_trial_side_blocks_are_the_one_at_a_time_calls(cost, dim):
     triples = _trial_triples(dim)
     assert len({len(t.cell_bounds) for t in triples}) > 3
     stack = build_opt_bounded_each(triples)
-    assert len(stack.ensembles) == len(triples)
-    for e, t in zip(stack.ensembles, triples):
+    assert len(ensembles_of(stack)) == len(triples)
+    for e, t in zip(ensembles_of(stack), triples):
         for want in (build_opt_bounded(t), build_opt_bounded_per_triple(t)):
             for name in ("starts", "horizons", "durations", "velocities",
                          "counts"):
@@ -853,7 +846,7 @@ def test_trial_side_blocks_are_the_one_at_a_time_calls(cost, dim):
 def test_a_ladder_refuses_an_overflowing_rung_as_its_scalar_call():
     m0 = validate_measure([((0.0, 0.0), 1.0)], 2)
     m1 = validate_measure([((0.5, 0.0), 1.0)], 2)
-    cost = quadratic_cost()
+    cost = builtin("quadratic")
     with pytest.raises(InfeasibleBound) as alone, np.errstate(over="ignore"):
         solve_bounded(m0, m1, cost, 1e200)
     with pytest.raises(InfeasibleBound) as ladder, np.errstate(over="ignore"):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lagot import cli, costs, harness
+from lagot import cli, costs, harness, mk_solver
 from lagot.cli import main
 from lagot.costs import parse_cost
 from lagot.errors import AssumptionRefused, ConfigInvalid, UnknownKind
@@ -523,6 +523,21 @@ def test_cli_cor2_8_passes_at_defaults(cost, tmp_path):
     assert main(["verify", "--theorem", "cor2_8", "--cost", cost,
                  "--out", str(rep)]) == 0
     assert json.loads(rep.read_text())["summary"]["pass_count"] == 20
+
+
+def test_cor2_8_solves_each_trials_lp_once(monkeypatch):
+    """A default cor2_8 run solves one LP per trial: t1 is read off the
+    ladder's first rung, which admits every arc, and has the bits of
+    t_p(m0, m1, 1.0)."""
+    cfg, solve, calls = VerifyConfig(theorem="cor2_8"), mk_solver._solve, []
+    monkeypatch.setattr(mk_solver, "_solve",
+                        lambda *args: calls.append(args) or solve(*args))
+    report = verify(cfg)
+    assert report.passed and len(calls) == cfg.trials == 20
+    pairs = harness._rand_pairs(cfg, harness._trial_generators(
+        np.random.SeedSequence(cfg.seed), cfg.trials))
+    assert [t["values"]["t1"] for t in report.trials] == \
+        [t_p(m0, m1, 1.0) for m0, m1 in pairs]
 
 
 NAN = float("nan")

@@ -4,9 +4,9 @@
 
 Each TREE is a checkout holding ``src/lagot``; both are imported into this
 one process, side by side, with ``tools/suite_times.py``'s loader.  Round
-k writes pass k's instance of capped-cli (the caps, atom counts and
-instance generator below are copied from perfbench/workloads.py) and
-runs its calls through each tree's ``lagot.cli.main``, the trees' order
+k writes pass k's instance of capped-cli (with the caps, atom counts and
+instance generator of this checkout's perfbench/workloads.py) and runs
+its calls through each tree's ``lagot.cli.main``, the trees' order
 alternating from round to round: per cap, build-optimal --theorem 2.6,
 eval --objective plain on the ``ensemble`` of its output (when the build
 succeeds) and solve-mk --max-arc-length, then one eval handed the last
@@ -26,45 +26,15 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-# suite_times pins BLAS to one thread, so it comes before numpy
-from suite_times import load, parse_trees, print_table, timed_rounds
+# suite_times pins BLAS to one thread before numpy is first imported
+from suite_times import load, parse_trees, print_table, timed_rounds, workloads
 
-import numpy as np
-
-# perfbench/workloads.py: CLI_COST, CAP_FACTORS, CLI_ATOMS, BOX,
-# WARM_UP_SEED, random_pair and CappedCli.make_pass, copied so that the
-# timed instances stay fixed
-CLI_COST = "power:0.5"
-CAP_FACTORS = (0.6, 0.8, 1.0, 1.5)
-CLI_ATOMS = (10, 14)
-BOX = 2.0
-WARM_UP_SEED = 0
-
-
-def random_pair(rng, n0: int, n1: int):
-    """Points uniform in the box, Dirichlet weights."""
-    out = []
-    for n in (n0, n1):
-        out.extend((rng.uniform(-BOX, BOX, size=(n, 2)),
-                    rng.dirichlet(np.ones(n))))
-    return tuple(out)
+W = workloads()  # the caps, seeds and instances that perfbench times
 
 
 def make_pass(seed: int, k: int, d: Path) -> list:
     """Write pass k's two measure files into ``d``; its caps."""
-    rng = np.random.default_rng([seed, k])
-    n0, n1 = (int(n) for n in rng.integers(CLI_ATOMS[0], CLI_ATOMS[1] + 1,
-                                            size=2))
-    arrays = random_pair(rng, n0, n1)
-    for name, (points, weights) in (("p0.json", arrays[:2]),
-                                    ("p1.json", arrays[2:])):
-        doc = {"dim": 2, "atoms": [{"x": [float(v) for v in x],
-                                    "w": float(w)}
-                                   for x, w in zip(points, weights)]}
-        (d / name).write_text(json.dumps(doc))
-    diam = float(np.linalg.norm(arrays[0][:, None] - arrays[2][None],
-                                axis=2).max())
-    return [(f, f * diam) for f in CAP_FACTORS]
+    return W.CappedCli(seed, d).make_pass(k)[2]
 
 
 def run_pass(cli, d: Path, caps) -> dict:
@@ -76,7 +46,7 @@ def run_pass(cli, d: Path, caps) -> dict:
     def timed(name, *argv) -> int:
         t0 = perf_counter()
         with contextlib.redirect_stderr(io.StringIO()):
-            rc = cli.main([*argv, "--cost", CLI_COST])
+            rc = cli.main([*argv, "--cost", W.CLI_COST])
         times[name] += perf_counter() - t0
         return rc
 
@@ -103,7 +73,7 @@ def main(argv=None) -> None:
     clis = [load(tree.resolve(), "cli")[0] for tree in args.trees]
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
-        caps = make_pass(WARM_UP_SEED, 0, d)
+        caps = make_pass(W.WARM_UP_SEED, 0, d)
         for cli in clis:
             run_pass(cli, d, caps[-1:])
         rounds = timed_rounds(clis, args.rounds, lambda cli, k: run_pass(

@@ -6,8 +6,8 @@
 Each TREE is a checkout holding ``src/lagot``; both are imported into this
 one process, side by side, with ``tools/suite_times.py``'s loader.  Round
 k solves pass k's instance of every mk-ladder rung (``solve_mk`` under
-power:0.5; the rungs, seeds and instance generator below are copied from
-perfbench/workloads.py) in both trees, the trees' order alternating from
+power:0.5; the rungs, seeds and instance generator are this checkout's
+perfbench/workloads.py's) in both trees, the trees' order alternating from
 round to round.  Before the first round each tree solves the warm-up
 instance, as the benchmark does.  Prints the median over the rounds of
 each tree's milliseconds per rung and for the whole pass and, with two
@@ -35,42 +35,19 @@ import hashlib
 import statistics
 from time import perf_counter
 
-# suite_times pins BLAS to one thread, so it comes before numpy
-from suite_times import load, parse_trees, print_table, timed_rounds
+# suite_times pins BLAS to one thread before numpy is first imported
+from suite_times import load, parse_trees, print_table, timed_rounds, workloads
 
-import numpy as np
-
-# perfbench/workloads.py: LADDER, WARM_UP_SEED, BOX, random_pair and
-# ladder_instance, copied so that the timed instances stay fixed
-LADDER = (("n10", 10, False), ("n20", 20, False), ("n40", 40, False),
-          ("n20_equal", 20, True))
-WARM_UP_SEED = 0
-BOX = 2.0
-
-
-def random_pair(rng, n0: int, n1: int, equal: bool = False):
-    """Points uniform in the box; Dirichlet weights, or 1/n each."""
-    out = []
-    for n in (n0, n1):
-        points = rng.uniform(-BOX, BOX, size=(n, 2))
-        weights = np.full(n, 1.0 / n) if equal else rng.dirichlet(np.ones(n))
-        out.extend((points, weights))
-    return tuple(out)
-
-
-def ladder_instance(seed: int, k: int, rung: tuple):
-    name, n, equal = rung
-    rng = np.random.default_rng([seed, k, n, int(equal)])
-    return name, random_pair(rng, n, n, equal)
+W = workloads()  # the rungs, seeds and instances that perfbench times
 
 
 def solve_pass(mk_solver, measures, cost, seed: int, k: int,
-               rungs=LADDER, sols=None) -> dict:
+               rungs=W.LADDER, sols=None) -> dict:
     """Seconds per rung of pass k's solves; measures are built untimed.
     A dict given as ``sols`` gets each rung's solution."""
     times = {}
     for rung in rungs:
-        name, (p0, w0, p1, w1) = ladder_instance(seed, k, rung)
+        name, (p0, w0, p1, w1) = W.ladder_instance(seed, k, rung)
         m0 = measures.validate_measure(zip(p0, w0), 2)
         m1 = measures.validate_measure(zip(p1, w1), 2)
         t0 = perf_counter()
@@ -116,14 +93,14 @@ def sized_rungs(text: str) -> tuple:
 def main(argv=None) -> None:
     args = parse_trees(__doc__, argv, rounds=20, sizes=dict(
         type=sized_rungs, default=(), metavar="N[,N...]"))
-    rungs = LADDER + tuple(r for r in args.sizes if r not in LADDER)
+    rungs = W.LADDER + tuple(r for r in args.sizes if r not in W.LADDER)
     progs = []
     for tree in args.trees:
         mk_solver, measures, costs = load(tree.resolve(), "mk_solver",
                                           "measures", "costs")
-        progs.append((mk_solver, measures, costs.parse_cost("power:0.5")))
+        progs.append((mk_solver, measures, costs.parse_cost(W.LADDER_COST)))
     for prog in progs:
-        solve_pass(*prog, WARM_UP_SEED, 0, rungs=LADDER[:1])
+        solve_pass(*prog, W.WARM_UP_SEED, 0, rungs=W.LADDER[:1])
     outs = [[] for _ in progs]
 
     def run(t, k):

@@ -52,15 +52,15 @@ def load(tree: Path, *names: str) -> list:
         _purge()
 
 
-def sweep_pairs():
-    """suite-sweep's (suite, cost) pairs, in its order."""
+def workloads():
+    """This checkout's perfbench/workloads.py, whose generators the tools
+    time; the lagot it imports leaves ``sys.modules`` again."""
     sys.path[:0] = [str(ROOT), str(ROOT / "src")]
     try:
-        from perfbench.workloads import SUITES, SWEEP_COSTS
+        return importlib.import_module("perfbench.workloads")
     finally:
         del sys.path[:2]
         _purge()
-    return [(s, c) for s in SUITES for c in SWEEP_COSTS]
 
 
 def run_pass(harness, costs, refused, pairs, seed: int, k: int,
@@ -139,7 +139,8 @@ def print_table(kind: str, total: str, trees, rounds, digits: int = 1):
 
 def main(argv=None) -> None:
     args = parse_trees(__doc__, argv, rounds=12)
-    pairs = sweep_pairs()
+    W = workloads()
+    pairs = [(s, c) for s in W.SUITES for c in W.SWEEP_COSTS]
     progs = []
     for tree in args.trees:
         harness, costs, errors = load(tree.resolve(), "harness", "costs",
