@@ -24,7 +24,7 @@ from .errors import (BoundViolated, ConfigInvalid, DimensionMismatch,
                      NoFeasiblePath)
 from .measures import (WEIGHT_SUM_TOL, Coupling, DiscreteMeasure,
                        arc_lengths, expectations, freeze, json_rows,
-                       merge_atoms, pairwise_distances, read_only)
+                       pairwise_distances, read_only)
 from .mk_solver import MKSolution, solve_mk
 from .paths import IntervalSet, PathBlock, cost_li, cost_plain, stop_and_go
 
@@ -226,59 +226,24 @@ def eval_tv_each(triples: Sequence[BoundedCouplingTriple],
     return _tv_sums(*_joined(cells), cost)
 
 
-def _endpoint_cells(s) -> list:
-    """Per ensemble of a stack, the coupling that its endpoints induce: its
-    distinct starts and ends, merged as measure_of merges them, its plan as
-    a row-major list of each cell's weights summed in member order, and
-    each cell's one bound, on which members sharing the cell must agree.
-    Refuses, ensemble by ensemble, an end that measure_of refuses, a member
-    without a bound, then a second bound on one cell."""
-    starts, ends = s.paths.starts.tolist(), s.paths.ends
-    bad_end = int(np.append(~np.isfinite(ends).all(axis=1), True).argmax())
-    no_bound = int(np.append(np.isnan(s.bounds), True).argmax())
-    ends, weights, bounds = ends.tolist(), s.weights.tolist(), s.bounds.tolist()
-    out = []
-    for lo, hi in zip(s.cuts, s.cuts[1:]):
-        ii, src, _ = merge_atoms(starts[lo:hi], weights[lo:hi])
-        if lo <= bad_end < hi:  # starts are finite: the block checked them
-            raise ValueError(f"non-finite atom {ends[bad_end]!r}, "
-                             f"weight {weights[bad_end]!r}")
-        jj, tgt, _ = merge_atoms(ends[lo:hi], weights[lo:hi])
-        if lo <= no_bound < hi:
-            raise MissingBound("every member needs a speed bound")
-        plan, cells = [0.0] * (len(src) * len(tgt)), {}
-        for i, j, w, m in zip(ii, jj, weights[lo:hi], bounds[lo:hi]):
-            plan[i * len(tgt) + j] += w
-            if cells.setdefault((i, j), m) != m:
-                raise MissingBound("conflicting bounds on one endpoint cell")
-        out.append((src, tgt, plan, cells))
-    return out
-
-
 def eval_tv_induced_each(s, cost: CostFunction) -> list:
-    """eval_tv of the triple each ensemble of a stack induces, none built:
-    its members grouped by endpoint cell (start, end), each cell's weights
-    summed and its one bound kept; every distance from one paired kernel
-    call, with the matrix's bits.  Refuses what _endpoint_cells refuses,
-    ensemble by ensemble, then, at the first cell of the stack, a distance
-    that overflows, a displacement over its bound and a non-finite cost."""
-    xs, ys, pairs, cells, mass, bounds, cuts = [], [], [], [], [], [], [0]
-    for src, tgt, plan, bound in _endpoint_cells(s):
-        ij = list(itertools.product(range(len(src)), range(len(tgt))))
-        pairs += [(len(xs) + i, len(ys) + j) for i, j in ij]
-        xs += src
-        ys += tgt
-        cells += ij
-        bounds += [bound.get(c, np.nan) for c in ij]  # NaN: no member
-        mass += plan
-        cuts.append(len(mass))
-    a, b = np.array(pairs).T
-    dist = pairwise_distances(np.array(xs)[a], np.array(ys)[b], True)
-    bounds = np.array(bounds)
-    if (over := _exceeds(dist, bounds)).any():
-        raise InfeasibleBound(f"cell {cells[over.argmax()]}: displacement "
-                              f"exceeds bound {bounds[over].item(0)}")
-    return _tv_sums(np.array(mass), bounds, dist, cuts, cost)
+    """The static bounded form E[cost(M)/M * |X_1 - X_0|] of each ensemble
+    of a stack: weight * cost(M)/M * |end - start| summed over its members
+    in order, with M the member's bound and a member at M = 0 adding 0.0;
+    in exact arithmetic eval_tv of the triple that the ensemble induces on
+    its endpoint cells.  Every distance from one paired kernel call.
+    Refuses a member without a bound, then, at the stack's first member, a
+    distance that overflows, a displacement over its bound and a
+    non-finite cost."""
+    if np.isnan(s.bounds).any():
+        raise MissingBound("every member needs a speed bound")
+    dist = pairwise_distances(s.paths.starts, s.paths.ends, True)
+    if (over := _exceeds(dist, s.bounds)).any():
+        r = int(over.argmax())
+        raise InfeasibleBound(
+            f"member {r - max(c for c in s.cuts if c <= r)}: displacement "
+            f"exceeds bound {s.bounds[r]}")
+    return _tv_sums(s.weights, s.bounds, dist, s.cuts, cost)
 
 
 def build_opt_tilde(sol: MKSolution,
@@ -454,9 +419,6 @@ def solve_bounded(m0: DiscreteMeasure, m1: DiscreteMeasure,
     the optimal coupling bounded by r on every cell; build_opt_bounded(triple)
     turns it into capped stop-and-go paths.  When r dominates the support
     diameter the value is cost(r)/r times the first-order transport cost.
-    A 1-D ladder of caps, each checked as r alone is, gives the list of each
-    rung's (value, triple): one LP per admitted-arc set, its coupling shared.
-    The one-ladder case of solve_bounded_each.
+    The one-cap case of solve_bounded_each.
     """
-    out = solve_bounded_each([(m0, m1)], cost, [r])[0]
-    return out[0] if np.ndim(r) == 0 else out
+    return solve_bounded_each([(m0, m1)], cost, [[r]])[0][0]

@@ -165,31 +165,19 @@ def measure_of(points, weights, dim: int) -> DiscreteMeasure:
     listed = weights.tolist()
     if min(listed) < 0:
         raise WeightSumMismatch(f"negative weight {min(listed)!r}")
-    _, keys, merged = merge_atoms(points.tolist(), listed)
-    if len(keys) == len(listed) and min(listed) > 0.0:  # no repeat or zero
-        return DiscreteMeasure(dim=dim, points=points, weights=weights)
-    kept = [k for k, w in enumerate(merged) if w > 0.0]
-    if not kept:
-        raise EmptyMeasure("all atoms have zero weight")
-    return DiscreteMeasure(dim=dim,
-                           points=np.array([keys[k] for k in kept], dtype=float),
-                           weights=np.array([merged[k] for k in kept]))
-
-
-def merge_atoms(points: list, weights: list) -> tuple[list, list, list]:
-    """measure_of's merge of points given as lists of coordinates: each
-    point's atom number, atoms numbered in order of first appearance, each
-    atom's point as a tuple, and its weights summed in order.  Raises
-    WeightSumMismatch unless the atoms' weights sum to 1 within 1e-12."""
-    number: dict = {}
-    atoms = [number.setdefault(p, len(number)) for p in map(tuple, points)]
-    merged = [0.0] * len(number)
-    for k, w in zip(atoms, weights):
-        merged[k] += w
-    total = sum(merged)
+    merged: dict = {}  # each point's weights summed in order
+    for p, w in zip(map(tuple, points.tolist()), listed):
+        merged[p] = merged.get(p, 0.0) + w
+    total = sum(merged.values())
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise WeightSumMismatch(f"weights sum to {total!r}, not 1")
-    return atoms, list(number), merged
+    if len(merged) == len(listed) and min(listed) > 0.0:  # no repeat or zero
+        return DiscreteMeasure(dim=dim, points=points, weights=weights)
+    kept = [(p, w) for p, w in merged.items() if w > 0.0]
+    if not kept:
+        raise EmptyMeasure("all atoms have zero weight")
+    return DiscreteMeasure(dim=dim, points=np.array([p for p, _ in kept]),
+                           weights=np.array([w for _, w in kept]))
 
 
 def json_numbers(value, field: str, *depths: int) -> np.ndarray:

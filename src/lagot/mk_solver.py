@@ -185,7 +185,6 @@ def _solve(m0, m1, dist, c, mask) -> MKSolution:
     work = c if mask is None else np.where(
         mask, (m0.n_atoms + m1.n_atoms + 1) * scale * 1e3, c)
     flow, tree = _transportation_simplex(m0.weights, m1.weights, work, scale)
-    flow = np.where(flow < 0, 0.0, flow)
     if mask is not None and float(flow[mask].sum()) > _FORBIDDEN_FLOW_TOL:
         raise Infeasible("no feasible plan avoids the forbidden arcs")
     plan = make_coupling(m0, m1, flow)

@@ -7,9 +7,9 @@ import numpy as np
 
 from lagot import mk_solver
 from lagot.costs import _EQ_TOL, A1I, A1III, power_cost
-from lagot.ensembles import (BoundedCouplingTriple, EnsembleStack,
-                             TransportEnsemble, _cost_at_caps)
-from lagot.errors import Infeasible, MissingBound
+from lagot.ensembles import (_BOUND_TOL, BoundedCouplingTriple,
+                             EnsembleStack, TransportEnsemble, _cost_at_caps)
+from lagot.errors import Infeasible, InfeasibleBound, MissingBound
 from lagot.measures import (Coupling, DiscreteMeasure, expectation,
                             make_coupling, measure_of, pairwise_distances,
                             row_sum)
@@ -189,9 +189,10 @@ def ensembles_of(s: EnsembleStack) -> list:
 def induced_triple_per_ensemble(e: TransportEnsemble) -> BoundedCouplingTriple:
     """The coupling-with-bounds that a bounded ensemble induces on its
     endpoint cells, whose eval_tv ``lagot.ensembles.eval_tv_induced_each``
-    gives: the endpoint laws from measure_of, atoms numbered by dict lookups
-    of their points, the plan filled member by member, and each cell's one
-    bound."""
+    equals in exact arithmetic, and bit for bit when no two members share a
+    start: the endpoint laws from measure_of, atoms numbered by dict
+    lookups of their points, the plan filled member by member, and each
+    cell's one bound, on which the members sharing the cell must agree."""
     src, tgt = (measure_of(p, e.weights, e.paths.starts.shape[1])
                 for p in (e.paths.starts, e.paths.ends))
     if np.isnan(e.bounds).any():
@@ -217,6 +218,25 @@ def eval_tv_per_triple(t: BoundedCouplingTriple, cost) -> float:
     return expectation(c.plan[c.support][pos]
                        * (_cost_at_caps(cost, m_ij) / m_ij),
                        c.distances[c.support][pos])
+
+
+def eval_tv_induced_per_member(e: TransportEnsemble, cost) -> float:
+    """``lagot.ensembles.eval_tv_induced_each`` of one ensemble, member by
+    member: each member's |end - start| from its own 1 x 1 kernel matrix,
+    and weight * cost(M)/M times it summed over the members of positive
+    bound M, first to last."""
+    if np.isnan(e.bounds).any():
+        raise MissingBound("every member needs a speed bound")
+    dist = np.array([pairwise_distances(x[None], y[None])[0, 0]
+                     for x, y in zip(e.paths.starts, e.paths.ends)])
+    for r, (d, m) in enumerate(zip(dist.tolist(), e.bounds.tolist())):
+        if d > m + _BOUND_TOL * m:
+            raise InfeasibleBound(
+                f"member {r}: displacement exceeds bound {m}")
+    pos = e.bounds > 0
+    m_r = e.bounds[pos]
+    return expectation(e.weights[pos] * (_cost_at_caps(cost, m_r) / m_r),
+                       dist[pos])
 
 
 def build_opt_bounded_per_triple(t: BoundedCouplingTriple,

@@ -354,14 +354,8 @@ def test_simplex_matches_the_reference_at_ladder_sizes(monkeypatch):
 
     real = mk_solver._transportation_simplex
     monkeypatch.setattr(mk_solver, "_transportation_simplex", recorded)
-    rng = np.random.default_rng(40)
-    for n, equal, cap in [(40, False, None), (40, True, None),
-                          (30, False, 0.7)]:
-        pts = rng.uniform(-2, 2, size=(2 * n, 2))
-        w0, w1 = (np.full(n, 1.0 / n) if equal else rng.dirichlet(np.ones(n))
-                  for _ in range(2))
-        _solve_capped(validate_measure(zip(pts[:n], w0), 2),
-                      validate_measure(zip(pts[n:], w1), 2), cap)
+    for m0, m1, cap in _ladder_size_cases():
+        _solve_capped(m0, m1, cap)
     assert len(lps) == 3
     for lp, (flow, basis) in lps:
         want = reference_simplex(*lp)
@@ -369,8 +363,8 @@ def test_simplex_matches_the_reference_at_ladder_sizes(monkeypatch):
 
 
 def _ladder_size_cases():
-    """(m0, m1, cap factor or None) at mk-ladder's sizes, drawn as
-    test_simplex_matches_the_reference_at_ladder_sizes draws them."""
+    """(m0, m1, cap factor or None) at mk-ladder's sizes: n = 40 with
+    Dirichlet and with equal weights, and n = 30 capped at 0.7."""
     rng = np.random.default_rng(40)
     for n, equal, cap in [(40, False, None), (40, True, None),
                           (30, False, 0.7)]:
@@ -386,7 +380,8 @@ def test_both_scans_pivot_as_the_reference(monkeypatch):
     infeasible and degenerate ones) and at mk-ladder's sizes, solved under
     the Python scan and under the array scan, each forced by the crossover:
     both make the reference's pivots, each the same (entering, leaving)
-    pair, count them, and return its (flow, basis) bit for bit."""
+    pair, count them, and return its (flow, basis) bit for bit, every flow
+    at least +0.0: no entry negative and none -0.0."""
     lps, made, called = [], [], []
     real = mk_solver._transportation_simplex
     monkeypatch.setattr(mk_solver, "_transportation_simplex",
@@ -409,6 +404,7 @@ def test_both_scans_pivot_as_the_reference(monkeypatch):
             del made[:], called[:]
             flow, basis = mk_solver._transportation_simplex(*lp)
             assert set(called) == {scan}
+            assert (flow >= 0.0).all() and not np.signbit(flow).any()
             got[scan] = (flow.tobytes(), basis, made[:], basis.pivots)
         assert got["_entering"] == got["_entering_array"] == (
             want[0].tobytes(), want[1], pairs, len(pairs))
