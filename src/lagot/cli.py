@@ -20,7 +20,7 @@ import numpy as np
 from . import harness
 from .costs import parse_cost
 from .duality import GridFunction, inf_conv, verify_control_identity
-from .ensembles import (BoundedCouplingTriple, TransportEnsemble,
+from .ensembles import (BoundedCouplingTriple, EnsembleStack,
                         arcs_longer_than, build_opt_bounded, build_opt_tilde,
                         eval_bounded, eval_tilde, eval_tv, oracle_min_path,
                         solve_bounded)
@@ -102,13 +102,14 @@ def _cmd_eval(args) -> int:
     if (args.triple if args.objective == "TV" else args.ensemble) is None:
         raise ConfigInvalid(f"no input file for --objective {args.objective}")
     if args.objective == "TV":
-        value = eval_tv(_load(args.triple, _triple_from_json), cost)
+        value = eval_tv([_load(args.triple, _triple_from_json)], cost)[0]
     else:
-        ens = _load(args.ensemble, TransportEnsemble.from_json)
+        ens = _load(args.ensemble, EnsembleStack.from_json)
         if args.objective == "plain":
-            value = eval_bounded(ens, cost)
+            value = eval_bounded(ens, cost)[0]
         else:
-            value = eval_tilde(ens, cost, 1 if args.objective == "L1" else 2)
+            i = 1 if args.objective == "L1" else 2
+            value = eval_tilde(ens, cost, i)[0]
     _emit(_result({"value": value}), args.out)
     return EXIT_PASS
 
@@ -122,13 +123,14 @@ def _cmd_build_optimal(args) -> int:
     if args.theorem == "2.1":
         rng = np.random.default_rng(args.seed)
         sol = solve_mk(m0, m1, cost)
-        ens = build_opt_tilde(sol, lambda i, j: random_interval_set(rng))
-        value = eval_tilde(ens, cost, 1)
+        ens = build_opt_tilde([sol], [[random_interval_set(rng)
+                                       for _ in sol.plan.support[0]]])
+        value = eval_tilde(ens, cost, 1)[0]
     else:
         if args.bound is None:
             raise ConfigInvalid("--bound is required for theorem 2.6")
         value, triple = solve_bounded(m0, m1, cost, args.bound)
-        ens = build_opt_bounded(triple)
+        ens = build_opt_bounded([triple])
     _emit(_result({"value": value, "ensemble": ens.to_json()}), args.out)
     return EXIT_PASS
 

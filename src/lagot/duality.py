@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import A1I, A1III, A2I, CostFunction, require
-from .measures import (DiscreteMeasure, expectation, freeze, json_numbers,
+from .measures import (DiscreteMeasure, expectations, freeze, json_numbers,
                        pairwise_distances)
 
 
@@ -95,8 +95,8 @@ def verify_control_identity(m0: DiscreteMeasure, f: GridFunction,
     selected = [(k, int(j)) for k, j in enumerate(best)]
     # both sides reduce through the same weighted sum so that the atomwise
     # selection and the infimal convolution agree bit for bit
-    lhs = expectation(m0.weights, per_atom)
-    rhs = expectation(m0.weights, inf_conv(f, cost, m0.points))
+    lhs, rhs = (expectations(m0.weights, v, [0, m0.n_atoms])[0]
+                for v in (per_atom, inf_conv(f, cost, m0.points)))
     return ControlIdentityReport(
         lhs=lhs, rhs=rhs, margin=lhs - rhs, selected=selected,
         note=("atomic-measure skeleton: the continuous identity assumes an "

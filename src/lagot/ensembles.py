@@ -1,8 +1,9 @@
 """Weighted path families realizing couplings, and their evaluators.
 
 A transport ensemble is the discrete stand-in for a random path: finitely
-many (weight, path, optional speed bound) members.  Expectations are exact
-weighted sums.  The builders construct the ensembles that attain the
+many (weight, path, optional speed bound) members, held with others end to
+end in one EnsembleStack.  Expectations are exact weighted sums, one per
+ensemble.  The builders construct the ensembles that attain the
 transport identities (stop-and-go over an optimal plan; speed-capped
 stop-and-go over a bounded coupling), and the path oracle certifies at
 grid scale that no stepped path beats them.
@@ -52,16 +53,20 @@ class EnsembleStack:
     entries of the (k,) ``weights``, which sum to 1 within 1e-12 in each
     ensemble, and of the (k,) speed ``bounds``, each finite and dominating
     its row's sup-speed, or NaN where none is declared (given as NaN or
-    None, for one row or all).  The one check of an ensemble; each fault
-    is looked for over the whole stack before the next.
+    None, for one row or all).  Without ``cuts`` it is the one ensemble
+    [0, k].  The one check of an ensemble; each fault is looked for over
+    the whole stack before the next.  ``members`` views every row, built
+    on first read.
     """
 
     paths: PathBlock
     weights: np.ndarray
-    bounds: Optional[Sequence]
-    cuts: list
+    bounds: Optional[Sequence] = None
+    cuts: Optional[list] = None
 
     def __post_init__(self):
+        if self.cuts is None:
+            object.__setattr__(self, "cuts", [0, len(self.paths.starts)])
         weights = np.array(self.weights, dtype=float)
         bounds = np.full(len(self.paths.starts), np.nan) \
             if self.bounds is None else \
@@ -89,14 +94,6 @@ class EnsembleStack:
                 f"sup speed {sup[r]} exceeds bound {bounds[r]}")
         freeze(self, weights=weights, bounds=bounds)
 
-
-class TransportEnsemble(EnsembleStack):
-    """The one-ensemble stack of ``paths``, ``weights`` and ``bounds``, its
-    cuts [0, k]; ``members`` is a view built on first read."""
-
-    def __init__(self, paths: PathBlock, weights, bounds=None):
-        super().__init__(paths, weights, bounds, [0, len(paths.starts)])
-
     @functools.cached_property
     def members(self) -> tuple:
         return tuple(EnsembleMember(w, self.paths.take(r, r + 1),
@@ -105,6 +102,7 @@ class TransportEnsemble(EnsembleStack):
                                                     self.bounds.tolist())))
 
     def to_json(self) -> dict:
+        """The object of a one-ensemble stack: one entry per member."""
         return {"members": [
             {"weight": w, "path": path,
              **({} if math.isnan(b) else {"bound": b})}
@@ -112,8 +110,9 @@ class TransportEnsemble(EnsembleStack):
                                   self.bounds.tolist())]}
 
     @staticmethod
-    def from_json(obj: dict) -> "TransportEnsemble":
-        """Ensemble of ``to_json``'s object, each field read as one array."""
+    def from_json(obj: dict) -> "EnsembleStack":
+        """The one ensemble of ``to_json``'s object, each field read as one
+        array."""
         members = obj["members"]
         if not len(members):
             raise ConfigInvalid("members must not be empty")
@@ -124,7 +123,7 @@ class TransportEnsemble(EnsembleStack):
                            "bound", "members", 0)
         if np.isnan(bounds[["bound" in m for m in members]]).any():
             raise BoundViolated("speed bound nan is not finite")
-        return TransportEnsemble(paths, weights, bounds)
+        return EnsembleStack(paths, weights, bounds)
 
 
 @dataclass(frozen=True)
@@ -159,24 +158,16 @@ class BoundedCouplingTriple:
                                   dtype=float))
 
 
-def eval_tilde(e: TransportEnsemble, cost: CostFunction, i: int) -> float:
-    """Expected modified running cost (the i = 1 or 2 functional); cost_li
-    rejects rows whose horizon is not 1."""
-    return eval_tilde_each(e, cost, i)[0]
-
-
-def eval_tilde_each(s, cost: CostFunction, i: int) -> list:
-    """eval_tilde of each ensemble of a stack, from one cost_li call."""
+def eval_tilde(s: EnsembleStack, cost: CostFunction, i: int) -> list:
+    """Expected modified running cost (the i = 1 or 2 functional) of each
+    ensemble of a stack, from one cost_li call; cost_li rejects rows whose
+    horizon is not 1."""
     return expectations(s.weights, cost_li(s.paths, cost, i), s.cuts)
 
 
-def eval_bounded(e: TransportEnsemble, cost: CostFunction) -> float:
-    """Expected plain running cost; e checked each speed when it was built."""
-    return eval_bounded_each(e, cost)[0]
-
-
-def eval_bounded_each(s, cost: CostFunction) -> list:
-    """eval_bounded of each ensemble of a stack, from one cost_plain call."""
+def eval_bounded(s: EnsembleStack, cost: CostFunction) -> list:
+    """Expected plain running cost of each ensemble of a stack, from one
+    cost_plain call; the stack checked each speed when it was built."""
     if np.isnan(s.bounds).any():
         raise MissingBound("every member needs a speed bound")
     return expectations(s.weights, cost_plain(s.paths, cost), s.cuts)
@@ -212,21 +203,17 @@ def _tv_sums(mass, bounds, dist, cuts, cost: CostFunction) -> list:
     return expectations(mass * ratio, dist, cuts)
 
 
-def eval_tv(t: BoundedCouplingTriple, cost: CostFunction) -> float:
-    """Static bounded-transport value: mass * cost(M)/M * |x - y| over the
-    cells with positive bound; M = 0 cells contribute nothing."""
-    return eval_tv_each([t], cost)[0]
-
-
-def eval_tv_each(triples: Sequence[BoundedCouplingTriple],
-                 cost: CostFunction) -> list:
-    """eval_tv of each triple, from one cost call."""
+def eval_tv(triples: Sequence[BoundedCouplingTriple],
+            cost: CostFunction) -> list:
+    """Static bounded-transport value of each triple, from one cost call:
+    mass * cost(M)/M * |x - y| over the cells with positive bound; M = 0
+    cells contribute nothing."""
     cells = [(c.plan[ii, jj], t.cell_bounds, c.distances[ii, jj])
              for t in triples for c in [t.coupling] for ii, jj in [c.support]]
     return _tv_sums(*_joined(cells), cost)
 
 
-def eval_tv_induced_each(s, cost: CostFunction) -> list:
+def eval_tv_induced(s: EnsembleStack, cost: CostFunction) -> list:
     """The static bounded form E[cost(M)/M * |X_1 - X_0|] of each ensemble
     of a stack: weight * cost(M)/M * |end - start| summed over its members
     in order, with M the member's bound and a member at M = 0 adding 0.0;
@@ -246,26 +233,15 @@ def eval_tv_induced_each(s, cost: CostFunction) -> list:
     return _tv_sums(s.weights, s.bounds, dist, s.cuts, cost)
 
 
-def build_opt_tilde(sol: MKSolution,
-                    set_gen: Callable[[int, int], IntervalSet],
-                    ) -> TransportEnsemble:
-    """One stop-and-go row per positive-mass cell of an optimal plan, moving
-    on set_gen(i, j) for cell (i, j).
+def build_opt_tilde(sols: Sequence[MKSolution],
+                    sets: Sequence[list]) -> EnsembleStack:
+    """One stop-and-go row per positive-mass cell of each optimal plan, all
+    in one stack, with sets[s] the moving sets of plan s's positive cells
+    in support order.
 
     Any positive-measure moving set per cell yields the same modified
     cost, equal to the plan's transport value.
     """
-    p, (ii, jj) = sol.plan, sol.plan.support
-    sets = [set_gen(i, j) for i, j in zip(ii.tolist(), jj.tolist())]
-    return TransportEnsemble(stop_and_go(p.source.points[ii],
-                                         p.target.points[jj], sets),
-                             p.plan[ii, jj])
-
-
-def build_opt_tilde_each(sols: Sequence[MKSolution],
-                         sets: Sequence[list]) -> EnsembleStack:
-    """The build_opt_tilde ensemble of each plan, all in one stack, with
-    sets[s] the moving sets of plan s's positive cells in support order."""
     plans = [s.plan for s in sols]
     xs, ys, weights, cuts = _joined([
         (p.source.points[ii], p.target.points[jj], p.plan[ii, jj])
@@ -274,22 +250,12 @@ def build_opt_tilde_each(sols: Sequence[MKSolution],
     return EnsembleStack(paths, weights, None, cuts)
 
 
-def build_opt_bounded(t: BoundedCouplingTriple) -> TransportEnsemble:
-    """Per cell, move at exactly the bound speed M on [0, |x-y|/M] and rest;
-    the plain cost then matches the static bounded value cell by cell.
-    t checked M >= |x - y| on every cell when it was built."""
-    return TransportEnsemble(*_bounded_rows([t])[:3])
-
-
-def build_opt_bounded_each(triples: Sequence[BoundedCouplingTriple],
-                           ) -> EnsembleStack:
-    """The build_opt_bounded ensemble of each triple, all in one stack."""
-    return EnsembleStack(*_bounded_rows(triples))
-
-
-def _bounded_rows(triples) -> tuple:
-    """build_opt_bounded's rows for every triple's positive-mass cells in
-    one block, their weights and bounds, and the cuts between triples."""
+def build_opt_bounded(triples: Sequence[BoundedCouplingTriple],
+                      ) -> EnsembleStack:
+    """Per cell of each triple, move at exactly the bound speed M on
+    [0, |x-y|/M] and rest, all in one stack; the plain cost then matches
+    the static bounded value cell by cell.  Each triple checked
+    M >= |x - y| on every cell when it was built."""
     xs, ys, disp, bounds, weights, cuts = _joined([
         (c.source.points[ii], c.target.points[jj], c.distances[ii, jj],
          t.cell_bounds, c.plan[ii, jj])
@@ -299,7 +265,7 @@ def _bounded_rows(triples) -> tuple:
                                        where=disp > 0.0))
     paths = stop_and_go(xs, ys, [IntervalSet(((0.0, m),))
                                  for m in moving.tolist()])
-    return paths, weights, bounds, cuts
+    return EnsembleStack(paths, weights, bounds, cuts)
 
 
 @functools.lru_cache
@@ -416,9 +382,10 @@ def solve_bounded(m0: DiscreteMeasure, m1: DiscreteMeasure,
 
     Solves the |x-y|-cost LP restricted to arcs of length <= r, weighs the
     optimal expected displacement by cost(r)/r, and returns that value with
-    the optimal coupling bounded by r on every cell; build_opt_bounded(triple)
-    turns it into capped stop-and-go paths.  When r dominates the support
-    diameter the value is cost(r)/r times the first-order transport cost.
+    the optimal coupling bounded by r on every cell;
+    build_opt_bounded([triple]) turns it into capped stop-and-go paths.
+    When r dominates the support diameter the value is cost(r)/r times the
+    first-order transport cost.
     The one-cap case of solve_bounded_each.
     """
     return solve_bounded_each([(m0, m1)], cost, [[r]])[0][0]

@@ -18,9 +18,8 @@ from . import costs as costmod
 from .costs import A1I, A1III, A2I, CostFunction, power_cost, require
 from .duality import GridFunction, verify_control_identity
 from .ensembles import (BoundedCouplingTriple, EnsembleStack,
-                        build_opt_bounded_each, build_opt_tilde_each,
-                        eval_bounded_each, eval_tilde_each, eval_tv_each,
-                        eval_tv_induced_each, oracle_min_path,
+                        build_opt_bounded, build_opt_tilde, eval_bounded,
+                        eval_tilde, eval_tv, eval_tv_induced, oracle_min_path,
                         solve_bounded_each)
 from .errors import AssumptionRefused, ConfigInvalid, LagotError, UnknownKind
 from .measures import (DiscreteMeasure, flat_dirichlet, make_coupling,
@@ -230,13 +229,13 @@ def _opt_tilde_trials(cfg, cost, rngs) -> tuple:
     sols = solve_mk_each(pairs, cost)
     sets = [[random_interval_set(rng) for _ in sol.plan.support[0]]
             for rng, sol in zip(rngs, sols)]
-    return pairs, sols, build_opt_tilde_each(sols, sets)
+    return pairs, sols, build_opt_tilde(sols, sets)
 
 
 def _suite_thm2_1(cfg, cost, rngs):
     require(cost, "thm2_1", A1I)
     pairs, sols, stack = _opt_tilde_trials(cfg, cost, rngs)
-    v1 = eval_tilde_each(stack, cost, 1)
+    v1 = eval_tilde(stack, cost, 1)
     oracle = _oracle_margins([(s.plan.source.points, s.plan.target.points,
                                *s.plan.support) for s in sols], cost)
     for (m0, m1), sol, v, margin in zip(pairs, sols, v1, oracle):
@@ -251,7 +250,7 @@ def _suite_thm2_2(cfg, cost, rngs):
     rngs = list(rngs)
     pairs, sols, stack = _opt_tilde_trials(cfg, cost, rngs)
     paths = _rand_paths(rngs, cfg.dim, 5)[0]
-    v1, v2 = (eval_tilde_each(stack, cost, i) for i in (1, 2))
+    v1, v2 = (eval_tilde(stack, cost, i) for i in (1, 2))
     n_gap = _per_trial(np.abs(n1(stack.paths) - n2(stack.paths)),
                        stack.cuts, np.max)
     rand_margin = _per_trial(cost_li(paths, cost, 1) - cost_li(paths, cost, 2),
@@ -308,11 +307,11 @@ def _suite_thm2_6(cfg, cost, rngs):
     triples = [_rand_bounded_triple(rng, cfg.n_atoms, cfg.dim)
                for rng in rngs]
     rand = _rand_bounded_ensembles(rngs, cfg.dim, 4)
-    gaps = [v - tv for v, tv in zip(eval_bounded_each(rand, cost),
-                                    eval_tv_induced_each(rand, cost))]
-    dynamic = eval_bounded_each(build_opt_bounded_each(triples), cost)
+    gaps = [v - tv for v, tv in zip(eval_bounded(rand, cost),
+                                    eval_tv_induced(rand, cost))]
+    dynamic = eval_bounded(build_opt_bounded(triples), cost)
     for t, (triple, lhs, rhs) in enumerate(
-            zip(triples, dynamic, eval_tv_each(triples, cost))):
+            zip(triples, dynamic, eval_tv(triples, cost))):
         yield (triple.coupling.source.to_json(),
                {"dynamic": lhs, "static": rhs},
                [("equality", lhs - rhs, "eq", cfg.tolerance),

@@ -78,13 +78,9 @@ def row_sum(terms: np.ndarray) -> np.ndarray:
     return np.cumsum(terms, axis=1)[:, -1]
 
 
-def expectation(weights: np.ndarray, values) -> float:
-    """Sum of weight * value over members or atoms, added first to last."""
-    return expectations(weights, values, [0, len(weights)])[0]
-
-
 def expectations(weights: np.ndarray, values, cuts) -> list:
-    """``expectation`` of each run cuts[s] to cuts[s + 1] - 1 of entries."""
+    """Sum of weight * value over each run cuts[s] to cuts[s + 1] - 1 of
+    members or atoms, added first to last."""
     terms = (weights * values).tolist()
     return [float(sum(terms[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
 

@@ -19,13 +19,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .costs import CostFunction, power_cost
-from .errors import Infeasible
+from .errors import Infeasible, LagotError
 from .measures import (Coupling, DiscreteMeasure, arc_lengths, make_coupling,
                        read_only)
 
 _RC_TOL = 1e-11
 _FORBIDDEN_FLOW_TOL = 1e-9
 _ARRAY_SCAN_CELLS = 360
+_PIVOTS_PER_NODE = 20000  # the pivot cap, per row and column of the LP
 
 
 @dataclass(frozen=True)
@@ -155,8 +156,7 @@ def _transportation_simplex(supply, demand, cost, scale):
     nonnegative; ``scale`` is the largest |cost| of an allowed arc, never
     big-M.  Pivots run on Python floats, whose IEEE arithmetic is numpy's.
     """
-    n, m = cost.shape
-    c = cost.tolist()
+    (n, m), c = cost.shape, cost.tolist()
     if n * m <= _ARRAY_SCAN_CELLS:
         scan, prices, out = _entering, cost.tolist(), None
     else:  # the buffers that the array scan writes on every pivot
@@ -165,7 +165,7 @@ def _transportation_simplex(supply, demand, cost, scale):
             p, p[:n, None], p[n:], np.empty((n, m)), np.empty((n, m), bool))
     flow, tree = _northwest_corner(*(np.asarray(w, float).tolist() for w in
                                      (supply, demand)), c, prices)
-    for tree.pivots in range(20000 * (n + m)):
+    for tree.pivots in range(_PIVOTS_PER_NODE * (n + m)):
         entering = scan(prices, tree.pot, n, -_RC_TOL * scale, out)
         if entering is None:
             return np.array(flow), tree
@@ -180,7 +180,7 @@ def _transportation_simplex(supply, demand, cost, scale):
             flow[r][s] += theta
         flow[a][b], prices[i][j], prices[a][b] = theta, c[i][j], np.inf
         _pivot(tree, entering, c[a][b], inner, a + n + b - inner, top)
-    raise RuntimeError("transportation simplex failed to terminate")
+    raise LagotError("transportation simplex reached its pivot cap unsolved")
 
 
 def _solve(m0, m1, dist, c, mask) -> MKSolution:

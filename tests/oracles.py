@@ -8,9 +8,9 @@ import numpy as np
 from lagot import mk_solver
 from lagot.costs import _EQ_TOL, A1I, A1III, power_cost
 from lagot.ensembles import (_BOUND_TOL, BoundedCouplingTriple,
-                             EnsembleStack, TransportEnsemble, _cost_at_caps)
+                             EnsembleStack, _cost_at_caps)
 from lagot.errors import Infeasible, InfeasibleBound, MissingBound
-from lagot.measures import (Coupling, DiscreteMeasure, expectation,
+from lagot.measures import (Coupling, DiscreteMeasure, expectations,
                             make_coupling, measure_of, pairwise_distances,
                             row_sum)
 from lagot.mk_solver import _FORBIDDEN_FLOW_TOL, _RC_TOL, MKSolution
@@ -180,15 +180,20 @@ def reference_simplex(supply, demand, cost, scale, pivots=None):
 
 
 def ensembles_of(s: EnsembleStack) -> list:
-    """Each ensemble of a stack as a TransportEnsemble viewing its rows."""
-    return [TransportEnsemble(s.paths.take(lo, hi), s.weights[lo:hi],
-                              s.bounds[lo:hi])
+    """Each ensemble of a stack as a one-ensemble stack viewing its rows."""
+    return [EnsembleStack(s.paths.take(lo, hi), s.weights[lo:hi],
+                          s.bounds[lo:hi])
             for lo, hi in zip(s.cuts, s.cuts[1:])]
 
 
-def induced_triple_per_ensemble(e: TransportEnsemble) -> BoundedCouplingTriple:
+def expectation(weights: np.ndarray, values) -> float:
+    """Sum of weight * value over all entries, added first to last."""
+    return expectations(weights, values, [0, len(weights)])[0]
+
+
+def induced_triple_per_ensemble(e: EnsembleStack) -> BoundedCouplingTriple:
     """The coupling-with-bounds that a bounded ensemble induces on its
-    endpoint cells, whose eval_tv ``lagot.ensembles.eval_tv_induced_each``
+    endpoint cells, whose eval_tv ``lagot.ensembles.eval_tv_induced``
     equals in exact arithmetic, and bit for bit when no two members share a
     start: the endpoint laws from measure_of, atoms numbered by dict
     lookups of their points, the plan filled member by member, and each
@@ -220,8 +225,8 @@ def eval_tv_per_triple(t: BoundedCouplingTriple, cost) -> float:
                        c.distances[c.support][pos])
 
 
-def eval_tv_induced_per_member(e: TransportEnsemble, cost) -> float:
-    """``lagot.ensembles.eval_tv_induced_each`` of one ensemble, member by
+def eval_tv_induced_per_member(e: EnsembleStack, cost) -> float:
+    """``lagot.ensembles.eval_tv_induced`` of one ensemble, member by
     member: each member's |end - start| from its own 1 x 1 kernel matrix,
     and weight * cost(M)/M times it summed over the members of positive
     bound M, first to last."""
@@ -240,9 +245,9 @@ def eval_tv_induced_per_member(e: TransportEnsemble, cost) -> float:
 
 
 def build_opt_bounded_per_triple(t: BoundedCouplingTriple,
-                                 ) -> TransportEnsemble:
+                                 ) -> EnsembleStack:
     """``lagot.ensembles.build_opt_bounded`` of one triple, built directly
-    as a TransportEnsemble rather than as the view of a stack."""
+    as a one-ensemble stack rather than through the block builder."""
     c = t.coupling
     ii, jj = c.support
     disp, bounds = c.distances[ii, jj], t.cell_bounds
@@ -250,7 +255,7 @@ def build_opt_bounded_per_triple(t: BoundedCouplingTriple,
                                        where=disp > 0.0))
     paths = stop_and_go(c.source.points[ii], c.target.points[jj],
                         [IntervalSet(((0.0, m),)) for m in moving.tolist()])
-    return TransportEnsemble(paths, c.plan[ii, jj], bounds)
+    return EnsembleStack(paths, c.plan[ii, jj], bounds)
 
 
 # ---------------------------------------------------------------------------

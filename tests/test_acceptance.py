@@ -11,7 +11,7 @@ import pytest
 from lagot.costs import builtin
 from lagot.duality import GridFunction, verify_control_identity
 from lagot.ensembles import (build_opt_bounded, build_opt_tilde, eval_bounded,
-                             eval_tilde, eval_tv, eval_tv_induced_each,
+                             eval_tilde, eval_tv, eval_tv_induced,
                              oracle_min_path, solve_bounded)
 from lagot.harness import (ORACLE_GRID, _rand_bounded_ensembles,
                            _rand_bounded_triple, _rand_measure, _rand_paths)
@@ -50,8 +50,9 @@ def test_01_transport_equals_first_modified_value():
     failures = []
     for rng, m0, m1, cost in _instances(101, 50, POWERS + [REMARK]):
         sol = solve_mk(m0, m1, cost)
-        ens = build_opt_tilde(sol, lambda i, j: random_interval_set(rng))
-        if abs(eval_tilde(ens, cost, 1) - sol.value) > 1e-9:
+        ens = build_opt_tilde([sol], [[random_interval_set(rng)
+                                       for _ in sol.plan.support[0]]])
+        if abs(eval_tilde(ens, cost, 1)[0] - sol.value) > 1e-9:
             failures.append(("value", cost.name, sol.value))
         for i, j, mass in sol.plan.cells():
             if mass <= 1e-12:
@@ -72,8 +73,10 @@ def test_02_first_and_second_modified_values_agree():
     failures = []
     for rng, m0, m1, cost in _instances(202, 50, POWERS):
         sol = solve_mk(m0, m1, cost)
-        ens = build_opt_tilde(sol, lambda i, j: random_interval_set(rng))
-        if abs(eval_tilde(ens, cost, 1) - eval_tilde(ens, cost, 2)) > 1e-10:
+        ens = build_opt_tilde([sol], [[random_interval_set(rng)
+                                       for _ in sol.plan.support[0]]])
+        if abs(eval_tilde(ens, cost, 1)[0]
+               - eval_tilde(ens, cost, 2)[0]) > 1e-10:
             failures.append(("tilde-gap", cost.name))
         for m in ens.members:
             if np.linalg.norm(m.path.displacements[0]) < 1e-12:
@@ -106,14 +109,15 @@ def test_04_bounded_velocity_value_matches_static_form():
     for k, ss in enumerate(np.random.SeedSequence(404).spawn(50)):
         rng = np.random.default_rng(ss)
         triple = _rand_bounded_triple(rng, n_atoms=4, dim=1 + k % 3)
-        ens = build_opt_bounded(triple)
-        if abs(eval_bounded(ens, SQRT) - eval_tv(triple, SQRT)) > 1e-10:
+        ens = build_opt_bounded([triple])
+        if abs(eval_bounded(ens, SQRT)[0]
+               - eval_tv([triple], SQRT)[0]) > 1e-10:
             failures.append(("opt", k))
     rng = np.random.default_rng(4004)
     for _ in range(200):
         ens = _rand_bounded_ensembles([rng], 2, 1)  # a stack of one
-        if (eval_bounded(ens, SQRT)
-                < eval_tv_induced_each(ens, SQRT)[0] - 1e-10):
+        if (eval_bounded(ens, SQRT)[0]
+                < eval_tv_induced(ens, SQRT)[0] - 1e-10):
             failures.append(("lower-bound", ens))
     _report("04 bounded-velocity value equals its static form", failures)
 

@@ -8,11 +8,8 @@ import lagot.ensembles as ensembles
 import lagot.harness as harness
 from lagot.costs import builtin, parse_cost, power_cost
 from lagot.ensembles import (BoundedCouplingTriple, EnsembleStack,
-                             TransportEnsemble, build_opt_bounded,
-                             build_opt_bounded_each, build_opt_tilde,
-                             build_opt_tilde_each, eval_bounded,
-                             eval_bounded_each, eval_tilde, eval_tilde_each,
-                             eval_tv, eval_tv_each, eval_tv_induced_each,
+                             build_opt_bounded, build_opt_tilde, eval_bounded,
+                             eval_tilde, eval_tv, eval_tv_induced,
                              oracle_min_path, solve_bounded,
                              solve_bounded_each)
 from lagot.errors import (AssumptionRefused, BadHorizon, BoundViolated,
@@ -38,7 +35,13 @@ EPS = np.finfo(float).eps
 
 
 def single(path, bound=None, weight=1.0):
-    return TransportEnsemble(path, [weight], [bound])
+    return EnsembleStack(path, [weight], [bound])
+
+
+def tilde(sol, gen):
+    """build_opt_tilde of one plan, moving on gen(i, j) for cell (i, j)."""
+    return build_opt_tilde([sol], [[gen(i, j)
+                                    for i, j in zip(*sol.plan.support)]])
 
 
 def endpoint_laws(e):
@@ -51,30 +54,31 @@ def test_endpoint_marginals():
     e = single(linear_path([0.0], [1.0]))
     src, tgt = endpoint_laws(e)
     assert src.points[0, 0] == 0.0 and tgt.points[0, 0] == 1.0
-    two = TransportEnsemble(stop_and_go([[0.0], [0.0]], [[1.0], [-1.0]],
-                                        [FULL, FULL]), [0.5, 0.5])
+    two = EnsembleStack(stop_and_go([[0.0], [0.0]], [[1.0], [-1.0]],
+                                    [FULL, FULL]), [0.5, 0.5])
     src, tgt = endpoint_laws(two)
     assert src.n_atoms == 1 and tgt.n_atoms == 2
 
 
 def test_eval_tilde_examples():
-    assert eval_tilde(single(linear_path([0.0], [1.0])), SQRT, 1) == \
+    assert eval_tilde(single(linear_path([0.0], [1.0])), SQRT, 1)[0] == \
         pytest.approx(1.0)
     sg = single(stop_and_go([[0.0]], [[1.0]], [IntervalSet(((0.0, 0.5),))]))
-    assert eval_tilde(sg, SQRT, 1) == pytest.approx(1.0)
+    assert eval_tilde(sg, SQRT, 1)[0] == pytest.approx(1.0)
     from lagot.paths import detour_path
     det = single(detour_path([0.0, 0.0], [2.0, 0.0]))
-    assert eval_tilde(det, REMARK, 2) == pytest.approx(4.0 * math.exp(-4.0))
+    assert eval_tilde(det, REMARK, 2)[0] == \
+        pytest.approx(4.0 * math.exp(-4.0))
 
 
 def test_eval_bounded_examples():
     sg = single(stop_and_go([[0.0]], [[1.0]], [IntervalSet(((0.0, 0.5),))]),
                 bound=2.0)
-    assert eval_bounded(sg, SQRT) == pytest.approx(0.5 * math.sqrt(2.0))
+    assert eval_bounded(sg, SQRT)[0] == pytest.approx(0.5 * math.sqrt(2.0))
     zero = single(linear_path([0.0], [0.0]), bound=0.0)
-    assert eval_bounded(zero, SQRT) == 0.0
+    assert eval_bounded(zero, SQRT) == [0.0]
     y4 = single(fast_path([0.0], [1.0], [4]), bound=4.0)
-    assert eval_bounded(y4, SQRT) == pytest.approx(0.5)
+    assert eval_bounded(y4, SQRT)[0] == pytest.approx(0.5)
     with pytest.raises(MissingBound):
         eval_bounded(single(linear_path([0.0], [1.0])), SQRT)
 
@@ -87,7 +91,7 @@ def test_bound_violation_rejected():
 def test_bound_slack_is_relative_above_one():
     # a speed one rounding step above a large bound is not a violation
     fast = single(linear_path([0.0], [1e4 * (1 + 4e-16)]), bound=1e4)
-    assert eval_bounded(fast, SQRT) == pytest.approx(100.0)
+    assert eval_bounded(fast, SQRT)[0] == pytest.approx(100.0)
     with pytest.raises(BoundViolated):
         single(linear_path([0.0], [1e4 * (1 + 1e-11)]), bound=1e4)
     with pytest.raises(BoundViolated):
@@ -116,19 +120,19 @@ def test_triple_rejects_a_bound_below_the_displacement():
     with pytest.raises(InfeasibleBound):
         _triple(m0, m1, [[1.0]], {(0, 0): 3.0 * (1 - 1e-9)})
     # a bound equal to |x - y| up to rounding is kept
-    assert eval_tv(_triple(m0, m1, [[1.0]], {(0, 0): 3.0}), SQRT) == \
+    assert eval_tv([_triple(m0, m1, [[1.0]], {(0, 0): 3.0})], SQRT)[0] == \
         pytest.approx(math.sqrt(3.0))
 
 
 def test_eval_tv_examples():
     t = _triple([((0.0,), 1.0)], [((1.0,), 1.0)], [[1.0]], {(0, 0): 2.0})
-    assert eval_tv(t, SQRT) == pytest.approx(math.sqrt(2.0) / 2.0)
+    assert eval_tv([t], SQRT)[0] == pytest.approx(math.sqrt(2.0) / 2.0)
     m = [((0.0,), 0.5), ((1.0,), 0.5)]
     ident = _triple(m, m, np.diag([0.5, 0.5]), {(0, 0): 3.0, (1, 1): 3.0})
-    assert eval_tv(ident, SQRT) == 0.0
+    assert eval_tv([ident], SQRT) == [0.0]
     t2 = _triple([((0.0, 0.0), 1.0)], [((2.0, 0.0), 1.0)], [[1.0]],
                  {(0, 0): 4.0}, dim=2)
-    assert eval_tv(t2, REMARK) == pytest.approx(2.0 * math.exp(-4.0))
+    assert eval_tv([t2], REMARK)[0] == pytest.approx(2.0 * math.exp(-4.0))
 
 
 def test_build_opt_tilde_variants():
@@ -137,26 +141,27 @@ def test_build_opt_tilde_variants():
     sol = solve_mk(m0, m1, SQRT)
     for gen in (lambda i, j: IntervalSet(((0.0, 1.0),)),
                 lambda i, j: IntervalSet(((0.0, 0.3),))):
-        ens = build_opt_tilde(sol, gen)
-        assert eval_tilde(ens, SQRT, 1) == pytest.approx(sol.value, abs=1e-10)
+        ens = tilde(sol, gen)
+        assert eval_tilde(ens, SQRT, 1)[0] == \
+            pytest.approx(sol.value, abs=1e-10)
     rng = np.random.default_rng(0)
-    ens = build_opt_tilde(sol, lambda i, j: random_interval_set(rng))
-    assert eval_tilde(ens, SQRT, 1) == pytest.approx(sol.value, abs=1e-10)
+    ens = tilde(sol, lambda i, j: random_interval_set(rng))
+    assert eval_tilde(ens, SQRT, 1)[0] == pytest.approx(sol.value, abs=1e-10)
     src, tgt = endpoint_laws(ens)
     assert np.allclose(sorted(src.points[:, 0]), [0.0, 3.0])
 
 
 def test_build_opt_bounded_examples():
     t = _triple([((0.0,), 1.0)], [((1.0,), 1.0)], [[1.0]], {(0, 0): 2.0})
-    ens = build_opt_bounded(t)
+    ens = build_opt_bounded([t])
     assert sup_norm(ens.members[0].path)[0] == pytest.approx(2.0)
-    assert eval_bounded(ens, SQRT) == pytest.approx(eval_tv(t, SQRT),
-                                                    abs=1e-10)
+    assert eval_bounded(ens, SQRT)[0] == pytest.approx(eval_tv([t], SQRT)[0],
+                                                       abs=1e-10)
     exact = _triple([((0.0,), 1.0)], [((1.0,), 1.0)], [[1.0]], {(0, 0): 1.0})
-    ens = build_opt_bounded(exact)
+    ens = build_opt_bounded([exact])
     assert ens.members[0].path.counts[0] == 1  # linear path
     rest = _triple([((0.0,), 1.0)], [((0.0,), 1.0)], [[1.0]], {(0, 0): 0.0})
-    assert eval_bounded(build_opt_bounded(rest), SQRT) == 0.0
+    assert eval_bounded(build_opt_bounded([rest]), SQRT) == [0.0]
 
 
 def test_optimal_structure():
@@ -165,7 +170,7 @@ def test_optimal_structure():
     m1 = validate_measure([((1.0, 0.5), 0.7), ((0.5, -1.0), 0.3)], 2)
     sol = solve_mk(m0, m1, SQRT)
     rng = np.random.default_rng(3)
-    ens = build_opt_tilde(sol, lambda i, j: random_interval_set(rng))
+    ens = tilde(sol, lambda i, j: random_interval_set(rng))
     for m in ens.members:
         disp = float(np.linalg.norm(m.path.displacements[0]))
         assert l1_norm(m.path)[0] == pytest.approx(disp, abs=1e-9)
@@ -176,11 +181,11 @@ def test_optimal_structure():
 
 
 def test_induced_triple_roundtrip():
-    ens = TransportEnsemble(stop_and_go([[0.0], [0.0]], [[1.0], [-2.0]],
-                                        [FULL, FULL]), [0.6, 0.4], [1.5, 2.0])
+    ens = EnsembleStack(stop_and_go([[0.0], [0.0]], [[1.0], [-2.0]],
+                                    [FULL, FULL]), [0.6, 0.4], [1.5, 2.0])
     t = induced_triple_per_ensemble(ens)
-    assert eval_tv(t, SQRT) <= eval_bounded(ens, SQRT) + 1e-12
-    assert eval_tv_induced_each(ens, SQRT) == [eval_tv(t, SQRT)]
+    assert eval_tv([t], SQRT)[0] <= eval_bounded(ens, SQRT)[0] + 1e-12
+    assert eval_tv_induced(ens, SQRT) == eval_tv([t], SQRT)
 
 
 def _shared_endpoint_ensemble(rng, dim=None):
@@ -191,8 +196,8 @@ def _shared_endpoint_ensemble(rng, dim=None):
     dim = dim or drawn
     xs, ys = rng.integers(0, 2, size=(2, k, dim)).astype(float)
     paths = stop_and_go(xs, ys, [FULL] * k)
-    return TransportEnsemble(paths, rng.dirichlet(np.ones(k)),
-                             2.0 * sup_norm(paths))
+    return EnsembleStack(paths, rng.dirichlet(np.ones(k)),
+                         2.0 * sup_norm(paths))
 
 
 def test_oracle_examples():
@@ -335,7 +340,7 @@ def test_solve_bounded_examples():
     m1 = validate_measure([((2.0, 0.0), 1.0)], 2)
     v4, triple4 = solve_bounded(m0, m1, SQRT, 4.0)
     assert v4 == pytest.approx(1.0)
-    assert eval_bounded(build_opt_bounded(triple4), SQRT) == \
+    assert eval_bounded(build_opt_bounded([triple4]), SQRT)[0] == \
         pytest.approx(1.0, abs=1e-10)
     v2, _ = solve_bounded(m0, m1, SQRT, 2.0)
     assert v2 == pytest.approx(math.sqrt(2.0))
@@ -487,16 +492,16 @@ def _built(theorem):
               for _ in range(2))
     if theorem == "2.1":
         sol = solve_mk(m0, m1, SQRT)
-        return (build_opt_tilde(sol, lambda i, j: random_interval_set(rng)),
+        return (tilde(sol, lambda i, j: random_interval_set(rng)),
                 sol.plan.plan)
     _, triple = solve_bounded(m0, m1, SQRT, 1.5 * m0.diameter_to(m1))
-    return build_opt_bounded(triple), triple.coupling.plan
+    return build_opt_bounded([triple]), triple.coupling.plan
 
 
 @pytest.mark.parametrize("theorem", ["2.1", "2.6"])
 def test_ensemble_json_round_trip_keeps_the_block_bits(theorem):
     e, plan = _built(theorem)
-    back = TransportEnsemble.from_json(e.to_json())
+    back = EnsembleStack.from_json(e.to_json())
     for name in ("starts", "horizons", "durations", "velocities", "counts"):
         a, b = getattr(e.paths, name), getattr(back.paths, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -520,8 +525,8 @@ def test_ensemble_json_round_trip_of_ragged_rows_and_some_bounds(dim):
     paths = block_of(*zip(*rows))
     bounds = [None if r % 3 == 0 else 1.5 * s
               for r, s in enumerate(sup_norm(paths).tolist())]
-    e = TransportEnsemble(paths, rng.dirichlet(np.ones(8)), bounds)
-    back = TransportEnsemble.from_json(e.to_json())
+    e = EnsembleStack(paths, rng.dirichlet(np.ones(8)), bounds)
+    back = EnsembleStack.from_json(e.to_json())
     for name in ("starts", "horizons", "durations", "velocities", "counts"):
         a, b = getattr(e.paths, name), getattr(back.paths, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -532,15 +537,17 @@ def test_ensemble_json_round_trip_of_ragged_rows_and_some_bounds(dim):
 
 def test_a_nan_bound_is_undeclared_and_an_infinite_one_refused():
     e = single(linear_path([0.0], [1.0]))
-    again = TransportEnsemble(e.paths, e.weights, e.bounds)
+    again = EnsembleStack(e.paths, e.weights, e.bounds)
     assert np.isnan(again.bounds).all()
     with pytest.raises(BoundViolated, match="speed bound inf is not finite"):
         single(linear_path([0.0], [1.0]), bound=float("inf"))
 
 
 def test_the_traced_run_counts_the_builders_members():
-    """perfbench's tracer counts len(members) of every builder result:
-    one member per positive plan cell."""
+    """perfbench's tracer records a span for every builder and evaluator
+    call, on the CLI's one-element blocks and on the blocks of a traced
+    thm2_1 and thm2_6 verify, and counts len(members) of every builder
+    result: one member per positive plan cell of each plan in the block."""
     import sys
     from pathlib import Path
 
@@ -555,14 +562,30 @@ def test_the_traced_run_counts_the_builders_members():
         sol = ensembles.solve_mk(m0, m1, SQRT)
         _, triple = ensembles.solve_bounded(m0, m1, SQRT, 4.0)
         built = [ensembles.build_opt_tilde(
-                     sol, lambda i, j: IntervalSet(((0.0, 1.0),))),
-                 ensembles.build_opt_bounded(triple)]
+                     [sol], [[FULL] * len(sol.plan.support[0])]),
+                 ensembles.build_opt_bounded([triple])]
+        alone = tracer.counts["ensembles.members"]
+        # the suites' stacks, seen through the tracer's own wrappers
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("build_opt_tilde", "build_opt_bounded"):
+                mp.setattr(harness, name, lambda *a, f=getattr(harness, name):
+                           built.append(f(*a)) or built[-1])
+            for theorem in ("thm2_1", "thm2_6"):
+                harness.verify(VerifyConfig(theorem, trials=2))
     finally:
         tracer.restore()
     cells = sum(np.count_nonzero(c.plan > 0)
                 for c in (sol.plan, triple.coupling))
-    assert tracer.counts["ensembles.members"] == cells
-    assert sum(len(e.members) for e in built) == cells
+    assert alone == cells
+    assert sum(len(e.members) for e in built[:2]) == cells
+    assert [len(s.cuts) for s in built] == [2, 2, 3, 3]
+    assert tracer.counts["ensembles.members"] == \
+        sum(len(s.weights) for s in built)
+    calls = {name: tracer.layer_times()[f"ensembles.{name}"][0]
+             for name in ("build_opt_tilde", "eval_tilde", "build_opt_bounded",
+                          "eval_bounded", "eval_tv")}
+    assert calls == {"build_opt_tilde": 2, "eval_tilde": 1,
+                     "build_opt_bounded": 2, "eval_bounded": 2, "eval_tv": 1}
 
 
 def _plans(seed, k):
@@ -577,14 +600,13 @@ def _plans(seed, k):
 
 
 def test_stacked_tilde_ensembles_are_the_ones_built_alone():
-    """Each ensemble of build_opt_tilde_each, and its eval_tilde_each
-    values, have the bits of build_opt_tilde on its plan alone."""
+    """Each ensemble of build_opt_tilde over many plans, and its
+    eval_tilde values, have the bits of build_opt_tilde on its plan alone."""
     rng, sols = _plans(31, 12)
     sets = [[random_interval_set(rng) for _ in sol.plan.support[0]]
             for sol in sols]
-    stack = build_opt_tilde_each(sols, sets)
-    alone = [build_opt_tilde(sol, lambda i, j, it=iter(one): next(it))
-             for sol, one in zip(sols, sets)]
+    stack = build_opt_tilde(sols, sets)
+    alone = [build_opt_tilde([sol], [one]) for sol, one in zip(sols, sets)]
     assert len(ensembles_of(stack)) == len(sols)
     for e, a in zip(ensembles_of(stack), alone):
         for name in ("starts", "durations", "velocities", "counts"):
@@ -593,10 +615,10 @@ def test_stacked_tilde_ensembles_are_the_ones_built_alone():
         assert e.weights.tobytes() == a.weights.tobytes()
         assert np.isnan(e.bounds).all()
     for i in (1, 2):
-        assert eval_tilde_each(stack, SQRT, i) == \
-            [eval_tilde(a, SQRT, i) for a in alone]
+        assert eval_tilde(stack, SQRT, i) == \
+            [eval_tilde(a, SQRT, i)[0] for a in alone]
     with pytest.raises(MissingBound):
-        eval_bounded_each(stack, SQRT)
+        eval_bounded(stack, SQRT)
 
 
 def _run_fault(fault, weights, bounds, sup):
@@ -631,18 +653,18 @@ def test_stacked_bounded_ensembles_are_checked_and_evaluated_alone(fault):
     rng = np.random.default_rng(32)
     stack = _rand_bounded_ensembles([rng] * 3, 2, 4)
     assert len(ensembles_of(stack)) == 12
-    alone = [TransportEnsemble(block_of(*zip(*[
+    alone = [EnsembleStack(block_of(*zip(*[
         (s, 1.0, d[:c], v[:c]) for s, d, v, c in zip(
             e.paths.starts, e.paths.durations, e.paths.velocities,
             e.paths.counts)])), e.weights, e.bounds)
         for e in ensembles_of(stack)]
-    assert eval_bounded_each(stack, SQRT) == \
-        [eval_bounded(a, SQRT) for a in alone]
+    assert eval_bounded(stack, SQRT) == \
+        [eval_bounded(a, SQRT)[0] for a in alone]
     lo, last = stack.cuts[-2], alone[-1]
     w, b = _run_fault(fault, last.weights, last.bounds,
                       last.paths.speeds.max(axis=1))
     raised = []
-    for build in (lambda: TransportEnsemble(last.paths, w, b),
+    for build in (lambda: EnsembleStack(last.paths, w, b),
                   lambda: EnsembleStack(
                       stack.paths, np.append(stack.weights[:lo], w),
                       np.append(stack.bounds[:lo], b), stack.cuts)):
@@ -661,14 +683,14 @@ def test_an_ensemble_refuses_weights_or_bounds_not_one_per_row(
         weights, bounds, line):
     two = stop_and_go([[0.0], [0.0]], [[1.0], [-1.0]], [FULL, FULL])
     with pytest.raises(DimensionMismatch) as info:
-        TransportEnsemble(two, weights, bounds)
+        EnsembleStack(two, weights, bounds)
     assert str(info.value) == line
 
 
 def test_each_ensemble_or_stack_is_checked_once(monkeypatch):
-    """A thm2_1, thm2_2 or thm2_6 verify builds its stacks and no
-    TransportEnsemble, and build_opt_tilde, build_opt_bounded and
-    TransportEnsemble.from_json each run the one check once."""
+    """A thm2_1, thm2_2 or thm2_6 verify builds its stacks, and
+    build_opt_tilde and build_opt_bounded of one plan or triple and
+    EnsembleStack.from_json each run the one check once."""
     checked, check = [], EnsembleStack.__post_init__
     monkeypatch.setattr(EnsembleStack, "__post_init__",
                         lambda self: (checked.append(type(self)), check(self)))
@@ -678,13 +700,13 @@ def test_each_ensemble_or_stack_is_checked_once(monkeypatch):
     m = validate_measure([((0.0,), 0.5), ((3.0,), 0.5)], 1)
     sol = solve_mk(m, validate_measure([((1.0,), 1.0)], 1), SQRT)
     _, triple = solve_bounded(sol.plan.source, sol.plan.target, SQRT, 4.0)
-    obj = build_opt_bounded(triple).to_json()
-    for build in (lambda: build_opt_tilde(sol, lambda i, j: FULL),
-                  lambda: build_opt_bounded(triple),
-                  lambda: TransportEnsemble.from_json(obj)):
+    obj = build_opt_bounded([triple]).to_json()
+    for build in (lambda: tilde(sol, lambda i, j: FULL),
+                  lambda: build_opt_bounded([triple]),
+                  lambda: EnsembleStack.from_json(obj)):
         checked.clear()
         build()
-        assert checked == [TransportEnsemble]
+        assert checked == [EnsembleStack]
 
 
 def _stack_of(ens):
@@ -715,7 +737,7 @@ def _gap_stacks():
                                   builtin("affine_exp", [0.25])],
                          ids=lambda c: c.name)
 def test_induced_gaps_are_each_ensembles_eval_tv(cost):
-    """eval_tv_induced_each has, ensemble by ensemble, the bits of the
+    """eval_tv_induced has, ensemble by ensemble, the bits of the
     per-member reference, and is eval_tv of the triple that the ensemble
     induces to rounding, though members share starts, ends and cells (each
     cell's members carrying one bound): each side rounds every product and
@@ -724,7 +746,7 @@ def test_induced_gaps_are_each_ensembles_eval_tv(cost):
     stacks = _gap_stacks()
     merged = zero = 0
     for stack in stacks:
-        got = eval_tv_induced_each(stack, cost)
+        got = eval_tv_induced(stack, cost)
         for e, value in zip(ensembles_of(stack), got):
             assert value.hex() == eval_tv_induced_per_member(e, cost).hex()
             ref = induced_triple_per_ensemble(e)
@@ -743,21 +765,21 @@ def _faulty(fault):
     and distance, that only the old grouping by endpoint cell refused, and
     the cost."""
     if fault == "conflict":  # two members on one cell, two bounds
-        return TransportEnsemble(stop_and_go([[0.0], [0.0]], [[1.0], [1.0]],
-                                             [FULL, FULL]),
-                                 [0.5, 0.5], [1.0, 2.0]), SQRT
+        return EnsembleStack(stop_and_go([[0.0], [0.0]], [[1.0], [1.0]],
+                                         [FULL, FULL]),
+                             [0.5, 0.5], [1.0, 2.0]), SQRT
     if fault == "missing":
-        return TransportEnsemble(stop_and_go([[0.0], [1.0]], [[1.0], [2.0]],
-                                             [FULL, FULL]),
-                                 [0.5, 0.5], [1.0, None]), SQRT
+        return EnsembleStack(stop_and_go([[0.0], [1.0]], [[1.0], [2.0]],
+                                         [FULL, FULL]),
+                             [0.5, 0.5], [1.0, None]), SQRT
     if fault == "end":  # a finite start and speed, an end past the largest
         return single(block_of([[1.5e308]], [1.0], [[1.0]], [[[1e308]]]),
                       bound=1.5e308), SQRT
     if fault == "distance":  # two resting members 2e200 apart
-        return TransportEnsemble(stop_and_go([[1e200], [-1e200]],
-                                             [[1e200], [-1e200]],
-                                             [FULL, FULL]),
-                                 [0.5, 0.5], [0.0, 0.0]), SQRT
+        return EnsembleStack(stop_and_go([[1e200], [-1e200]],
+                                         [[1e200], [-1e200]],
+                                         [FULL, FULL]),
+                             [0.5, 0.5], [0.0, 0.0]), SQRT
     if fault == "horizon":  # speed 1 for time 2: displacement 2 > bound 1
         return single(block_of([[0.0]], [2.0], [[2.0]], [[[1.0]]]),
                       bound=1.0), SQRT
@@ -776,13 +798,13 @@ def test_a_stack_refuses_what_one_ensemble_refuses(fault):
     stack = _stack_of([*ensembles_of(good), bad])
     if fault in ("conflict", "distance"):
         want = eval_tv_induced_per_member(bad, cost)
-        assert eval_tv_induced_each(stack, cost)[-1].hex() == want.hex()
+        assert eval_tv_induced(stack, cost)[-1].hex() == want.hex()
         assert want == (0.0 if fault == "distance" else
                         pytest.approx(0.5 + 0.25 * math.sqrt(2.0)))
         return
     raised = []
     for call in (lambda: eval_tv_induced_per_member(bad, cost),
-                 lambda: eval_tv_induced_each(stack, cost)):
+                 lambda: eval_tv_induced(stack, cost)):
         with pytest.raises(Exception) as info, np.errstate(over="ignore"):
             call()
         raised.append((type(info.value), str(info.value)))
@@ -797,12 +819,12 @@ SWEEP_COSTS = ("power:0.5", "remark_iii", "affine_exp:0.25", "linear",
 
 def test_thm2_6_gaps_are_the_induced_triples_bits(monkeypatch):
     """Every ensemble that thm2_6 draws at seeds 0-4, under each sweep cost
-    that it admits, gets from eval_tv_induced_each the bits of eval_tv of
+    that it admits, gets from eval_tv_induced the bits of eval_tv of
     its induced triple: no two of its members share a start, so member
     order is cell order."""
     seen = []
-    monkeypatch.setattr(harness, "eval_tv_induced_each", lambda s, cost: (
-        seen.append((s, cost, eval_tv_induced_each(s, cost))) or seen[-1][2]))
+    monkeypatch.setattr(harness, "eval_tv_induced", lambda s, cost: (
+        seen.append((s, cost, eval_tv_induced(s, cost))) or seen[-1][2]))
     admitted = 0
     for spec in SWEEP_COSTS:
         for seed in range(5):
@@ -843,25 +865,26 @@ def _trial_triples(dim):
 @pytest.mark.parametrize("cost", [SQRT, REMARK, builtin("linear")],
                          ids=lambda c: c.name)
 def test_trial_side_blocks_are_the_one_at_a_time_calls(cost, dim):
-    """build_opt_bounded_each and eval_tv_each over triples of several cell
-    counts have the bits of the one-triple calls and of the references."""
+    """build_opt_bounded and eval_tv over triples of several cell counts
+    have the bits of the one-triple calls and of the references."""
     triples = _trial_triples(dim)
     assert len({len(t.cell_bounds) for t in triples}) > 3
-    stack = build_opt_bounded_each(triples)
+    stack = build_opt_bounded(triples)
     assert len(ensembles_of(stack)) == len(triples)
     for e, t in zip(ensembles_of(stack), triples):
-        for want in (build_opt_bounded(t), build_opt_bounded_per_triple(t)):
+        for want in (build_opt_bounded([t]),
+                     build_opt_bounded_per_triple(t)):
             for name in ("starts", "horizons", "durations", "velocities",
                          "counts"):
                 assert getattr(e.paths, name).tobytes() == \
                     getattr(want.paths, name).tobytes(), name
             assert e.weights.tobytes() == want.weights.tobytes()
             assert e.bounds.tobytes() == want.bounds.tobytes()
-    assert [v.hex() for v in eval_bounded_each(stack, cost)] == \
-        [eval_bounded(build_opt_bounded(t), cost).hex() for t in triples]
+    assert [v.hex() for v in eval_bounded(stack, cost)] == \
+        [eval_bounded(build_opt_bounded([t]), cost)[0].hex() for t in triples]
     want = [eval_tv_per_triple(t, cost).hex() for t in triples]
-    assert [v.hex() for v in eval_tv_each(triples, cost)] == want
-    assert [eval_tv(t, cost).hex() for t in triples] == want
+    assert [v.hex() for v in eval_tv(triples, cost)] == want
+    assert [eval_tv([t], cost)[0].hex() for t in triples] == want
 
 
 def test_a_ladder_refuses_an_overflowing_rung_as_its_scalar_call():

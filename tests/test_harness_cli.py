@@ -1053,6 +1053,27 @@ def test_cli_out_of_memory_exits_2_with_one_line(monkeypatch, capsys):
     assert lines == ["out of memory: Unable to allocate 14.9 GiB for an array"]
 
 
+def test_cli_pivot_cap_exits_2_with_one_line(monkeypatch, tmp_path, capsys):
+    """A simplex that reaches its pivot cap, lowered here to one pivot per
+    node, refuses the run with one line; it is no failed check (exit 1)."""
+    rng = np.random.default_rng(19)
+    argv = ["solve-mk", "--cost", "power:0.5"]
+    for name in ("p0", "p1"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"dim": 2, "atoms": [
+            {"x": x, "w": w} for x, w in zip(
+                rng.uniform(-2.0, 2.0, (10, 2)).tolist(),
+                rng.dirichlet(np.ones(10)).tolist())]}))
+        argv += [f"--{name}", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(mk_solver, "_PIVOTS_PER_NODE", 1)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [
+        "error: transportation simplex reached its pivot cap unsolved"]
+
+
 def test_cli_oracle_at_a_tiny_displacement():
     """The oracle decides feasibility in units of |y - x|: at 1e-10 it
     returns the scaled unit value, not 0.0, and warns of nothing."""

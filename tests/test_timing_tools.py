@@ -42,25 +42,31 @@ def test_one_round_on_this_tree_prints_every_row(tool):
 @pytest.mark.parametrize("tool", sorted(ROWS))
 def test_two_trees_add_the_paired_ratio_and_faster_count(tool):
     """Two rounds of this tree against itself: each row ends in the median
-    ratio and the count k/2 of rounds the second tree won, whose majority
-    sides with the ratio; one line under the table says what is paired."""
+    ratio, the first and third quartiles of the per-round ratios, which
+    enclose it, and the count k/2 of rounds the second tree won, whose
+    majority sides with the ratio; one line under the table says what is
+    paired."""
     got = _run(tool, str(ROOT), "--rounds", "2")
     assert got.returncode == 0, got.stderr
     lines, note = _blocks(got.stdout)[:2]
-    assert lines[0].endswith(" ms | ratio | faster |")
-    assert lines[1] == "|---" * 5 + "|"
+    assert lines[0].endswith(" ms | ratio | quartiles | faster |")
+    assert lines[1] == "|---" * 6 + "|"
     table = lines[2:]
     assert [line.split(" | ")[0][2:] for line in table] == ROWS[tool]
     for line in table:
-        ratio, won = line.removesuffix(" |").split(" | ")[-2:]
+        ratio, spread, won = line.removesuffix(" |").split(" | ")[-3:]
         ratio, won = float(ratio.removesuffix("x")), won.removesuffix("/2")
+        q1, q3 = map(float, spread.split("-"))
+        assert q1 <= ratio <= q3  # rounding keeps the order
         assert won in ("0", "1", "2")
         # two rounds won (lost) put the median ratio at or above (below) 1
         assert {"2": ratio >= 1.0, "0": ratio <= 1.0}.get(won, True)
     assert note == ["The ms columns are each tree's median over the "
                     "rounds, unpaired; ratio (the median of the per-round "
-                    "ratios) and faster (the rounds in which the second "
-                    "tree was faster) are paired round by round."]
+                    "ratios), quartiles (their first and third quartiles: a "
+                    "wide spread marks a loaded machine) and faster (the "
+                    "rounds in which the second tree was faster) are paired "
+                    "round by round."]
 
 
 @pytest.mark.parametrize("rounds", ["0", "-3"])

@@ -11,9 +11,10 @@ first round each tree runs one pass at one trial, as the benchmark's
 warm-up does.  Prints, per suite and for all ten, the median over the
 rounds of each tree's summed milliseconds and, with two trees, the median
 of the per-round ratios first / second (above 1 means the second tree is
-faster) and the count k/N of the rounds in which the second tree was
-faster.  Each round runs another pass, so the ms columns are unpaired; the
-ratio and the count are paired.  Runs on one thread, like the benchmark.
+faster), their first and third quartiles, and the count k/N of the rounds
+in which the second tree was faster.  Each round runs another pass, so
+the ms columns are unpaired; the ratio, its quartiles and the count are
+paired.  Runs on one thread, like the benchmark.
 """
 
 import os
@@ -109,16 +110,25 @@ def timed_rounds(progs: list, n_rounds: int, run) -> list:
     return rounds
 
 
+def quartiles(values: list) -> tuple:
+    """The first and third quartiles of ``values``, inclusive of their
+    range; one value is its own quartiles."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
 def print_table(kind: str, total: str, trees, rounds, digits: int = 1):
     """One row per name of the rounds' {name: seconds} and one, ``total``,
     for their sum: the median over the rounds of each tree's milliseconds
-    and, with two trees, the median of the per-round ratios and the count
-    k/N of the rounds in which the second tree was faster, then a line
-    saying which columns are paired."""
+    and, with two trees, the median of the per-round ratios, their first
+    and third quartiles and the count k/N of the rounds in which the second
+    tree was faster, then a line saying which columns are paired."""
     two = len(trees) == 2
     print(f"| {kind} | " + " | ".join(f"{t} ms" for t in trees)
-          + (" | ratio | faster |" if two else " |"))
-    print("|---" * (len(trees) + 1 + 2 * two) + "|")
+          + (" | ratio | quartiles | faster |" if two else " |"))
+    print("|---" * (len(trees) + 1 + 3 * two) + "|")
     for name in list(rounds[0][0]) + [total]:
         def ms(t, r):
             got = r[t]
@@ -128,13 +138,15 @@ def print_table(kind: str, total: str, trees, rounds, digits: int = 1):
         if two:
             ratios = [ms(0, r) / ms(1, r) for r in rounds]
             cells.append(f"{statistics.median(ratios):.2f}x")
+            cells.append("%.2f-%.2f" % quartiles(ratios))
             cells.append(f"{sum(q > 1.0 for q in ratios)}/{len(ratios)}")
         print(f"| {name} | " + " | ".join(cells) + " |")
     if two:
         print("\nThe ms columns are each tree's median over the rounds, "
-              "unpaired; ratio (the median of the per-round ratios) and "
-              "faster (the rounds in which the second tree was faster) are "
-              "paired round by round.")
+              "unpaired; ratio (the median of the per-round ratios), "
+              "quartiles (their first and third quartiles: a wide spread "
+              "marks a loaded machine) and faster (the rounds in which the "
+              "second tree was faster) are paired round by round.")
 
 
 def main(argv=None) -> None:
