@@ -24,7 +24,8 @@ from .ensembles import (BoundedCouplingTriple, EnsembleStack,
                         arcs_longer_than, build_opt_bounded, build_opt_tilde,
                         eval_bounded, eval_tilde, eval_tv, oracle_min_path,
                         solve_bounded)
-from .errors import AssumptionRefused, ConfigInvalid, LagotError, UnknownKind
+from .errors import (AssumptionRefused, ConfigInvalid, InfeasibleBound,
+                     LagotError, MissingBound, UnknownKind)
 from .harness import Report, VerifyConfig, emit_plot_data, verify
 from .measures import DiscreteMeasure, json_numbers, make_coupling
 from .mk_solver import solve_mk
@@ -80,21 +81,32 @@ def _cmd_solve_mk(args) -> int:
 
 
 def _triple_from_json(obj: dict) -> BoundedCouplingTriple:
+    """The triple of a coupling and its [i, j, bound] rows: at most one
+    per cell, each bound finite, and one on every cell with mass."""
     coupling = make_coupling(DiscreteMeasure.from_json(obj["source"]),
                              DiscreteMeasure.from_json(obj["target"]),
                              json_numbers(obj["plan"], "plan"))
     rows = json_numbers(obj["bounds"], "bounds", 2)
     n, m = coupling.plan.shape
-    if rows.shape[1] != 3 or not all(
-            i.is_integer() and j.is_integer() and 0 <= i < n and 0 <= j < m
-            for i, j, _ in rows.tolist()):
+    cells = rows[:, :2]
+    if rows.shape[1] != 3 or not ((cells == np.floor(cells)) & (cells >= 0)
+                                  & (cells < (n, m))).all():
         raise ConfigInvalid(
             f"bounds must be rows [i, j, bound] with integral i in [0, {n})"
             f" and j in [0, {m}), got {reprlib.repr(obj['bounds'])}")
-    bounds = {(int(i), int(j)): b for i, j, b in rows.tolist()}
-    if len(bounds) != len(rows):
+    at = tuple(cells.astype(int).T)
+    given, table = np.zeros((n, m), bool), np.zeros((n, m))
+    given[at], table[at] = True, rows[:, 2]
+    if given.sum() < len(rows):
         raise ConfigInvalid("bounds must not repeat a cell")
-    return BoundedCouplingTriple(coupling, bounds)
+    if (bad := np.argwhere(~np.isfinite(table))).size:
+        i, j = bad[0]
+        raise InfeasibleBound(
+            f"cell ({i}, {j}): bound {table[i, j]} is not finite")
+    if (bad := np.argwhere((coupling.plan > 0.0) & ~given)).size:
+        i, j = bad[0]
+        raise MissingBound(f"cell ({i}, {j}) carries mass but no bound")
+    return BoundedCouplingTriple(coupling, table[coupling.support])
 
 
 def _cmd_eval(args) -> int:

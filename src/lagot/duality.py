@@ -16,7 +16,7 @@ import numpy as np
 
 from .costs import A1I, A1III, A2I, CostFunction, require
 from .measures import (DiscreteMeasure, expectations, freeze, json_numbers,
-                       pairwise_distances)
+                       pairwise_distances, read_only)
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class ControlIdentityReport:
     lhs: float
     rhs: float
     margin: float
-    selected: list  # (atom index, grid index) optimal terminal choices
+    selected: np.ndarray  # (n,) read-only grid index of each atom's choice
     note: str
 
 
@@ -92,13 +92,12 @@ def verify_control_identity(m0: DiscreteMeasure, f: GridFunction,
     candidates = _candidates(f, cost, m0.points)
     best = candidates.argmin(axis=1)
     per_atom = candidates[np.arange(len(best)), best]
-    selected = [(k, int(j)) for k, j in enumerate(best)]
     # both sides reduce through the same weighted sum so that the atomwise
     # selection and the infimal convolution agree bit for bit
     lhs, rhs = (expectations(m0.weights, v, [0, m0.n_atoms])[0]
                 for v in (per_atom, inf_conv(f, cost, m0.points)))
     return ControlIdentityReport(
-        lhs=lhs, rhs=rhs, margin=lhs - rhs, selected=selected,
+        lhs=lhs, rhs=rhs, margin=lhs - rhs, selected=read_only(best),
         note=("atomic-measure skeleton: the continuous identity assumes an "
               "absolutely continuous initial law; here the atomwise "
               "infimal-convolution structure is what is verified"))

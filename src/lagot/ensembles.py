@@ -126,36 +126,30 @@ class EnsembleStack:
         return EnsembleStack(paths, weights, bounds)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundedCouplingTriple:
-    """Coupling plus a per-cell speed bound M >= |x_i - y_j| on every cell
-    carrying mass."""
+    """Coupling plus read-only (k,) speed ``bounds``, one M >= |x_i - y_j|
+    per cell of ``coupling.support``, in that order.  Checks the count,
+    then finiteness, then displacement, each over all cells first."""
 
     coupling: Coupling
-    bound_assignment: dict  # (i, j) -> M
+    bounds: np.ndarray
 
     def __post_init__(self):
         ii, jj = self.coupling.support
-        dist = self.coupling.distances[ii, jj].tolist()
-        for i, j, d in zip(ii.tolist(), jj.tolist(), dist):
-            if (i, j) not in self.bound_assignment:
-                raise MissingBound(
-                    f"cell ({i}, {j}) carries mass but no bound")
-            m_ij = self.bound_assignment[(i, j)]
-            if not math.isfinite(m_ij):
-                raise InfeasibleBound(
-                    f"cell ({i}, {j}): bound {m_ij} is not finite")
-            if _exceeds(d, m_ij):
-                raise InfeasibleBound(
-                    f"cell ({i}, {j}): displacement exceeds bound {m_ij}")
-
-    @functools.cached_property
-    def cell_bounds(self) -> np.ndarray:
-        """Read-only bounds of the positive-mass cells, in support order."""
-        ii, jj = self.coupling.support
-        return read_only(np.array([self.bound_assignment[c] for c in
-                                   zip(ii.tolist(), jj.tolist())],
-                                  dtype=float))
+        dist = self.coupling.distances[ii, jj]
+        bounds = np.array(self.bounds, dtype=float)
+        if bounds.shape != dist.shape:
+            raise DimensionMismatch(
+                f"bounds of shape {bounds.shape} for {len(dist)} cells")
+        for fault, what in ((~np.isfinite(bounds), "bound {} is not finite"),
+                            (_exceeds(dist, bounds),
+                             "displacement exceeds bound {}")):
+            if fault.any():
+                r = int(fault.argmax())
+                raise InfeasibleBound(f"cell ({ii[r]}, {jj[r]}): "
+                                      + what.format(bounds[r].item()))
+        freeze(self, bounds=bounds)
 
 
 def eval_tilde(s: EnsembleStack, cost: CostFunction, i: int) -> list:
@@ -208,7 +202,7 @@ def eval_tv(triples: Sequence[BoundedCouplingTriple],
     """Static bounded-transport value of each triple, from one cost call:
     mass * cost(M)/M * |x - y| over the cells with positive bound; M = 0
     cells contribute nothing."""
-    cells = [(c.plan[ii, jj], t.cell_bounds, c.distances[ii, jj])
+    cells = [(c.plan[ii, jj], t.bounds, c.distances[ii, jj])
              for t in triples for c in [t.coupling] for ii, jj in [c.support]]
     return _tv_sums(*_joined(cells), cost)
 
@@ -258,7 +252,7 @@ def build_opt_bounded(triples: Sequence[BoundedCouplingTriple],
     M >= |x - y| on every cell when it was built."""
     xs, ys, disp, bounds, weights, cuts = _joined([
         (c.source.points[ii], c.target.points[jj], c.distances[ii, jj],
-         t.cell_bounds, c.plan[ii, jj])
+         t.bounds, c.plan[ii, jj])
         for t in triples for c in [t.coupling] for ii, jj in [c.support]])
     # stop_and_go rests when x = y whatever the set; M = 0 admits no other
     moving = np.minimum(1.0, np.divide(disp, bounds, out=np.ones_like(disp),
@@ -370,7 +364,7 @@ def solve_bounded_each(pairs, cost: CostFunction, ladders) -> list:
                     m0, m1, power_cost(1.0),
                     forbidden_arcs=lambda i, j: not arcs[i, j])
             sol = solved[key]
-            bounds = {(i, j): rk for i, j, _ in sol.plan.cells()}
+            bounds = np.full(len(sol.plan.support[0]), rk)
             rungs.append((next(cost_rs) / rk * sol.value,
                           BoundedCouplingTriple(sol.plan, bounds)))
     return out

@@ -169,12 +169,10 @@ def _rand_bounded_triple(rng, n_atoms: int, dim: int) -> BoundedCouplingTriple:
     m1 = _rand_measure(rng, n_atoms, dim)
     coupling = make_coupling(m0, m1, np.outer(m0.weights, m1.weights))
     levels = np.sort(rng.uniform(0.5, 2.0, size=3))
-    ii, jj = coupling.support
-    disp = coupling.distances[ii, jj]
-    level = levels[rng.integers(0, 3, size=len(ii))]  # one pick per cell
-    bounds = np.maximum(disp, level * (1.0 + disp))
-    return BoundedCouplingTriple(coupling=coupling, bound_assignment=dict(
-        zip(zip(ii.tolist(), jj.tolist()), bounds.tolist())))
+    disp = coupling.distances[coupling.support]
+    level = levels[rng.integers(0, 3, size=len(disp))]  # one pick per cell
+    return BoundedCouplingTriple(coupling,
+                                 np.maximum(disp, level * (1.0 + disp)))
 
 
 def _rand_bounded_ensembles(rngs, dim: int, n: int) -> EnsembleStack:
@@ -292,7 +290,7 @@ def _suite_cor2_4(cfg, cost, rngs):
                          values=rng.uniform(0.0, 2.0, size=5))
         drawn.append((m0, f, verify_control_identity(m0, f, cost, 1)))
     oracle = _oracle_margins([(m0.points, f.points,
-                               *np.transpose(rep.selected))
+                               np.arange(m0.n_atoms), rep.selected)
                               for m0, f, rep in drawn], cost)
     for (m0, f, rep), margin in zip(drawn, oracle):
         yield ([m0.to_json(), f.to_json()],

@@ -242,11 +242,6 @@ class Coupling:
         row; found on first read."""
         return np.nonzero(self.plan > 0.0)
 
-    def cells(self):
-        """(i, j, mass) for every cell with positive mass, row by row."""
-        ii, jj = self.support
-        return zip(ii.tolist(), jj.tolist(), self.plan[ii, jj].tolist())
-
 
 def make_coupling(source: DiscreteMeasure, target: DiscreteMeasure,
                   plan) -> Coupling:

@@ -20,11 +20,11 @@ import numpy as np
 
 from .costs import CostFunction, power_cost
 from .errors import Infeasible, LagotError
-from .measures import (Coupling, DiscreteMeasure, arc_lengths, make_coupling,
-                       read_only)
+from .measures import (WEIGHT_SUM_TOL, Coupling, DiscreteMeasure, arc_lengths,
+                       make_coupling, read_only)
 
 _RC_TOL = 1e-11
-_FORBIDDEN_FLOW_TOL = 1e-9
+_FORBIDDEN_FLOW_TOL = WEIGHT_SUM_TOL  # still a tolerance, not an exact test
 _ARRAY_SCAN_CELLS = 360
 _PIVOTS_PER_NODE = 20000  # the pivot cap, per row and column of the LP
 

@@ -212,14 +212,16 @@ def induced_triple_per_ensemble(e: EnsembleStack) -> BoundedCouplingTriple:
         plan[i, j] += w
         if bounds.setdefault((i, j), m) != m:
             raise MissingBound("conflicting bounds on one endpoint cell")
-    return BoundedCouplingTriple(Coupling(src, tgt, plan), bounds)
+    coupling = Coupling(src, tgt, plan)
+    return BoundedCouplingTriple(coupling, [
+        bounds[c] for c in zip(*(k.tolist() for k in coupling.support))])
 
 
 def eval_tv_per_triple(t: BoundedCouplingTriple, cost) -> float:
     """``lagot.ensembles.eval_tv`` of one triple over its positive-bound
     cells only."""
-    c, pos = t.coupling, t.cell_bounds > 0
-    m_ij = t.cell_bounds[pos]
+    c, pos = t.coupling, t.bounds > 0
+    m_ij = t.bounds[pos]
     return expectation(c.plan[c.support][pos]
                        * (_cost_at_caps(cost, m_ij) / m_ij),
                        c.distances[c.support][pos])
@@ -250,7 +252,7 @@ def build_opt_bounded_per_triple(t: BoundedCouplingTriple,
     as a one-ensemble stack rather than through the block builder."""
     c = t.coupling
     ii, jj = c.support
-    disp, bounds = c.distances[ii, jj], t.cell_bounds
+    disp, bounds = c.distances[ii, jj], t.bounds
     moving = np.minimum(1.0, np.divide(disp, bounds, out=np.ones_like(disp),
                                        where=disp > 0.0))
     paths = stop_and_go(c.source.points[ii], c.target.points[jj],
@@ -305,9 +307,9 @@ def solve_bounded_per_ladder(m0: DiscreteMeasure, m1: DiscreteMeasure, cost,
                 m0, m1, power_cost(1.0),
                 forbidden_arcs=lambda i, j: not arcs[i, j])
         sol = solved[key]
-        bounds = {(i, j): rk for i, j, _ in sol.plan.cells()}
         out.append((cost_r / rk * sol.value,
-                    BoundedCouplingTriple(sol.plan, bounds)))
+                    BoundedCouplingTriple(sol.plan,
+                                          [rk] * len(sol.plan.support[0]))))
     return out[0] if np.ndim(r) == 0 else out
 
 
@@ -355,12 +357,12 @@ def rand_bounded_triple_per_call(rng, n_atoms: int,
     m1 = rand_measure_per_call(rng, n_atoms, dim)
     coupling = make_coupling(m0, m1, np.outer(m0.weights, m1.weights))
     levels = np.sort(rng.uniform(0.5, 2.0, size=3))
-    bounds = {}
-    for i, j, _ in coupling.cells():
+    bounds = []
+    for i, j in zip(*(k.tolist() for k in coupling.support)):
         disp = float(coupling.distances[i, j])
         level = float(levels[int(rng.integers(0, 3))])
-        bounds[(i, j)] = max(disp, level * (1.0 + disp))
-    return BoundedCouplingTriple(coupling=coupling, bound_assignment=bounds)
+        bounds.append(max(disp, level * (1.0 + disp)))
+    return BoundedCouplingTriple(coupling, bounds)
 
 
 def rand_bounded_ensembles_per_call(rngs, dim: int, n: int) -> EnsembleStack:

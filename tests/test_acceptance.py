@@ -54,7 +54,9 @@ def test_01_transport_equals_first_modified_value():
                                        for _ in sol.plan.support[0]]])
         if abs(eval_tilde(ens, cost, 1)[0] - sol.value) > 1e-9:
             failures.append(("value", cost.name, sol.value))
-        for i, j, mass in sol.plan.cells():
+        ii, jj = sol.plan.support
+        for i, j, mass in zip(ii.tolist(), jj.tolist(),
+                              sol.plan.plan[ii, jj].tolist()):
             if mass <= 1e-12:
                 continue
             x, y = m0.points[i], m1.points[j]
@@ -204,8 +206,7 @@ def test_09_terminal_cost_value_reduces_atomwise():
         rep = verify_control_identity(m0, f, SQRT, 1)
         if rep.margin != 0.0:
             failures.append(("margin", k, rep.margin))
-        i, j = rep.selected[0]
-        x, y = m0.points[i], f.points[j]
+        x, y = m0.points[0], f.points[rep.selected[0]]
         disp = float(np.linalg.norm(y - x))
         if disp > 1e-9:
             best = oracle_min_path(x, y, SQRT, "L1", 4, ORACLE_GRID)

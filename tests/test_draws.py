@@ -103,10 +103,8 @@ def test_rand_bounded_triple_draws_the_reference_stream():
                     assert _same(m.points, rm.points)
                     assert _same(m.weights, rm.weights)
                 assert _same(a.coupling.plan, b.coupling.plan)
-                assert list(a.bound_assignment.items()) == \
-                    list(b.bound_assignment.items())
-                assert all(type(v) is float
-                           for v in a.bound_assignment.values())
+                assert _same(a.bounds, b.bounds)
+                assert not a.bounds.flags.writeable
         assert _same_state(new, ref)
 
 

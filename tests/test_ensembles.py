@@ -118,20 +118,45 @@ def test_eval_tilde_rejects_a_non_unit_horizon():
 def test_triple_rejects_a_bound_below_the_displacement():
     m0, m1 = [((0.0,), 1.0)], [((3.0,), 1.0)]
     with pytest.raises(InfeasibleBound):
-        _triple(m0, m1, [[1.0]], {(0, 0): 3.0 * (1 - 1e-9)})
+        _triple(m0, m1, [[1.0]], [3.0 * (1 - 1e-9)])
     # a bound equal to |x - y| up to rounding is kept
-    assert eval_tv([_triple(m0, m1, [[1.0]], {(0, 0): 3.0})], SQRT)[0] == \
+    assert eval_tv([_triple(m0, m1, [[1.0]], [3.0])], SQRT)[0] == \
         pytest.approx(math.sqrt(3.0))
 
 
+def test_triple_checks_count_then_finiteness_then_displacement():
+    """One bound per support cell, in support order, kept as a read-only
+    copy; each fault is looked for over every cell before the next."""
+    m = [((0.0,), 0.5), ((3.0,), 0.5)]
+    plan = np.full((2, 2), 0.25)  # displacements 0, 3, 3, 0 in row order
+    with pytest.raises(DimensionMismatch):
+        _triple(m, m, plan, [3.0, 3.0, 3.0])
+    with pytest.raises(DimensionMismatch):
+        _triple(m, m, plan, [[3.0, 3.0], [3.0, 3.0]])
+    # a bound below its displacement on cell (0, 1), a NaN on cell (1, 1)
+    with pytest.raises(InfeasibleBound) as nan:
+        _triple(m, m, plan, [3.0, 1.0, 3.0, np.nan])
+    assert str(nan.value) == "cell (1, 1): bound nan is not finite"
+    with pytest.raises(InfeasibleBound) as inf:
+        _triple(m, m, plan, [3.0, 3.0, 3.0, -np.inf])
+    assert str(inf.value) == "cell (1, 1): bound -inf is not finite"
+    with pytest.raises(InfeasibleBound) as below:
+        _triple(m, m, plan, [3.0, 3.0, 2.0, 3.0])
+    assert str(below.value) == "cell (1, 0): displacement exceeds bound 2.0"
+    given = np.array([0.0, 3.0, 4.0, 1.0])
+    t = _triple(m, m, plan, given)
+    assert t.bounds.tobytes() == given.tobytes() and given.flags.writeable
+    assert t.bounds.dtype == float and not t.bounds.flags.writeable
+
+
 def test_eval_tv_examples():
-    t = _triple([((0.0,), 1.0)], [((1.0,), 1.0)], [[1.0]], {(0, 0): 2.0})
+    t = _triple([((0.0,), 1.0)], [((1.0,), 1.0)], [[1.0]], [2.0])
     assert eval_tv([t], SQRT)[0] == pytest.approx(math.sqrt(2.0) / 2.0)
     m = [((0.0,), 0.5), ((1.0,), 0.5)]
-    ident = _triple(m, m, np.diag([0.5, 0.5]), {(0, 0): 3.0, (1, 1): 3.0})
+    ident = _triple(m, m, np.diag([0.5, 0.5]), [3.0, 3.0])
     assert eval_tv([ident], SQRT) == [0.0]
     t2 = _triple([((0.0, 0.0), 1.0)], [((2.0, 0.0), 1.0)], [[1.0]],
-                 {(0, 0): 4.0}, dim=2)
+                 [4.0], dim=2)
     assert eval_tv([t2], REMARK)[0] == pytest.approx(2.0 * math.exp(-4.0))
 
 
@@ -152,15 +177,15 @@ def test_build_opt_tilde_variants():
 
 
 def test_build_opt_bounded_examples():
-    t = _triple([((0.0,), 1.0)], [((1.0,), 1.0)], [[1.0]], {(0, 0): 2.0})
+    t = _triple([((0.0,), 1.0)], [((1.0,), 1.0)], [[1.0]], [2.0])
     ens = build_opt_bounded([t])
     assert sup_norm(ens.members[0].path)[0] == pytest.approx(2.0)
     assert eval_bounded(ens, SQRT)[0] == pytest.approx(eval_tv([t], SQRT)[0],
                                                        abs=1e-10)
-    exact = _triple([((0.0,), 1.0)], [((1.0,), 1.0)], [[1.0]], {(0, 0): 1.0})
+    exact = _triple([((0.0,), 1.0)], [((1.0,), 1.0)], [[1.0]], [1.0])
     ens = build_opt_bounded([exact])
     assert ens.members[0].path.counts[0] == 1  # linear path
-    rest = _triple([((0.0,), 1.0)], [((0.0,), 1.0)], [[1.0]], {(0, 0): 0.0})
+    rest = _triple([((0.0,), 1.0)], [((0.0,), 1.0)], [[1.0]], [0.0])
     assert eval_bounded(build_opt_bounded([rest]), SQRT) == [0.0]
 
 
@@ -351,6 +376,21 @@ def test_solve_bounded_examples():
         solve_bounded(m0, m1, SQRT, 0.5)
 
 
+@pytest.mark.parametrize("deficit", [1e-3, 1e-8, 1e-10])
+def test_a_cap_that_admits_no_plan_is_infeasible(deficit):
+    """Weights (0.5 + d, 0.5 - d) and (0.5, 0.5) at x = 0 and 10 admit no
+    plan on the arcs of length <= 1, whatever the deficit d: the capped LP
+    and solve_bounded raise Infeasible, and return no plan on the arc of
+    length 10."""
+    m0 = measure_of([0.0, 10.0], [0.5 + deficit, 0.5 - deficit], 1)
+    m1 = measure_of([0.0, 10.0], [0.5, 0.5], 1)
+    with pytest.raises(Infeasible):
+        solve_mk(m0, m1, SQRT,
+                 forbidden_arcs=ensembles.arcs_longer_than(m0, m1, 1.0))
+    with pytest.raises(Infeasible):
+        solve_bounded(m0, m1, SQRT, 1.0)
+
+
 def _ladder_instance(seed):
     """Two seeded measures of 4-6 atoms in the plane, their arc lengths
     sorted and distinct, and the bottleneck cap r*: the least arc length
@@ -392,8 +432,9 @@ def test_cap_ladder_rungs_are_their_scalar_calls(seed, monkeypatch):
         want, alone = solve_bounded(m0, m1, SQRT, r)
         assert value.hex() == want.hex()
         assert triple.coupling.plan.tobytes() == alone.coupling.plan.tobytes()
-        assert triple.bound_assignment == alone.bound_assignment
+        assert triple.bounds.tobytes() == alone.bounds.tobytes()
         assert triple.coupling.distances.tobytes() == dist.tobytes()
+        assert (triple.coupling.plan[dist > r] == 0.0).all()
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "zero", "negative", "below"])
@@ -440,20 +481,21 @@ def test_a_block_of_ladders_is_each_ladders_reference(monkeypatch):
         total += len(caps)
         want = solve_bounded_per_ladder(m0, m1, SQRT, caps)
         assert len(rungs) == len(want) == len(caps)
-        for (value, triple), (v, alone) in zip(rungs, want):
+        for r, (value, triple), (v, alone) in zip(caps, rungs, want):
             assert value.hex() == v.hex()
             assert triple.coupling.plan.tobytes() == \
                 alone.coupling.plan.tobytes()
-            assert triple.bound_assignment == alone.bound_assignment
+            assert triple.bounds.tobytes() == alone.bounds.tobytes()
             assert triple.coupling.distances.tobytes() == dist.tobytes()
+            assert (triple.coupling.plan[dist > r] == 0.0).all()
     assert len(calls) == sets
     assert binding >= 40
     assert 2 * binding >= total  # of 554 rungs, 374 forbid an arc
     m0, m1, caps = ladders[0]
     value, triple = solve_bounded(m0, m1, SQRT, caps[0])
     v, alone = solve_bounded_per_ladder(m0, m1, SQRT, caps[0])
-    assert value.hex() == v.hex() and triple.bound_assignment == \
-        alone.bound_assignment
+    assert value.hex() == v.hex() and \
+        triple.bounds.tobytes() == alone.bounds.tobytes()
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "zero", "negative", "below",
@@ -754,7 +796,7 @@ def test_induced_gaps_are_each_ensembles_eval_tv(cost):
             k = len(e.weights)
             assert abs(value - want) <= 2 * (k + 3) * EPS * want
             merged += ref.coupling.source.n_atoms < k
-            zero += (ref.cell_bounds == 0).any()
+            zero += (ref.bounds == 0).any()
     assert merged > 5 and zero > 5
     assert {len(e.weights) for s in stacks for e in ensembles_of(s)} >= \
         {1, 2, 3, 4, 5, 6, 7}
@@ -856,7 +898,7 @@ def _trial_triples(dim):
     still = _triple([((0.0, *pad), 0.5), ((1.0, *pad), 0.5)],
                     [((0.0, *pad), 0.5), ((3.0, *pad), 0.5)],
                     [[0.25, 0.25], [0.25, 0.25]],
-                    {(0, 0): 0.0, (0, 1): 4.0, (1, 0): 1.0, (1, 1): 2.5},
+                    [0.0, 4.0, 1.0, 2.5],
                     dim=dim)
     return drawn[:7] + [still] + drawn[7:]
 
@@ -868,7 +910,7 @@ def test_trial_side_blocks_are_the_one_at_a_time_calls(cost, dim):
     """build_opt_bounded and eval_tv over triples of several cell counts
     have the bits of the one-triple calls and of the references."""
     triples = _trial_triples(dim)
-    assert len({len(t.cell_bounds) for t in triples}) > 3
+    assert len({len(t.bounds) for t in triples}) > 3
     stack = build_opt_bounded(triples)
     assert len(ensembles_of(stack)) == len(triples)
     for e, t in zip(ensembles_of(stack), triples):

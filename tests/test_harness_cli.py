@@ -627,6 +627,13 @@ def _triple(bounds):
 BAD_BOUNDS = ("t.json: bounds must be rows [i, j, bound] with integral i in"
               " [0, 2) and j in [0, 2)")
 
+# weights 1e-10 apart at x = 0 and 10: no plan keeps to arcs of length <= 1
+DEFICIT = {"p0.json": {"dim": 1, "atoms": [{"x": [0.0], "w": 0.5 + 1e-10},
+                                           {"x": [10.0], "w": 0.5 - 1e-10}]},
+           "p1.json": {"dim": 1, "atoms": [{"x": [0.0], "w": 0.5},
+                                           {"x": [10.0], "w": 0.5}]}}
+NO_PLAN = "error: no feasible plan avoids the forbidden arcs"
+
 
 def _eval(objective):
     return ["eval", "--objective", objective, "--ensemble", "e.json",
@@ -929,6 +936,28 @@ BAD_INPUTS = {
     "triple with a repeated bounds cell": (
         *_triple([[0, 0, 1.0], [1, 1, 1.0], [0, 0, 2.0]]),
         "t.json: bounds must not repeat a cell"),
+    "triple with a nan bound on a cell without mass": (
+        *_triple([[0, 0, 1.0], [1, 1, 1.0], [0, 1, NAN]]),
+        "error: cell (0, 1): bound nan is not finite"),
+    "triple with a cell of mass but no bound": (
+        *_triple([[0, 0, 1.0], [0, 1, 1.0]]),
+        "error: cell (1, 1) carries mass but no bound"),
+    "triple with a nan bound and a cell of mass without one": (
+        *_triple([[0, 1, NAN], [1, 1, 1.0]]),
+        "error: cell (0, 1): bound nan is not finite"),
+    "triple with empty bounds": (
+        *_triple([]), "t.json: bounds must be a list of equal-length lists"),
+    "triple with a nan bounds cell": (
+        *_triple([[NAN, 0, 1.0], [1, 1, 1.0]]), BAD_BOUNDS),
+    "triple with an infinite bounds cell": (
+        *_triple([[0, 0, 1.0], [1, float("inf"), 1.0]]), BAD_BOUNDS),
+    "capped solve of measures 1e-10 apart": (
+        DEFICIT, ["solve-mk", "--p0", "p0.json", "--p1", "p1.json", "--cost",
+                  "power:0.5", "--max-arc-length", "1"], NO_PLAN),
+    "bounded build of measures 1e-10 apart": (
+        DEFICIT, ["build-optimal", "--theorem", "2.6", "--p0", "p0.json",
+                  "--p1", "p1.json", "--cost", "power:0.5", "--bound", "1"],
+        NO_PLAN),
     "grid function with a boolean value": (
         {"f.json": {"points": [[0.0]], "values": [True]}}, DUAL,
         "f.json: values must hold numbers only, got [True]"),

@@ -102,6 +102,7 @@ def test_capped_solves_match_highs(k):
             continue
         sol = solve_mk(m0, m1, sqrt, forbidden_arcs=lambda i, j: d[i, j] > r)
         assert_close(sol.value, ref)
-        assert sol.plan.plan[~allowed].sum() == 0.0
-        value, _ = solve_bounded(m0, m1, sqrt, r)
+        assert (sol.plan.plan[~allowed] == 0.0).all()
+        value, triple = solve_bounded(m0, m1, sqrt, r)
+        assert (triple.coupling.plan[~allowed] == 0.0).all()
         assert_close(value, r ** 0.5 / r * t1)

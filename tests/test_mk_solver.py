@@ -448,6 +448,7 @@ def test_a_solution_carries_its_optimality_certificate(monkeypatch):
         assert np.abs(u[:, None] + v - cost)[basis].max() <= 1e-12 * scale
         allowed = np.ones((n, m), bool) if arcs is None else ~np.array(
             [[arcs(i, j) for j in range(m)] for i in range(n)])
+        assert not sol.plan.plan[~allowed].any()  # exactly 0.0
         reduced = (cost - u[:, None]) - v
         assert reduced[allowed & ~basis].min(initial=0.0) >= -_RC_TOL * scale
         assert not sol.plan.plan[~basis].any()
