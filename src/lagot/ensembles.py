@@ -11,6 +11,7 @@ grid scale that no stepped path beats them.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -31,6 +32,12 @@ from .paths import IntervalSet, PathBlock, cost_li, cost_plain, stop_and_go
 
 _BOUND_TOL = 1e-12
 _FEAS_TOL = 1e-9
+
+
+def _member(cuts: list, r: int) -> str:
+    """``member k: ``, the prefix of a fault at row r of a stack cut at
+    ``cuts``, k counted from the first row of r's ensemble."""
+    return f"member {r - cuts[bisect.bisect_right(cuts, r) - 1]}: "
 
 
 def _exceeds(value, bound: float):
@@ -55,8 +62,9 @@ class EnsembleStack:
     its row's sup-speed, or NaN where none is declared (given as NaN or
     None, for one row or all).  Without ``cuts`` it is the one ensemble
     [0, k].  The one check of an ensemble; each fault is looked for over
-    the whole stack before the next.  ``members`` views every row, built
-    on first read.
+    the whole stack before the next, and one at a member names it, counted
+    within its ensemble.  ``members`` views every row, built on first
+    read.
     """
 
     paths: PathBlock
@@ -81,17 +89,17 @@ class EnsembleStack:
             total = float(weights[lo:hi].sum())
             if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # also fails on NaN
                 raise ValueError(f"member weights sum to {total!r}, not 1")
-        if (weights <= 0).any():
-            raise ValueError("member weights must be positive")
-        if np.isinf(bounds).any():
-            raise BoundViolated(f"speed bound {bounds[np.isinf(bounds)][0]} "
-                                f"is not finite")
         sup = self.paths.speeds.max(axis=1)
-        over = _exceeds(sup, bounds)  # false where no bound is declared
-        if over.any():
-            r = int(over.argmax())
-            raise BoundViolated(
-                f"sup speed {sup[r]} exceeds bound {bounds[r]}")
+        for cls, fault, what in (
+                (ValueError, weights <= 0, "weight {w} must be positive"),
+                (BoundViolated, np.isinf(bounds),
+                 "speed bound {b} is not finite"),
+                (BoundViolated, _exceeds(sup, bounds),  # false on NaN
+                 "sup speed {s} exceeds bound {b}")):
+            if fault.any():
+                r = int(fault.argmax())
+                raise cls(_member(self.cuts, r) + what.format(
+                    w=weights[r], b=bounds[r], s=sup[r]))
         freeze(self, weights=weights, bounds=bounds)
 
     @functools.cached_property
@@ -121,8 +129,10 @@ class EnsembleStack:
                             "members", 0)
         bounds = json_rows([m.get("bound", np.nan) for m in members],
                            "bound", "members", 0)
-        if np.isnan(bounds[["bound" in m for m in members]]).any():
-            raise BoundViolated("speed bound nan is not finite")
+        nan = np.isnan(bounds) & ["bound" in m for m in members]
+        if nan.any():
+            raise BoundViolated(
+                f"member {int(nan.argmax())}: speed bound nan is not finite")
         return EnsembleStack(paths, weights, bounds)
 
 
@@ -222,8 +232,7 @@ def eval_tv_induced(s: EnsembleStack, cost: CostFunction) -> list:
     if (over := _exceeds(dist, s.bounds)).any():
         r = int(over.argmax())
         raise InfeasibleBound(
-            f"member {r - max(c for c in s.cuts if c <= r)}: displacement "
-            f"exceeds bound {s.bounds[r]}")
+            f"{_member(s.cuts, r)}displacement exceeds bound {s.bounds[r]}")
     return _tv_sums(s.weights, s.bounds, dist, s.cuts, cost)
 
 

@@ -2,17 +2,18 @@
 
 The transportation LP is solved in-repo by the classical transportation
 (network) simplex with Bland's smallest-index rule on both the entering and
-the leaving variable, which rules out cycling.  It prices a copy of the
-costs with +inf on the basis cells by a Python scan that stops at the first
-entering cell or, above _ARRAY_SCAN_CELLS cells (break-even: 350-400), by one
-array expression into buffers kept for the LP.  The basis tree and its dual
-potentials are kept across pivots: a pivot walks again only the subtree that
-its leaving cell cuts off.  Big-M prices forbidden arcs, and a positive
-flow on any of them at the optimum means that no plan avoids them.
+the leaving variable, which rules out cycling; a cell is one int, i*m + j.
+It prices a copy of the costs with +inf on the basis cells by a Python scan
+that stops at the first entering cell or, above _ARRAY_SCAN_CELLS cells
+(break-even: 350-400), by one array expression reading the potentials in
+place.  A pivot walks again only the subtree of the kept basis tree that its
+leaving cell cuts off.  Big-M prices forbidden arcs, and a positive flow on
+any of them at the optimum means that no plan avoids them.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -47,35 +48,34 @@ class MKSolution:
 
 
 class _Tree(list):
-    """A basis as the list of its cells, swapped in place through ``slot``
-    (cell -> index), and its tree from row 0; rows are nodes 0..n-1, columns
-    n..n+m-1, each with ``pot`` (u_0 = 0), ``parent``, ``up`` cell, its cost
-    ``cup``, ``depth`` and ``kids``."""
+    """A basis as the list of its cells, each the flat index k = i*m + j,
+    swapped in place through ``slot`` (cell -> index), and its tree from row
+    0; rows are nodes 0..n-1, columns n..n+m-1, each with ``pot`` (u_0 = 0),
+    ``parent``, ``up`` cell, its cost ``cup``, ``depth`` and ``kids``."""
 
 
 def _northwest_corner(a, b, cost, prices):
     """North-west corner start from the supply and demand lists a and b,
-    used up: the flow as rows, and the basis as its _Tree, each cell priced
-    at +inf and hanging a new node from the one it shares with the last."""
+    used up, and the flat costs: the flat flow and the basis as its _Tree,
+    each cell priced at +inf, hanging a new node from the last one's."""
     n, m, tree, i, j = len(a), len(b), _Tree(), 0, 0
-    flow, kids = [[0.0] * m for _ in range(n)], [[] for _ in range(n + m)]
+    flow, kids = [0.0] * (n * m), [[] for _ in range(n + m)]
     pot, depth = [0.0] * (n + m), [0] * (n + m)
     parent, up, cup = [None] * (n + m), [None] * (n + m), [None] * (n + m)
     new, old = n, 0  # column 0 hangs from row 0
     for _ in range(n + m - 1):  # each cell moves on by a row or a column
-        q, cell, cup[new] = min(a[i], b[j]), (i, j), cost[i][j]
-        flow[i][j], parent[new], up[new], prices[i][j] = q, old, cell, np.inf
+        q, k = min(a[i], b[j]), i * m + j
+        flow[k], parent[new], up[new], cup[new] = q, old, k, cost[k]
         pot[new], depth[new] = cup[new] - pot[old], depth[old] + 1
-        tree.append(cell)
+        tree.append(k)
         kids[old].append(new)
-        a[i], b[j] = a[i] - q, b[j] - q
+        a[i], b[j], prices[i][j] = a[i] - q, b[j] - q, np.inf
         if j == m - 1 or (i < n - 1 and a[i] <= 0.0):
             i, new, old = i + 1, i + 1, n + j
         else:
             j, new, old = j + 1, n + j + 1, i
-    tree.pot, tree.depth, tree.parent, tree.up, tree.cup, tree.kids = (
-        pot, depth, parent, up, cup, kids)
-    tree.slot = {cell: k for k, cell in enumerate(tree)}
+    vars(tree).update(pot=pot, depth=depth, parent=parent, up=up, cup=cup,
+                      kids=kids, slot={k: s for s, k in enumerate(tree)})
     return flow, tree
 
 
@@ -118,68 +118,68 @@ def _cycle(tree, flow, i0, j0, n):
             x, a, end = a, parent[a], i0
         else:
             x, b, end = b, parent[b], n + j0
-        cell = up[x]
         if (x < n) == (end < n):
-            minus.append((flow[cell[0]][cell[1]], cell, x, end))
+            minus.append((flow[up[x]], up[x], x, end))
         else:
-            plus.append(cell)
+            plus.append(up[x])
     return plus, minus
 
 
 def _entering(prices, pot, n, tol, _):
-    """Bland: the first cell, row by row, whose reduced cost (p - u_i) - v_j
-    is below tol (no basis cell: each is priced at +inf); None if none is."""
+    """Bland: the first cell i*m + j, row by row, whose reduced cost
+    (p - u_i) - v_j is below tol (each basis cell is priced at +inf)."""
     v = pot[n:]
     for i, row in enumerate(prices):
         ui = pot[i]
         for j, vj in enumerate(v):
             if (row[j] - ui) - vj < tol:
-                return i, j
+                return i * len(v) + j
     return None
 
 
 def _entering_array(prices, pot, n, tol, out):
-    """_entering as one array expression into the buffers ``out`` (n + m
-    potentials, their u and v views, reduced costs, hits): the same cell."""
-    p, u, v, reduced, hit = out
-    p[:] = pot
+    """_entering as one array expression into the buffers ``out`` (u and v,
+    views of ``pot``'s own buffer, then reduced costs and hits)."""
+    u, v, reduced, hit = out
     np.subtract(np.subtract(prices, u, out=reduced), v, out=reduced)
     k = int(np.less(reduced, tol, out=hit).argmax())
-    return divmod(k, hit.shape[1]) if hit.flat[k] else None
+    return k if hit.flat[k] else None
 
 
 def _transportation_simplex(supply, demand, cost, scale):
-    """Minimize sum(flow * cost) over the transportation polytope.
-
-    Returns (flow, basis), the basis as its _Tree, whose ``pivots`` counts
-    the pivots made.  Reduced costs above -_RC_TOL * scale count as
-    nonnegative; ``scale`` is the largest |cost| of an allowed arc, never
-    big-M.  Pivots run on Python floats, whose IEEE arithmetic is numpy's.
-    """
-    (n, m), c = cost.shape, cost.tolist()
-    if n * m <= _ARRAY_SCAN_CELLS:
-        scan, prices, out = _entering, cost.tolist(), None
-    else:  # the buffers that the array scan writes on every pivot
-        p = np.empty(n + m)
-        scan, prices, out = _entering_array, cost.copy(), (
-            p, p[:n, None], p[n:], np.empty((n, m)), np.empty((n, m), bool))
+    """Minimize sum(flow * cost) over the transportation polytope: (flow,
+    basis), the basis as its _Tree, whose ``pivots`` counts the pivots made.
+    Reduced costs above -_RC_TOL * scale count as nonnegative; ``scale`` is
+    the largest |cost| of an allowed arc, never big-M.  Pivots run on Python
+    floats, whose IEEE arithmetic is numpy's."""
+    (n, m), c, scan, out = cost.shape, cost.ravel().tolist(), _entering, None
+    prices = cost.tolist() if n * m <= _ARRAY_SCAN_CELLS else cost.copy()
     flow, tree = _northwest_corner(*(np.asarray(w, float).tolist() for w in
                                      (supply, demand)), c, prices)
+    if type(prices) is not list:  # u and v view the potentials _pivot sets
+        tree.pot = memoryview(array("d", tree.pot))  # items cheaper than array
+        p, flat = np.frombuffer(tree.pot), prices.reshape(-1)
+        scan, out = _entering_array, (p[:n, None], p[n:], np.empty((n, m)),
+                                      np.empty((n, m), bool))
     for tree.pivots in range(_PIVOTS_PER_NODE * (n + m)):
-        entering = scan(prices, tree.pot, n, -_RC_TOL * scale, out)
-        if entering is None:
-            return np.array(flow), tree
-        a, b = entering
+        e = scan(prices, tree.pot, n, -_RC_TOL * scale, out)
+        if e is None:
+            return np.array(flow).reshape(n, m), tree
+        a, b = divmod(e, m)
         plus, minus = _cycle(tree, flow, a, b, n)
-        # Bland: the losing cell of least flow, theta, then of least index;
-        # it drops to 0.0 and the entering cell, at 0.0, rises to theta
-        theta, (i, j), top, inner = min(minus)
-        for f, (r, s), _, _ in minus:
-            flow[r][s] = f - theta
-        for r, s in plus:
-            flow[r][s] += theta
-        flow[a][b], prices[i][j], prices[a][b] = theta, c[i][j], np.inf
-        _pivot(tree, entering, c[a][b], inner, a + n + b - inner, top)
+        # Bland: the losing cell of least flow, theta, then of least k (row
+        # by row); it drops to 0.0 and the entering one, at 0.0, to theta
+        theta, k, top, inner = min(minus)
+        for f, s, _, _ in minus:
+            flow[s] = f - theta
+        for s in plus:
+            flow[s] += theta
+        flow[e] = theta
+        if out is None:
+            prices[k // m][k % m], prices[a][b] = c[k], np.inf
+        else:
+            flat[k], flat[e] = c[k], np.inf
+        _pivot(tree, e, c[e], inner, a + n + b - inner, top)
     raise LagotError("transportation simplex reached its pivot cap unsolved")
 
 
@@ -196,8 +196,8 @@ def _solve(m0, m1, dist, c, mask) -> MKSolution:
         raise Infeasible("no feasible plan avoids the forbidden arcs")
     plan = make_coupling(m0, m1, flow)
     plan.__dict__["distances"] = read_only(dist)  # no second kernel call
-    return MKSolution(float((flow * c).sum()), plan, tuple(tree), tree.pot,
-                      tree.pivots)
+    return MKSolution(float((flow * c).sum()), plan, tuple(
+        divmod(k, m1.n_atoms) for k in tree), list(tree.pot), tree.pivots)
 
 
 def solve_mk_each(pairs, cost: CostFunction, forbidden_arcs=None) -> list:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -691,7 +692,8 @@ RUN_FAULTS = {"sum": ValueError, "positive": ValueError,
 def test_stacked_bounded_ensembles_are_checked_and_evaluated_alone(fault):
     """A stack evaluates each ensemble as it evaluates alone, and refuses a
     fault in its last ensemble with the class and message of that ensemble
-    built alone."""
+    built alone; a fault at a member names it, counted within its
+    ensemble."""
     rng = np.random.default_rng(32)
     stack = _rand_bounded_ensembles([rng] * 3, 2, 4)
     assert len(ensembles_of(stack)) == 12
@@ -714,6 +716,10 @@ def test_stacked_bounded_ensembles_are_checked_and_evaluated_alone(fault):
             build()
         raised.append((type(info.value), str(info.value)))
     assert raised[1] == raised[0]
+    member = {"positive": 1, "infinite": len(b) - 1,
+              "speed": len(b) - 1}.get(fault)
+    named = re.match(r"member (\d+): ", raised[0][1])
+    assert (named and int(named[1])) == member
 
 
 @pytest.mark.parametrize("weights, bounds, line", [

@@ -615,6 +615,14 @@ def _ensemble(dt=1.0, start=0.0, horizon=1.0, weight=1.0, bound=None,
     return {"e.json": {"members": [member]}}
 
 
+def _second_member(bound):
+    """Two-member ensemble file, each member at speed 0.5 and weight 0.5:
+    the first bounded by 1.0, the second by ``bound``."""
+    return {"e.json": {"members": [
+        _ensemble(weight=0.5, bound=b)["e.json"]["members"][0]
+        for b in (1.0, bound)]}}
+
+
 def _triple(bounds):
     """Files and argv of ``eval --objective TV`` on the diagonal plan
     between two GOOD measures, with these ``bounds`` rows."""
@@ -745,6 +753,12 @@ BAD_INPUTS = {
                                    "sum to nan"),
     "ensemble with a nan bound": (_ensemble(bound=NAN), _eval("plain"),
                                   "bound nan is not finite"),
+    "ensemble whose second member has a nan bound": (
+        _second_member(NAN), _eval("plain"),
+        "error: member 1: speed bound nan is not finite"),
+    "ensemble whose second member outruns its bound": (
+        _second_member(0.1), _eval("plain"),
+        "error: member 1: sup speed 0.5 exceeds bound 0.1"),
     "triple with a nan bound": (
         {"t.json": {"source": GOOD, "target": GOOD,
                     "plan": [[0.5, 0.0], [0.0, 0.5]],

@@ -1,3 +1,4 @@
+from array import array
 from types import SimpleNamespace
 
 import numpy as np
@@ -172,21 +173,25 @@ def _random_basis(rng, n, m):
 
 
 def _fresh_walk(basis, cost, n, m):
-    """The tree of ``basis`` (cost a list of rows) from the reference's own
-    full walk, in the kept tree's terms, kids sorted."""
+    """The tree of ``basis``, (i, j) cells (cost a list of rows), from the
+    reference's own full walk, in the kept tree's terms: each ``up`` cell
+    flat, i*m + j, and kids sorted."""
     u, v, par, depth = oracles._basis_tree(basis, np.array(cost), n, m)
     parent, up = [p and p[0] for p in par], [p and p[1] for p in par]
     return SimpleNamespace(
-        pot=u.tolist() + v.tolist(), parent=parent, up=up, depth=depth,
+        pot=u.tolist() + v.tolist(), parent=parent, depth=depth,
+        up=[None if e is None else e[0] * m + e[1] for e in up],
         cup=[None if e is None else cost[e[0]][e[1]] for e in up],
         kids=[[w for w in range(n + m) if parent[w] == k]
               for k in range(n + m)])
 
 
 def _assert_is_a_fresh_walk(tree, cost, n, m):
-    """The kept tree is the reference's full walk of its basis, potentials
-    bit for bit, and its slot map indexes its cells."""
-    fresh = _fresh_walk(list(tree), cost, n, m)
+    """The kept tree, its cells flat ints, is the reference's full walk of
+    its basis, potentials bit for bit, and its slot map indexes its
+    cells."""
+    assert all(type(k) is int for k in tree)
+    fresh = _fresh_walk([divmod(k, m) for k in tree], cost, n, m)
     assert np.array(tree.pot).tobytes() == np.array(fresh.pot).tobytes()
     assert (tree.parent, tree.up, tree.cup, tree.depth) == (
         fresh.parent, fresh.up, fresh.cup, fresh.depth)
@@ -197,10 +202,11 @@ def _assert_is_a_fresh_walk(tree, cost, n, m):
 @pytest.mark.parametrize("seed", range(20))
 def test_basis_tree_potentials_fit_the_basis(seed):
     """The north-west corner's tree, on seeded marginals (equal, so
-    degenerate, on odd seeds) and costs: the reference's flow and basis,
-    u_0 = 0 and u_i + v_j = c_ij on every basis cell, each node one deeper
-    than its parent, across a basis cell, and a fresh walk of its basis;
-    the prices it is given end as the costs with +inf on the basis."""
+    degenerate, on odd seeds) and flat costs: the reference's flow and
+    basis, flat, u_0 = 0 and u_i + v_j = c_ij on every basis cell, each
+    node one deeper than its parent, across a basis cell, and a fresh walk
+    of its basis; the prices it is given end as the costs with +inf on the
+    basis."""
     rng = np.random.default_rng(seed)
     n, m = (int(k) for k in rng.integers(1, 9, size=2))
     supply, demand = (np.full(k, 1.0 / k) if seed % 2 else
@@ -208,21 +214,23 @@ def test_basis_tree_potentials_fit_the_basis(seed):
     cost = rng.uniform(0.0, 3.0, size=(n, m))
     prices = cost.tolist()
     flow, tree = _northwest_corner(supply.tolist(), demand.tolist(),
-                                   cost.tolist(), prices)
+                                   cost.ravel().tolist(), prices)
     want_flow, want_basis = oracles._northwest_corner(supply, demand)
-    assert np.array(flow).tobytes() == want_flow.tobytes()
-    assert tree == want_basis and len(tree) == n + m - 1
+    assert len(flow) == n * m
+    assert np.array(flow).reshape(n, m).tobytes() == want_flow.tobytes()
+    cells = [divmod(k, m) for k in tree]
+    assert cells == want_basis and len(tree) == n + m - 1
     u, v = tree.pot[:n], tree.pot[n:]
     assert u[0] == 0.0 and tree.depth[0] == 0 and tree.parent[0] is None
-    for i, j in tree:
+    for i, j in cells:
         assert u[i] + v[j] == pytest.approx(cost[i, j], abs=1e-12)
     for node in range(1, n + m):
-        up, (i, j) = tree.parent[node], tree.up[node]
-        assert tree.depth[node] == tree.depth[up] + 1 and (i, j) in tree
+        up, (i, j) = tree.parent[node], divmod(tree.up[node], m)
+        assert tree.depth[node] == tree.depth[up] + 1 and tree.up[node] in tree
         assert {node, up} == {i, n + j} and tree.cup[node] == cost[i, j]
     _assert_is_a_fresh_walk(tree, cost.tolist(), n, m)
     basis = np.zeros((n, m), bool)
-    basis[tuple(np.transpose(tree))] = True
+    basis[tuple(np.transpose(cells))] = True
     assert np.array(prices).tobytes() == np.where(basis, np.inf,
                                                   cost).tobytes()
 
@@ -232,13 +240,14 @@ def test_tree_path_is_the_tree_geodesic(seed):
     """On random spanning trees, _cycle splits the tree geodesic from row
     i0 to column j0: the cells at even places from the row lose, with
     their flow, the node under them and the end of (i0, j0) that each cuts
-    off from row 0, and the cells at odd places gain."""
+    off from row 0, and the cells at odd places gain; cells and flow are
+    flat, i*m + j."""
     nx = pytest.importorskip("networkx")
     rng = np.random.default_rng(100 + seed)
     n, m = (int(k) for k in rng.integers(1, 9, size=2))
     basis = _random_basis(rng, n, m)
     tree = _fresh_walk(basis, np.zeros((n, m)).tolist(), n, m)
-    flow = rng.uniform(size=(n, m)).tolist()
+    flow = rng.uniform(size=(n, m)).ravel().tolist()
     graph = nx.Graph((i, n + j) for i, j in basis)
     for i0 in range(n):
         for j0 in range(m):
@@ -246,12 +255,13 @@ def test_tree_path_is_the_tree_geodesic(seed):
             cells = [(a, b - n) if a < n else (b, a - n)
                      for a, b in zip(nodes, nodes[1:])]
             plus, minus = _cycle(tree, flow, i0, j0, n)
-            assert sorted(plus) == sorted(cells[1::2])
-            assert sorted(e[1] for e in minus) == sorted(cells[0::2])
-            for f, (i, j), top, end in minus:
-                cut = graph.copy()
+            assert sorted(divmod(k, m) for k in plus) == sorted(cells[1::2])
+            assert sorted(divmod(e[1], m) for e in minus) == sorted(
+                cells[0::2])
+            for f, k, top, end in minus:
+                (i, j), cut = divmod(k, m), graph.copy()
                 cut.remove_edge(i, n + j)
-                assert f == flow[i][j] and tree.up[top] == (i, j)
+                assert f == flow[k] and tree.up[top] == k
                 assert end in (i0, n + j0) and nx.has_path(cut, top, end)
                 assert not nx.has_path(cut, 0, end)
 
@@ -273,6 +283,11 @@ def _simplex_cases():
                validate_measure(zip(pts[n:], w1), 2), cap)
 
 
+def _cells(basis, cost):
+    """The flat cells of a basis as the reference's (i, j) cells."""
+    return [divmod(k, cost.shape[1]) for k in basis]
+
+
 def test_simplex_matches_the_reference_bit_for_bit(monkeypatch):
     """The list-based simplex returns the reference's (flow, basis) bit for
     bit on the LPs solve_mk sets up, big-M and degenerate ones included."""
@@ -281,7 +296,7 @@ def test_simplex_matches_the_reference_bit_for_bit(monkeypatch):
     def both(supply, demand, cost, scale):
         got = real(supply, demand, cost, scale)
         want = reference_simplex(supply, demand, cost, scale)
-        seen.append((got[0].tobytes(), got[1]) ==
+        seen.append((got[0].tobytes(), _cells(got[1], cost)) ==
                     (want[0].tobytes(), want[1]))
         return got
 
@@ -346,6 +361,42 @@ def test_kept_tree_is_a_fresh_walk_after_every_pivot(monkeypatch):
     assert len(pivots["_entering"]) > 1000
 
 
+def test_the_array_scan_reads_the_kept_potentials_in_place(monkeypatch):
+    """Under the array scan, on the _simplex_cases() LPs and at mk-ladder's
+    sizes, the scan's u and v are views of the kept tree's own potentials,
+    and after every pivot they read a fresh walk of the new basis bit for
+    bit: no copy stands between what _pivot sets and what the next scan
+    prices."""
+    scans, costs, pivots = [], [], []
+
+    def scanned(prices, pot, n, tol, out):
+        scans.append((pot, out))
+        return scan(prices, pot, n, tol, out)
+
+    def checked(tree, *move):
+        pivot(tree, *move)
+        pot, (u, v, _, _) = scans[-1]
+        (n, m), cost = np.shape(costs[-1]), costs[-1]
+        assert pot is tree.pot and (u.shape, v.shape) == ((n, 1), (m,))
+        assert np.shares_memory(u, tree.pot) and np.shares_memory(v, tree.pot)
+        fresh = _fresh_walk([divmod(k, m) for k in tree], cost, n, m)
+        assert u.tobytes() + v.tobytes() == np.array(fresh.pot).tobytes()
+        pivots.append(move[0])
+
+    scan, pivot = mk_solver._entering_array, mk_solver._pivot
+    simplex = mk_solver._transportation_simplex
+    monkeypatch.setattr(mk_solver, "_entering_array", scanned)
+    monkeypatch.setattr(mk_solver, "_pivot", checked)
+    monkeypatch.setattr(mk_solver, "_transportation_simplex", lambda *lp: (
+        costs.append(lp[2].tolist()) or simplex(*lp)))
+    monkeypatch.setattr(mk_solver, "_ARRAY_SCAN_CELLS", -1)
+    cases = [case[1:] for case in _simplex_cases()]
+    for m0, m1, cap in cases + list(_ladder_size_cases()):
+        _solve_capped(m0, m1, cap)
+    assert len(scans) == len(pivots) + len(costs) and len(costs) == 129
+    assert len(pivots) > 5000
+
+
 def test_simplex_matches_the_reference_at_ladder_sizes(monkeypatch):
     """At the sizes of perfbench's mk-ladder, where the basis tree is deep,
     the simplex returns the reference's (flow, basis) bit for bit: n = 40
@@ -365,7 +416,8 @@ def test_simplex_matches_the_reference_at_ladder_sizes(monkeypatch):
     assert len(lps) == 3
     for lp, (flow, basis) in lps:
         want = reference_simplex(*lp)
-        assert (flow.tobytes(), basis) == (want[0].tobytes(), want[1])
+        assert (flow.tobytes(), _cells(basis, lp[2])) == (want[0].tobytes(),
+                                                          want[1])
 
 
 def _ladder_size_cases():
@@ -411,7 +463,8 @@ def test_both_scans_pivot_as_the_reference(monkeypatch):
             flow, basis = mk_solver._transportation_simplex(*lp)
             assert set(called) == {scan}
             assert (flow >= 0.0).all() and not np.signbit(flow).any()
-            got[scan] = (flow.tobytes(), basis, made[:], basis.pivots)
+            got[scan] = (flow.tobytes(), _cells(basis, lp[2]), [
+                tuple(_cells(pair, lp[2])) for pair in made], basis.pivots)
         assert got["_entering"] == got["_entering_array"] == (
             want[0].tobytes(), want[1], pairs, len(pairs))
 
@@ -457,22 +510,24 @@ def test_a_solution_carries_its_optimality_certificate(monkeypatch):
     assert pivots[-3:] == [1336, 2568, 627]
 
 
-def _scan_buffers(n, m):
-    """Buffers of the array scan as _transportation_simplex makes them, but
-    filled with NaN, so that a scan that reads what it did not write fails:
-    n + m potentials with their u-column and v-row views, reduced costs and
-    hits."""
-    p = np.full(n + m, np.nan)
-    return (p, p[:n, None], p[n:], np.full((n, m), np.nan),
-            np.ones((n, m), bool))
+def _scan_buffers(pot, n, m, kept):
+    """Buffers of the array scan as _transportation_simplex makes them: the
+    u-column and v-row views of the array ``pot``'s own buffer, then the
+    reduced costs and hits of shape (n, m) from ``kept``, made there first
+    filled with NaN, so that a scan that reads what it did not write
+    fails."""
+    p = np.frombuffer(pot)
+    return (p[:n, None], p[n:], *kept.setdefault((n, m), (
+        np.full((n, m), np.nan), np.ones((n, m), bool))))
 
 
 def test_the_array_scan_finds_the_python_scans_cell():
     """On seeded pricing states of mixed magnitudes, about 40 % of the
     cells basis cells priced at +inf, and at a tol that ties some cell's
-    reduced cost or lies one ulp above it, both scans return the same cell
-    or both None; the array scan's buffers, reused from state to state of
-    one shape, carry nothing from one state to the next."""
+    reduced cost or lies one ulp above it, both scans return the same flat
+    cell or both None, the array scan reading the potentials in place; its
+    buffers, reused from state to state of one shape, carry nothing from
+    one state to the next."""
     rng = np.random.default_rng(26)
     found, buffers = 0, {}
     for t in range(3000):
@@ -486,9 +541,11 @@ def test_the_array_scan_finds_the_python_scans_cell():
         tol = (cost[i, j] - pot[i]) - pot[n + j]
         tol = [tol, np.nextafter(tol, np.inf), -abs(tol)][t % 3]
         want = mk_solver._entering(prices.tolist(), pot, n, tol, None)
-        out = buffers.setdefault((n, m), _scan_buffers(n, m))
-        assert mk_solver._entering_array(prices, pot, n, tol, out) == want
-        assert want is None or prices[want] < np.inf
+        kept = array("d", pot)
+        out = _scan_buffers(kept, n, m, buffers)
+        assert mk_solver._entering_array(prices, kept, n, tol, out) == want
+        assert kept.tolist() == pot
+        assert want is None or prices[divmod(want, m)] < np.inf
         found += want is not None
     assert 0 < found < 3000
 

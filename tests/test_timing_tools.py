@@ -1,6 +1,7 @@
 """tools/suite_times.py, ladder_times.py and cli_times.py: one round on
 this tree, and a round count below one."""
 
+import re
 import shutil
 import subprocess
 import sys
@@ -30,13 +31,36 @@ def _blocks(out: str) -> list:
     return [block.splitlines() for block in out.rstrip("\n").split("\n\n")]
 
 
+REFERENCE = re.compile(
+    r"Reference work \(perfbench/reference\.py, once beside each round\): "
+    r"median (\d+\.\d\d) ms, quartiles (\d+\.\d\d)-(\d+\.\d\d) ms; a wide "
+    r"spread, or a median above other runs' on this machine, marks a loaded "
+    r"machine\.")
+
+
+def _reference_times(block: list) -> tuple:
+    """The reference line, one block of its own: its median and quartiles
+    in ms, each positive and in order."""
+    assert len(block) == 1
+    line = REFERENCE.fullmatch(block[0])
+    assert line, block[0]
+    median, q1, q3 = map(float, line.groups())
+    assert 0.0 < q1 <= median <= q3
+    return median, q1, q3
+
+
 @pytest.mark.parametrize("tool", sorted(ROWS))
 def test_one_round_on_this_tree_prints_every_row(tool):
+    """One round prints the table, every row, and under it the line of the
+    reference timed beside the round: its one time is its own median and
+    quartiles."""
     got = _run(tool, "--rounds", "1")
     assert got.returncode == 0, got.stderr
-    lines = _blocks(got.stdout)[0]
+    lines, reference = _blocks(got.stdout)[:2]
     assert lines[0].startswith("| ") and lines[1].startswith("|---")
     assert [line.split(" | ")[0][2:] for line in lines[2:]] == ROWS[tool]
+    median, q1, q3 = _reference_times(reference)
+    assert q1 == median == q3
 
 
 @pytest.mark.parametrize("tool", sorted(ROWS))
@@ -45,10 +69,11 @@ def test_two_trees_add_the_paired_ratio_and_faster_count(tool):
     ratio, the first and third quartiles of the per-round ratios, which
     enclose it, and the count k/2 of rounds the second tree won, whose
     majority sides with the ratio; one line under the table says what is
-    paired."""
+    paired, and the next gives the reference's median and quartiles."""
     got = _run(tool, str(ROOT), "--rounds", "2")
     assert got.returncode == 0, got.stderr
-    lines, note = _blocks(got.stdout)[:2]
+    lines, note, reference = _blocks(got.stdout)[:3]
+    _reference_times(reference)
     assert lines[0].endswith(" ms | ratio | quartiles | faster |")
     assert lines[1] == "|---" * 6 + "|"
     table = lines[2:]
@@ -109,7 +134,7 @@ def test_ladder_prints_each_trees_pivots_and_whether_they_agree(tmp_path):
     1e-9 reads "-" and differs in every round."""
     got = _run("ladder_times.py", str(ROOT), "--rounds", "2")
     assert got.returncode == 0, got.stderr
-    pivots, agree = _blocks(got.stdout)[2:]
+    pivots, agree = _blocks(got.stdout)[3:]
     assert pivots[0] == f"| rung | {ROOT} pivots | {ROOT} pivots |"
     rows = _pivot_rows(pivots)
     assert [row[0][2:] for row in rows] == ROWS["ladder_times.py"][:-1]
@@ -127,7 +152,7 @@ def test_ladder_prints_each_trees_pivots_and_whether_they_agree(tmp_path):
         "    return SimpleNamespace(value=sol.value + 1e-9, plan=sol.plan)\n"))
     got = _run("ladder_times.py", str(other), "--rounds", "2")
     assert got.returncode == 0, got.stderr
-    pivots, agree = _blocks(got.stdout)[2:]
+    pivots, agree = _blocks(got.stdout)[3:]
     assert all(row[2] == "-" and float(row[1]) > 0
                for row in _pivot_rows(pivots))
     assert agree == ["Values and plans: differ in 2 of 2 rounds."]

@@ -16,8 +16,8 @@ cap, as the benchmark does.  Prints the median over the rounds of each
 tree's milliseconds per subcommand and for the whole pass and, with two
 trees, the median of the per-round ratios first / second (above 1 means
 the second tree is faster), their quartiles and the count k/N of the
-rounds in which the second tree was faster, as ``tools/suite_times.py``
-prints them.
+rounds in which the second tree was faster, and the reference line, as
+``tools/suite_times.py`` prints them.
 """
 
 import contextlib
@@ -77,9 +77,9 @@ def main(argv=None) -> None:
         caps = make_pass(W.WARM_UP_SEED, 0, d)
         for cli in clis:
             run_pass(cli, d, caps[-1:])
-        rounds = timed_rounds(clis, args.rounds, lambda cli, k: run_pass(
+        timed = timed_rounds(clis, args.rounds, lambda cli, k: run_pass(
             cli, d, make_pass(args.seed, k, d)))
-    print_table("subcommand", "pass", args.trees, rounds, digits=2)
+    print_table("subcommand", "pass", args.trees, timed, digits=2)
 
 
 if __name__ == "__main__":

@@ -13,9 +13,9 @@ instance, as the benchmark does.  Prints the median over the rounds of
 each tree's milliseconds per rung and for the whole pass and, with two
 trees, the median of the per-round ratios first / second (above 1 means
 the second tree is faster), their quartiles and the count k/N of the
-rounds in which the second tree was faster, as ``tools/suite_times.py``
-prints them.  Unlike perfbench it keeps no outputs, only a digest of each,
-so its times do not move with its memory.
+rounds in which the second tree was faster, and the reference line, as
+``tools/suite_times.py`` prints them.  Unlike perfbench it keeps no
+outputs, only a digest of each, so its times do not move with its memory.
 
 A second table gives each rung's median pivot count per solve in each
 tree, read from ``MKSolution.pivots`` ("-" for a tree whose solutions do

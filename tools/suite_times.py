@@ -14,7 +14,9 @@ of the per-round ratios first / second (above 1 means the second tree is
 faster), their first and third quartiles, and the count k/N of the rounds
 in which the second tree was faster.  Each round runs another pass, so
 the ms columns are unpaired; the ratio, its quartiles and the count are
-paired.  Runs on one thread, like the benchmark.
+paired.  Under the table a last line gives the median and quartiles of
+perfbench/reference.py's ``reference_work``, timed once beside each round,
+so that a loaded machine shows.  Runs on one thread, like the benchmark.
 """
 
 import os
@@ -64,6 +66,16 @@ def workloads():
         _purge()
 
 
+def reference():
+    """This checkout's perfbench/reference.py, a fixed computation that
+    never calls lagot."""
+    sys.path.insert(0, str(ROOT))
+    try:
+        return importlib.import_module("perfbench.reference")
+    finally:
+        sys.path.remove(str(ROOT))
+
+
 def run_pass(harness, costs, refused, pairs, seed: int, k: int,
              trials: int) -> dict:
     """Summed seconds per suite of pass k, with the verify seeds and the
@@ -99,15 +111,20 @@ def parse_trees(doc: str, argv, rounds: int, **options):
     return args
 
 
-def timed_rounds(progs: list, n_rounds: int, run) -> list:
+def timed_rounds(progs: list, n_rounds: int, run) -> tuple:
     """``run(prog, k)`` of every tree in round k, the trees' order
-    alternating from round to round; per round, per tree, its result."""
-    rounds = []
+    alternating from round to round, with the reference timed once before
+    each round: per round, per tree, its result, then the reference's
+    seconds in each round."""
+    work, rounds, refs = reference().reference_work, [], []
     for k in range(n_rounds):
+        t0 = perf_counter()
+        work()
+        refs.append(perf_counter() - t0)
         order = list(range(len(progs)))[::1 if k % 2 == 0 else -1]
         got = {t: run(progs[t], k) for t in order}
         rounds.append([got[t] for t in range(len(progs))])
-    return rounds
+    return rounds, refs
 
 
 def quartiles(values: list) -> tuple:
@@ -119,12 +136,14 @@ def quartiles(values: list) -> tuple:
     return q1, q3
 
 
-def print_table(kind: str, total: str, trees, rounds, digits: int = 1):
-    """One row per name of the rounds' {name: seconds} and one, ``total``,
-    for their sum: the median over the rounds of each tree's milliseconds
-    and, with two trees, the median of the per-round ratios, their first
-    and third quartiles and the count k/N of the rounds in which the second
-    tree was faster, then a line saying which columns are paired."""
+def print_table(kind: str, total: str, trees, timed, digits: int = 1):
+    """From timed_rounds' ``timed``, one row per name of the rounds'
+    {name: seconds} and one, ``total``, for their sum: the median over the
+    rounds of each tree's milliseconds and, with two trees, the median of
+    the per-round ratios, their first and third quartiles and the count k/N
+    of the rounds in which the second tree was faster, then a line saying
+    which columns are paired; last, the reference's line."""
+    rounds, refs = timed
     two = len(trees) == 2
     print(f"| {kind} | " + " | ".join(f"{t} ms" for t in trees)
           + (" | ratio | quartiles | faster |" if two else " |"))
@@ -147,6 +166,11 @@ def print_table(kind: str, total: str, trees, rounds, digits: int = 1):
               "quartiles (their first and third quartiles: a wide spread "
               "marks a loaded machine) and faster (the rounds in which the "
               "second tree was faster) are paired round by round.")
+    ref_ms = [1e3 * t for t in refs]
+    print("\nReference work (perfbench/reference.py, once beside each "
+          f"round): median {statistics.median(ref_ms):.2f} ms, quartiles "
+          "%.2f-%.2f ms; a wide spread, or a median above other runs' on "
+          "this machine, marks a loaded machine." % quartiles(ref_ms))
 
 
 def main(argv=None) -> None:
@@ -160,9 +184,9 @@ def main(argv=None) -> None:
         progs.append((harness, costs, errors.AssumptionRefused))
     for prog in progs:
         run_pass(*prog, pairs, 0, 0, trials=1)
-    rounds = timed_rounds(progs, args.rounds, lambda prog, k: run_pass(
+    timed = timed_rounds(progs, args.rounds, lambda prog, k: run_pass(
         *prog, pairs, args.seed, k, 20))
-    print_table("suite", "all ten", args.trees, rounds)
+    print_table("suite", "all ten", args.trees, timed)
 
 
 if __name__ == "__main__":
