@@ -39,10 +39,12 @@ def _load_json(path: str) -> dict:
 
 
 def _load(path: str, parse):
-    """``parse`` of the JSON in ``path``; malformed content names the file."""
+    """``parse`` of the JSON in ``path``; malformed content, nesting too
+    deep to read or check included, names the file."""
     try:
         return parse(_load_json(path))
-    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+    except (KeyError, TypeError, IndexError, AttributeError,
+            RecursionError) as exc:
         raise ConfigInvalid(f"{path}: malformed input ({exc!r})") from exc
     except ConfigInvalid as exc:
         raise ConfigInvalid(f"{path}: {exc}") from exc

@@ -51,6 +51,8 @@ class CostFunction:
                                  **check_a2(self, np.logspace(-1, 1.5, 30))})
 
     def eval(self, u):
+        """cost(u) as a float for a number or 0-d array, else as a float64
+        ndarray of u's shape (``fn`` acts elementwise)."""
         u = np.asarray(u, dtype=float)
         out = np.asarray(self.fn(u), dtype=float)
         if out.ndim == 0:

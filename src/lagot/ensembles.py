@@ -179,7 +179,7 @@ def eval_bounded(s: EnsembleStack, cost: CostFunction) -> list:
 
 def _cost_at_caps(cost: CostFunction, caps) -> np.ndarray:
     """cost(r) at each speed cap r; refuses a cap where it is not finite."""
-    values = np.asarray(cost.eval(caps), dtype=float)
+    values = cost.eval(caps)
     if not np.isfinite(values).all():
         bad = np.ravel(caps)[~np.isfinite(np.ravel(values))]
         raise InfeasibleBound(f"{cost.name} cost is not finite at the speed "
@@ -321,17 +321,15 @@ def oracle_min_path(x, y, cost: CostFunction, objective: str, K: int,
         first = speeds[np.arange(len(ok)), ok.argmax(axis=1)]
         speeds = np.where(ok[..., None], speeds, first[:, None])
     if objective == "plain":
-        values = np.asarray(cost.eval(speeds), dtype=float).mean(axis=2)
+        values = cost.eval(speeds).mean(axis=2)
     elif objective in ("L1", "L2"):
         smax = speeds.max(axis=2)
         denom = delta[:, None] if objective == "L1" else speeds.mean(axis=2)
         ni = np.maximum(smax / denom, 1.0)
-        values = ni * np.asarray(cost.eval(speeds / ni[..., None]),
-                                 dtype=float).mean(axis=2)
+        values = ni * cost.eval(speeds / ni[..., None]).mean(axis=2)
     elif objective == "conv":
         n1 = np.maximum(speeds.max(axis=2) / delta[:, None], 1.0)
-        values = (1.0 / n1) * np.asarray(
-            cost.eval(speeds * n1[..., None]), dtype=float).mean(axis=2)
+        values = (1.0 / n1) * cost.eval(speeds * n1[..., None]).mean(axis=2)
     else:
         raise ValueError(f"unknown objective {objective!r}")
     out[moving] = values.min(axis=1)

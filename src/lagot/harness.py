@@ -266,7 +266,7 @@ def _suite_prop2_3(cfg, cost, rngs):
         raise AssumptionRefused(
             "prop2_3 needs a cost strictly decreasing past some r0")
     tail = np.linspace(cost.r0, 4.0 * cost.r0 + 1.0, 20)
-    if not np.all(np.diff(np.atleast_1d(cost.eval(tail))) < 0):
+    if not np.all(np.diff(cost.eval(tail)) < 0):
         raise AssumptionRefused("cost is not decreasing past its r0")
     dim = max(2, cfg.dim)
     span = 2.0 * (cost.r0 or 1.0)
@@ -388,8 +388,8 @@ def _suite_eq1_6(cfg, cost, rngs):
 
 def _suite_eq1_9(cfg, cost, rngs):
     u = np.linspace(0.0, 4.0, 21)
-    vals = np.atleast_1d(cost.eval(u))
-    mid = np.atleast_1d(cost.eval((u[:-2] + u[2:]) / 2.0))
+    vals = cost.eval(u)
+    mid = cost.eval((u[:-2] + u[2:]) / 2.0)
     if np.any(mid > (vals[:-2] + vals[2:]) / 2.0 + 1e-12):
         raise AssumptionRefused("the convex-case identity needs a convex cost")
     for span in (0.5, 1.0, 2.0):

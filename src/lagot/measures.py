@@ -179,8 +179,8 @@ def measure_of(points, weights, dim: int) -> DiscreteMeasure:
 def json_numbers(value, field: str, *depths: int) -> np.ndarray:
     """float array of a JSON number or nested list of numbers, nested as
     deep as one of ``depths`` when any is given; a boolean, string or null
-    in it, lists of two lengths side by side, or another depth raises
-    ConfigInvalid naming ``field``."""
+    in it, an integer too large for a float, lists of two lengths side by
+    side, or another depth raises ConfigInvalid naming ``field``."""
     def numeric(v):  # JSON gives bool, never a subclass of int, for true
         level = [v]  # all items one level deep, in one pass per level
         while (kinds := {*map(type, level)}) == {list}:
@@ -193,6 +193,9 @@ def json_numbers(value, field: str, *depths: int) -> np.ndarray:
             f"{field} must hold numbers only, got {reprlib.repr(value)}")
     try:
         arr = np.asarray(value, dtype=float)
+    except OverflowError:
+        raise ConfigInvalid(f"{field} holds an integer too large for a "
+                            f"float, got {reprlib.repr(value)}") from None
     except ValueError:  # lists of two lengths side by side
         arr = None
     if arr is None or depths and arr.ndim not in depths:

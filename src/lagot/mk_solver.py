@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,18 +48,18 @@ class MKSolution:
                                            [len(self.plan.plan)]))
 
 
-class _Tree(list):
-    """A basis as the list of its cells, each the flat index k = i*m + j,
-    swapped in place through ``slot`` (cell -> index), and its tree from row
-    0; rows are nodes 0..n-1, columns n..n+m-1, each with ``pot`` (u_0 = 0),
-    ``parent``, ``up`` cell, its cost ``cup``, ``depth`` and ``kids``."""
+class _Tree(SimpleNamespace):
+    """A basis as its tree from row 0: rows are nodes 0..n-1, columns
+    n..n+m-1, each with ``pot`` (u_0 = 0), ``parent``, ``up`` cell (the flat
+    index k = i*m + j of the basis cell to its parent), its cost ``cup``,
+    ``depth`` and ``kids``; the ``up`` cells of nodes 1.. are the basis."""
 
 
 def _northwest_corner(a, b, cost, prices):
     """North-west corner start from the supply and demand lists a and b,
     used up, and the flat costs: the flat flow and the basis as its _Tree,
     each cell priced at +inf, hanging a new node from the last one's."""
-    n, m, tree, i, j = len(a), len(b), _Tree(), 0, 0
+    n, m, i, j = len(a), len(b), 0, 0
     flow, kids = [0.0] * (n * m), [[] for _ in range(n + m)]
     pot, depth = [0.0] * (n + m), [0] * (n + m)
     parent, up, cup = [None] * (n + m), [None] * (n + m), [None] * (n + m)
@@ -67,16 +68,14 @@ def _northwest_corner(a, b, cost, prices):
         q, k = min(a[i], b[j]), i * m + j
         flow[k], parent[new], up[new], cup[new] = q, old, k, cost[k]
         pot[new], depth[new] = cup[new] - pot[old], depth[old] + 1
-        tree.append(k)
         kids[old].append(new)
         a[i], b[j], prices[i][j] = a[i] - q, b[j] - q, np.inf
         if j == m - 1 or (i < n - 1 and a[i] <= 0.0):
             i, new, old = i + 1, i + 1, n + j
         else:
             j, new, old = j + 1, n + j + 1, i
-    vars(tree).update(pot=pot, depth=depth, parent=parent, up=up, cup=cup,
-                      kids=kids, slot={k: s for s, k in enumerate(tree)})
-    return flow, tree
+    return flow, _Tree(pot=pot, depth=depth, parent=parent, up=up, cup=cup,
+                       kids=kids)
 
 
 def _pivot(tree, entering, c, inner, outer, top):
@@ -87,8 +86,6 @@ def _pivot(tree, entering, c, inner, outer, top):
     alternating cost sum on its root path) of a full walk, bit for bit."""
     pot, depth, parent, up, cup, kids = (tree.pot, tree.depth, tree.parent,
                                          tree.up, tree.cup, tree.kids)
-    k = tree.slot.pop(up[top])
-    tree[k], tree.slot[entering] = entering, k
     pot[inner], depth[inner] = c - pot[outer], depth[outer] + 1
     x, p, cell = inner, outer, entering
     while p != top:
@@ -148,7 +145,7 @@ def _entering_array(prices, pot, n, tol, out):
 
 def _transportation_simplex(supply, demand, cost, scale):
     """Minimize sum(flow * cost) over the transportation polytope: (flow,
-    basis), the basis as its _Tree, whose ``pivots`` counts the pivots made.
+    tree), the basis as its _Tree, whose ``pivots`` counts the pivots made.
     Reduced costs above -_RC_TOL * scale count as nonnegative; ``scale`` is
     the largest |cost| of an allowed arc, never big-M.  Pivots run on Python
     floats, whose IEEE arithmetic is numpy's."""
@@ -197,7 +194,8 @@ def _solve(m0, m1, dist, c, mask) -> MKSolution:
     plan = make_coupling(m0, m1, flow)
     plan.__dict__["distances"] = read_only(dist)  # no second kernel call
     return MKSolution(float((flow * c).sum()), plan, tuple(
-        divmod(k, m1.n_atoms) for k in tree), list(tree.pot), tree.pivots)
+        divmod(k, m1.n_atoms) for k in sorted(tree.up[1:])), list(tree.pot),
+        tree.pivots)
 
 
 def solve_mk_each(pairs, cost: CostFunction, forbidden_arcs=None) -> list:
@@ -205,7 +203,7 @@ def solve_mk_each(pairs, cost: CostFunction, forbidden_arcs=None) -> list:
     when given: one kernel call and one cost call price every arc of every
     pair, then each LP is solved on its own slice."""
     dist, cuts = arc_lengths(pairs)
-    c = np.asarray(cost.eval(dist), dtype=float)
+    c = cost.eval(dist)
     sols = []
     for (m0, m1), lo, hi, arcs in zip(pairs, cuts, cuts[1:],
                                       forbidden_arcs or [None] * len(pairs)):

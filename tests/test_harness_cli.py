@@ -657,7 +657,8 @@ def _report(curves):
     return {"rep.json": {"config": {}, "trials": [{"index": 0}],
                          "summary": {}, "curves": curves}}
 
-# (files written, argv, a fragment the one-line message must contain)
+# (files written, argv, a fragment the one-line message must contain); a
+# file given as a str is written as it is, else as its JSON
 BAD_INPUTS = {
     "measure without atoms": ({"p0.json": {"dim": 1}}, SOLVE, "p0.json"),
     "measure that is a list": ({"p0.json": [1, 2]}, SOLVE, "p0.json"),
@@ -1050,6 +1051,25 @@ BAD_INPUTS = {
                 {"dt": 1.0, "v": [0.5]}]}}]}},
         _eval("L1"), "e.json: v must be a list of equal-length lists of "
                      "numbers, got [[0.5, 0.5], [0.5]]"),
+    "measure with a 400-digit coordinate": (
+        {"p0.json": {"dim": 1, "atoms": [{"x": [10 ** 400], "w": 1.0}]}},
+        SOLVE, "p0.json: x holds an integer too large for a float"),
+    "measure with a 400-digit dimension": (
+        {"p0.json": {**GOOD, "dim": 10 ** 400}}, SOLVE,
+        "p0.json: dim holds an integer too large for a float"),
+    "ensemble with a 400-digit velocity": (
+        _ensemble(v=(10 ** 400,)), _eval("L1"),
+        "e.json: v holds an integer too large for a float"),
+    "grid function with a 400-digit value": (
+        {"f.json": {"points": [[0.0]], "values": [10 ** 400]}}, DUAL,
+        "f.json: values holds an integer too large for a float"),
+    "measure file nested 5000 deep": (
+        {"p0.json": "[" * 5000 + "]" * 5000}, SOLVE,
+        "p0.json: malformed input (RecursionError("),
+    "measure with a point nested 800 deep": (
+        {"p0.json": '{"dim": 1, "atoms": [{"w": 1, "x": ' + "[0, " * 800
+         + "0" + "]" * 800 + "}]}"}, SOLVE,
+        "p0.json: malformed input (RecursionError("),
 }
 
 
@@ -1057,7 +1077,8 @@ BAD_INPUTS = {
 def test_cli_bad_input_exits_2_with_one_line(case, tmp_path, capsys):
     files, argv, fragment = BAD_INPUTS[case]
     for name, doc in {"good.json": GOOD, **files}.items():
-        (tmp_path / name).write_text(json.dumps(doc))
+        (tmp_path / name).write_text(doc if type(doc) is str else
+                                     json.dumps(doc))
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     assert main(argv) == 2  # an exception escaping main fails the test
     lines = capsys.readouterr().err.strip().splitlines()

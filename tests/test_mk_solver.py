@@ -186,17 +186,21 @@ def _fresh_walk(basis, cost, n, m):
               for k in range(n + m)])
 
 
+def _basis(tree, m):
+    """The basis a kept tree holds, the ``up`` cells of its non-root nodes,
+    as (i, j) cells in row-major order."""
+    return [divmod(k, m) for k in sorted(tree.up[1:])]
+
+
 def _assert_is_a_fresh_walk(tree, cost, n, m):
     """The kept tree, its cells flat ints, is the reference's full walk of
-    its basis, potentials bit for bit, and its slot map indexes its
-    cells."""
-    assert all(type(k) is int for k in tree)
-    fresh = _fresh_walk([divmod(k, m) for k in tree], cost, n, m)
+    its basis, potentials bit for bit."""
+    assert all(type(k) is int for k in tree.up[1:])
+    fresh = _fresh_walk(_basis(tree, m), cost, n, m)
     assert np.array(tree.pot).tobytes() == np.array(fresh.pot).tobytes()
     assert (tree.parent, tree.up, tree.cup, tree.depth) == (
         fresh.parent, fresh.up, fresh.cup, fresh.depth)
     assert [sorted(k) for k in tree.kids] == fresh.kids
-    assert tree.slot == {cell: k for k, cell in enumerate(tree)}
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -218,15 +222,16 @@ def test_basis_tree_potentials_fit_the_basis(seed):
     want_flow, want_basis = oracles._northwest_corner(supply, demand)
     assert len(flow) == n * m
     assert np.array(flow).reshape(n, m).tobytes() == want_flow.tobytes()
-    cells = [divmod(k, m) for k in tree]
-    assert cells == want_basis and len(tree) == n + m - 1
+    cells = _basis(tree, m)
+    assert cells == sorted(want_basis) and len(set(cells)) == n + m - 1
     u, v = tree.pot[:n], tree.pot[n:]
-    assert u[0] == 0.0 and tree.depth[0] == 0 and tree.parent[0] is None
+    assert u[0] == 0.0 and tree.depth[0] == 0
+    assert tree.parent[0] is None and tree.up[0] is None
     for i, j in cells:
         assert u[i] + v[j] == pytest.approx(cost[i, j], abs=1e-12)
     for node in range(1, n + m):
         up, (i, j) = tree.parent[node], divmod(tree.up[node], m)
-        assert tree.depth[node] == tree.depth[up] + 1 and tree.up[node] in tree
+        assert tree.depth[node] == tree.depth[up] + 1
         assert {node, up} == {i, n + j} and tree.cup[node] == cost[i, j]
     _assert_is_a_fresh_walk(tree, cost.tolist(), n, m)
     basis = np.zeros((n, m), bool)
@@ -283,21 +288,22 @@ def _simplex_cases():
                validate_measure(zip(pts[n:], w1), 2), cap)
 
 
-def _cells(basis, cost):
-    """The flat cells of a basis as the reference's (i, j) cells."""
-    return [divmod(k, cost.shape[1]) for k in basis]
+def _cells(cells, cost):
+    """Flat cells as the reference's (i, j) cells."""
+    return [divmod(k, cost.shape[1]) for k in cells]
 
 
 def test_simplex_matches_the_reference_bit_for_bit(monkeypatch):
-    """The list-based simplex returns the reference's (flow, basis) bit for
-    bit on the LPs solve_mk sets up, big-M and degenerate ones included."""
+    """The list-based simplex returns the reference's flow bit for bit and
+    its basis, as a set, on the LPs solve_mk sets up, big-M and degenerate
+    ones included."""
     seen = []
 
     def both(supply, demand, cost, scale):
         got = real(supply, demand, cost, scale)
         want = reference_simplex(supply, demand, cost, scale)
-        seen.append((got[0].tobytes(), _cells(got[1], cost)) ==
-                    (want[0].tobytes(), want[1]))
+        seen.append((got[0].tobytes(), _basis(got[1], cost.shape[1])) ==
+                    (want[0].tobytes(), sorted(want[1])))
         return got
 
     real = mk_solver._transportation_simplex
@@ -379,7 +385,7 @@ def test_the_array_scan_reads_the_kept_potentials_in_place(monkeypatch):
         (n, m), cost = np.shape(costs[-1]), costs[-1]
         assert pot is tree.pot and (u.shape, v.shape) == ((n, 1), (m,))
         assert np.shares_memory(u, tree.pot) and np.shares_memory(v, tree.pot)
-        fresh = _fresh_walk([divmod(k, m) for k in tree], cost, n, m)
+        fresh = _fresh_walk(_basis(tree, m), cost, n, m)
         assert u.tobytes() + v.tobytes() == np.array(fresh.pot).tobytes()
         pivots.append(move[0])
 
@@ -399,9 +405,9 @@ def test_the_array_scan_reads_the_kept_potentials_in_place(monkeypatch):
 
 def test_simplex_matches_the_reference_at_ladder_sizes(monkeypatch):
     """At the sizes of perfbench's mk-ladder, where the basis tree is deep,
-    the simplex returns the reference's (flow, basis) bit for bit: n = 40
-    with Dirichlet and with equal weights, and n = 30 capped at 0.7 x the
-    diameter, so that big-M prices the forbidden arcs."""
+    the simplex returns the reference's flow bit for bit and its basis, as
+    a set: n = 40 with Dirichlet and with equal weights, and n = 30 capped
+    at 0.7 x the diameter, so that big-M prices the forbidden arcs."""
     lps = []
 
     def recorded(*lp):
@@ -414,10 +420,10 @@ def test_simplex_matches_the_reference_at_ladder_sizes(monkeypatch):
     for m0, m1, cap in _ladder_size_cases():
         _solve_capped(m0, m1, cap)
     assert len(lps) == 3
-    for lp, (flow, basis) in lps:
+    for lp, (flow, tree) in lps:
         want = reference_simplex(*lp)
-        assert (flow.tobytes(), _cells(basis, lp[2])) == (want[0].tobytes(),
-                                                          want[1])
+        assert (flow.tobytes(), _basis(tree, lp[2].shape[1])) == (
+            want[0].tobytes(), sorted(want[1]))
 
 
 def _ladder_size_cases():
@@ -438,8 +444,8 @@ def test_both_scans_pivot_as_the_reference(monkeypatch):
     infeasible and degenerate ones) and at mk-ladder's sizes, solved under
     the Python scan and under the array scan, each forced by the crossover:
     both make the reference's pivots, each the same (entering, leaving)
-    pair, count them, and return its (flow, basis) bit for bit, every flow
-    at least +0.0: no entry negative and none -0.0."""
+    pair, count them, and return its flow bit for bit and its basis as a
+    set, every flow at least +0.0: no entry negative and none -0.0."""
     lps, made, called = [], [], []
     real = mk_solver._transportation_simplex
     monkeypatch.setattr(mk_solver, "_transportation_simplex",
@@ -460,13 +466,56 @@ def test_both_scans_pivot_as_the_reference(monkeypatch):
         for scan, cells in SCANS.items():
             monkeypatch.setattr(mk_solver, "_ARRAY_SCAN_CELLS", cells)
             del made[:], called[:]
-            flow, basis = mk_solver._transportation_simplex(*lp)
+            flow, tree = mk_solver._transportation_simplex(*lp)
             assert set(called) == {scan}
             assert (flow >= 0.0).all() and not np.signbit(flow).any()
-            got[scan] = (flow.tobytes(), _cells(basis, lp[2]), [
-                tuple(_cells(pair, lp[2])) for pair in made], basis.pivots)
+            got[scan] = (flow.tobytes(), _basis(tree, lp[2].shape[1]), [
+                tuple(_cells(pair, lp[2])) for pair in made], tree.pivots)
         assert got["_entering"] == got["_entering_array"] == (
-            want[0].tobytes(), want[1], pairs, len(pairs))
+            want[0].tobytes(), sorted(want[1]), pairs, len(pairs))
+
+
+def test_the_trees_up_cells_are_the_basis_after_every_pivot(monkeypatch):
+    """After every pivot of each LP that solve_mk sets up for
+    _simplex_cases() and at mk-ladder's sizes, the ``up`` cells of the kept
+    tree's non-root nodes are n + m - 1 distinct cells, the reference's
+    basis after the same pivot as a set; a feasible solve's ``basis`` is
+    the last of them in row-major order."""
+    lps, ups, sols = [], [], []
+    simplex, pivot = mk_solver._transportation_simplex, mk_solver._pivot
+
+    def solved(*lp):
+        lps.append(lp)
+        ups.append([])
+        return simplex(*lp)
+
+    def checked(tree, *move):
+        pivot(tree, *move)
+        ups[-1].append(tree.up[1:])
+
+    monkeypatch.setattr(mk_solver, "_transportation_simplex", solved)
+    monkeypatch.setattr(mk_solver, "_pivot", checked)
+    cases = [case[1:] for case in _simplex_cases()]
+    for m0, m1, cap in cases + list(_ladder_size_cases()):
+        arcs = None if cap is None else arcs_longer_than(
+            m0, m1, cap * m0.diameter_to(m1))
+        try:
+            sols.append(solve_mk(m0, m1, SQRT, forbidden_arcs=arcs))
+        except Infeasible:
+            sols.append(None)
+    assert len(lps) == 129 and sum(s is not None for s in sols) == 100
+    for lp, made, sol in zip(lps, ups, sols):
+        (n, m), pairs = lp[2].shape, []
+        reference_simplex(*lp, pivots=pairs)
+        basis = set(oracles._northwest_corner(*map(np.asarray, lp[:2]))[1])
+        assert len(made) == len(pairs)
+        for cells, (entering, leaving) in zip(made, pairs):
+            basis = basis - {leaving} | {entering}
+            assert len(cells) == len(set(cells)) == n + m - 1
+            assert {divmod(k, m) for k in cells} == basis
+        if sol is not None:
+            assert sol.basis == tuple(sorted(basis))
+    assert sum(map(len, ups)) > 5000
 
 
 def test_a_solution_carries_its_optimality_certificate(monkeypatch):

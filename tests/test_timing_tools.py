@@ -126,12 +126,32 @@ def _pivot_rows(block: list) -> list:
     return [line.removesuffix(" |").split(" | ") for line in block[2:]]
 
 
+def _tree_whose_solve_mk_returns(tmp_path, name: str, body: str) -> Path:
+    """A copy of this tree's ``src/lagot`` whose ``solve_mk`` returns
+    ``body``, an expression of ``sol``, the exact solution."""
+    other = tmp_path / name
+    shutil.copytree(ROOT / "src" / "lagot", other / "src" / "lagot")
+    solver = other / "src" / "lagot" / "mk_solver.py"
+    solver.write_text(solver.read_text() + (
+        "\n\nimport dataclasses  # noqa: E402\n"
+        "from types import SimpleNamespace  # noqa: E402\n\n"
+        "exact = solve_mk\n\n\n"
+        "def solve_mk(*args):\n"
+        "    sol = exact(*args)\n"
+        f"    return {body}\n"))
+    return other
+
+
+AGREE = "Values, plans, bases and potentials: "
+
+
 def test_ladder_prints_each_trees_pivots_and_whether_they_agree(tmp_path):
     """After its times, ladder_times.py prints each rung's median pivot
     count per tree, and with two trees whether they returned bit-identical
-    values and plans in every round: this tree against itself agrees, and
-    a tree whose solutions carry no pivot count and whose values move by
-    1e-9 reads "-" and differs in every round."""
+    values, plans, sorted bases and potentials in every round: this tree
+    against itself agrees, and a tree whose solutions carry no pivot
+    count, basis or potentials and whose values move by 1e-9 reads "-" and
+    differs in every round."""
     got = _run("ladder_times.py", str(ROOT), "--rounds", "2")
     assert got.returncode == 0, got.stderr
     pivots, agree = _blocks(got.stdout)[3:]
@@ -139,20 +159,34 @@ def test_ladder_prints_each_trees_pivots_and_whether_they_agree(tmp_path):
     rows = _pivot_rows(pivots)
     assert [row[0][2:] for row in rows] == ROWS["ladder_times.py"][:-1]
     assert all(a == b and float(a) > 0 for _, a, b in rows)
-    assert agree == ["Values and plans: bit-identical in all 2 rounds."]
+    assert agree == [AGREE + "bit-identical in all 2 rounds."]
 
-    other = tmp_path / "other"
-    shutil.copytree(ROOT / "src" / "lagot", other / "src" / "lagot")
-    solver = other / "src" / "lagot" / "mk_solver.py"
-    solver.write_text(solver.read_text() + (
-        "\n\nfrom types import SimpleNamespace  # noqa: E402\n\n"
-        "exact = solve_mk\n\n\n"
-        "def solve_mk(*args):\n"
-        "    sol = exact(*args)\n"
-        "    return SimpleNamespace(value=sol.value + 1e-9, plan=sol.plan)\n"))
+    other = _tree_whose_solve_mk_returns(
+        tmp_path, "other",
+        "SimpleNamespace(value=sol.value + 1e-9, plan=sol.plan)")
     got = _run("ladder_times.py", str(other), "--rounds", "2")
     assert got.returncode == 0, got.stderr
     pivots, agree = _blocks(got.stdout)[3:]
     assert all(row[2] == "-" and float(row[1]) > 0
                for row in _pivot_rows(pivots))
-    assert agree == ["Values and plans: differ in 2 of 2 rounds."]
+    assert agree == [AGREE + "differ in 2 of 2 rounds."]
+
+
+@pytest.mark.parametrize("body, verdict", [
+    ("dataclasses.replace(sol, basis=sol.basis[::-1])",
+     "bit-identical in all 2 rounds."),
+    ("dataclasses.replace(sol, pot=sol.pot[:-1] + [sol.pot[-1] + 1e-9])",
+     "differ in 2 of 2 rounds."),
+    ("dataclasses.replace(sol, basis=sol.basis[1:] + sol.basis[-1:])",
+     "differ in 2 of 2 rounds.")])
+def test_ladder_compares_the_sorted_basis_and_the_potentials(tmp_path, body,
+                                                             verdict):
+    """Against this tree, a tree whose solutions list the same basis cells
+    in another order agrees, and one whose last potential moves by 1e-9 or
+    whose basis drops its first cell for a second copy of its last differs
+    in every round, values and plans unchanged."""
+    got = _run("ladder_times.py",
+               str(_tree_whose_solve_mk_returns(tmp_path, "other", body)),
+               "--rounds", "2")
+    assert got.returncode == 0, got.stderr
+    assert _blocks(got.stdout)[-1] == [AGREE + verdict]

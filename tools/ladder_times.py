@@ -20,8 +20,10 @@ outputs, only a digest of each, so its times do not move with its memory.
 A second table gives each rung's median pivot count per solve in each
 tree, read from ``MKSolution.pivots`` ("-" for a tree whose solutions do
 not carry it), and, with two trees, a last line says whether the trees
-returned bit-identical values and plans in every round, so that a claim
-of the same pivots is checked as it is timed.
+returned bit-identical values and plans in every round, and the same
+sorted basis cells and potentials' bytes where the solutions carry
+``basis`` and ``pot``, so that a claim of the same pivots is checked as
+it is timed.
 
 ``--sizes 30,80`` adds, after the mk-ladder rows, the rows ``n30`` and
 ``n30_equal``, then ``n80`` and ``n80_equal``: seeded power:0.5 instances of
@@ -33,6 +35,7 @@ pairs.  The ``pass`` row then sums every row.
 import argparse
 import hashlib
 import statistics
+from array import array
 from time import perf_counter
 
 # suite_times pins BLAS to one thread before numpy is first imported
@@ -58,10 +61,21 @@ def solve_pass(mk_solver, measures, cost, seed: int, k: int,
     return times
 
 
+def digest(sol) -> bytes:
+    """sha256 of a solution's value and plan bits and, where it carries
+    them, its sorted basis cells and its potentials' bytes."""
+    basis, pot = getattr(sol, "basis", None), getattr(sol, "pot", None)
+    return hashlib.sha256(b"|".join([
+        sol.value.hex().encode(), sol.plan.plan.tobytes(),
+        b"" if basis is None else repr(sorted(
+            (int(i), int(j)) for i, j in basis)).encode(),
+        b"" if pot is None else array("d", pot).tobytes()])).digest()
+
+
 def print_pivots(trees, outs) -> None:
     """The pivot table and, with two trees, the agreement line, from
-    ``outs[t][k]``: tree t's {rung: (pivots or None, digest of the value
-    and plan bits)} in round k."""
+    ``outs[t][k]``: tree t's {rung: (pivots or None, digest)} in round
+    k."""
     print("\n| rung | " + " | ".join(f"{t} pivots" for t in trees) + " |")
     print("|---" * (len(trees) + 1) + "|")
     for name in outs[0][0]:
@@ -75,7 +89,7 @@ def print_pivots(trees, outs) -> None:
         bits = [[{name: out[1] for name, out in r.items()} for r in rounds]
                 for rounds in outs]
         differ, n = sum(a != b for a, b in zip(*bits)), len(bits[0])
-        print("\nValues and plans: " + (
+        print("\nValues, plans, bases and potentials: " + (
             f"differ in {differ} of {n} rounds." if differ
             else f"bit-identical in all {n} rounds."))
 
@@ -106,9 +120,8 @@ def main(argv=None) -> None:
     def run(t, k):
         sols = {}
         times = solve_pass(*progs[t], args.seed, k, rungs, sols)
-        outs[t].append({name: (getattr(sol, "pivots", None), hashlib.sha256(
-            sol.value.hex().encode() + sol.plan.plan.tobytes()).digest())
-            for name, sol in sols.items()})
+        outs[t].append({name: (getattr(sol, "pivots", None), digest(sol))
+                        for name, sol in sols.items()})
         return times
 
     print_table("rung", "pass", args.trees, timed_rounds(
