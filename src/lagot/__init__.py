@@ -5,7 +5,7 @@ seeded verification of the identities relating them."""
 from .costs import (CostFunction, builtin, c_ell, check_a1, check_a2,
                     parse_cost, power_cost)
 from .duality import GridFunction, inf_conv, verify_control_identity
-from .ensembles import (BoundedCouplingTriple, EnsembleMember, EnsembleStack,
+from .ensembles import (BoundedCouplingTriple, EnsembleStack,
                         build_opt_bounded, build_opt_tilde, eval_bounded,
                         eval_tilde, eval_tv, eval_tv_induced, oracle_min_path,
                         solve_bounded)

@@ -25,8 +25,8 @@ from .errors import (BoundViolated, ConfigInvalid, DimensionMismatch,
                      Infeasible, InfeasibleBound, MissingBound,
                      NoFeasiblePath)
 from .measures import (WEIGHT_SUM_TOL, Coupling, DiscreteMeasure,
-                       arc_lengths, expectations, freeze, json_rows,
-                       pairwise_distances, read_only)
+                       arc_lengths, expectations, freeze, joined,
+                       json_rows, pairwise_distances, read_only)
 from .mk_solver import MKSolution, solve_mk
 from .paths import IntervalSet, PathBlock, cost_li, cost_plain, stop_and_go
 
@@ -46,13 +46,6 @@ def _exceeds(value, bound: float):
     return value > bound + _BOUND_TOL * bound
 
 
-@dataclass(frozen=True)
-class EnsembleMember:
-    weight: float
-    path: PathBlock  # one row
-    bound: Optional[float] = None
-
-
 @dataclass(frozen=True, eq=False)
 class EnsembleStack:
     """Finite weighted families of paths end to end in one PathBlock
@@ -63,8 +56,7 @@ class EnsembleStack:
     None, for one row or all).  Without ``cuts`` it is the one ensemble
     [0, k].  The one check of an ensemble; each fault is looked for over
     the whole stack before the next, and one at a member names it, counted
-    within its ensemble.  ``members`` views every row, built on first
-    read.
+    within its ensemble.
     """
 
     paths: PathBlock
@@ -102,12 +94,11 @@ class EnsembleStack:
                     w=weights[r], b=bounds[r], s=sup[r]))
         freeze(self, weights=weights, bounds=bounds)
 
-    @functools.cached_property
-    def members(self) -> tuple:
-        return tuple(EnsembleMember(w, self.paths.take(r, r + 1),
-                                    None if np.isnan(b) else b)
-                     for r, (w, b) in enumerate(zip(self.weights.tolist(),
-                                                    self.bounds.tolist())))
+    @property
+    def members(self) -> range:
+        """The stack's rows; kept because perfbench's tracer counts a
+        builder's members as ``len(result.members)``."""
+        return range(len(self.weights))
 
     def to_json(self) -> dict:
         """The object of a one-ensemble stack: one entry per member."""
@@ -187,16 +178,6 @@ def _cost_at_caps(cost: CostFunction, caps) -> np.ndarray:
     return values
 
 
-def _joined(parts: list) -> tuple:
-    """Each column of a list of tuples of arrays joined end to end (one
-    tuple's own arrays as they are), then the cuts between the tuples."""
-    cuts = [0]
-    for part in parts:
-        cuts.append(cuts[-1] + len(part[0]))
-    joined = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-    return (*joined, cuts)
-
-
 def _tv_sums(mass, bounds, dist, cuts, cost: CostFunction) -> list:
     """Sum of mass * cost(M)/M * dist over each run cuts[s] to
     cuts[s + 1] - 1 of cells; a cell whose M is not positive adds 0.0,
@@ -214,7 +195,7 @@ def eval_tv(triples: Sequence[BoundedCouplingTriple],
     cells contribute nothing."""
     cells = [(c.plan[ii, jj], t.bounds, c.distances[ii, jj])
              for t in triples for c in [t.coupling] for ii, jj in [c.support]]
-    return _tv_sums(*_joined(cells), cost)
+    return _tv_sums(*joined(cells), cost)
 
 
 def eval_tv_induced(s: EnsembleStack, cost: CostFunction) -> list:
@@ -246,7 +227,7 @@ def build_opt_tilde(sols: Sequence[MKSolution],
     cost, equal to the plan's transport value.
     """
     plans = [s.plan for s in sols]
-    xs, ys, weights, cuts = _joined([
+    xs, ys, weights, cuts = joined([
         (p.source.points[ii], p.target.points[jj], p.plan[ii, jj])
         for p in plans for ii, jj in [p.support]])
     paths = stop_and_go(xs, ys, [a for one in sets for a in one])
@@ -259,7 +240,7 @@ def build_opt_bounded(triples: Sequence[BoundedCouplingTriple],
     [0, |x-y|/M] and rest, all in one stack; the plain cost then matches
     the static bounded value cell by cell.  Each triple checked
     M >= |x - y| on every cell when it was built."""
-    xs, ys, disp, bounds, weights, cuts = _joined([
+    xs, ys, disp, bounds, weights, cuts = joined([
         (c.source.points[ii], c.target.points[jj], c.distances[ii, jj],
          t.bounds, c.plan[ii, jj])
         for t in triples for c in [t.coupling] for ii, jj in [c.support]])

@@ -22,8 +22,9 @@ from .ensembles import (BoundedCouplingTriple, EnsembleStack,
                         eval_tilde, eval_tv, eval_tv_induced, oracle_min_path,
                         solve_bounded_each)
 from .errors import AssumptionRefused, ConfigInvalid, LagotError, UnknownKind
-from .measures import (DiscreteMeasure, flat_dirichlet, make_coupling,
-                       pairwise_distances, random_measure, row_sum)
+from .measures import (DiscreteMeasure, flat_dirichlet, joined,
+                       make_coupling, pairwise_distances, random_measure,
+                       row_sum)
 # solve_mk and t_p stay bound here for perfbench's import-site test
 from .mk_solver import solve_mk, solve_mk_each, t_p  # noqa: F401
 from .paths import (PathBlock, block_of, compress, cost_li, cost_plain,
@@ -188,8 +189,8 @@ def _rand_bounded_ensembles(rngs, dim: int, n: int) -> EnsembleStack:
             drawn += after
     paths = block_of(*zip(*rows))
     bounds = paths.speeds.max(axis=1) * (1.0 + np.array(drawn))
-    cuts = np.cumsum([0] + [len(w) for w in weights]).tolist()
-    return EnsembleStack(paths, np.concatenate(weights), bounds, cuts)
+    weights, cuts = joined([(w,) for w in weights])
+    return EnsembleStack(paths, weights, bounds, cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +210,7 @@ def _oracle_margins(trials, cost: CostFunction) -> list:
     over cost(|y - x|) across the cells (i, j) = (ii[r], jj[r]) whose xs[i]
     moves to a different ys[j], every trial's cells scored in one oracle
     call; 0 for a trial where none moves."""
-    cuts = np.cumsum([0] + [len(t[2]) for t in trials]).tolist()
-    xs, ys = (np.concatenate([t[k][t[k + 2]] for t in trials]) for k in (0, 1))
+    xs, ys, cuts = joined([(x[ii], y[jj]) for x, y, ii, jj in trials])
     dist = pairwise_distances(xs, ys, paired=True)
     gaps, moving = np.full(len(dist), np.inf), dist > 0.0
     gaps[moving] = (oracle_min_path(xs[moving], ys[moving], cost, "L1", 4,

@@ -40,6 +40,17 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray,
     return dist
 
 
+def joined(parts: list) -> tuple:
+    """Each column of a list of tuples of arrays joined end to end (one
+    tuple's own arrays as they are), then the cuts between the tuples: the
+    one builder of a ragged block's cuts."""
+    cuts = [0]
+    for part in parts:
+        cuts.append(cuts[-1] + len(part[0]))
+    columns = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    return (*columns, cuts)
+
+
 def arc_lengths(pairs) -> tuple[np.ndarray, list]:
     """|x_i - y_j| of every arc (i, j) of every (m0, m1) pair, row by row and
     pair after pair, from one kernel call, each with its pair's own matrix
@@ -47,18 +58,15 @@ def arc_lengths(pairs) -> tuple[np.ndarray, list]:
     if len(pairs) < 2:
         dist = [pairwise_distances(m0.points, m1.points) for m0, m1 in pairs]
         return (dist[0].ravel(), [0, dist[0].size]) if dist else ([], [0])
-    ii, jj, cuts, i0, j0 = [], [], [0], 0, 0
     for m0, m1 in pairs:
-        (n, a), (m, b) = m0.points.shape, m1.points.shape
+        a, b = m0.points.shape[1], m1.points.shape[1]
         if a != b or a != pairs[0][0].points.shape[1]:
             raise DimensionMismatch(f"dim {a} vs {b}" if a != b else
                                     "the pairs of a block differ in dim")
-        ii += [i for i in range(i0, i0 + n) for _ in range(m)]
-        jj += list(range(j0, j0 + m)) * n
-        i0, j0 = i0 + n, j0 + m
-        cuts.append(len(ii))
-    xs, ys = (np.concatenate([p[k].points for p in pairs]) for k in (0, 1))
-    return pairwise_distances(xs[ii], ys[jj], paired=True), cuts
+    xs, ys, cuts = joined([(np.repeat(m0.points, m1.n_atoms, axis=0),
+                            np.concatenate([m1.points] * m0.n_atoms))
+                           for m0, m1 in pairs])
+    return pairwise_distances(xs, ys, paired=True), cuts
 
 
 def read_only(arr: np.ndarray) -> np.ndarray:

@@ -89,20 +89,6 @@ class PathBlock:
     def ends(self) -> np.ndarray:
         return read_only(self.starts + self.displacements)
 
-    def take(self, lo: int, hi: int) -> "PathBlock":
-        """Rows lo to hi - 1 as a block viewing these arrays, padded to
-        their longest row, and viewing the speeds too once measured;
-        unchecked, as this block was checked when it was built."""
-        width = self.counts[lo:hi].max()
-        view = object.__new__(PathBlock)
-        freeze(view, starts=self.starts[lo:hi],
-               horizons=self.horizons[lo:hi], counts=self.counts[lo:hi],
-               durations=self.durations[lo:hi, :width],
-               velocities=self.velocities[lo:hi, :width])
-        if "speeds" in vars(self):  # lengths measures vector by vector
-            vars(view)["speeds"] = self.speeds[lo:hi, :width]
-        return view
-
     def to_json(self) -> list:
         """One JSON object per row: its start, horizon and pieces."""
         return [{"start": start, "horizon": horizon,
@@ -209,20 +195,20 @@ def n1(b: PathBlock) -> np.ndarray:
     row.
 
     A row counts as closed when its displacement is within k * 2**-53
-    times its length, the rounding bound of the k-piece sum: below that the
-    computed displacement is rounding noise, and dividing by it would turn
-    an exact zero into a quotient near 1e16."""
+    times its length plus k * 2**-1074, the rounding bound of the k-piece
+    sum of products that may be subnormal: below that the displacement is
+    rounding noise, and dividing by it would give a quotient near 1e16."""
     disp = lengths(b.displacements)
-    closed = disp <= b.counts * 2.0 ** -53 * l1_norm(b)
+    closed = disp <= b.counts * (2.0 ** -53 * l1_norm(b) + 2.0 ** -1074)
     ratio = b.horizons * sup_norm(b) / np.where(closed, 1.0, disp)
     return np.where(closed, 1.0, ratio)
 
 
 def n2(b: PathBlock) -> np.ndarray:
-    """horizon * sup-speed / length of each row, or 1 for a motionless
-    row."""
+    """horizon * sup-speed / length of each row, or 1 for a row as still
+    as rounding shows: a length within k * 2**-1074 of 0."""
     length = l1_norm(b)
-    still = length == 0.0
+    still = length <= b.counts * 2.0 ** -1074
     ratio = b.horizons * sup_norm(b) / np.where(still, 1.0, length)
     return np.where(still, 1.0, ratio)
 

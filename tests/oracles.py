@@ -14,7 +14,8 @@ from lagot.measures import (Coupling, DiscreteMeasure, expectations,
                             make_coupling, measure_of, pairwise_distances,
                             row_sum)
 from lagot.mk_solver import _FORBIDDEN_FLOW_TOL, _RC_TOL, MKSolution
-from lagot.paths import IntervalSet, block_of, lengths, stop_and_go
+from lagot.paths import (IntervalSet, PathBlock, block_of, lengths,
+                         stop_and_go)
 
 
 def brute_force_mk(m0: DiscreteMeasure, m1: DiscreteMeasure,
@@ -180,10 +181,16 @@ def reference_simplex(supply, demand, cost, scale, pivots=None):
 
 
 def ensembles_of(s: EnsembleStack) -> list:
-    """Each ensemble of a stack as a one-ensemble stack viewing its rows."""
-    return [EnsembleStack(s.paths.take(lo, hi), s.weights[lo:hi],
-                          s.bounds[lo:hi])
-            for lo, hi in zip(s.cuts, s.cuts[1:])]
+    """Each ensemble of a stack as a one-ensemble stack of its rows: a
+    checked PathBlock of the sliced arrays, trimmed to its widest row."""
+    p, out = s.paths, []
+    for lo, hi in zip(s.cuts, s.cuts[1:]):
+        width = p.counts[lo:hi].max()
+        rows = PathBlock(p.starts[lo:hi], p.horizons[lo:hi],
+                         p.durations[lo:hi, :width],
+                         p.velocities[lo:hi, :width], p.counts[lo:hi])
+        out.append(EnsembleStack(rows, s.weights[lo:hi], s.bounds[lo:hi]))
+    return out
 
 
 def expectation(weights: np.ndarray, values) -> float:

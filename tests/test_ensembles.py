@@ -180,12 +180,12 @@ def test_build_opt_tilde_variants():
 def test_build_opt_bounded_examples():
     t = _triple([((0.0,), 1.0)], [((1.0,), 1.0)], [[1.0]], [2.0])
     ens = build_opt_bounded([t])
-    assert sup_norm(ens.members[0].path)[0] == pytest.approx(2.0)
+    assert sup_norm(ens.paths)[0] == pytest.approx(2.0)
     assert eval_bounded(ens, SQRT)[0] == pytest.approx(eval_tv([t], SQRT)[0],
                                                        abs=1e-10)
     exact = _triple([((0.0,), 1.0)], [((1.0,), 1.0)], [[1.0]], [1.0])
     ens = build_opt_bounded([exact])
-    assert ens.members[0].path.counts[0] == 1  # linear path
+    assert ens.paths.counts[0] == 1  # linear path
     rest = _triple([((0.0,), 1.0)], [((0.0,), 1.0)], [[1.0]], [0.0])
     assert eval_bounded(build_opt_bounded([rest]), SQRT) == [0.0]
 
@@ -197,11 +197,12 @@ def test_optimal_structure():
     sol = solve_mk(m0, m1, SQRT)
     rng = np.random.default_rng(3)
     ens = tilde(sol, lambda i, j: random_interval_set(rng))
-    for m in ens.members:
-        disp = float(np.linalg.norm(m.path.displacements[0]))
-        assert l1_norm(m.path)[0] == pytest.approx(disp, abs=1e-9)
-        speeds = np.linalg.norm(m.path.velocities[0], axis=1)
-        top = n1(m.path)[0] * disp
+    p = ens.paths
+    for r, c in enumerate(p.counts.tolist()):
+        disp = float(np.linalg.norm(p.displacements[r]))
+        assert l1_norm(p)[r] == pytest.approx(disp, abs=1e-9)
+        speeds = np.linalg.norm(p.velocities[r, :c], axis=1)
+        top = n1(p)[r] * disp
         for s in speeds:
             assert min(abs(s), abs(s - top)) <= 1e-9
 
@@ -550,8 +551,8 @@ def test_ensemble_json_round_trip_keeps_the_block_bits(theorem):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert e.weights.tobytes() == back.weights.tobytes()
     assert e.bounds.tobytes() == back.bounds.tobytes()
-    assert len(e.members) == np.count_nonzero(plan > 0)
-    assert [m.weight for m in e.members] == plan[plan > 0].tolist()
+    assert len(e.weights) == np.count_nonzero(plan > 0)
+    assert e.weights.tolist() == plan[plan > 0].tolist()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -4,9 +4,9 @@ import pytest
 from lagot.costs import builtin
 from lagot.ensembles import arcs_longer_than, oracle_min_path
 from lagot.errors import DimensionMismatch, EmptyMeasure, WeightSumMismatch
-from lagot.measures import (DiscreteMeasure, make_coupling,
-                            pairwise_distances, random_measure,
-                            validate_measure)
+from lagot.measures import (DiscreteMeasure, arc_lengths, joined,
+                            make_coupling, pairwise_distances,
+                            random_measure, validate_measure)
 
 
 def test_single_atom():
@@ -160,3 +160,49 @@ def test_from_json_takes_a_bare_number_as_a_point_in_dim_1():
         {"dim": 1, "atoms": [{"x": x, "w": w} for x, w in atoms]})
     _same_bits(got, validate_measure(atoms, 1))
     assert got.points.tolist() == [[0.5], [-1.0]]
+
+
+def test_joined_joins_each_column_and_cuts_between_the_tuples():
+    parts = [(np.arange(2.0), np.zeros((2, 3))),
+             (np.arange(3.0), np.ones((3, 3))),
+             (np.empty(0), np.empty((0, 3)))]
+    a, b, cuts = joined(parts)
+    assert cuts == [0, 2, 5, 5]
+    assert a.tolist() == [0.0, 1.0, 0.0, 1.0, 2.0]
+    assert b.tolist() == [[0.0] * 3] * 2 + [[1.0] * 3] * 3
+    x, y, cuts = joined(parts[1:2])  # one tuple's arrays as they are
+    assert x is parts[1][0] and y is parts[1][1] and cuts == [0, 3]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_arc_lengths_of_a_block_are_each_pairs_matrix_bits(dim):
+    """Every pair's run of a mixed block of 1x1 up to 6x5 atoms is the
+    raveled matrix of that pair alone, bit for bit."""
+    rng = np.random.default_rng(60 + dim)
+    sizes = [(1, 1), (6, 5), (2, 3), (4, 1), (1, 4), (3, 3)]
+    pairs = [(random_measure(rng, n, dim, 2.0),
+              random_measure(rng, m, dim, 2.0)) for n, m in sizes]
+    dist, cuts = arc_lengths(pairs)
+    assert cuts == [0, 1, 31, 37, 41, 45, 54]
+    for (m0, m1), lo, hi in zip(pairs, cuts, cuts[1:]):
+        alone = pairwise_distances(m0.points, m1.points).ravel()
+        assert dist[lo:hi].tobytes() == alone.tobytes()
+
+
+def test_arc_lengths_of_one_pair_and_of_none():
+    m0, m1 = random_measure(5, 4, 2, 1.0), random_measure(6, 3, 2, 1.0)
+    dist, cuts = arc_lengths([(m0, m1)])
+    assert cuts == [0, 12]
+    assert dist.tobytes() == \
+        pairwise_distances(m0.points, m1.points).ravel().tobytes()
+    assert arc_lengths([]) == ([], [0])
+
+
+def test_arc_lengths_refuses_pairs_of_two_dims():
+    a, b = random_measure(7, 2, 1, 1.0), random_measure(8, 3, 2, 1.0)
+    for pairs in ([(a, b)], [(a, a), (a, b)]):
+        with pytest.raises(DimensionMismatch, match=r"^dim 1 vs 2$"):
+            arc_lengths(pairs)
+    with pytest.raises(DimensionMismatch,
+                       match="^the pairs of a block differ in dim$"):
+        arc_lengths([(a, a), (b, b)])

@@ -409,18 +409,6 @@ def test_block_refuses_rows_of_unequal_length(change, lengths):
         PathBlock(**{**ok, **change})
 
 
-def test_take_views_rows():
-    rng = np.random.default_rng(8)
-    block, paths = _ragged(rng, 5, 2)
-    whole = _row_values(block, SQRT)
-    part = block.take(1, 4)
-    assert np.shares_memory(part.velocities, block.velocities)
-    assert part.durations.shape[1] == max(p.counts[0] for p in paths[1:4])
-    for name, value in _row_values(part, SQRT).items():
-        assert np.array_equal(value, whole[name][1:4]), name
-    assert np.array_equal(part.speeds, block.speeds[1:4, :part.counts.max()])
-
-
 def test_block_names_the_first_row_whose_durations_miss_its_horizon():
     ok = dict(starts=np.zeros((4, 1)), horizons=[1.0, 1.0, 2.0, 1.0],
               durations=[[0.5, 0.5], [1.0, 0.0], [1.0, 1.0], [1.0, 0.0]],
@@ -441,16 +429,3 @@ def test_block_names_the_first_row_whose_durations_miss_its_horizon():
                             [1.0, 0.0]]}, "nan, horizon 1.0")):
         with pytest.raises(BadHorizon, match=f"durations sum to {message}"):
             PathBlock(**{**ok, **change})
-
-
-def test_take_views_the_speeds_once_measured():
-    rng = np.random.default_rng(9)
-    block, _ = _ragged(rng, 6, 3)
-    fresh = block.take(1, 4)
-    measured = block.speeds
-    part = block.take(1, 4)
-    assert "speeds" not in vars(fresh)
-    assert np.shares_memory(part.speeds, measured)
-    assert not part.speeds.flags.writeable
-    assert np.array_equal(part.speeds, fresh.speeds)
-    assert part.speeds.tobytes() == fresh.speeds.tobytes()

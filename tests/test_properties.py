@@ -89,14 +89,28 @@ CLOSED = SteppedPath(start=np.zeros(1), horizon=1.0,
 NEAR_CLOSED = SteppedPath(start=np.zeros(1), horizon=1.0,
                           durations=np.array([0.5, 0.5]),
                           velocities=np.array([[1.0], [-(1.0 - 2.0 ** -52)]]))
+# one subnormal speed: 0.4 * 5e-324 rounds to 0.0, so the displacement and
+# the length read 0.0; stretched by 1.5, 0.6 * 5e-324 rounds up to 5e-324
+SUBNORMAL = SteppedPath(start=np.zeros(1), horizon=1.0,
+                        durations=np.array([0.4, 0.2, 0.4]),
+                        velocities=np.array([[0.0], [0.0], [5e-324]]))
 
 
 @given(stepped_paths(), st.floats(1.5, 8.0))
 @example(CLOSED, 1.5)
+@example(SUBNORMAL, 1.5)
 def test_stretch_preserves_n_functionals(p, T):
     s = stretch(p, T)
     assert n1(s)[0] == pytest.approx(n1(p)[0], rel=1e-12)
     assert n2(s)[0] == pytest.approx(n2(p)[0], rel=1e-12)
+
+
+def test_a_subnormal_residue_reads_as_rest_before_and_after_a_stretch():
+    s = stretch(SUBNORMAL, 1.5)
+    assert SUBNORMAL.displacements[0, 0] == l1_norm(SUBNORMAL)[0] == 0.0
+    assert s.displacements[0, 0] == l1_norm(s)[0] == 5e-324
+    for b in (SUBNORMAL, s):
+        assert n1(b)[0] == n2(b)[0] == 1.0
 
 
 def test_n1_is_one_only_within_rounding_of_a_closed_path():
