@@ -26,6 +26,9 @@ _NEEDS = {A1I: "needs sublinearity; witness {}",
 
 _EQ_TOL = 1e-12
 _BY_NAME: dict = {}  # from_spec's costs by name, which fixes a builtin
+# the sample grids: (A1) on r (linear) by u (logarithmic), (A2i) on its own u
+_A1_R, _A1_U = np.linspace(0.02, 0.98, 50), np.logspace(-3, 3, 50)
+_A2_U = np.logspace(-1, 1.5, 30)
 
 
 @dataclass(frozen=True)
@@ -45,10 +48,9 @@ class CostFunction:
 
     @functools.cached_property
     def witnesses(self):
-        """Read-only {hypothesis: witness or None}, sampled on first read:
-        check_a1 on the default grids, check_a2 on logspace(-1, 1.5, 30)."""
-        return MappingProxyType({**check_a1(self, *default_a1_grids()),
-                                 **check_a2(self, np.logspace(-1, 1.5, 30))})
+        """Read-only {hypothesis: witness or None} of check_a1 and check_a2,
+        sampled on first read."""
+        return MappingProxyType({**check_a1(self), **check_a2(self)})
 
     def eval(self, u):
         """cost(u) as a float for a number or 0-d array, else as a float64
@@ -138,8 +140,8 @@ def parse_cost(text: str) -> CostFunction:
     return from_spec({"name": name, "params": params})
 
 
-def check_a1(cost: CostFunction, r_grid, u_grid) -> dict:
-    """Sampled check of (A1) on r_grid x u_grid.
+def check_a1(cost: CostFunction) -> dict:
+    """Sampled check of (A1) on the fixed grid _A1_R x _A1_U.
 
     Returns ``{A1I: witness, A1III: witness}``, a witness being None where
     the check holds.  A1i — cost(0) = 0, witness (0, cost(0)), and
@@ -147,22 +149,15 @@ def check_a1(cost: CostFunction, r_grid, u_grid) -> dict:
     r*cost(u)) at the first r that fails; A1iii — cost(u) > 0 for u > 0,
     witness (u, cost(u)).
     """
-    r_grid = np.asarray(r_grid, dtype=float)
-    u_grid = np.asarray(u_grid, dtype=float)
-    if np.any((r_grid <= 0) | (r_grid >= 1)):
-        raise BadParam("r grid must lie in (0,1)")
-    if np.any(u_grid <= 0):
-        raise BadParam("u grid must be positive")
-
-    lu = np.atleast_1d(cost.eval(u_grid))
+    lu = np.atleast_1d(cost.eval(_A1_U))
     scale = 1.0 + float(np.max(np.abs(lu)))
-    lru = cost.eval(np.multiply.outer(r_grid, u_grid))  # a row per r
-    rlu = np.multiply.outer(r_grid, lu)
+    lru = cost.eval(np.multiply.outer(_A1_R, _A1_U))  # a row per r
+    rlu = np.multiply.outer(_A1_R, lu)
     bad = np.argwhere(lru - rlu < -_EQ_TOL * scale)
     a1i = None
     if bad.size:  # row-major order: the first failing r, then its first u
         i, k = bad[0]
-        a1i = (float(r_grid[i]), float(u_grid[k]), float(lru[i, k]),
+        a1i = (float(_A1_R[i]), float(_A1_U[k]), float(lru[i, k]),
                float(rlu[i, k]))
     # at 0 the cost must vanish exactly
     if cost.eval(0.0) != 0.0:
@@ -170,26 +165,23 @@ def check_a1(cost: CostFunction, r_grid, u_grid) -> dict:
     nonpos = np.flatnonzero(lu <= 0)
     a1iii = None
     if nonpos.size:
-        a1iii = (float(u_grid[nonpos[0]]), float(lu[nonpos[0]]))
+        a1iii = (float(_A1_U[nonpos[0]]), float(lu[nonpos[0]]))
     return {A1I: a1i, A1III: a1iii}
 
 
-def check_a2(cost: CostFunction, u_grid) -> dict:
-    """Sampled check of (A2i), a non-decreasing cost, on a sorted positive
-    grid.
+def check_a2(cost: CostFunction) -> dict:
+    """Sampled check of (A2i), a non-decreasing cost, on the fixed sorted
+    grid _A2_U.
 
     Returns ``{A2I: witness}``: None where the check holds, else (u, u',
     cost(u), cost(u')) at the first neighbouring pair that decreases.
     """
-    u_grid = np.asarray(u_grid, dtype=float)
-    if np.any(u_grid <= 0) or np.any(np.diff(u_grid) <= 0):
-        raise BadParam("u grid must be positive and strictly increasing")
-    vals = np.atleast_1d(cost.eval(u_grid))
+    vals = np.atleast_1d(cost.eval(_A2_U))
     dec = np.flatnonzero(np.diff(vals) < -_EQ_TOL)
     if not dec.size:
         return {A2I: None}
     k = int(dec[0])
-    return {A2I: (float(u_grid[k]), float(u_grid[k + 1]),
+    return {A2I: (float(_A2_U[k]), float(_A2_U[k + 1]),
                   float(vals[k]), float(vals[k + 1]))}
 
 
@@ -207,8 +199,3 @@ def c_ell(cost: CostFunction) -> float:
     if cost.analytic_c_ell is None:
         raise BadParam(f"cost {cost.name} has no known asymptotic slope")
     return cost.analytic_c_ell
-
-
-def default_a1_grids():
-    """50x50 grids (r linear, u logarithmic) on which the suites check (A1)."""
-    return np.linspace(0.02, 0.98, 50), np.logspace(-3, 3, 50)

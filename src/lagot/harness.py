@@ -22,7 +22,7 @@ from .ensembles import (BoundedCouplingTriple, EnsembleStack,
                         eval_tilde, eval_tv, eval_tv_induced, oracle_min_path,
                         solve_bounded_each)
 from .errors import AssumptionRefused, ConfigInvalid, LagotError, UnknownKind
-from .measures import (DiscreteMeasure, flat_dirichlet, joined,
+from .measures import (DiscreteMeasure, flat_dirichlet, joined, json_numbers,
                        make_coupling, pairwise_distances, random_measure,
                        row_sum)
 # solve_mk and t_p stay bound here for perfbench's import-site test
@@ -38,6 +38,10 @@ STRICT_MARGIN = 1e-6
 # the largest trial count, atom count and dimension a VerifyConfig admits; a
 # larger one is refused before anything is drawn or allocated
 LIMITS = {"trials": 10 ** 5, "n_atoms": 10 ** 3, "dim": 10 ** 3}
+# config-file and report key -> VerifyConfig field, also the dest of its flag
+_VERIFY_FIELDS = {"theorem": "theorem", "seed": "seed", "trials": "trials",
+                  "n_atoms": "n_atoms", "dim": "dim", "cost": "cost_spec",
+                  "tolerance": "tolerance"}
 # check kind -> whether (value, bound) holds; every comparison with NaN is
 # false, so a NaN check holds for no kind
 _HOLDS = {"eq": lambda v, b: abs(v) <= b, "le": lambda v, b: v <= b,
@@ -67,6 +71,7 @@ class VerifyConfig:
         if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)):
             raise ConfigInvalid(
                 f'cost must be {{"name": ..., "params": [...]}}, got {spec!r}')
+        json_numbers(spec.get("params", []), "params", 1)
         try:
             costmod.from_spec(spec)
         except (LagotError, TypeError, ValueError) as exc:
@@ -88,10 +93,7 @@ class VerifyConfig:
                 f"tolerance must be positive and finite, got {tol!r}")
 
     def to_json(self) -> dict:
-        return {"theorem": self.theorem, "seed": self.seed,
-                "trials": self.trials, "n_atoms": self.n_atoms,
-                "dim": self.dim, "cost": self.cost_spec,
-                "tolerance": self.tolerance,
+        return {**{k: getattr(self, f) for k, f in _VERIFY_FIELDS.items()},
                 "strict_margin": STRICT_MARGIN}
 
 
@@ -269,7 +271,7 @@ def _suite_prop2_3(cfg, cost, rngs):
     if not np.all(np.diff(cost.eval(tail)) < 0):
         raise AssumptionRefused("cost is not decreasing past its r0")
     dim = max(2, cfg.dim)
-    span = 2.0 * (cost.r0 or 1.0)
+    span = 2.0 * cost.r0
     x0 = np.zeros(dim)
     x1 = np.zeros(dim)
     x1[0] = span
@@ -350,7 +352,7 @@ def _suite_cor2_7(cfg, cost, rngs):
 def _suite_cor2_8(cfg, cost, rngs):
     require(cost, "cor2_8", A1I)
     pairs = _rand_pairs(cfg, rngs)
-    grids = [max(float(pairwise_distances(m0.points, m1.points).max()), 1e-6)
+    grids = [max(m0.diameter_to(m1), 1e-6)
              * np.array([1.0, 1.5, 2.0, 3.0, 4.0]) for m0, m1 in pairs]
     for (m0, m1), r_grid, ladder in zip(
             pairs, grids, solve_bounded_each(pairs, cost, grids)):

@@ -35,24 +35,20 @@ _PIVOTS_PER_NODE = 20000  # the pivot cap, per row and column of the LP
 class MKSolution:
     """The optimum ``value`` and ``plan``; from the simplex also the final
     ``basis`` cells, the dual potentials ``pot`` of the priced matrix
-    (big-M on forbidden arcs) and the ``pivots`` made, else None."""
+    (big-M on forbidden arcs; u of the rows, then v of the columns) and the
+    ``pivots`` made, else None."""
     value: float
     plan: Coupling
     basis: Optional[tuple] = None
     pot: Optional[list] = None
     pivots: Optional[int] = None
 
-    @property
-    def potentials(self) -> Optional[tuple]:  # read-only (u, v) of pot
-        return self.pot and tuple(np.split(read_only(np.array(self.pot)),
-                                           [len(self.plan.plan)]))
-
 
 class _Tree(SimpleNamespace):
     """A basis as its tree from row 0: rows are nodes 0..n-1, columns
     n..n+m-1, each with ``pot`` (u_0 = 0), ``parent``, ``up`` cell (the flat
-    index k = i*m + j of the basis cell to its parent), its cost ``cup``,
-    ``depth`` and ``kids``; the ``up`` cells of nodes 1.. are the basis."""
+    index k = i*m + j of the basis cell to its parent), ``depth`` and
+    ``kids``; the ``up`` cells of nodes 1.. are the basis."""
 
 
 def _northwest_corner(a, b, cost, prices):
@@ -62,44 +58,43 @@ def _northwest_corner(a, b, cost, prices):
     n, m, i, j = len(a), len(b), 0, 0
     flow, kids = [0.0] * (n * m), [[] for _ in range(n + m)]
     pot, depth = [0.0] * (n + m), [0] * (n + m)
-    parent, up, cup = [None] * (n + m), [None] * (n + m), [None] * (n + m)
+    parent, up = [None] * (n + m), [None] * (n + m)
     new, old = n, 0  # column 0 hangs from row 0
     for _ in range(n + m - 1):  # each cell moves on by a row or a column
         q, k = min(a[i], b[j]), i * m + j
-        flow[k], parent[new], up[new], cup[new] = q, old, k, cost[k]
-        pot[new], depth[new] = cup[new] - pot[old], depth[old] + 1
+        flow[k], parent[new], up[new] = q, old, k
+        pot[new], depth[new] = cost[k] - pot[old], depth[old] + 1
         kids[old].append(new)
         a[i], b[j], prices[i][j] = a[i] - q, b[j] - q, np.inf
         if j == m - 1 or (i < n - 1 and a[i] <= 0.0):
             i, new, old = i + 1, i + 1, n + j
         else:
             j, new, old = j + 1, n + j + 1, i
-    return flow, _Tree(pot=pot, depth=depth, parent=parent, up=up, cup=cup,
-                       kids=kids)
+    return flow, _Tree(pot=pot, depth=depth, parent=parent, up=up, kids=kids)
 
 
 def _pivot(tree, entering, c, inner, outer, top):
-    """Swap the cell over node ``top`` for ``entering``, of cost c, which
-    joins ``inner``, under top, to ``outer``: the subtree under top is cut
-    off, turned over along the path from inner to top, hung from outer and
-    walked again, so each node gets the depth and potential (the
-    alternating cost sum on its root path) of a full walk, bit for bit."""
-    pot, depth, parent, up, cup, kids = (tree.pot, tree.depth, tree.parent,
-                                         tree.up, tree.cup, tree.kids)
-    pot[inner], depth[inner] = c - pot[outer], depth[outer] + 1
+    """Swap the cell over node ``top`` for ``entering``, which joins
+    ``inner``, under top, to ``outer``, c being the flat costs: the subtree
+    under top is cut off, turned over along the path from inner to top, hung
+    from outer and walked again, so each node gets the depth and potential
+    (the alternating cost sum on its root path) of a full walk, bit for bit."""
+    pot, depth, parent, up, kids = (tree.pot, tree.depth, tree.parent,
+                                    tree.up, tree.kids)
+    pot[inner], depth[inner] = c[entering] - pot[outer], depth[outer] + 1
     x, p, cell = inner, outer, entering
     while p != top:
-        xp, xu, xc = parent[x], up[x], cup[x]
+        xp, xu = parent[x], up[x]
         kids[xp].remove(x)
         kids[p].append(x)
-        parent[x], up[x], cup[x] = p, cell, c
-        x, p, cell, c = xp, x, xu, xc
+        parent[x], up[x] = p, cell
+        x, p, cell = xp, x, xu
     order = [inner]
     for k in order:
         if kids[k]:
             u, below = pot[k], depth[k] + 1
             for w in kids[k]:
-                pot[w], depth[w] = cup[w] - u, below
+                pot[w], depth[w] = c[up[w]] - u, below
             order += kids[k]
 
 
@@ -176,7 +171,7 @@ def _transportation_simplex(supply, demand, cost, scale):
             prices[k // m][k % m], prices[a][b] = c[k], np.inf
         else:
             flat[k], flat[e] = c[k], np.inf
-        _pivot(tree, e, c[e], inner, a + n + b - inner, top)
+        _pivot(tree, e, c, inner, a + n + b - inner, top)
     raise LagotError("transportation simplex reached its pivot cap unsolved")
 
 

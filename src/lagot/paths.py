@@ -15,7 +15,7 @@ of a block in one array expression and returns one value or row per row.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,35 +32,35 @@ DURATION_TOL = 1e-12
 class PathBlock:
     """k stepped paths as zero-padded arrays.
 
-    ``starts`` (k, dim), ``horizons`` (k,), ``durations`` (k, P),
-    ``velocities`` (k, P, dim) and ``counts`` (k,).  Row r uses its first
-    counts[r] pieces, whose durations are positive and sum to the finite
-    horizon; every later entry is zero.  Values are finite.
+    ``starts`` (k, dim), ``horizons`` (k,), ``durations`` (k, P) and
+    ``velocities`` (k, P, dim).  Row r uses its first counts[r] pieces, the
+    positive durations, which sum to the finite horizon; every later entry
+    is zero.  Values are finite.
     """
 
     starts: np.ndarray
     horizons: np.ndarray
     durations: np.ndarray
     velocities: np.ndarray
-    counts: np.ndarray
+    counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
         starts, horizons, durations, velocities = (
             np.asarray(a, dtype=float) for a in (
                 self.starts, self.horizons, self.durations, self.velocities))
-        counts = np.asarray(self.counts, dtype=int)
         if durations.shape != velocities.shape[:2] or not durations.shape[1]:
             raise ValueError("a path needs pieces, one velocity per piece")
-        rows = len(starts), len(horizons), len(durations), len(counts)
+        rows = len(starts), len(horizons), len(durations)
         if min(rows) < max(rows):
             raise DimensionMismatch("%d starts, %d horizons, %d rows of "
-                                    "pieces and %d counts" % rows)
+                                    "pieces" % rows)
         # first, so that a NaN or infinite duration or horizon fails here
         sums, tol = row_sum(durations), DURATION_TOL * np.fmax(1.0, horizons)
         bad = ~((np.abs(sums - horizons) <= tol) & (tol < np.inf))
         if bad.any():
             raise BadHorizon(f"durations sum to {float(sums[bad][0])}, "
                              f"horizon {float(horizons[bad][0])}")
+        counts = np.count_nonzero(durations > 0, axis=1)
         pad = np.arange(durations.shape[1]) >= counts[:, None]
         if not (np.sign(durations) == ~pad).all():
             raise ValueError("durations must be positive, and zero on padding")
@@ -127,12 +127,14 @@ def block_of_pieces(starts, horizons, counts, durations,
                     velocities) -> PathBlock:
     """Block of rows whose pieces, counts[r] for row r, come end to end,
     zero-padded to the longest row through one boolean mask."""
+    if not np.all(durations):  # a zero piece would read as padding
+        raise ValueError("durations must be positive, and zero on padding")
     counts = np.asarray(counts)
     mask = np.arange(counts.max()) < counts[:, None]
     pad_d = np.zeros(mask.shape)
     pad_v = np.zeros(mask.shape + velocities.shape[1:])
     pad_d[mask], pad_v[mask] = durations, velocities
-    return PathBlock(starts, horizons, pad_d, pad_v, counts)
+    return PathBlock(starts, horizons, pad_d, pad_v)
 
 
 class SteppedPath(PathBlock):
@@ -144,7 +146,7 @@ class SteppedPath(PathBlock):
         v = np.array(velocities, dtype=float)
         super().__init__(np.atleast_1d(np.array(start, dtype=float))[None],
                          [horizon], np.array(durations, dtype=float)[None],
-                         (v[:, None] if v.ndim == 1 else v)[None], [len(v)])
+                         (v[:, None] if v.ndim == 1 else v)[None])
 
 
 @dataclass(frozen=True)
@@ -267,7 +269,7 @@ def stop_and_go(x, y, A) -> PathBlock:
     durations = durations * (1.0 / row_sum(durations))[:, None]
     v = (ys - xs) / np.asarray(totals)[:, None]
     return PathBlock(xs, np.ones(len(counts)), durations,
-                     np.where(on[..., None], v[:, None, :], 0.0), counts)
+                     np.where(on[..., None], v[:, None, :], 0.0))
 
 
 def linear_path(x, y) -> PathBlock:
@@ -333,7 +335,7 @@ def stretch(b: PathBlock, T) -> PathBlock:
     if np.any(T < 1.0 - DURATION_TOL):
         raise BadHorizon("stretch needs T >= 1")
     return PathBlock(b.starts, T, b.durations * T[:, None],
-                     b.velocities / T[:, None, None], b.counts)
+                     b.velocities / T[:, None, None])
 
 
 def compress(b: PathBlock) -> PathBlock:
@@ -342,7 +344,7 @@ def compress(b: PathBlock) -> PathBlock:
     if np.any(T < 1.0 - DURATION_TOL):
         raise BadHorizon("compress needs horizon >= 1")
     return PathBlock(b.starts, np.ones_like(T), b.durations / T[:, None],
-                     b.velocities * T[:, None, None], b.counts)
+                     b.velocities * T[:, None, None])
 
 
 def random_interval_set(rng: np.random.Generator) -> IntervalSet:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from lagot import mk_solver
-from lagot.costs import _EQ_TOL, A1I, A1III, power_cost
+from lagot.costs import _EQ_TOL, A1I, A1III, A2I, power_cost
 from lagot.ensembles import (_BOUND_TOL, BoundedCouplingTriple,
                              EnsembleStack, _cost_at_caps)
 from lagot.errors import Infeasible, InfeasibleBound, MissingBound
@@ -63,6 +63,16 @@ def check_a1_per_r(cost, r_grid, u_grid) -> dict:
     if nonpos.size:
         a1iii = (float(u_grid[nonpos[0]]), float(lu[nonpos[0]]))
     return {A1I: a1i, A1III: a1iii}
+
+
+def check_a2_per_pair(cost, u_grid) -> dict:
+    """``lagot.costs.check_a2`` as a loop over neighbouring pairs of the
+    sorted grid: the first pair that decreases gives the (A2i) witness."""
+    vals = cost.eval(u_grid).tolist()
+    for k, (u, u2) in enumerate(zip(u_grid[:-1], u_grid[1:])):
+        if vals[k + 1] - vals[k] < -_EQ_TOL:
+            return {A2I: (float(u), float(u2), vals[k], vals[k + 1])}
+    return {A2I: None}
 
 
 # The transportation simplex as it was before its pivots moved to Python
@@ -188,7 +198,7 @@ def ensembles_of(s: EnsembleStack) -> list:
         width = p.counts[lo:hi].max()
         rows = PathBlock(p.starts[lo:hi], p.horizons[lo:hi],
                          p.durations[lo:hi, :width],
-                         p.velocities[lo:hi, :width], p.counts[lo:hi])
+                         p.velocities[lo:hi, :width])
         out.append(EnsembleStack(rows, s.weights[lo:hi], s.bounds[lo:hi]))
     return out
 

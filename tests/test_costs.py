@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from lagot.costs import (A1I, A1III, A2I, CostFunction, builtin, c_ell,
-                         check_a1, check_a2, default_a1_grids, from_spec,
+from lagot.costs import (_A1_R, _A1_U, _A2_U, A1I, A1III, A2I, CostFunction,
+                         builtin, c_ell, check_a1, check_a2, from_spec,
                          parse_cost, power_cost, require)
 from lagot.errors import AssumptionRefused, BadParam, UnknownCost
-from oracles import check_a1_per_r
+from oracles import check_a1_per_r, check_a2_per_pair
 
 ALL_BUILTINS = [builtin("power", [0.3]), builtin("power", [0.5]),
                 builtin("power", [0.9]), builtin("power", [1.0]),
@@ -70,38 +70,43 @@ def test_bad_params():
         assert str(info.value) == message
 
 
+def test_the_sample_grids_are_fixed():
+    """(A1) on 50 linear r in (0, 1) by 50 logarithmic u, (A2i) on 30
+    logarithmic u, read-only."""
+    for grid, want in ((_A1_R, np.linspace(0.02, 0.98, 50)),
+                       (_A1_U, np.logspace(-3, 3, 50)),
+                       (_A2_U, np.logspace(-1, 1.5, 30))):
+        assert grid.tobytes() == want.tobytes()
+
+
 def test_check_a1_sublinear_pass():
-    assert check_a1(builtin("power", [0.5]), [0.25], [1.0]) == {
-        A1I: None, A1III: None}
+    assert check_a1(builtin("power", [0.5])) == {A1I: None, A1III: None}
 
 
 def test_check_a1_convex_fails():
-    # the witness is taken at the first r that fails
-    r, u, lru, rlu = check_a1(builtin("quadratic"), [0.5, 0.25], [1.0])[A1I]
-    assert r == 0.5 and u == 1.0
-    assert lru == pytest.approx(0.25) and rlu == pytest.approx(0.5)
+    # the witness is taken at the first r that fails, the grid's first
+    r, u, lru, rlu = check_a1(builtin("quadratic"))[A1I]
+    assert r == _A1_R[0] and u in _A1_U
+    assert (lru, rlu) == pytest.approx(((r * u) ** 2, r * u * u))
 
 
 def test_check_a1_linear_equality_hit():
     # cost(r*u) = r*cost(u) exactly: an equality is not a failure of A1i
-    assert check_a1(builtin("linear"), [0.5], [1.0])[A1I] is None
+    assert check_a1(builtin("linear"))[A1I] is None
 
 
 def test_check_a1_witnesses_cost_at_zero_and_positivity():
     shifted = CostFunction(name="shifted", fn=lambda u: np.sqrt(u) + 1.0)
-    assert check_a1(shifted, [0.5], [1.0, 4.0])[A1I] == (0.0, 1.0)
+    assert check_a1(shifted)[A1I] == (0.0, 1.0)
     flat = CostFunction(name="flat", fn=lambda u: np.where(u < 1.0, u, 0.0))
-    assert check_a1(flat, [0.5], [0.5, 2.0])[A1III] == (2.0, 0.0)
+    assert check_a1(flat)[A1III] == (float(_A1_U[_A1_U >= 1.0][0]), 0.0)
 
 
 def test_check_a2_examples():
-    assert check_a2(builtin("power", [0.5]),
-                    np.linspace(0.1, 10, 20)) == {A2I: None}
-    u, u2, cu, cu2 = check_a2(builtin("remark_iii"),
-                              [0.5, 1.0, 2.0, 4.0])[A2I]
-    assert (u, u2) == (0.5, 1.0) and cu2 < cu
-    assert check_a2(builtin("linear"),
-                    np.linspace(0.1, 20, 20)) == {A2I: None}
+    assert check_a2(builtin("power", [0.5])) == {A2I: None}
+    u, u2, cu, cu2 = check_a2(builtin("remark_iii"))[A2I]
+    assert u < 1.0 < u2 and cu2 < cu  # the drop at 1
+    assert check_a2(builtin("linear")) == {A2I: None}
 
 
 def test_c_ell_is_the_analytic_slope():
@@ -154,8 +159,6 @@ def test_require_refuses_at_the_first_failing_hypothesis_given():
         require(cost, "who", A2I, A1III)
 
 
-R_GRIDS = [default_a1_grids()[0], [0.5, 0.25], [0.5], np.linspace(0.9, 0.1, 7)]
-U_GRIDS = [default_a1_grids()[1], [1.0], [0.5, 2.0], np.logspace(-2, 2, 9)]
 A1_COSTS = ALL_BUILTINS + [
     builtin("quadratic"), power_cost(1.5),
     CostFunction(name="shifted", fn=lambda u: np.sqrt(u) + 1.0),
@@ -168,10 +171,12 @@ A1_COSTS = ALL_BUILTINS + [
 
 @pytest.mark.parametrize("cost", A1_COSTS, ids=lambda c: c.name)
 def test_check_a1_matches_the_per_r_loop(cost):
-    for r_grid in R_GRIDS:
-        for u_grid in U_GRIDS:
-            assert check_a1(cost, r_grid, u_grid) == \
-                check_a1_per_r(cost, r_grid, u_grid), (r_grid, u_grid)
+    assert check_a1(cost) == check_a1_per_r(cost, _A1_R, _A1_U)
+
+
+@pytest.mark.parametrize("cost", A1_COSTS, ids=lambda c: c.name)
+def test_check_a2_matches_the_per_pair_loop(cost):
+    assert check_a2(cost) == check_a2_per_pair(cost, _A2_U)
 
 
 @pytest.mark.parametrize("cost", ALL_BUILTINS, ids=lambda c: c.name)

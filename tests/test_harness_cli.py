@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -235,6 +236,25 @@ def test_cli_verify_reads_the_file_then_the_flags_then_the_defaults(
                  "--trials", "3", "--seed", "4", "--out", str(rep)]) == 0
     assert json.loads(rep.read_text())["config"] == VerifyConfig(
         theorem="cor2_8", trials=2, seed=4).to_json()
+
+
+def test_each_config_field_has_one_key_that_the_report_echoes(tmp_path):
+    """The harness's key map names every VerifyConfig field once, and a
+    config file that sets every key, each to a value of its own, runs with
+    those values and reads back as its report's config, strict_margin
+    added."""
+    fields = [f.name for f in dataclasses.fields(VerifyConfig)]
+    assert sorted(harness._VERIFY_FIELDS.values()) == sorted(fields)
+    doc = {"theorem": "thm2_1", "seed": 3, "trials": 2, "n_atoms": 5,
+           "dim": 1, "cost": {"name": "affine_exp", "params": [0.25]},
+           "tolerance": 1e-8}
+    assert sorted(doc) == sorted(harness._VERIFY_FIELDS)
+    cfg, rep = tmp_path / "cfg.json", tmp_path / "rep.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(cfg), "--out", str(rep)]) == 0
+    report = json.loads(rep.read_text())
+    assert report["config"] == {**doc, "strict_margin": harness.STRICT_MARGIN}
+    assert report["summary"]["n_trials"] == 2
 
 
 SWEEP_COSTS = ("power:0.5", "remark_iii", "affine_exp:0.25", "linear",
@@ -795,6 +815,18 @@ BAD_INPUTS = {
     "config with a boolean tolerance": (
         {"cfg.json": {"theorem": "thm2_1", "tolerance": True}}, VERIFY_CFG,
         "cfg.json: tolerance must be positive and finite, got True"),
+    "config with a boolean cost parameter": (
+        {"cfg.json": {"theorem": "thm2_1", "trials": 2,
+                      "cost": {"name": "power", "params": [True]}}},
+        VERIFY_CFG, "cfg.json: params must hold numbers only, got [True]"),
+    "config with a string cost parameter": (
+        {"cfg.json": {"theorem": "thm2_1", "trials": 2,
+                      "cost": {"name": "power", "params": ["0.5"]}}},
+        VERIFY_CFG, "cfg.json: params must hold numbers only, got ['0.5']"),
+    "config with null cost parameters": (
+        {"cfg.json": {"theorem": "thm2_1", "trials": 2,
+                      "cost": {"name": "power", "params": None}}},
+        VERIFY_CFG, "cfg.json: params must hold numbers only, got None"),
     "config with a null seed": (
         {"cfg.json": {"theorem": "thm2_1", "seed": None}}, VERIFY_CFG,
         "cfg.json: seed must be an integer, got None"),

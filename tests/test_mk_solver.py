@@ -181,7 +181,6 @@ def _fresh_walk(basis, cost, n, m):
     return SimpleNamespace(
         pot=u.tolist() + v.tolist(), parent=parent, depth=depth,
         up=[None if e is None else e[0] * m + e[1] for e in up],
-        cup=[None if e is None else cost[e[0]][e[1]] for e in up],
         kids=[[w for w in range(n + m) if parent[w] == k]
               for k in range(n + m)])
 
@@ -198,8 +197,8 @@ def _assert_is_a_fresh_walk(tree, cost, n, m):
     assert all(type(k) is int for k in tree.up[1:])
     fresh = _fresh_walk(_basis(tree, m), cost, n, m)
     assert np.array(tree.pot).tobytes() == np.array(fresh.pot).tobytes()
-    assert (tree.parent, tree.up, tree.cup, tree.depth) == (
-        fresh.parent, fresh.up, fresh.cup, fresh.depth)
+    assert (tree.parent, tree.up, tree.depth) == (
+        fresh.parent, fresh.up, fresh.depth)
     assert [sorted(k) for k in tree.kids] == fresh.kids
 
 
@@ -232,7 +231,7 @@ def test_basis_tree_potentials_fit_the_basis(seed):
     for node in range(1, n + m):
         up, (i, j) = tree.parent[node], divmod(tree.up[node], m)
         assert tree.depth[node] == tree.depth[up] + 1
-        assert {node, up} == {i, n + j} and tree.cup[node] == cost[i, j]
+        assert {node, up} == {i, n + j}
     _assert_is_a_fresh_walk(tree, cost.tolist(), n, m)
     basis = np.zeros((n, m), bool)
     basis[tuple(np.transpose(cells))] = True
@@ -520,11 +519,12 @@ def test_the_trees_up_cells_are_the_basis_after_every_pivot(monkeypatch):
 
 def test_a_solution_carries_its_optimality_certificate(monkeypatch):
     """Each feasible solve of the _simplex_cases() and mk-ladder-size LPs
-    returns its final basis, read-only potentials and pivot count, and
-    they certify its plan on the priced matrix (big-M on forbidden arcs):
-    u_i + v_j = c_ij on every basis cell within 1e-12 x scale, no allowed
-    non-basis cell's reduced cost below -_RC_TOL x scale, n + m - 1 basis
-    cells spanning every node, and no flow off the basis."""
+    returns its final basis, potentials (the list pot, u of the rows then
+    v of the columns) and pivot count, and they certify its plan on the
+    priced matrix (big-M on forbidden arcs): u_i + v_j = c_ij on every
+    basis cell within 1e-12 x scale, no allowed non-basis cell's reduced
+    cost below -_RC_TOL x scale, n + m - 1 basis cells spanning every
+    node, and no flow off the basis."""
     nx = pytest.importorskip("networkx")
     lps, pivots = [], []
     real = mk_solver._transportation_simplex
@@ -539,9 +539,9 @@ def test_a_solution_carries_its_optimality_certificate(monkeypatch):
         except Infeasible:
             continue
         _, _, cost, scale = lps[-1]
-        (n, m), (u, v) = cost.shape, sol.potentials
-        assert (u.shape, v.shape) == ((n,), (m,)) and u[0] == 0.0
-        assert not (u.flags.writeable or v.flags.writeable)
+        (n, m), pot = cost.shape, np.array(sol.pot)
+        u, v = pot[:n], pot[n:]
+        assert type(sol.pot) is list and len(pot) == n + m and u[0] == 0.0
         basis = np.zeros((n, m), bool)
         basis[tuple(np.transpose(sol.basis))] = True
         assert type(sol.basis) is tuple and len(sol.basis) == n + m - 1
@@ -763,8 +763,7 @@ def _mixed_block():
 def test_a_mixed_block_solves_each_pair_as_its_one_pair_solve(monkeypatch):
     """A solve_mk_each block of LPs below and above _ARRAY_SCAN_CELLS, two
     array-scan shapes among them, returns each pair's one-pair solve_mk
-    bit for bit: value, plan, basis, potentials and pivot count; a
-    solution built without potentials reads None."""
+    bit for bit: value, plan, basis, potentials and pivot count."""
     pairs, called = _mixed_block(), []
     big = {(m0.n_atoms, m1.n_atoms) for m0, m1 in pairs
            if m0.n_atoms * m1.n_atoms > mk_solver._ARRAY_SCAN_CELLS}
@@ -777,9 +776,6 @@ def test_a_mixed_block_solves_each_pair_as_its_one_pair_solve(monkeypatch):
         assert _same_solution(got, want)
         assert (got.basis, got.pivots) == (want.basis, want.pivots)
         assert np.array(got.pot).tobytes() == np.array(want.pot).tobytes()
-        assert [a.tobytes() for a in got.potentials] == [
-            a.tobytes() for a in want.potentials]
-    assert mk_solver.MKSolution(0.0, block[0].plan).potentials is None
 
 
 def test_a_solve_leaves_the_callers_cost_block_alone(monkeypatch):

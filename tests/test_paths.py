@@ -362,8 +362,7 @@ def test_padding_contributes_exactly_zero():
     extra = 3
     wide = PathBlock(block.starts, block.horizons,
                      np.pad(block.durations, ((0, 0), (0, extra))),
-                     np.pad(block.velocities, ((0, 0), (0, extra), (0, 0))),
-                     block.counts)
+                     np.pad(block.velocities, ((0, 0), (0, extra), (0, 0))))
     pad = np.arange(wide.durations.shape[1]) >= wide.counts[:, None]
     assert np.all(wide.speeds[pad] == 0.0)
     for cost in (SQRT, REMARK):
@@ -375,35 +374,61 @@ def test_padding_contributes_exactly_zero():
 
 def test_block_refuses_what_a_path_refuses():
     ok = dict(starts=np.zeros((1, 1)), horizons=[1.0],
-              durations=[[0.5, 0.5, 0.0]], velocities=[[[1.0], [2.0], [0.0]]],
-              counts=[2])
+              durations=[[0.5, 0.5, 0.0]], velocities=[[[1.0], [2.0], [0.0]]])
     PathBlock(**ok)
     for change, error in (({"durations": [[0.5, 0.5, 0.1]]}, BadHorizon),
-                          ({"durations": [[1.0, 0.0, 0.0]]}, ValueError),
+                          ({"durations": [[0.5, 0.0, 0.5]]}, ValueError),
                           ({"velocities": [[[1.0], [2.0], [3.0]]]},
                            ValueError),
                           ({"velocities": [[[1.0], [np.inf], [0.0]]]},
                            ValueError),
                           ({"horizons": [np.nan]}, BadHorizon),
                           ({"horizons": [0.0], "durations": np.zeros((1, 0)),
-                            "velocities": np.zeros((1, 0, 1)), "counts": [0]},
+                            "velocities": np.zeros((1, 0, 1))},
                            ValueError),
                           ({"starts": np.zeros((1, 2))}, DimensionMismatch)):
         with pytest.raises(error):
             PathBlock(**{**ok, **change})
 
 
+def test_counts_are_each_rows_count_of_positive_durations():
+    """counts is derived, never given: each row's count of pieces, for
+    blocks from block_of, SteppedPath, stop_and_go, stretch, compress and
+    from_json.  A zero duration between positive ones, or among the pieces
+    a row is given, which would read as padding, is refused."""
+    block, alone = _ragged(np.random.default_rng(8), 6, 2)
+    pieces = [len(p.durations[0]) for p in alone]
+    assert [p.counts[0] for p in alone] == pieces
+    for b in (block, stretch(block, 2.0), compress(stretch(block, 2.0)),
+              PathBlock.from_json(block.to_json())):
+        assert b.counts.tolist() == pieces
+    made = stop_and_go(np.zeros((3, 1)), [[1.0], [0.0], [1.0]],
+                       [IntervalSet(((0.1, 0.3), (0.6, 0.7)))] * 2
+                       + [IntervalSet(((0.2, 1.0),))])
+    assert made.counts.tolist() == [5, 1, 2]
+    with pytest.raises(TypeError):
+        PathBlock(block.starts, block.horizons, block.durations,
+                  block.velocities, block.counts)
+    message = "^durations must be positive, and zero on padding$"
+    with pytest.raises(ValueError, match=message):
+        PathBlock(np.zeros((1, 1)), [1.0], [[0.5, 0.0, 0.5]],
+                  np.ones((1, 3, 1)))
+    for v in (0.0, 1.0):
+        with pytest.raises(ValueError, match=message):
+            PathBlock.from_json([{"start": [0.0], "pieces": [
+                {"dt": 1.0, "v": [0.5]}, {"dt": 0.0, "v": [v]}]}])
+        with pytest.raises(ValueError, match=message):
+            block_of([[0.0]], [1.0], [[1.0, 0.0]], [[[0.5], [v]]])
+
+
 @pytest.mark.parametrize("change, lengths", [
-    ({"horizons": [1.0]}, "2 starts, 1 horizons, 2 rows of pieces and 2"),
-    ({"starts": np.zeros((1, 2))}, "1 starts, 2 horizons, 2 rows of pieces"),
-    ({"counts": [1]}, "2 rows of pieces and 1 counts")])
+    ({"horizons": [1.0]}, "2 starts, 1 horizons, 2 rows of pieces$"),
+    ({"starts": np.zeros((1, 2))}, "1 starts, 2 horizons, 2 rows of pieces$")])
 def test_block_refuses_rows_of_unequal_length(change, lengths):
-    """If let through, a short horizons would skip a row's horizon check, a
-    (1, dim) starts would broadcast into every row's end, and a short counts
-    would fail in numpy's indexing."""
+    """If let through, a short horizons would skip a row's horizon check,
+    and a (1, dim) starts would broadcast into every row's end."""
     ok = dict(starts=np.zeros((2, 2)), horizons=[1.0, 1.0],
-              durations=np.ones((2, 1)), velocities=np.ones((2, 1, 2)),
-              counts=[1, 1])
+              durations=np.ones((2, 1)), velocities=np.ones((2, 1, 2)))
     PathBlock(**ok)
     with pytest.raises(DimensionMismatch, match=lengths):
         PathBlock(**{**ok, **change})
@@ -412,7 +437,7 @@ def test_block_refuses_rows_of_unequal_length(change, lengths):
 def test_block_names_the_first_row_whose_durations_miss_its_horizon():
     ok = dict(starts=np.zeros((4, 1)), horizons=[1.0, 1.0, 2.0, 1.0],
               durations=[[0.5, 0.5], [1.0, 0.0], [1.0, 1.0], [1.0, 0.0]],
-              velocities=np.ones((4, 2, 1)), counts=[2, 1, 2, 1])
+              velocities=np.ones((4, 2, 1)))
     ok["velocities"][[1, 3], 1] = 0.0
     PathBlock(**ok)
     bad = {**ok, "durations": [[0.5, 0.5], [0.75, 0.0], [1.0, 1.0],
