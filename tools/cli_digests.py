@@ -13,8 +13,9 @@ errors, refusals of mismatched dimensions, of a config whose cost is a
 string and of an unknown cost, refusals of a report curve without
 columns and of distances that overflow, the control identity's
 refusals of a cost that is not sublinear and of one that decreases,
-and, last, refusals of JSON booleans where numbers belong and of a speed
-cap at which the cost overflows.  Each line is ``name
+refusals of JSON booleans where numbers belong and of a speed cap at
+which the cost overflows, and, last, a config file that sets every key
+and one whose cost parameter is a boolean.  Each line is ``name
 digest``, where the digest is taken over the exit code, stdout, stderr
 and the ``--out`` file (null when none was written), with the
 directory's path replaced by ``<dir>``.  For a usage error (a call
@@ -200,6 +201,15 @@ def calls(d: Path):
     yield "capped-cost-overflow", ["build-optimal", "--theorem", "2.6",
                                    "--p0", ends[0], "--p1", ends[1],
                                    "--cost", "quadratic", "--bound", "1e200"]
+
+    every_key = _write(d, "every-key.json", {
+        "theorem": "cor2_8", "seed": 2, "trials": 2, "n_atoms": 3, "dim": 1,
+        "cost": {"name": "affine_exp", "params": [0.25]}, "tolerance": 1e-8})
+    yield "verify-config-every-key", ["verify", "--config", every_key]
+    flag_param = _write(d, "flag-param.json", {
+        "theorem": "thm2_1", "trials": 2,
+        "cost": {"name": "power", "params": [True]}})
+    yield "verify-boolean-param-config", ["verify", "--config", flag_param]
 
 
 def digests():
