@@ -72,7 +72,7 @@ def test_bad_params():
 
 def test_the_sample_grids_are_fixed():
     """(A1) on 50 linear r in (0, 1) by 50 logarithmic u, (A2i) on 30
-    logarithmic u, read-only."""
+    logarithmic u: the values the README states."""
     for grid, want in ((_A1_R, np.linspace(0.02, 0.98, 50)),
                        (_A1_U, np.logspace(-3, 3, 50)),
                        (_A2_U, np.logspace(-1, 1.5, 30))):
